@@ -11,9 +11,6 @@ from .distributions import (
     pareto_density,
     poisson_pmf,
     sample_compound_count,
-    sample_exponential,
-    sample_poisson,
-    sample_severity,
 )
 from .engine import RiskReport, SimulationSpec, run_simulation, summarize_level
 from .loss_model import (
@@ -22,9 +19,7 @@ from .loss_model import (
     DeviceOutcome,
     PremiumSchedule,
     discount_factor,
-    portfolio_loss,
     premium_schedule,
-    simulate_aggregate_loss,
     simulate_device,
 )
 from .risk_measures import (

@@ -12,6 +12,7 @@ Exit codes are a stable contract: 0 ok, 1 I/O, 2 config/usage,
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 import datetime as dt
 import json
 import logging
@@ -19,7 +20,7 @@ import math
 import sys
 
 from .config import load_config
-from .engine import run_simulation
+from .engine import run_simulation, summarize_level
 from .errors import (
     ConfigError,
     CyberRiskError,
@@ -38,15 +39,8 @@ from .ingestion import (
     parse_records,
 )
 from .report import _rho_text, render_csv, render_json, render_table
-from .risk_measures import (
-    EmpiricalDistribution,
-    conditional_tail_expectation,
-    expected_shortfall,
-    risk_margin_ratio,
-    shortfall_probability,
-    value_at_risk,
-)
-from .scenario import MINUTES_PER_YEAR, RiskLevel, attacks_per_year, baseline_proportion
+from .risk_measures import EmpiricalDistribution
+from .scenario import MINUTES_PER_YEAR, RiskLevel, ScenarioConfig, attacks_per_year, baseline_proportion
 
 logger = logging.getLogger("cyberrisk")
 
@@ -100,16 +94,11 @@ def _cmd_simulate(args) -> int:
     spec = load_config(args.config)
     overrides = {}
     if args.seed is not None:
-        if not (0 <= args.seed < 2 ** 64):
-            raise ConfigError("--seed must be a 64-bit unsigned integer")
         overrides["seed"] = args.seed
     if args.reps is not None:
-        if args.reps < 1:
-            raise ConfigError("--reps must be >= 1")
         overrides["repetitions"] = args.reps
     if overrides:
-        from dataclasses import replace
-
+        # SimulationSpec re-validates the overridden fields
         spec = replace(spec, **overrides)
 
     report = run_simulation(spec, workers=args.workers)
@@ -142,21 +131,16 @@ def _cmd_calibrate(args) -> int:
         population=args.population,
     )
     theta = attacks_per_year(proportion, args.minutes_per_year)
-    fragment = {
-        "scenario": {
-            "base_proportion": proportion,
-            "population": args.population,
-            "attacks_per_year_base": theta,
-            "intensity_multipliers": {
-                "baseline": 1.0, "guarded": 1.0, "elevated": 2.0, "high": 10.0, "severe": 20.0,
-            },
-            "mitigation_alphas": {
-                level.name.lower(): (0.9 if level is RiskLevel.GUARDED else 1.0)
-                for level in RiskLevel
-            },
-        },
+    scenario = {
+        "base_proportion": proportion,
+        "population": args.population,
+        "attacks_per_year_base": theta,
     }
-    sys.stdout.write(json.dumps(fragment, indent=2) + "\n")
+    defaults = ScenarioConfig()
+    for key in ("intensity_multipliers", "mitigation_alphas"):
+        table = getattr(defaults, key)
+        scenario[key] = {level.name.lower(): table[level] for level in RiskLevel}
+    sys.stdout.write(json.dumps({"scenario": scenario}, indent=2) + "\n")
     return _EXIT_OK
 
 
@@ -271,26 +255,21 @@ def _cmd_report(args) -> int:
         raise ConfigError("--premium-pool must be nonnegative")
 
     dist = EmpiricalDistribution(_read_samples(args.samples))
-    mean = dist.mean()
+    metrics = summarize_level(dist, args.premium_pool, levels)
+    rhos = sorted(metrics.var)
     lines = [
         f"samples           {dist.count}",
-        f"expected loss     {mean:.6f}",
+        f"expected loss     {metrics.expected_loss:.6f}",
         f"premium pool      {args.premium_pool:.6f}",
-        f"Prob(Shortfall)   {shortfall_probability(dist, args.premium_pool)!r}",
-        f"E(Shortfall)      {expected_shortfall(dist, args.premium_pool):.6f}",
+        f"Prob(Shortfall)   {metrics.shortfall_probability!r}",
+        f"E(Shortfall)      {metrics.expected_shortfall:.6f}",
     ]
-    for rho in sorted(levels):
-        lines.append(f"VAR({_rho_text(rho)})          {value_at_risk(dist, rho):.6f}")
-    for rho in sorted(levels):
-        lines.append(f"CTE({_rho_text(rho)})          {conditional_tail_expectation(dist, rho):.6f}")
-    if mean != 0.0:
-        for rho in sorted(levels):
-            lines.append(
-                f"Margin VAR({_rho_text(rho)})   {risk_margin_ratio(value_at_risk(dist, rho), mean)!r}")
-        for rho in sorted(levels):
-            lines.append(
-                f"Margin CTE({_rho_text(rho)})   "
-                f"{risk_margin_ratio(conditional_tail_expectation(dist, rho), mean)!r}")
+    lines += [f"VAR({_rho_text(rho)})          {metrics.var[rho]:.6f}" for rho in rhos]
+    lines += [f"CTE({_rho_text(rho)})          {metrics.cte[rho]:.6f}" for rho in rhos]
+    if metrics.margin_ratio:  # empty when the expected loss is zero
+        for measure in ("var", "cte"):
+            lines += [f"Margin {measure.upper()}({_rho_text(rho)})   {metrics.margin_ratio[measure, rho]!r}"
+                      for rho in rhos]
     sys.stdout.write("\n".join(lines) + "\n")
     return _EXIT_OK
 

@@ -27,8 +27,7 @@ from .errors import ConfigError, DomainError, InputError
 from .loss_model import AggregateLossParams, DeviceParameters
 from .scenario import MINUTES_PER_YEAR, RiskLevel, ScenarioConfig
 
-__all__ = ["CONFIG_VERSION", "paper_config", "load_config", "parse_config",
-           "spec_to_mapping", "spec_from_mapping"]
+__all__ = ["CONFIG_VERSION", "paper_config", "load_config", "parse_config", "spec_to_mapping"]
 
 CONFIG_VERSION = 1
 
@@ -66,6 +65,13 @@ def paper_config() -> dict:
     }
 
 
+# Optional device fields. Unlike the rest of the document they do not fall
+# back to the replication preset: a device without lambda_cluster has
+# single-event clusters.
+_DEVICE_DEFAULTS = {"lambda_cluster": 0.0, "horizon_days": 365, "kill_rate": 0.0,
+                    "loss_day_multiplier": 1.0}
+
+
 def _require_keys(mapping: dict, allowed: set, required: set, where: str):
     unknown = set(mapping) - allowed
     if unknown:
@@ -73,6 +79,16 @@ def _require_keys(mapping: dict, allowed: set, required: set, where: str):
     missing = required - set(mapping)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
+
+
+def _section(mapping: dict, key: str, allowed: set, required: set, defaults: dict) -> dict:
+    """``mapping[key]`` checked to be an object holding only ``allowed`` keys
+    and every ``required`` one, with absent keys filled from ``defaults``."""
+    section = mapping.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object, got {section!r}")
+    _require_keys(section, allowed, required, key)
+    return {**defaults, **section}
 
 
 def _number(mapping: dict, key: str, where: str) -> float:
@@ -87,6 +103,21 @@ def _integer(mapping: dict, key: str, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     return value
+
+
+def _numbers(mapping: dict, key: str, where: str) -> tuple:
+    value = mapping[key]
+    if not isinstance(value, list) or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                                          for x in value):
+        raise ConfigError(f"{where}.{key} must be a list of numbers, got {value!r}")
+    return tuple(float(x) for x in value)
+
+
+def _levels(mapping: dict, key: str, where: str) -> tuple:
+    value = mapping[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ConfigError(f"{where}.{key} must be a list of level names, got {value!r}")
+    return tuple(RiskLevel.from_name(name) for name in value)
 
 
 def _severity_from_mapping(mapping: dict, where: str) -> SeverityDistribution:
@@ -105,8 +136,8 @@ def _severity_from_mapping(mapping: dict, where: str) -> SeverityDistribution:
             return Fixed(value=_number(mapping, "value", where))
         if kind == "discrete":
             _require_keys(mapping, {"kind", "values", "probabilities"}, {"values", "probabilities"}, where)
-            return DiscreteTable(values=tuple(mapping["values"]),
-                                 probabilities=tuple(mapping["probabilities"]))
+            return DiscreteTable(values=_numbers(mapping, "values", where),
+                                 probabilities=_numbers(mapping, "probabilities", where))
     except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.kind must be one of lognormal/pareto/fixed/discrete, got {kind!r}")
@@ -124,6 +155,8 @@ def _severity_to_mapping(dist: SeverityDistribution) -> dict:
 
 
 def _level_map(mapping: dict, where: str) -> dict:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object, got {mapping!r}")
     out = {}
     for name, value in mapping.items():
         if name not in _LEVEL_NAMES:
@@ -135,7 +168,10 @@ def _level_map(mapping: dict, where: str) -> dict:
 
 
 def parse_config(mapping: dict) -> SimulationSpec:
-    """Validate a configuration mapping and build the simulation spec."""
+    """Validate a configuration mapping and build the simulation spec.
+
+    Omitted fields take their ``paper_config()`` values, except the
+    optional device fields, which take ``_DEVICE_DEFAULTS``."""
     if not isinstance(mapping, dict):
         raise ConfigError("configuration must be a JSON object")
     _require_keys(
@@ -145,96 +181,68 @@ def parse_config(mapping: dict) -> SimulationSpec:
         {"version", "device"},
         "config",
     )
-    if mapping["version"] != CONFIG_VERSION:
+    if _integer(mapping, "version", "config") != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {mapping['version']!r}; this build reads version {CONFIG_VERSION}")
 
     defaults = paper_config()
-
-    device_map = mapping["device"]
-    _require_keys(device_map,
-                  {"daily_loss", "discount_rate", "horizon_days", "kill_rate",
-                   "theta", "lambda_cluster", "loss_day_multiplier"},
-                  {"daily_loss", "discount_rate", "theta"},
-                  "device")
-    schedule_map = mapping.get("schedule", defaults["schedule"])
-    _require_keys(schedule_map, {"loading", "mitigation"}, set(), "schedule")
-    scenario_map = dict(mapping.get("scenario", {}))
-    _require_keys(scenario_map,
-                  {"base_proportion", "population", "attacks_per_year_base",
-                   "intensity_multipliers", "mitigation_alphas"},
-                  set(), "scenario")
+    top = {**defaults, **mapping}
+    device_map = _section(mapping, "device",
+                          {"daily_loss", "discount_rate", "horizon_days", "kill_rate",
+                           "theta", "lambda_cluster", "loss_day_multiplier"},
+                          {"daily_loss", "discount_rate", "theta"}, _DEVICE_DEFAULTS)
+    schedule_map = _section(mapping, "schedule", {"loading", "mitigation"}, set(),
+                            defaults["schedule"])
+    scenario_map = _section(mapping, "scenario",
+                            {"base_proportion", "population", "attacks_per_year_base",
+                             "intensity_multipliers", "mitigation_alphas"},
+                            set(), defaults["scenario"])
 
     try:
-        counts = CountDistributionParams(
-            theta=_number(device_map, "theta", "device"),
-            lambda_cluster=_number(device_map, "lambda_cluster", "device")
-            if "lambda_cluster" in device_map else 0.0,
-        )
         device = DeviceParameters(
             daily_loss=_number(device_map, "daily_loss", "device"),
             discount_rate=_number(device_map, "discount_rate", "device"),
-            counts=counts,
-            horizon_days=_integer(device_map, "horizon_days", "device")
-            if "horizon_days" in device_map else 365,
-            kill_rate=_number(device_map, "kill_rate", "device")
-            if "kill_rate" in device_map else 0.0,
-            loss_day_multiplier=_number(device_map, "loss_day_multiplier", "device")
-            if "loss_day_multiplier" in device_map else 1.0,
+            counts=CountDistributionParams(
+                theta=_number(device_map, "theta", "device"),
+                lambda_cluster=_number(device_map, "lambda_cluster", "device")),
+            horizon_days=_integer(device_map, "horizon_days", "device"),
+            kill_rate=_number(device_map, "kill_rate", "device"),
+            loss_day_multiplier=_number(device_map, "loss_day_multiplier", "device"),
         )
 
-        loading = _number(schedule_map, "loading", "schedule") if "loading" in schedule_map else 0.1
-        mitigation = _number(schedule_map, "mitigation", "schedule") if "mitigation" in schedule_map else 0.9
-
-        multipliers = _level_map(scenario_map.get("intensity_multipliers",
-                                                  defaults["scenario"]["intensity_multipliers"]),
-                                 "scenario.intensity_multipliers")
+        mitigation = _number(schedule_map, "mitigation", "schedule")
         # absent alpha table = the replication reading: schedule mitigation everywhere
         alphas = {level: mitigation for level in RiskLevel}
         if "mitigation_alphas" in scenario_map:
             alphas.update(_level_map(scenario_map["mitigation_alphas"], "scenario.mitigation_alphas"))
         scenario = ScenarioConfig(
-            base_proportion=_number(scenario_map, "base_proportion", "scenario")
-            if "base_proportion" in scenario_map else defaults["scenario"]["base_proportion"],
-            population=_integer(scenario_map, "population", "scenario")
-            if "population" in scenario_map else defaults["scenario"]["population"],
-            attacks_per_year_base=_number(scenario_map, "attacks_per_year_base", "scenario")
-            if "attacks_per_year_base" in scenario_map else defaults["scenario"]["attacks_per_year_base"],
-            intensity_multipliers=multipliers,
+            base_proportion=_number(scenario_map, "base_proportion", "scenario"),
+            population=_integer(scenario_map, "population", "scenario"),
+            attacks_per_year_base=_number(scenario_map, "attacks_per_year_base", "scenario"),
+            intensity_multipliers=_level_map(scenario_map["intensity_multipliers"],
+                                             "scenario.intensity_multipliers"),
             mitigation_alphas=alphas,
         )
 
-        channel_map = mapping.get("aggregate_channel")
         channel = None
-        if channel_map is not None:
-            _require_keys(channel_map, {"event_rate", "severity"}, {"event_rate", "severity"},
-                          "aggregate_channel")
+        if top["aggregate_channel"] is not None:
+            channel_map = _section(mapping, "aggregate_channel", {"event_rate", "severity"},
+                                   {"event_rate", "severity"}, {})
             channel = AggregateLossParams(
                 event_rate=_number(channel_map, "event_rate", "aggregate_channel"),
                 severity=_severity_from_mapping(channel_map["severity"], "aggregate_channel.severity"),
             )
 
-        level_names = mapping.get("levels", defaults["levels"])
-        if not isinstance(level_names, list) or not all(isinstance(x, str) for x in level_names):
-            raise ConfigError("levels must be a list of level names")
-        levels = tuple(RiskLevel.from_name(name) for name in level_names)
-
-        confidence = mapping.get("confidence_levels", defaults["confidence_levels"])
-        if not isinstance(confidence, list):
-            raise ConfigError("confidence_levels must be a list")
-
         return SimulationSpec(
             device=device,
-            loading=loading,
+            loading=_number(schedule_map, "loading", "schedule"),
             mitigation=mitigation,
-            portfolio_size=_integer(mapping, "portfolio_size", "config")
-            if "portfolio_size" in mapping else defaults["portfolio_size"],
-            repetitions=_integer(mapping, "repetitions", "config")
-            if "repetitions" in mapping else defaults["repetitions"],
-            seed=_integer(mapping, "seed", "config") if "seed" in mapping else defaults["seed"],
-            levels=levels,
+            portfolio_size=_integer(top, "portfolio_size", "config"),
+            repetitions=_integer(top, "repetitions", "config"),
+            seed=_integer(top, "seed", "config"),
+            levels=_levels(top, "levels", "config"),
             scenario=scenario,
             aggregate_channel=channel,
-            confidence_levels=tuple(float(x) for x in confidence),
+            confidence_levels=_numbers(top, "confidence_levels", "config"),
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
@@ -290,7 +298,3 @@ def spec_to_mapping(spec: SimulationSpec) -> dict:
             "severity": _severity_to_mapping(spec.aggregate_channel.severity),
         },
     }
-
-
-def spec_from_mapping(mapping: dict) -> SimulationSpec:
-    return parse_config(mapping)

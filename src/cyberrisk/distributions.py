@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln as _lgamma
 
 from .errors import DomainError
-from .streams import RandomStream
+from .streams import RandomStream, words_to_uniforms
 
 __all__ = [
     "CountDistributionParams",
@@ -40,18 +40,18 @@ __all__ = [
     "compound_count_pmf_table",
     "pareto_density",
     "normal_quantile",
-    "sample_poisson",
+    "PTRS_THRESHOLD",
+    "poisson_inversion",
+    "poisson_ptrs_regions",
     "sample_poisson_batch",
-    "sample_exponential",
     "sample_exponential_batch",
-    "sample_severity",
     "sample_severity_batch",
     "sample_compound_count",
     "sample_compound_count_batch",
 ]
 
 # Sequential search switches to PTRS rejection at this rate.
-_PTRS_THRESHOLD = 30.0
+PTRS_THRESHOLD = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +157,6 @@ class DiscreteTable:
 SeverityDistribution = Lognormal | Pareto | Fixed | DiscreteTable
 
 
-def severity_mean(dist: SeverityDistribution) -> float:
-    return dist.mean
-
-
 # ---------------------------------------------------------------------------
 # exact probability functions
 # ---------------------------------------------------------------------------
@@ -185,39 +181,22 @@ def poisson_pmf(n: int, rate: float) -> float:
 
 def compound_count_pmf(n: int, params: CountDistributionParams) -> float:
     """P(M = n) for M = sum over K clusters of (1 + Poisson(lambda)),
-    K ~ Poisson(theta).
+    K ~ Poisson(theta); entry n of ``compound_count_pmf_table``."""
+    if n < 0 or n != int(n):
+        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    n = int(n)
+    return float(compound_count_pmf_table(n, params)[n])
 
-    For n >= 1:
+
+def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.ndarray:
+    """P(M = n) for n = 0..n_max as an array. For n >= 1:
 
         P(M = n) = sum_{j=1..n} theta^j (j*lambda)^(n-j)
                    exp(-(j*lambda + theta)) / (j! (n-j)!)
 
-    computed term-wise in log space with log-sum-exp.
+    computed term-wise in log space with log-sum-exp, taking
+    0*log(0) = 0 at j = n when lambda = 0.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    theta, lam = params.theta, params.lambda_cluster
-    if n == 0:
-        return math.exp(-theta)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    log_theta = math.log(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # (n-j)*log(j*lam) with the 0*log(0) = 0 convention at j = n, lam = 0
-        tail = n - j
-        log_jlam = np.where(tail > 0, tail * np.log(j * lam) if lam > 0 else -np.inf, 0.0)
-    log_terms = (
-        j * log_theta
-        + log_jlam
-        - (j * lam + theta)
-        - _lgamma(j + 1)
-        - _lgamma(tail + 1)
-    )
-    return float(_logsumexp_exp(log_terms))
-
-
-def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.ndarray:
-    """pmf values for n = 0..n_max as an array (same math as the scalar)."""
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     theta, lam = params.theta, params.lambda_cluster
@@ -365,6 +344,35 @@ def _ptrs_attempt(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
     return accepted, k.astype(np.int64)
 
 
+def poisson_inversion(u: np.ndarray, rate: float) -> np.ndarray:
+    """Poisson(rate) draws by sequential-search inversion, one uniform each."""
+    cum = poisson_cum_table(rate)
+    k = np.searchsorted(cum, u, side="left")
+    return np.minimum(k, len(cum) - 1).astype(np.int64)
+
+
+def poisson_ptrs_regions(words: np.ndarray, rate: float, first: int, attempts: int) -> np.ndarray:
+    """PTRS draws from fixed per-row word regions.
+
+    Row i's attempt a reads raw words ``words[i, first + 2a]`` and
+    ``words[i, first + 2a + 1]``; rows still unresolved after ``attempts``
+    attempts come back as -1 for the caller to spill.
+    """
+    consts = _ptrs_consts(rate)
+    out = np.full(len(words), -1, dtype=np.int64)
+    pending = np.arange(len(words))
+    for attempt in range(attempts):
+        column = first + 2 * attempt
+        u = words_to_uniforms(words[pending, column])
+        v = words_to_uniforms(words[pending, column + 1])
+        accepted, k = _ptrs_attempt(u, v, rate, consts)
+        out[pending[accepted]] = k[accepted]
+        pending = pending[~accepted]
+        if pending.size == 0:
+            break
+    return out
+
+
 def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.ndarray:
     """Draw ``size`` Poisson(rate) variates from ``stream``.
 
@@ -380,11 +388,8 @@ def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.nda
         return np.empty(0, dtype=np.int64)
     if rate == 0.0:
         return np.zeros(size, dtype=np.int64)
-    if rate < _PTRS_THRESHOLD:
-        cum = poisson_cum_table(rate)
-        u = stream.uniforms(size)
-        k = np.searchsorted(cum, u, side="left")
-        return np.minimum(k, len(cum) - 1).astype(np.int64)
+    if rate < PTRS_THRESHOLD:
+        return poisson_inversion(stream.uniforms(size), rate)
     consts = _ptrs_consts(rate)
     out = np.empty(size, dtype=np.int64)
     pending = np.arange(size)
@@ -397,21 +402,12 @@ def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.nda
     return out
 
 
-def sample_poisson(stream: RandomStream, rate: float) -> int:
-    """Single Poisson(rate) draw; identical to sample_poisson_batch(size=1)."""
-    return int(sample_poisson_batch(stream, rate, 1)[0])
-
-
 def sample_exponential_batch(stream: RandomStream, rate: float, size: int) -> np.ndarray:
     """Inverse-CDF exponential: -ln(u)/rate, u in (0, 1]; CDF 1 - exp(-rate*y)."""
     if not (rate > 0 and math.isfinite(rate)):
         raise DomainError(f"rate must be positive, got {rate}")
     u = stream.uniforms(size)
     return -np.log(u) / rate
-
-
-def sample_exponential(stream: RandomStream, rate: float) -> float:
-    return float(sample_exponential_batch(stream, rate, 1)[0])
 
 
 def sample_severity_batch(stream: RandomStream, dist: SeverityDistribution, size: int) -> np.ndarray:
@@ -434,10 +430,6 @@ def sample_severity_batch(stream: RandomStream, dist: SeverityDistribution, size
         idx = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
         return np.asarray(dist.values)[idx]
     raise DomainError(f"unknown severity distribution {dist!r}")
-
-
-def sample_severity(stream: RandomStream, dist: SeverityDistribution) -> float:
-    return float(sample_severity_batch(stream, dist, 1)[0])
 
 
 def sample_compound_count_batch(stream: RandomStream, params: CountDistributionParams,

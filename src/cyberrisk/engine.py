@@ -51,7 +51,13 @@ import time
 
 import numpy as np
 
-from .distributions import poisson_cum_table, _ptrs_consts, _ptrs_attempt, sample_poisson_batch, sample_severity_batch
+from .distributions import (
+    PTRS_THRESHOLD,
+    poisson_inversion,
+    poisson_ptrs_regions,
+    sample_poisson_batch,
+    sample_severity_batch,
+)
 from .errors import ConfigError, NumericFault
 from .loss_model import (
     AggregateLossParams,
@@ -190,25 +196,12 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     if rate == 0.0:
         return np.zeros(n, dtype=np.int64)
     stream_id = pack_stream_id(domain, level.code, 0)
-    if rate < 30.0:
-        stream = RandomStream(seed, stream_id, counter=rep_lo)
-        cum = poisson_cum_table(rate)
-        k = np.searchsorted(cum, stream.uniforms(n), side="left")
-        return np.minimum(k, len(cum) - 1).astype(np.int64)
+    if rate < PTRS_THRESHOLD:
+        return poisson_inversion(RandomStream(seed, stream_id, counter=rep_lo).uniforms(n), rate)
     words = chunk_words(seed, stream_id, rep_lo, n, _COUNT_BLOCKS_PER_REP)
-    consts = _ptrs_consts(rate)
-    out = np.full(n, -1, dtype=np.int64)
-    pending = np.arange(n)
-    for attempt in range(_COUNT_MAX_ATTEMPTS):
-        u = words_to_uniforms(words[pending, 2 * attempt])
-        v = words_to_uniforms(words[pending, 2 * attempt + 1])
-        accepted, k = _ptrs_attempt(u, v, rate, consts)
-        out[pending[accepted]] = k[accepted]
-        pending = pending[~accepted]
-        if pending.size == 0:
-            break
+    out = poisson_ptrs_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
     spill_domain = _DOMAIN_COUNT_SPILL if domain == _DOMAIN_COUNT else _DOMAIN_CHANNEL_SPILL
-    for rep_off in pending:
+    for rep_off in np.nonzero(out < 0)[0]:
         stream = derive_stream(seed, pack_stream_id(spill_domain, level.code, rep_lo + int(rep_off)))
         out[rep_off] = sample_poisson_batch(stream, rate, 1)[0]
     return out
@@ -268,25 +261,10 @@ def _single_cluster_days(spec: SimulationSpec, level: RiskLevel, rep_lo: int, n:
     # cannot change the portfolio loss, so the value is not inspected.
     if lam == 0.0:
         extras = np.zeros(len(rows), dtype=np.int64)
-        spilled = np.empty(0, dtype=np.int64)
-    elif lam < 30.0:
-        cum = poisson_cum_table(lam)
-        k = np.searchsorted(cum, words_to_uniforms(words[:, 1]), side="left")
-        extras = np.minimum(k, len(cum) - 1).astype(np.int64)
-        spilled = np.empty(0, dtype=np.int64)
+    elif lam < PTRS_THRESHOLD:
+        extras = poisson_inversion(words_to_uniforms(words[:, 1]), lam)
     else:
-        consts = _ptrs_consts(lam)
-        extras = np.full(len(rows), -1, dtype=np.int64)
-        pending = np.arange(len(rows))
-        for attempt in range(_DETAIL_MAX_ATTEMPTS):
-            u = words_to_uniforms(words[pending, 1 + 2 * attempt])
-            v = words_to_uniforms(words[pending, 2 + 2 * attempt])
-            accepted, k = _ptrs_attempt(u, v, lam, consts)
-            extras[pending[accepted]] = k[accepted]
-            pending = pending[~accepted]
-            if pending.size == 0:
-                break
-        spilled = pending
+        extras = poisson_ptrs_regions(words, lam, 1, _DETAIL_MAX_ATTEMPTS)
     resolved = extras >= 0
     days = device.loss_day_multiplier * (1 + extras[resolved])
     if device.kill_rate > 0.0:
@@ -294,7 +272,7 @@ def _single_cluster_days(spec: SimulationSpec, level: RiskLevel, rep_lo: int, n:
         days = days * (u < math.exp(-device.kill_rate))
     capped = np.minimum(days, float(device.horizon_days))
     caps = int((days > device.horizon_days).sum())
-    return rows[resolved], capped, caps, rows[spilled]
+    return rows[resolved], capped, caps, rows[~resolved]
 
 
 def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi: int):

@@ -38,9 +38,7 @@ __all__ = [
     "discount_factor",
     "simulate_device",
     "premium_schedule",
-    "simulate_aggregate_loss",
     "simulate_aggregate_loss_batch",
-    "portfolio_loss",
     "expected_capped_loss_days",
     "expected_present_loss",
 ]
@@ -164,16 +162,6 @@ def simulate_aggregate_loss_batch(stream: RandomStream, params: AggregateLossPar
     owner = np.repeat(np.arange(size), counts)
     np.add.at(out, owner, amounts)
     return out
-
-
-def simulate_aggregate_loss(stream: RandomStream, params: AggregateLossParams) -> float:
-    return float(simulate_aggregate_loss_batch(stream, params, 1)[0])
-
-
-def portfolio_loss(device_losses, common_loss: float = 0.0) -> float:
-    """Total portfolio loss: sum of device monetary losses plus the common
-    channel amount."""
-    return float(math.fsum(device_losses) + common_loss)
 
 
 def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int,

@@ -30,7 +30,6 @@ __all__ = [
     "decompose_intensity",
     "level_parameters",
     "level_mitigation",
-    "GLOBAL_MITIGATION_ALPHAS",
     "MINUTES_PER_YEAR",
 ]
 
@@ -83,9 +82,6 @@ _DEFAULT_MULTIPLIERS = {
 _DEFAULT_ALPHAS = {
     level: (0.9 if level is RiskLevel.GUARDED else 1.0) for level in RiskLevel
 }
-
-# Replication-preset reading: the mitigation factor applies globally.
-GLOBAL_MITIGATION_ALPHAS = {level: 0.9 for level in RiskLevel}
 
 
 @dataclass(frozen=True)

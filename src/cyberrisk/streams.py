@@ -101,14 +101,6 @@ class RandomStream:
         """Return a single uniform in (0, 1]."""
         return float(self.uniforms(1)[0])
 
-    def spawn(self, salt: int) -> "RandomStream":
-        """Derive an unrelated stream under the same seed.
-
-        The salt is XOR-folded into the stream id; used for rare overflow
-        continuations so they never collide with primary stream ids.
-        """
-        return RandomStream(self.seed, (self.stream_id ^ salt) & _U64_MASK)
-
 
 def derive_stream(seed: int, stream_id: int) -> RandomStream:
     """Return the stream for (seed, stream_id), positioned at counter 0."""

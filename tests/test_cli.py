@@ -107,6 +107,14 @@ class TestSimulate:
         assert code == 2
         assert "surprise" in err
 
+    @pytest.mark.parametrize("flags", [("--reps", "0"), ("--seed", "-1"),
+                                       ("--seed", str(2 ** 64))])
+    def test_out_of_range_overrides_exit_2(self, capsys, small_config, flags):
+        code, out, err = run_cli(capsys, "simulate", "--config", small_config, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_wrong_version_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         mapping = paper_config()
@@ -216,6 +224,142 @@ class TestReport:
         assert code == 2
         assert "line 2" in err
 
+
+def _report_text(*rows):
+    return "".join(row + "\n" for row in rows)
+
+
+_COUNTING_HEAD = ("samples           100", "expected loss     50.500000")
+_CALIBRATE_TAIL = (
+    '    "intensity_multipliers": {',
+    '      "baseline": 1.0,',
+    '      "guarded": 1.0,',
+    '      "elevated": 2.0,',
+    '      "high": 10.0,',
+    '      "severe": 20.0',
+    "    },",
+    '    "mitigation_alphas": {',
+    '      "baseline": 1.0,',
+    '      "guarded": 0.9,',
+    '      "elevated": 1.0,',
+    '      "high": 1.0,',
+    '      "severe": 1.0',
+    "    }",
+    "  }",
+    "}",
+)
+
+
+class TestPinnedText:
+    """Exact stdout bytes of ``report`` and ``calibrate``."""
+
+    @pytest.fixture()
+    def counting(self, tmp_path):
+        path = tmp_path / "losses.txt"
+        path.write_text("# synthetic sample\n" + "\n".join(str(x) for x in range(1, 101)) + "\n")
+        return str(path)
+
+    def test_report_counting_sample_with_pool(self, capsys, counting):
+        code, out, _ = run_cli(capsys, "report", "--samples", counting, "--premium-pool", "90")
+        assert code == 0
+        assert out == _report_text(
+            *_COUNTING_HEAD,
+            "premium pool      90.000000",
+            "Prob(Shortfall)   0.11",
+            "E(Shortfall)      0.550000",
+            "VAR(.90)          90.000000",
+            "VAR(.95)          95.000000",
+            "VAR(.99)          99.000000",
+            "CTE(.90)          95.000000",
+            "CTE(.95)          97.500000",
+            "CTE(.99)          99.500000",
+            "Margin VAR(.90)   0.7821782178217822",
+            "Margin VAR(.95)   0.8811881188118812",
+            "Margin VAR(.99)   0.9603960396039604",
+            "Margin CTE(.90)   0.8811881188118812",
+            "Margin CTE(.95)   0.9306930693069307",
+            "Margin CTE(.99)   0.9702970297029703",
+        )
+
+    def test_report_all_zero_sample_omits_margins(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n0\n0.0\n")
+        code, out, _ = run_cli(capsys, "report", "--samples", str(path))
+        assert code == 0
+        assert out == _report_text(
+            "samples           3",
+            "expected loss     0.000000",
+            "premium pool      0.000000",
+            "Prob(Shortfall)   1.0",
+            "E(Shortfall)      0.000000",
+            "VAR(.90)          0.000000",
+            "VAR(.95)          0.000000",
+            "VAR(.99)          0.000000",
+            "CTE(.90)          0.000000",
+            "CTE(.95)          0.000000",
+            "CTE(.99)          0.000000",
+        )
+
+    def test_report_unsorted_levels_print_ascending(self, capsys, counting):
+        code, out, _ = run_cli(capsys, "report", "--samples", counting,
+                               "--levels", "0.99,0.5,0.975")
+        assert code == 0
+        assert out == _report_text(
+            *_COUNTING_HEAD,
+            "premium pool      0.000000",
+            "Prob(Shortfall)   1.0",
+            "E(Shortfall)      50.500000",
+            "VAR(.50)          50.000000",
+            "VAR(.975)          98.000000",
+            "VAR(.99)          99.000000",
+            "CTE(.50)          75.000000",
+            "CTE(.975)          99.000000",
+            "CTE(.99)          99.500000",
+            "Margin VAR(.50)   -0.009900990099009901",
+            "Margin VAR(.975)   0.9405940594059405",
+            "Margin VAR(.99)   0.9603960396039604",
+            "Margin CTE(.50)   0.48514851485148514",
+            "Margin CTE(.975)   0.9603960396039604",
+            "Margin CTE(.99)   0.9702970297029703",
+        )
+
+    def test_report_duplicate_levels_print_once(self, capsys, counting):
+        code, out, _ = run_cli(capsys, "report", "--samples", counting, "--levels", "0.9,0.9")
+        assert code == 0
+        assert out == _report_text(
+            *_COUNTING_HEAD,
+            "premium pool      0.000000",
+            "Prob(Shortfall)   1.0",
+            "E(Shortfall)      50.500000",
+            "VAR(.90)          90.000000",
+            "CTE(.90)          95.000000",
+            "Margin VAR(.90)   0.7821782178217822",
+            "Margin CTE(.90)   0.8811881188118812",
+        )
+
+    def test_calibrate_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "calibrate")
+        assert code == 0
+        assert out == _report_text(
+            "{",
+            '  "scenario": {',
+            '    "base_proportion": 2e-05,',
+            '    "population": 10000,',
+            '    "attacks_per_year_base": 10.512,',
+            *_CALIBRATE_TAIL,
+        )
+
+    def test_calibrate_population(self, capsys):
+        code, out, _ = run_cli(capsys, "calibrate", "--population", "20000")
+        assert code == 0
+        assert out == _report_text(
+            "{",
+            '  "scenario": {',
+            '    "base_proportion": 1e-05,',
+            '    "population": 20000,',
+            '    "attacks_per_year_base": 5.256,',
+            *_CALIBRATE_TAIL,
+        )
 
 class TestWorkersResolution:
     def test_env_fallback(self, monkeypatch):

@@ -100,3 +100,58 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(paper_config()))
     assert load_config(str(path)) == parse_config(paper_config())
+
+
+_MALFORMED = {
+    "version-bool": (("version",), True),
+    "device-null": (("device",), None),
+    "device-list": (("device",), [1]),
+    "schedule-null": (("schedule",), None),
+    "scenario-null": (("scenario",), None),
+    "scenario-pairs": (("scenario",), [["population", 3]]),
+    "multipliers-null": (("scenario", "intensity_multipliers"), None),
+    "alphas-null": (("scenario", "mitigation_alphas"), None),
+    "channel-list": (("aggregate_channel",), [1]),
+    "discrete-values-string": (("aggregate_channel", "severity", "values"), "ab"),
+    "discrete-probabilities-string": (("aggregate_channel", "severity", "probabilities"), "ab"),
+    "discrete-values-bool": (("aggregate_channel", "severity", "values"), [True, 2.0]),
+    "confidence-string": (("confidence_levels",), ["0.9"]),
+    "confidence-scalar": (("confidence_levels",), 0.9),
+    "levels-string": (("levels",), "guarded"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_documents_are_config_errors(case, tmp_path, capsys):
+    from cyberrisk.cli import main
+
+    mapping = paper_config()
+    mapping["repetitions"] = 10
+    mapping["aggregate_channel"] = {
+        "event_rate": 1.0,
+        "severity": {"kind": "discrete", "values": [1.0, 2.0], "probabilities": [0.5, 0.5]},
+    }
+    path, value = _MALFORMED[case]
+    target = mapping
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError):
+        parse_config(mapping)
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(mapping))
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_omitted_device_fields_use_device_defaults():
+    mapping = paper_config()
+    mapping["device"] = {"daily_loss": 1000.0, "discount_rate": 0.03, "theta": 0.5}
+    device = parse_config(mapping).device
+    assert device.counts.lambda_cluster == 0.0
+    assert device.horizon_days == 365
+    assert device.kill_rate == 0.0
+    assert device.loss_day_multiplier == 1.0

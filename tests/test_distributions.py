@@ -17,17 +17,15 @@ from cyberrisk.distributions import (
     normal_quantile,
     pareto_density,
     poisson_pmf,
+    poisson_ptrs_regions,
     sample_compound_count,
     sample_compound_count_batch,
-    sample_exponential,
     sample_exponential_batch,
-    sample_poisson,
     sample_poisson_batch,
-    sample_severity,
     sample_severity_batch,
 )
 from cyberrisk.errors import DomainError
-from cyberrisk.streams import derive_stream
+from cyberrisk.streams import chunk_words, derive_stream
 
 from oracles import compound_count_pmf_bruteforce, total_variation
 
@@ -148,7 +146,8 @@ def test_normal_quantile_matches_scipy():
 class TestPoissonSampler:
     def test_zero_rate(self):
         s = derive_stream(1, 10)
-        assert all(sample_poisson(s, 0.0) == 0 for _ in range(100))
+        assert (sample_poisson_batch(s, 0.0, 100) == 0).all()
+        assert s.counter == 0
 
     def test_moments_rate_4(self):
         s = derive_stream(2024, 1)
@@ -175,11 +174,22 @@ class TestPoissonSampler:
     def test_scalar_equals_batch_prefix(self):
         a = derive_stream(7, 7)
         b = derive_stream(7, 7)
-        assert sample_poisson(a, 3.3) == sample_poisson_batch(b, 3.3, 1)[0]
+        assert sample_poisson_batch(a, 3.3, 1)[0] == sample_poisson_batch(b, 3.3, 5)[0]
 
     def test_negative_rate(self):
         with pytest.raises(DomainError):
-            sample_poisson(derive_stream(0, 0), -1.0)
+            sample_poisson_batch(derive_stream(0, 0), -1.0, 1)
+
+    def test_ptrs_regions(self):
+        words = chunk_words(2024, 4, 0, 300_000, 8)
+        draws = poisson_ptrs_regions(words, 45.0, 1, 15)
+        assert (draws >= 0).all()
+        pmf = np.array([poisson_pmf(n, 45.0) for n in range(150)])
+        assert total_variation(np.bincount(draws), pmf, len(draws)) < 0.005
+        # rows a single attempt leaves unresolved come back as -1
+        once = poisson_ptrs_regions(words, 45.0, 1, 1)
+        assert 0 < (once == -1).sum() < len(once) // 2
+        assert (once[once >= 0] == draws[once >= 0]).all()
 
 
 class TestExponentialSampler:
@@ -205,15 +215,15 @@ class TestExponentialSampler:
         assert total_variation(np.bincount(counts), pmf, horizons) < 0.01
 
     def test_scalar_and_domain(self):
-        assert sample_exponential(derive_stream(3, 4), 1.0) >= 0.0
+        assert sample_exponential_batch(derive_stream(3, 4), 1.0, 1)[0] >= 0.0
         with pytest.raises(DomainError):
-            sample_exponential(derive_stream(3, 5), 0.0)
+            sample_exponential_batch(derive_stream(3, 5), 0.0, 1)
 
 
 class TestSeveritySampler:
     def test_fixed_always(self):
         s = derive_stream(4, 1)
-        assert all(sample_severity(s, Fixed(7.5)) == 7.5 for _ in range(50))
+        assert (sample_severity_batch(s, Fixed(7.5), 50) == 7.5).all()
         # Fixed consumes no words
         assert s.counter == 0
 

@@ -14,7 +14,7 @@ from cyberrisk.errors import ConfigError, NumericFault
 from cyberrisk.loss_model import AggregateLossParams, DeviceParameters, simulate_device
 from cyberrisk.report import render_json
 from cyberrisk.risk_measures import EmpiricalDistribution
-from cyberrisk.scenario import GLOBAL_MITIGATION_ALPHAS, RiskLevel, ScenarioConfig
+from cyberrisk.scenario import RiskLevel, ScenarioConfig
 from cyberrisk.streams import derive_stream
 
 
@@ -33,7 +33,7 @@ def _paper_spec(**overrides):
         portfolio_size=1000,
         repetitions=20_000,
         seed=42,
-        scenario=ScenarioConfig(mitigation_alphas=dict(GLOBAL_MITIGATION_ALPHAS)),
+        scenario=ScenarioConfig(mitigation_alphas={level: 0.9 for level in RiskLevel}),
     )
     defaults.update(overrides)
     return SimulationSpec(**defaults)

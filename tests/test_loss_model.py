@@ -13,9 +13,7 @@ from cyberrisk.loss_model import (
     discount_factor,
     expected_capped_loss_days,
     expected_present_loss,
-    portfolio_loss,
     premium_schedule,
-    simulate_aggregate_loss,
     simulate_aggregate_loss_batch,
     simulate_device,
 )
@@ -151,26 +149,7 @@ class TestAggregateLoss:
 
     def test_scalar_degenerate(self):
         params = AggregateLossParams(event_rate=0.0, severity=Fixed(1.0))
-        assert simulate_aggregate_loss(derive_stream(20, 9), params) == 0.0
-
-
-class TestPortfolioLoss:
-    def test_examples(self):
-        assert portfolio_loss([], 0.0) == 0.0
-        assert portfolio_loss([100.0, 200.0, 300.0], 50.0) == 650.0
-        assert portfolio_loss([123.25]) == 123.25
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(8)
-        values = list(rng.uniform(0, 1e6, size=50))
-        base = portfolio_loss(values, 10.0)
-        for _ in range(5):
-            rng.shuffle(values)
-            assert portfolio_loss(values, 10.0) == base  # fsum is order-exact
-
-    def test_monotonicity(self):
-        assert portfolio_loss([1.0, 2.0], 0.0) < portfolio_loss([1.0, 3.0], 0.0)
-        assert portfolio_loss([1.0, 2.0], 0.0) < portfolio_loss([1.0, 2.0], 1.0)
+        assert simulate_aggregate_loss_batch(derive_stream(20, 9), params, 1)[0] == 0.0
 
 
 class TestExpectedLoss:

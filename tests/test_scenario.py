@@ -9,7 +9,6 @@ from cyberrisk.distributions import CountDistributionParams
 from cyberrisk.errors import DomainError
 from cyberrisk.loss_model import DeviceParameters
 from cyberrisk.scenario import (
-    GLOBAL_MITIGATION_ALPHAS,
     RiskLevel,
     ScenarioConfig,
     attacks_per_year,
@@ -165,7 +164,7 @@ class TestMitigationPresets:
             assert level_mitigation(config, level) == 1.0
 
     def test_global_preset(self):
-        config = ScenarioConfig(mitigation_alphas=dict(GLOBAL_MITIGATION_ALPHAS))
+        config = ScenarioConfig(mitigation_alphas={level: 0.9 for level in RiskLevel})
         for level in RiskLevel:
             assert level_mitigation(config, level) == 0.9
 
