@@ -256,7 +256,7 @@ def load_config(path: str) -> SimulationSpec:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     try:
         mapping = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(mapping)
 

@@ -15,6 +15,14 @@ Word consumption per draw (format version 1):
   the lognormal through the AS 241 normal quantile); Fixed - zero words.
 * Compound count - one Poisson draw for the cluster count, then one
   Poisson draw per cluster for the cluster sizes, in cluster order.
+* Uniform index in [0, m) - one word, rejected and redrawn when it falls
+  at or above the largest multiple of m below 2**64 (unbiased modulo).
+
+The ``*_rows`` samplers draw from many streams at once (one
+``RaggedStreams`` row each) and consume every row's words exactly as the
+one-stream form would on that row's stream: rejection samplers proceed
+round by round, each round reading the next words of every row that still
+has unresolved draws.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln as _lgamma
 
 from .errors import DomainError
-from .streams import RandomStream, words_to_uniforms
+from .streams import RaggedStreams, RandomStream, row_positions, words_to_uniforms
 
 __all__ = [
     "CountDistributionParams",
@@ -44,8 +52,11 @@ __all__ = [
     "poisson_inversion",
     "poisson_ptrs_regions",
     "sample_poisson_batch",
+    "sample_poisson_rows",
+    "sample_indices_rows",
     "sample_exponential_batch",
     "sample_severity_batch",
+    "sample_severity_rows",
     "sample_compound_count",
     "sample_compound_count_batch",
 ]
@@ -373,6 +384,31 @@ def poisson_ptrs_regions(words: np.ndarray, rate: float, first: int, attempts: i
     return out
 
 
+def _ptrs_rounds(read, counts: np.ndarray, rate: float) -> np.ndarray:
+    """PTRS draws for ragged rows, ``counts[i]`` draws for row ``i``.
+
+    Each round, every row with ``p`` unresolved draws reads its next
+    ``2p`` words through ``read(rows, words_per_row)``; unresolved draw
+    ``j`` takes the round's words ``2j`` and ``2j + 1`` as (u, v)."""
+    consts = _ptrs_consts(rate)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    out = np.empty(len(owner), dtype=np.int64)
+    pending = np.arange(len(owner))
+    while pending.size:
+        per_row = np.bincount(owner[pending], minlength=len(counts))
+        rows = np.flatnonzero(per_row)
+        words = words_to_uniforms(read(rows, 2 * per_row[rows]))
+        accepted, k = _ptrs_attempt(words[0::2], words[1::2], rate, consts)
+        out[pending[accepted]] = k[accepted]
+        pending = pending[~accepted]
+    return out
+
+
+def _check_rate(rate: float):
+    if rate < 0 or not math.isfinite(rate):
+        raise DomainError(f"rate must be nonnegative, got {rate}")
+
+
 def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.ndarray:
     """Draw ``size`` Poisson(rate) variates from ``stream``.
 
@@ -380,25 +416,53 @@ def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.nda
     rate >= 30 uses PTRS rejection (two words per attempt, attempts for
     the still-unresolved draws proceed round by round in index order).
     """
-    if rate < 0 or not math.isfinite(rate):
-        raise DomainError(f"rate must be nonnegative, got {rate}")
+    _check_rate(rate)
     if size < 0:
         raise DomainError("size must be nonnegative")
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
-    if rate == 0.0:
+    if size == 0 or rate == 0.0:
         return np.zeros(size, dtype=np.int64)
     if rate < PTRS_THRESHOLD:
         return poisson_inversion(stream.uniforms(size), rate)
-    consts = _ptrs_consts(rate)
-    out = np.empty(size, dtype=np.int64)
-    pending = np.arange(size)
-    while pending.size:
-        words = stream.uniforms(2 * pending.size)
-        u, v = words[0::2], words[1::2]
-        accepted, k = _ptrs_attempt(u, v, rate, consts)
-        out[pending[accepted]] = k[accepted]
-        pending = pending[~accepted]
+    return _ptrs_rounds(lambda rows, words: stream.raw_words(int(words[0])),
+                        np.array([size]), rate)
+
+
+def sample_poisson_rows(streams: RaggedStreams, counts: np.ndarray, rate: float) -> np.ndarray:
+    """``counts[i]`` Poisson(rate) draws from row ``i`` of ``streams``, per
+    row as ``sample_poisson_batch`` on that row's stream; concatenated."""
+    _check_rate(rate)
+    if rate == 0.0:
+        return np.zeros(int(counts.sum()), dtype=np.int64)
+    if rate < PTRS_THRESHOLD:
+        return poisson_inversion(streams.uniforms(np.arange(len(counts)), counts), rate)
+    return _ptrs_rounds(streams.raw_words, counts, rate)
+
+
+def sample_indices_rows(streams: RaggedStreams, counts: np.ndarray, modulus: int) -> np.ndarray:
+    """``counts[i]`` unbiased indices in ``[0, modulus)`` from row ``i`` of
+    ``streams``, concatenated, as ``uint64``.
+
+    A word at or above the largest multiple of ``modulus`` not exceeding
+    2**64 is rejected. Each round, a row still short of ``n`` indices reads
+    ``n`` more words, so a row reads its words in order until it has its
+    ``counts[i]`` accepted ones."""
+    remainder = (1 << 64) % modulus
+    limit = np.uint64((1 << 64) - remainder) if remainder else None
+    out = np.empty(int(counts.sum()), dtype=np.uint64)
+    slot = np.cumsum(counts) - counts
+    need = np.array(counts, dtype=np.int64)
+    rows = np.flatnonzero(need)
+    while rows.size:
+        words = streams.raw_words(rows, need[rows])
+        owner = np.repeat(rows, need[rows])
+        if limit is not None:
+            kept = words < limit
+            words, owner = words[kept], owner[kept]
+        got = np.bincount(owner, minlength=len(counts))
+        out[np.repeat(slot, got) + row_positions(got)] = words % np.uint64(modulus)
+        slot += got
+        need -= got
+        rows = np.flatnonzero(need)
     return out
 
 
@@ -410,14 +474,8 @@ def sample_exponential_batch(stream: RandomStream, rate: float, size: int) -> np
     return -np.log(u) / rate
 
 
-def sample_severity_batch(stream: RandomStream, dist: SeverityDistribution, size: int) -> np.ndarray:
-    """Draw ``size`` severities. Fixed consumes no words; all other kinds
-    consume one word per draw (inverse CDF)."""
-    if size < 0:
-        raise DomainError("size must be nonnegative")
-    if isinstance(dist, Fixed):
-        return np.full(size, dist.value)
-    u = stream.uniforms(size)
+def _severity_quantile(dist: SeverityDistribution, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of a non-fixed severity at uniforms ``u``."""
     if isinstance(dist, Lognormal):
         # overflow to inf is tolerated here; the engine traps nonfinite
         # losses and aborts with the (level, repetition) location
@@ -430,6 +488,25 @@ def sample_severity_batch(stream: RandomStream, dist: SeverityDistribution, size
         idx = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
         return np.asarray(dist.values)[idx]
     raise DomainError(f"unknown severity distribution {dist!r}")
+
+
+def sample_severity_batch(stream: RandomStream, dist: SeverityDistribution, size: int) -> np.ndarray:
+    """Draw ``size`` severities. Fixed consumes no words; all other kinds
+    consume one word per draw (inverse CDF)."""
+    if size < 0:
+        raise DomainError("size must be nonnegative")
+    if isinstance(dist, Fixed):
+        return np.full(size, dist.value)
+    return _severity_quantile(dist, stream.uniforms(size))
+
+
+def sample_severity_rows(streams: RaggedStreams, counts: np.ndarray,
+                         dist: SeverityDistribution) -> np.ndarray:
+    """``counts[i]`` severities from row ``i`` of ``streams``, per row as
+    ``sample_severity_batch`` on that row's stream; concatenated."""
+    if isinstance(dist, Fixed):
+        return np.full(int(counts.sum()), dist.value)
+    return _severity_quantile(dist, streams.uniforms(np.arange(len(counts)), counts))
 
 
 def sample_compound_count_batch(stream: RandomStream, params: CountDistributionParams,

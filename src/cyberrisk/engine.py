@@ -32,7 +32,23 @@ Per (seed, level) there are several stream families (ids built by
   device in ascending device order.
 * CHANNEL (domain 3) with spill domain 7: event count of the optional
   common-loss channel, same dense/region rule as COUNT; severities come
-  from a per-repetition CHANNEL_SEV stream (domain 5).
+  from a per-repetition CHANNEL_SEV stream (domain 5), one word per event
+  (none for a fixed severity).
+
+Batched resolution
+------------------
+Layout v1 above is unchanged; it is defined per repetition, but a chunk
+resolves all of its DETAIL_SPILL and CHANNEL_SEV repetitions at once,
+each on its own stream (``streams.RaggedStreams``), and replays every
+stream's word order exactly: placement rejection and PTRS size draws
+proceed round by round, each round reading the next words of every
+repetition that still has unresolved draws, as the one-stream samplers
+do. Per-repetition totals are bit-identical to ``ndarray.sum`` over that
+repetition's devices or events. One batched read holds at most
+``_BATCH_WORDS`` (2**18) words, except for a repetition that alone needs
+more; the in-region DETAIL words are read for single-cluster repetitions
+only, at most 8 * ``_CHUNK_REPS`` words. COUNT_SPILL and CHANNEL_SPILL,
+taken after 16 rejected PTRS attempts, stay one stream at a time.
 
 Drawing the portfolio cluster total once and placing clusters uniformly
 over devices is distributionally identical to kappa independent
@@ -51,12 +67,19 @@ import time
 
 import numpy as np
 
+# bench/run.py traces the engine by patching sample_severity_batch,
+# sample_poisson_batch, chunk_words, derive_stream, expected_present_loss
+# and summarize_level as attributes of this module, so they stay imported
+# here even where the batched path no longer calls them.
 from .distributions import (
     PTRS_THRESHOLD,
     poisson_inversion,
     poisson_ptrs_regions,
+    sample_indices_rows,
     sample_poisson_batch,
+    sample_poisson_rows,
     sample_severity_batch,
+    sample_severity_rows,
 )
 from .errors import ConfigError, NumericFault
 from .loss_model import (
@@ -76,7 +99,16 @@ from .risk_measures import (
     value_at_risk,
 )
 from .scenario import RiskLevel, ScenarioConfig, level_mitigation, level_parameters
-from .streams import RandomStream, chunk_words, derive_stream, pack_stream_id, words_to_uniforms, STREAM_FORMAT_VERSION
+from .streams import (
+    RaggedStreams,
+    RandomStream,
+    chunk_words,
+    derive_stream,
+    pack_stream_id,
+    ragged_words,
+    words_to_uniforms,
+    STREAM_FORMAT_VERSION,
+)
 
 __all__ = [
     "SimulationSpec",
@@ -99,11 +131,16 @@ _DOMAIN_CHANNEL_SEV = 5
 _DOMAIN_DETAIL_SPILL = 6
 _DOMAIN_CHANNEL_SPILL = 7
 
+_MAX_REPETITIONS = 1 << 52              # the stream-id index field
+_MAX_PORTFOLIO = (1 << 64) - 1           # devices are 64-bit words modulo kappa
 _COUNT_BLOCKS_PER_REP = 8                # 32-word PTRS regions
 _COUNT_MAX_ATTEMPTS = 16
 _DETAIL_BLOCKS_PER_REP = 2               # 8-word single-cluster regions
 _DETAIL_MAX_ATTEMPTS = 3
 _CHUNK_REPS = 16384
+# Most words one batched read of DETAIL_SPILL or CHANNEL_SEV streams holds
+# (plus any row that alone exceeds it); bounds memory for any kappa and R.
+_BATCH_WORDS = 1 << 18
 
 _DEFAULT_CONFIDENCE = (0.90, 0.95, 0.99)
 _DEFAULT_LEVELS = (RiskLevel.GUARDED, RiskLevel.ELEVATED, RiskLevel.HIGH, RiskLevel.SEVERE)
@@ -126,10 +163,10 @@ class SimulationSpec:
     confidence_levels: tuple = _DEFAULT_CONFIDENCE
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.portfolio_size < 1:
-            raise ConfigError("portfolio_size must be >= 1")
+        if not 1 <= self.repetitions <= _MAX_REPETITIONS:
+            raise ConfigError(f"repetitions must lie in [1, 2**52], got {self.repetitions}")
+        if not 1 <= self.portfolio_size <= _MAX_PORTFOLIO:
+            raise ConfigError(f"portfolio_size must lie in [1, 2**64 - 1], got {self.portfolio_size}")
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not self.levels:
@@ -207,56 +244,81 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     return out
 
 
-def _unbiased_indices(stream: RandomStream, n: int, modulus: int) -> np.ndarray:
-    """n unbiased indices in [0, modulus) via 64-bit modulo rejection."""
-    remainder = (1 << 64) % modulus
-    limit = None if remainder == 0 else np.uint64((1 << 64) - remainder)
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        words = stream.raw_words(n - filled)
-        if limit is not None:
-            words = words[words < limit]
-        take = (words % np.uint64(modulus)).astype(np.int64)
-        out[filled:filled + len(take)] = take
-        filled += len(take)
-    return out
+def _batches(words: np.ndarray):
+    """Consecutive row groups ``(lo, hi)`` holding at most ``_BATCH_WORDS``
+    of ``words`` each; a row larger than that forms a group of its own."""
+    ends = np.cumsum(words)
+    lo = 0
+    while lo < len(words):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BATCH_WORDS, side="right")))
+        yield lo, hi
+        lo = hi
 
 
-def _device_days_for_rep(seed: int, level: RiskLevel, rep: int, n_clusters: int,
-                         spec: SimulationSpec, device: DeviceParameters) -> tuple[int, int]:
-    """Resolve one multi-cluster repetition on its spill stream.
+def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-row sums of a ragged array, each bit-identical to ``ndarray.sum``
+    of its row: rows under 8 entries add in order, as ``ndarray.sum`` and
+    ``bincount`` both do, and longer rows, which ``ndarray.sum`` adds
+    pairwise, are summed by it row by row."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    totals = np.bincount(owner, weights=values, minlength=len(lengths))
+    ends = np.cumsum(lengths)
+    for row in np.flatnonzero(lengths >= 8):
+        totals[row] = values[ends[row] - lengths[row]:ends[row]].sum()
+    return totals
 
-    Returns (total capped surviving loss-days, cap events)."""
-    kappa = spec.portfolio_size
-    stream = derive_stream(seed, pack_stream_id(_DOMAIN_DETAIL_SPILL, level.code, rep))
-    placement = _unbiased_indices(stream, n_clusters, kappa)
+
+def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_clusters: np.ndarray,
+                        device: DeviceParameters, kappa: int):
+    """Resolve repetitions on their DETAIL_SPILL streams, batch by batch.
+
+    Returns (capped surviving loss-days per repetition, cap events)."""
     lam = device.counts.lambda_cluster
-    if lam > 0.0:
-        extras = sample_poisson_batch(stream, lam, n_clusters)
-    else:
-        extras = np.zeros(n_clusters, dtype=np.int64)
-    affected = np.unique(placement)
-    days = (np.bincount(placement, minlength=kappa)
-            + np.bincount(placement, weights=extras, minlength=kappa).astype(np.int64))[affected]
-    if device.kill_rate > 0.0:
-        u = stream.uniforms(len(affected))
-        survived = u < math.exp(-device.kill_rate)
-        days = days[survived]
-    effective = device.loss_day_multiplier * days
-    caps = int((effective > device.horizon_days).sum())
-    return float(np.minimum(effective, float(device.horizon_days)).sum()), caps
+    kill = device.kill_rate > 0.0
+    # words per cluster: placement, size (two per PTRS attempt), survival
+    per_cluster = 1 + (0 if lam == 0.0 else 1 if lam < PTRS_THRESHOLD else 3) + kill
+    prefix = n_clusters * per_cluster + 8
+    totals = np.empty(len(reps))
+    caps = 0
+    for lo, hi in _batches(prefix):
+        n = n_clusters[lo:hi]
+        rows = np.arange(hi - lo)
+        streams = RaggedStreams(seed, pack_stream_id(_DOMAIN_DETAIL_SPILL, level.code, reps[lo:hi]),
+                                prefix[lo:hi])
+        devices = sample_indices_rows(streams, n, kappa)
+        extras = sample_poisson_rows(streams, n, lam)
+        owner = np.repeat(rows, n)
+        order = np.lexsort((devices, owner))
+        devices, owner, extras = devices[order], owner[order], extras[order]
+        # one entry per (repetition, affected device), devices ascending
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (owner[1:] != owner[:-1]) | (devices[1:] != devices[:-1])
+        starts = np.flatnonzero(first)
+        days = np.diff(starts, append=len(order)) + np.add.reduceat(extras, starts)
+        owner = owner[starts]
+        if kill:
+            u = streams.uniforms(rows, np.bincount(owner, minlength=hi - lo))
+            survived = u < math.exp(-device.kill_rate)
+            days, owner = days[survived], owner[survived]
+        effective = device.loss_day_multiplier * days
+        caps += int((effective > device.horizon_days).sum())
+        capped = np.minimum(effective, float(device.horizon_days))
+        totals[lo:hi] = _row_totals(capped, np.bincount(owner, minlength=hi - lo))
+    return totals, caps
 
 
-def _single_cluster_days(spec: SimulationSpec, level: RiskLevel, rep_lo: int, n: int,
+def _single_cluster_days(spec: SimulationSpec, level: RiskLevel, rep_lo: int,
                          rows: np.ndarray, device: DeviceParameters):
     """Vectorized in-region path for repetitions with exactly one cluster.
 
     Returns (rows resolved, capped surviving loss-days per row, cap events,
-    rows that spilled to the scalar path)."""
+    rows that spilled to the DETAIL_SPILL path)."""
     lam = device.counts.lambda_cluster
-    words = chunk_words(spec.seed, pack_stream_id(_DOMAIN_DETAIL, level.code, 0),
-                        rep_lo, n, _DETAIL_BLOCKS_PER_REP)[rows]
+    region = 4 * _DETAIL_BLOCKS_PER_REP
+    stream_ids = np.full(len(rows), pack_stream_id(_DOMAIN_DETAIL, level.code, 0), dtype=np.uint64)
+    words = ragged_words(spec.seed, stream_ids, (rep_lo + rows) * region,
+                         np.full(len(rows), region)).reshape(len(rows), region)
     # word 0 is the reserved placement draw; a lone cluster's device index
     # cannot change the portfolio loss, so the value is not inspected.
     if lam == 0.0:
@@ -275,45 +337,51 @@ def _single_cluster_days(spec: SimulationSpec, level: RiskLevel, rep_lo: int, n:
     return rows[resolved], capped, caps, rows[~resolved]
 
 
+def _channel_losses(seed: int, level: RiskLevel, reps: np.ndarray, counts: np.ndarray,
+                    severity) -> np.ndarray:
+    """Common-channel loss of each repetition: the sum of its ``counts``
+    severities, drawn from its CHANNEL_SEV stream, batch by batch."""
+    totals = np.empty(len(reps))
+    for lo, hi in _batches(counts):
+        streams = RaggedStreams(seed, pack_stream_id(_DOMAIN_CHANNEL_SEV, level.code, reps[lo:hi]))
+        amounts = sample_severity_rows(streams, counts[lo:hi], severity)
+        totals[lo:hi] = _row_totals(amounts, counts[lo:hi])
+    return totals
+
+
 def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi: int):
     """Losses and cap counts for repetitions [rep_lo, rep_hi) of one level."""
     n = rep_hi - rep_lo
     device = level_parameters(spec.scenario, level, spec.device)
-    kappa = spec.portfolio_size
     v = discount_factor(device.discount_rate)
     unit = v * device.daily_loss
 
     cluster_counts = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
-                                       kappa * device.counts.theta)
+                                       spec.portfolio_size * device.counts.theta)
     losses = np.zeros(n)
     caps = 0
 
-    single_rows = np.nonzero(cluster_counts == 1)[0]
-    scalar_rows = np.nonzero(cluster_counts >= 2)[0]
+    single_rows = np.flatnonzero(cluster_counts == 1)
+    multi_rows = np.flatnonzero(cluster_counts >= 2)
     if single_rows.size:
         resolved, capped_days, single_caps, spilled = _single_cluster_days(
-            spec, level, rep_lo, n, single_rows, device)
+            spec, level, rep_lo, single_rows, device)
         losses[resolved] = unit * capped_days
         caps += single_caps
-        if spilled.size:
-            scalar_rows = np.sort(np.concatenate([scalar_rows, spilled]))
-    for rep_off in scalar_rows:
-        rep = rep_lo + int(rep_off)
-        total_days, rep_caps = _device_days_for_rep(spec.seed, level, rep,
-                                                    int(cluster_counts[rep_off]), spec, device)
-        losses[rep_off] = unit * total_days
-        caps += rep_caps
+        multi_rows = np.concatenate([multi_rows, spilled])
+    if multi_rows.size:
+        total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + multi_rows,
+                                                     cluster_counts[multi_rows], device,
+                                                     spec.portfolio_size)
+        losses[multi_rows] = unit * total_days
+        caps += multi_caps
 
     if spec.aggregate_channel is not None and spec.aggregate_channel.event_rate > 0.0:
         event_counts = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
                                          spec.aggregate_channel.event_rate)
-        for rep_off in np.nonzero(event_counts)[0]:
-            rep = rep_lo + int(rep_off)
-            sev_stream = derive_stream(spec.seed,
-                                       pack_stream_id(_DOMAIN_CHANNEL_SEV, level.code, rep))
-            amounts = sample_severity_batch(sev_stream, spec.aggregate_channel.severity,
-                                            int(event_counts[rep_off]))
-            losses[rep_off] += float(amounts.sum())
+        rows = np.flatnonzero(event_counts)
+        losses[rows] += _channel_losses(spec.seed, level, rep_lo + rows, event_counts[rows],
+                                        spec.aggregate_channel.severity)
 
     bad = np.nonzero(~np.isfinite(losses))[0]
     if bad.size:
@@ -357,9 +425,11 @@ def summarize_level(samples: EmpiricalDistribution, premium_pool: float,
     )
 
 
-def resolve_workers(workers: int | None) -> int:
-    """CLI/env worker resolution: explicit value, else CYBERRISK_WORKERS,
-    else machine parallelism. Never changes results, only wall time."""
+def resolve_workers(workers: int | None, tasks: int | None = None,
+                    cpus: int | None = None) -> int:
+    """Worker count: the explicit value, else CYBERRISK_WORKERS, else
+    machine parallelism; then at most ``tasks`` and at most ``cpus`` when
+    they are given. Never changes results, only wall time."""
     if workers is None:
         env = os.environ.get("CYBERRISK_WORKERS")
         if env:
@@ -371,7 +441,7 @@ def resolve_workers(workers: int | None) -> int:
             workers = os.cpu_count() or 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
+    return min([workers] + [bound for bound in (tasks, cpus) if bound is not None])
 
 
 def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskReport:
@@ -384,7 +454,6 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     metrics grow across levels.
     """
     started = time.perf_counter()
-    workers = resolve_workers(workers)
 
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
     baseline_expected = expected_present_loss(baseline_device)
@@ -394,7 +463,8 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
         for lo in range(0, spec.repetitions, _CHUNK_REPS):
             tasks.append((spec, level, lo, min(lo + _CHUNK_REPS, spec.repetitions)))
 
-    if workers == 1 or len(tasks) == 1:
+    workers = resolve_workers(workers, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = [_chunk_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+# Largest horizon that converts to float exactly, as the loss cap needs.
+_MAX_HORIZON_DAYS = 1 << 53
+
+
 @dataclass(frozen=True)
 class DeviceParameters:
     """All constants of one device class."""
@@ -60,8 +64,8 @@ class DeviceParameters:
             raise DomainError(f"daily_loss must be nonnegative, got {self.daily_loss}")
         if not (self.discount_rate > -1 and math.isfinite(self.discount_rate)):
             raise DomainError(f"discount_rate must exceed -1, got {self.discount_rate}")
-        if self.horizon_days < 1:
-            raise DomainError(f"horizon_days must be >= 1, got {self.horizon_days}")
+        if not 1 <= self.horizon_days <= _MAX_HORIZON_DAYS:
+            raise DomainError(f"horizon_days must lie in [1, 2**53], got {self.horizon_days}")
         if not (self.kill_rate >= 0 and math.isfinite(self.kill_rate)):
             raise DomainError(f"kill_rate must be nonnegative, got {self.kill_rate}")
         if not (self.loss_day_multiplier >= 0 and math.isfinite(self.loss_day_multiplier)):

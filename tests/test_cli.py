@@ -374,6 +374,20 @@ class TestWorkersResolution:
         with pytest.raises(ConfigError):
             resolve_workers(None)
 
+    def test_clamped_to_tasks_and_cpus(self, monkeypatch):
+        from cyberrisk.engine import resolve_workers
+        from cyberrisk.errors import ConfigError
+
+        monkeypatch.delenv("CYBERRISK_WORKERS", raising=False)
+        assert resolve_workers(10 ** 6, tasks=28, cpus=2) == 2
+        assert resolve_workers(10 ** 6, tasks=3, cpus=64) == 3
+        assert resolve_workers(1, tasks=100, cpus=8) == 1
+        assert resolve_workers(7) == 7
+        monkeypatch.setenv("CYBERRISK_WORKERS", str(10 ** 6))
+        assert resolve_workers(None, tasks=4, cpus=4) == 4
+        with pytest.raises(ConfigError):
+            resolve_workers(0, tasks=4, cpus=4)
+
     def test_env_does_not_change_bytes(self, capsys, small_config, monkeypatch):
         _, out1, _ = run_cli(capsys, "simulate", "--config", small_config, "--format", "json")
         monkeypatch.setenv("CYBERRISK_WORKERS", "2")

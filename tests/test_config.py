@@ -118,6 +118,10 @@ _MALFORMED = {
     "confidence-string": (("confidence_levels",), ["0.9"]),
     "confidence-scalar": (("confidence_levels",), 0.9),
     "levels-string": (("levels",), "guarded"),
+    "horizon-10**400": (("device", "horizon_days"), 10 ** 400),
+    "horizon-2**53+1": (("device", "horizon_days"), 2 ** 53 + 1),
+    "repetitions-2**52+1": (("repetitions",), 2 ** 52 + 1),
+    "portfolio-2**64": (("portfolio_size",), 2 ** 64),
 }
 
 
@@ -145,6 +149,18 @@ def test_malformed_documents_are_config_errors(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_integer_too_long_to_parse_is_a_config_error(tmp_path, capsys):
+    from cyberrisk.cli import main
+
+    text = json.dumps(paper_config()).replace('"horizon_days": 365', '"horizon_days": 1' + "0" * 5000)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(str(config))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_omitted_device_fields_use_device_defaults():

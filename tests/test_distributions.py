@@ -21,11 +21,14 @@ from cyberrisk.distributions import (
     sample_compound_count,
     sample_compound_count_batch,
     sample_exponential_batch,
+    sample_indices_rows,
     sample_poisson_batch,
+    sample_poisson_rows,
     sample_severity_batch,
+    sample_severity_rows,
 )
 from cyberrisk.errors import DomainError
-from cyberrisk.streams import chunk_words, derive_stream
+from cyberrisk.streams import RaggedStreams, RandomStream, chunk_words, derive_stream
 
 from oracles import compound_count_pmf_bruteforce, total_variation
 
@@ -291,3 +294,73 @@ class TestCompoundCountSampler:
             CountDistributionParams(theta=0.0, lambda_cluster=1.0)
         with pytest.raises(DomainError):
             CountDistributionParams(theta=1.0, lambda_cluster=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# many-stream samplers against per-stream reference loops
+# ---------------------------------------------------------------------------
+
+def _reference_indices(stream: RandomStream, n: int, modulus: int) -> np.ndarray:
+    """Unbiased modulo rejection on one stream: read the n - filled words
+    still missing, keep those below the largest multiple of modulus."""
+    remainder = (1 << 64) % modulus
+    limit = None if remainder == 0 else np.uint64((1 << 64) - remainder)
+    out = []
+    while len(out) < n:
+        words = stream.raw_words(n - len(out))
+        if limit is not None:
+            words = words[words < limit]
+        out.extend(int(w) % modulus for w in words)
+    return np.array(out, dtype=np.uint64)
+
+
+def _row_streams(seed, n_rows, prefix=None):
+    ids = np.arange(100, 100 + n_rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return RaggedStreams(seed, ids, prefix), [RandomStream(seed, int(i)) for i in ids]
+
+
+class TestRowSamplers:
+    @pytest.mark.parametrize("modulus", [1, 2, 1000, 2 ** 40 + 1, 3 * 2 ** 62])
+    def test_indices_match_per_row_loop(self, modulus):
+        counts = np.array([0, 1, 2, 3, 9, 40, 1, 0, 17, 250])
+        batch, singles = _row_streams(31, len(counts), prefix=counts)
+        got = sample_indices_rows(batch, counts, modulus)
+        expect = [_reference_indices(s, int(c), modulus) for s, c in zip(singles, counts)]
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.concatenate(expect))
+        # the next word of every row is where the per-row loop stopped
+        assert [int(c) for c in batch.counter] == [s.counter for s in singles]
+
+    def test_indices_reject_about_a_quarter_at_three_quarters_of_the_range(self):
+        counts = np.full(200, 50)
+        batch, _ = _row_streams(32, len(counts))
+        sample_indices_rows(batch, counts, 3 * 2 ** 62)
+        assert 1.25 < batch.counter.sum() / counts.sum() < 1.42
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 5.0, 29.9, 30.0, 45.0, 182.0])
+    def test_poisson_rows_match_per_stream_batches(self, rate):
+        counts = np.array([3, 0, 1, 12, 2, 60, 1, 7])
+        batch, singles = _row_streams(33, len(counts), prefix=counts)
+        got = sample_poisson_rows(batch, counts, rate)
+        expect = [sample_poisson_batch(s, rate, int(c)) for s, c in zip(singles, counts)]
+        assert np.array_equal(got, np.concatenate(expect))
+        assert [int(c) for c in batch.counter] == [s.counter for s in singles]
+
+    def test_poisson_rows_negative_rate(self):
+        batch, _ = _row_streams(34, 1)
+        with pytest.raises(DomainError):
+            sample_poisson_rows(batch, np.array([1]), -1.0)
+
+    @pytest.mark.parametrize("dist", [
+        Lognormal(mu=8.0, sigma=1.5),
+        Pareto(x_min=1000.0, alpha=2.5),
+        DiscreteTable(values=(100.0, 1000.0), probabilities=(0.25, 0.75)),
+        Fixed(value=5.0),
+    ])
+    def test_severity_rows_match_per_stream_batches(self, dist):
+        counts = np.array([1, 0, 4, 9, 2])
+        batch, singles = _row_streams(35, len(counts))
+        got = sample_severity_rows(batch, counts, dist)
+        expect = [sample_severity_batch(s, dist, int(c)) for s, c in zip(singles, counts)]
+        assert np.array_equal(got, np.concatenate(expect))
+        assert [int(c) for c in batch.counter] == [s.counter for s in singles]

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from cyberrisk.distributions import CountDistributionParams, Lognormal
+import cyberrisk.engine as engine
+from cyberrisk.distributions import CountDistributionParams, Lognormal, Pareto, sample_poisson_batch
 from cyberrisk.engine import (
     SimulationSpec,
+    _batches,
+    _multi_cluster_days,
+    _row_totals,
     _simulate_chunk,
     run_simulation,
     summarize_level,
@@ -15,7 +19,7 @@ from cyberrisk.loss_model import AggregateLossParams, DeviceParameters, simulate
 from cyberrisk.report import render_json
 from cyberrisk.risk_measures import EmpiricalDistribution
 from cyberrisk.scenario import RiskLevel, ScenarioConfig
-from cyberrisk.streams import derive_stream
+from cyberrisk.streams import RandomStream, derive_stream, pack_stream_id
 
 
 def _paper_device(theta=2e-5, lam=182.0, kill=0.0):
@@ -250,3 +254,98 @@ class TestPricing:
         # all levels share the pool under the global-mitigation preset
         pools = {item.premium_pool for item in report.levels}
         assert len(pools) == 1
+
+
+def _reference_repetition_days(seed, level, rep, n_clusters, device, kappa):
+    """One multi-cluster repetition resolved on its own DETAIL_SPILL stream,
+    one stream read after another: (capped surviving loss-days, caps)."""
+    stream = RandomStream(seed, pack_stream_id(6, level.code, rep))
+    remainder = (1 << 64) % kappa
+    placement = []
+    while len(placement) < n_clusters:
+        for word in stream.raw_words(n_clusters - len(placement)):
+            if remainder == 0 or int(word) < (1 << 64) - remainder:
+                placement.append(int(word) % kappa)
+    extras = sample_poisson_batch(stream, device.counts.lambda_cluster, n_clusters)
+    days = {}
+    for where, extra in zip(placement, extras):
+        days[where] = days.get(where, 0) + 1 + int(extra)
+    affected = np.array([days[where] for where in sorted(days)])
+    if device.kill_rate > 0.0:
+        affected = affected[stream.uniforms(len(affected)) < np.exp(-device.kill_rate)]
+    effective = device.loss_day_multiplier * affected
+    capped = np.minimum(effective, float(device.horizon_days))
+    return float(capped.sum()), int((effective > device.horizon_days).sum())
+
+
+class TestBatchedResolution:
+    """The batched DETAIL_SPILL and CHANNEL_SEV resolution replays every
+    repetition's own stream."""
+
+    def test_row_totals_equal_ndarray_sum(self):
+        rng = np.random.default_rng(3)
+        lengths = np.concatenate([np.arange(0, 201), rng.integers(0, 300, 50)])
+        values = rng.lognormal(0.0, 3.0, size=int(lengths.sum())) * 0.7
+        totals = _row_totals(values, lengths)
+        ends = np.cumsum(lengths)
+        for total, end, length in zip(totals, ends, lengths):
+            assert total == values[end - length:end].sum()
+
+    @pytest.mark.parametrize("lam, kill, multiplier, kappa", [
+        (45.0, 0.3, 0.7, 50),
+        (5.0, 0.0, 1.37, 7),
+        (0.0, 0.1, 1.0, 3 * 2 ** 62),
+        (182.0, 0.0, 1.0, 1),
+    ])
+    def test_multi_cluster_days_match_per_repetition_reference(self, lam, kill, multiplier, kappa):
+        device = DeviceParameters(
+            daily_loss=1000.0, discount_rate=0.03, horizon_days=200, kill_rate=kill,
+            loss_day_multiplier=multiplier,
+            counts=CountDistributionParams(theta=0.1, lambda_cluster=lam))
+        reps = np.array([0, 3, 4, 17, 1000, 2 ** 40])
+        n_clusters = np.array([2, 1, 9, 40, 3, 12])
+        totals, caps = _multi_cluster_days(42, RiskLevel.HIGH, reps, n_clusters, device, kappa)
+        expect = [_reference_repetition_days(42, RiskLevel.HIGH, int(rep), int(n), device, kappa)
+                  for rep, n in zip(reps, n_clusters)]
+        assert list(totals) == [days for days, _ in expect]
+        assert caps == sum(c for _, c in expect)
+
+    def test_batch_cap_does_not_change_losses(self, monkeypatch):
+        channel = AggregateLossParams(event_rate=12.0, severity=Pareto(x_min=1000.0, alpha=2.5))
+        spec = _paper_spec(device=_paper_device(theta=1e-3, lam=45.0, kill=0.2),
+                           repetitions=3000, aggregate_channel=channel)
+        whole = _simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000)
+        monkeypatch.setattr(engine, "_BATCH_WORDS", 100)
+        split = _simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000)
+        assert np.array_equal(whole[0], split[0])
+        assert whole[1] == split[1]
+
+    def test_batches_respect_the_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BATCH_WORDS", 100)
+        words = np.random.default_rng(4).integers(1, 160, 400)
+        groups = list(_batches(words))
+        assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]]
+        assert groups[-1][1] == len(words)
+        for lo, hi in groups:
+            assert words[lo:hi].sum() <= 100 or hi == lo + 1
+        assert list(_batches(np.array([], dtype=np.int64))) == []
+
+    def test_detail_regions_of_a_chunk_fit_one_batch(self):
+        assert 4 * engine._DETAIL_BLOCKS_PER_REP * engine._CHUNK_REPS <= engine._BATCH_WORDS
+
+    def test_every_layout_address_fits_the_counter(self):
+        """Word i of a stream is block i // 4 + 1; that block must stay
+        below 2**64 for every word the layout can address."""
+        last_rep = engine._MAX_REPETITIONS - 1
+        last_words = [
+            last_rep,                                              # dense inversion word
+            4 * engine._COUNT_BLOCKS_PER_REP * (last_rep + 1) - 1,  # COUNT / CHANNEL regions
+            4 * engine._DETAIL_BLOCKS_PER_REP * (last_rep + 1) - 1,  # DETAIL regions
+            2 ** 62,  # a per-repetition spill or severity stream; its words are held in memory
+        ]
+        for word in last_words:
+            assert word // 4 + 1 < 2 ** 64
+        # stream ids stay inside the 52-bit index field
+        pack_stream_id(6, 255, last_rep)
+        with pytest.raises(ConfigError):
+            _paper_spec(repetitions=engine._MAX_REPETITIONS + 1)
