@@ -356,10 +356,18 @@ def _ptrs_attempt(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
 
 
 def poisson_inversion(u: np.ndarray, rate: float) -> np.ndarray:
-    """Poisson(rate) draws by sequential-search inversion, one uniform each."""
+    """Poisson(rate) draws by sequential-search inversion, one uniform each.
+
+    When P(0) >= 1/2, most uniforms fall at or below ``cum[0]`` and draw 0;
+    one comparison settles them and only the rest are searched."""
     cum = poisson_cum_table(rate)
-    k = np.searchsorted(cum, u, side="left")
-    return np.minimum(k, len(cum) - 1).astype(np.int64)
+    if cum[0] < 0.5:
+        k = np.searchsorted(cum, u, side="left")
+        return np.minimum(k, len(cum) - 1).astype(np.int64)
+    k = np.zeros(np.shape(u), dtype=np.int64)
+    rest = u > cum[0]
+    k[rest] = np.minimum(np.searchsorted(cum, u[rest], side="left"), len(cum) - 1)
+    return k
 
 
 def poisson_ptrs_regions(words: np.ndarray, rate: float, first: int, attempts: int) -> np.ndarray:

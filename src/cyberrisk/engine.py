@@ -37,18 +37,21 @@ Per (seed, level) there are several stream families (ids built by
 
 Batched resolution
 ------------------
-Layout v1 above is unchanged; it is defined per repetition, but a chunk
-resolves all of its DETAIL_SPILL and CHANNEL_SEV repetitions at once,
-each on its own stream (``streams.RaggedStreams``), and replays every
-stream's word order exactly: placement rejection and PTRS size draws
-proceed round by round, each round reading the next words of every
-repetition that still has unresolved draws, as the one-stream samplers
-do. Per-repetition totals are bit-identical to ``ndarray.sum`` over that
-repetition's devices or events. One batched read holds at most
-``_BATCH_WORDS`` (2**18) words, except for a repetition that alone needs
-more; the in-region DETAIL words are read for single-cluster repetitions
-only, at most 8 * ``_CHUNK_REPS`` words. COUNT_SPILL and CHANNEL_SPILL,
-taken after 16 rejected PTRS attempts, stay one stream at a time.
+Layout v1 above is unchanged; it is defined per repetition, but a task
+(up to ``_CHUNK_REPS`` = 2**18 repetitions of one level) resolves its
+DETAIL_SPILL and CHANNEL_SEV repetitions in batches, each repetition on
+its own stream (``streams.RaggedStreams``), and replays every stream's
+word order exactly: placement rejection and PTRS size draws proceed round
+by round, each round reading the next words of every repetition that
+still has unresolved draws, as the one-stream samplers do. Per-repetition
+totals are bit-identical to ``ndarray.sum`` over that repetition's
+devices or events. Batches are bounded by words, not repetitions: every
+batched read - COUNT and CHANNEL counts, the in-region DETAIL words of
+single-cluster repetitions, DETAIL_SPILL and CHANNEL_SEV - holds at most
+``_BATCH_WORDS`` (2**16) words, except for a repetition that alone needs
+more, so a task's memory does not grow with its size. COUNT_SPILL and
+CHANNEL_SPILL, taken after 16 rejected PTRS attempts, stay one stream at
+a time.
 
 Drawing the portfolio cluster total once and placing clusters uniformly
 over devices is distributionally identical to kappa independent
@@ -137,10 +140,11 @@ _COUNT_BLOCKS_PER_REP = 8                # 32-word PTRS regions
 _COUNT_MAX_ATTEMPTS = 16
 _DETAIL_BLOCKS_PER_REP = 2               # 8-word single-cluster regions
 _DETAIL_MAX_ATTEMPTS = 3
-_CHUNK_REPS = 16384
-# Most words one batched read of DETAIL_SPILL or CHANNEL_SEV streams holds
-# (plus any row that alone exceeds it); bounds memory for any kappa and R.
-_BATCH_WORDS = 1 << 18
+# Repetitions of one level per task (the unit handed to a worker).
+_CHUNK_REPS = 1 << 18
+# Most words one batched read holds (plus any row that alone exceeds it);
+# bounds a task's memory for any kappa and R.
+_BATCH_WORDS = 1 << 16
 
 _DEFAULT_CONFIDENCE = (0.90, 0.95, 0.99)
 _DEFAULT_LEVELS = (RiskLevel.GUARDED, RiskLevel.ELEVATED, RiskLevel.HIGH, RiskLevel.SEVERE)
@@ -224,19 +228,33 @@ class RiskReport:
 # per-chunk simulation
 # ---------------------------------------------------------------------------
 
+def _spans(n: int, words_per_row: int):
+    """Consecutive ``(lo, hi)`` spans of ``range(n)`` whose rows, at
+    ``words_per_row`` words each, hold at most ``_BATCH_WORDS`` words (at
+    least one row per span)."""
+    step = max(1, _BATCH_WORDS // words_per_row)
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
 def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: int,
                       rate: float) -> np.ndarray:
     """Event counts ~ Poisson(rate) for repetitions [rep_lo, rep_lo + n).
 
     Dense one-word-per-repetition inversion below rate 30; 32-word PTRS
     regions (with per-repetition spill) above."""
+    out = np.zeros(n, dtype=np.int64)
     if rate == 0.0:
-        return np.zeros(n, dtype=np.int64)
+        return out
     stream_id = pack_stream_id(domain, level.code, 0)
     if rate < PTRS_THRESHOLD:
-        return poisson_inversion(RandomStream(seed, stream_id, counter=rep_lo).uniforms(n), rate)
-    words = chunk_words(seed, stream_id, rep_lo, n, _COUNT_BLOCKS_PER_REP)
-    out = poisson_ptrs_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
+        for lo, hi in _spans(n, 1):
+            uniforms = RandomStream(seed, stream_id, counter=rep_lo + lo).uniforms(hi - lo)
+            out[lo:hi] = poisson_inversion(uniforms, rate)
+        return out
+    for lo, hi in _spans(n, 4 * _COUNT_BLOCKS_PER_REP):
+        words = chunk_words(seed, stream_id, rep_lo + lo, hi - lo, _COUNT_BLOCKS_PER_REP)
+        out[lo:hi] = poisson_ptrs_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
     spill_domain = _DOMAIN_COUNT_SPILL if domain == _DOMAIN_COUNT else _DOMAIN_CHANNEL_SPILL
     for rep_off in np.nonzero(out < 0)[0]:
         stream = derive_stream(seed, pack_stream_id(spill_domain, level.code, rep_lo + int(rep_off)))
@@ -288,15 +306,17 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
                                 prefix[lo:hi])
         devices = sample_indices_rows(streams, n, kappa)
         extras = sample_poisson_rows(streams, n, lam)
-        owner = np.repeat(rows, n)
-        order = np.lexsort((devices, owner))
-        devices, owner, extras = devices[order], owner[order], extras[order]
-        # one entry per (repetition, affected device), devices ascending
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (owner[1:] != owner[:-1]) | (devices[1:] != devices[:-1])
+        # one entry per (repetition, affected device), devices ascending:
+        # rank the devices, then sort one key by repetition and rank
+        ranks, rank = np.unique(devices, return_inverse=True)
+        key = np.repeat(rows, n) * len(ranks) + rank
+        order = np.argsort(key, kind="stable")
+        key, extras = key[order], extras[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
         starts = np.flatnonzero(first)
-        days = np.diff(starts, append=len(order)) + np.add.reduceat(extras, starts)
-        owner = owner[starts]
+        days = np.diff(starts, append=len(key)) + np.add.reduceat(extras, starts)
+        owner = key[starts] // len(ranks)
         if kill:
             u = streams.uniforms(rows, np.bincount(owner, minlength=hi - lo))
             survived = u < math.exp(-device.kill_rate)
@@ -308,21 +328,23 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
     return totals, caps
 
 
-def _single_cluster_days(spec: SimulationSpec, level: RiskLevel, rep_lo: int,
-                         rows: np.ndarray, device: DeviceParameters):
-    """Vectorized in-region path for repetitions with exactly one cluster.
+def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
+                         device: DeviceParameters):
+    """Vectorized in-region path for repetitions with exactly one cluster,
+    all read in one batch.
 
-    Returns (rows resolved, capped surviving loss-days per row, cap events,
-    rows that spilled to the DETAIL_SPILL path)."""
+    Returns (mask of resolved repetitions, capped surviving loss-days per
+    resolved repetition, cap events); unresolved repetitions go on to the
+    DETAIL_SPILL path."""
     lam = device.counts.lambda_cluster
     region = 4 * _DETAIL_BLOCKS_PER_REP
-    stream_ids = np.full(len(rows), pack_stream_id(_DOMAIN_DETAIL, level.code, 0), dtype=np.uint64)
-    words = ragged_words(spec.seed, stream_ids, (rep_lo + rows) * region,
-                         np.full(len(rows), region)).reshape(len(rows), region)
+    stream_ids = np.full(len(reps), pack_stream_id(_DOMAIN_DETAIL, level.code, 0), dtype=np.uint64)
+    words = ragged_words(seed, stream_ids, reps * region,
+                         np.full(len(reps), region)).reshape(len(reps), region)
     # word 0 is the reserved placement draw; a lone cluster's device index
     # cannot change the portfolio loss, so the value is not inspected.
     if lam == 0.0:
-        extras = np.zeros(len(rows), dtype=np.int64)
+        extras = np.zeros(len(reps), dtype=np.int64)
     elif lam < PTRS_THRESHOLD:
         extras = poisson_inversion(words_to_uniforms(words[:, 1]), lam)
     else:
@@ -334,7 +356,7 @@ def _single_cluster_days(spec: SimulationSpec, level: RiskLevel, rep_lo: int,
         days = days * (u < math.exp(-device.kill_rate))
     capped = np.minimum(days, float(device.horizon_days))
     caps = int((days > device.horizon_days).sum())
-    return rows[resolved], capped, caps, rows[~resolved]
+    return resolved, capped, caps
 
 
 def _channel_losses(seed: int, level: RiskLevel, reps: np.ndarray, counts: np.ndarray,
@@ -362,13 +384,15 @@ def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi:
     caps = 0
 
     single_rows = np.flatnonzero(cluster_counts == 1)
-    multi_rows = np.flatnonzero(cluster_counts >= 2)
-    if single_rows.size:
-        resolved, capped_days, single_caps, spilled = _single_cluster_days(
-            spec, level, rep_lo, single_rows, device)
-        losses[resolved] = unit * capped_days
+    spilled = []
+    for lo, hi in _spans(len(single_rows), 4 * _DETAIL_BLOCKS_PER_REP):
+        rows = single_rows[lo:hi]
+        resolved, capped_days, single_caps = _single_cluster_days(spec.seed, level, rep_lo + rows,
+                                                                  device)
+        losses[rows[resolved]] = unit * capped_days
         caps += single_caps
-        multi_rows = np.concatenate([multi_rows, spilled])
+        spilled.append(rows[~resolved])
+    multi_rows = np.concatenate([np.flatnonzero(cluster_counts >= 2)] + spilled)
     if multi_rows.size:
         total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + multi_rows,
                                                      cluster_counts[multi_rows], device,
@@ -458,44 +482,20 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
     baseline_expected = expected_present_loss(baseline_device)
 
-    tasks = []
-    for level in spec.levels:
-        for lo in range(0, spec.repetitions, _CHUNK_REPS):
-            tasks.append((spec, level, lo, min(lo + _CHUNK_REPS, spec.repetitions)))
-
+    tasks = [(spec, level, lo, min(lo + _CHUNK_REPS, spec.repetitions))
+             for level in spec.levels for lo in range(0, spec.repetitions, _CHUNK_REPS)]
     workers = resolve_workers(workers, len(tasks), os.cpu_count() or 1)
+    # Results are consumed as they arrive, so only one level's losses are
+    # held at a time.
     if workers == 1:
-        results = [_chunk_task(t) for t in tasks]
+        results = map(_chunk_task, tasks)
+        level_reports = [_level_report(spec, level, baseline_expected, results)
+                         for level in spec.levels]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_task, tasks, chunksize=1))
-
-    level_reports = []
-    cursor = 0
-    for level in spec.levels:
-        losses = np.empty(spec.repetitions)
-        caps = 0
-        for lo in range(0, spec.repetitions, _CHUNK_REPS):
-            chunk_losses, chunk_caps = results[cursor]
-            losses[lo:lo + len(chunk_losses)] = chunk_losses
-            caps += chunk_caps
-            cursor += 1
-        losses.sort()
-        dist = EmpiricalDistribution.from_sorted(losses)
-
-        alpha = level_mitigation(spec.scenario, level)
-        schedule = premium_schedule(baseline_expected, spec.loading, alpha)
-        pool_amount = spec.portfolio_size * schedule.adjusted_premium
-        metrics = summarize_level(dist, pool_amount, spec.confidence_levels)
-        level_reports.append(LevelReport(
-            level=level,
-            intensity_multiplier=spec.scenario.intensity_multipliers[level],
-            mitigation=alpha,
-            expected_present_loss=alpha * metrics.expected_loss,
-            premium_pool=pool_amount,
-            metrics=metrics,
-            cap_events=caps,
-        ))
+            results = pool.map(_chunk_task, tasks, chunksize=1)
+            level_reports = [_level_report(spec, level, baseline_expected, results)
+                             for level in spec.levels]
 
     return RiskReport(
         levels=tuple(level_reports),
@@ -506,6 +506,35 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
         baseline_expected_device_loss=baseline_expected,
         spec_echo=_spec_echo(spec),
         wall_time_seconds=time.perf_counter() - started,
+    )
+
+
+def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,
+                  results) -> LevelReport:
+    """Reduce one level's losses to its report. The level's tasks are the
+    next ones of the ``results`` iterator, in repetition order; each fills
+    its span of the loss array as it arrives."""
+    losses = np.empty(spec.repetitions)
+    caps = 0
+    for lo in range(0, spec.repetitions, _CHUNK_REPS):
+        chunk_losses, chunk_caps = next(results)
+        losses[lo:lo + len(chunk_losses)] = chunk_losses
+        caps += chunk_caps
+    losses.sort()
+    dist = EmpiricalDistribution.from_sorted(losses)
+
+    alpha = level_mitigation(spec.scenario, level)
+    schedule = premium_schedule(baseline_expected, spec.loading, alpha)
+    pool_amount = spec.portfolio_size * schedule.adjusted_premium
+    metrics = summarize_level(dist, pool_amount, spec.confidence_levels)
+    return LevelReport(
+        level=level,
+        intensity_multiplier=spec.scenario.intensity_multipliers[level],
+        mitigation=alpha,
+        expected_present_loss=alpha * metrics.expected_loss,
+        premium_pool=pool_amount,
+        metrics=metrics,
+        cap_events=caps,
     )
 
 

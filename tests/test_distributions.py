@@ -16,6 +16,8 @@ from cyberrisk.distributions import (
     compound_count_pmf_table,
     normal_quantile,
     pareto_density,
+    poisson_cum_table,
+    poisson_inversion,
     poisson_pmf,
     poisson_ptrs_regions,
     sample_compound_count,
@@ -193,6 +195,19 @@ class TestPoissonSampler:
         once = poisson_ptrs_regions(words, 45.0, 1, 1)
         assert 0 < (once == -1).sum() < len(once) // 2
         assert (once[once >= 0] == draws[once >= 0]).all()
+
+
+    @pytest.mark.parametrize("rate", [0.0, 0.02, 0.4, math.log(2.0), 1.0, 29.99])
+    def test_inversion_equals_plain_search(self, rate):
+        # ln 2 is the boundary of the P(0) >= 1/2 shortcut: there cum[0] == 0.5
+        cum = poisson_cum_table(rate)
+        edges = [cum[0], np.nextafter(cum[0], 1.0), np.nextafter(cum[0], 0.0), 2.0 ** -53, 1.0]
+        u = np.concatenate([RandomStream(5, 77).uniforms(50_000), edges])
+        expect = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
+        draws = poisson_inversion(u, rate)
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, expect)
+        assert draws[-5] == 0 and draws[-4] == min(1, len(cum) - 1)
 
 
 class TestExponentialSampler:

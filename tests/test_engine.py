@@ -1,10 +1,19 @@
 """Engine orchestration: determinism, reduction, and model equivalences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cyberrisk.engine as engine
-from cyberrisk.distributions import CountDistributionParams, Lognormal, Pareto, sample_poisson_batch
+import cyberrisk.streams as streams
+from cyberrisk.distributions import (
+    CountDistributionParams,
+    Fixed,
+    Lognormal,
+    Pareto,
+    sample_poisson_batch,
+)
 from cyberrisk.engine import (
     SimulationSpec,
     _batches,
@@ -330,8 +339,42 @@ class TestBatchedResolution:
             assert words[lo:hi].sum() <= 100 or hi == lo + 1
         assert list(_batches(np.array([], dtype=np.int64))) == []
 
-    def test_detail_regions_of_a_chunk_fit_one_batch(self):
-        assert 4 * engine._DETAIL_BLOCKS_PER_REP * engine._CHUNK_REPS <= engine._BATCH_WORDS
+    @pytest.mark.parametrize("channel", [
+        # dense CHANNEL counts and CHANNEL_SEV severities
+        AggregateLossParams(event_rate=1.0, severity=Lognormal(mu=8.0, sigma=1.5)),
+        # 32-word CHANNEL PTRS regions
+        AggregateLossParams(event_rate=40.0, severity=Fixed(value=10.0)),
+    ], ids=["dense_channel", "ptrs_channel"])
+    def test_reads_of_a_task_stay_within_the_batch_cap(self, monkeypatch, channel):
+        """Every read of a full task holds at most ``_BATCH_WORDS`` words,
+        unless it is one row that alone needs more."""
+        reads = []
+
+        def spy(function, shape):
+            def wrapper(*args):
+                reads.append(shape(*args))
+                return function(*args)
+            return wrapper
+
+        # (words read, rows read)
+        ragged = spy(streams.ragged_words, lambda seed, ids, starts, counts:
+                     (int(np.sum(counts)), int(np.count_nonzero(counts))))
+        monkeypatch.setattr(streams, "ragged_words", ragged)
+        monkeypatch.setattr(engine, "ragged_words", ragged)
+        monkeypatch.setattr(engine, "chunk_words", spy(
+            streams.chunk_words, lambda seed, stream_id, first, regions, blocks:
+            (4 * regions * blocks, regions)))
+        # one stream, one word per repetition in the dense COUNT layout
+        monkeypatch.setattr(RandomStream, "raw_words", spy(
+            RandomStream.raw_words, lambda stream, n: (n, n)))
+        # severe paper preset: about 70,000 single-cluster and 16,000
+        # multi-cluster repetitions in the task
+        spec = _paper_spec(repetitions=engine._CHUNK_REPS, aggregate_channel=channel)
+        _simulate_chunk(spec, RiskLevel.SEVERE, 0, engine._CHUNK_REPS)
+        assert sum(words for words, _ in reads) > 8 * engine._BATCH_WORDS
+        for words, rows in reads:
+            assert words <= engine._BATCH_WORDS or rows == 1
+
 
     def test_every_layout_address_fits_the_counter(self):
         """Word i of a stream is block i // 4 + 1; that block must stay
@@ -349,3 +392,32 @@ class TestBatchedResolution:
         pack_stream_id(6, 255, last_rep)
         with pytest.raises(ConfigError):
             _paper_spec(repetitions=engine._MAX_REPETITIONS + 1)
+
+
+def _traced_peak_mib(function, *args) -> float:
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """A full task's traced allocations stay within a fixed bound: every
+    batched read is cut at ``_BATCH_WORDS`` words. The bounds are twice the
+    peaks measured with numpy 2.4 (9.2 and 3.0 MiB)."""
+
+    def test_severe_paper_task(self):
+        spec = _paper_spec(repetitions=engine._CHUNK_REPS)
+        peak = _traced_peak_mib(_simulate_chunk, spec, RiskLevel.SEVERE, 0, engine._CHUNK_REPS)
+        assert peak < 18.5
+
+    def test_count_ptrs_regions_of_a_kappa_2e6_task(self):
+        # the COUNT draws of a full kappa = 2e6 task (rate kappa * theta = 40,
+        # 32-word PTRS regions; 64 MiB if read at once); the whole task,
+        # about 10 million clusters, is too slow for this suite
+        rate = 2_000_000 * 2e-5
+        peak = _traced_peak_mib(engine._counts_for_chunk, 42, engine._DOMAIN_COUNT,
+                                RiskLevel.GUARDED, 0, engine._CHUNK_REPS, rate)
+        assert peak < 6.0

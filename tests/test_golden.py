@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+import cyberrisk.engine as engine
 from cyberrisk.config import paper_config, parse_config
 from cyberrisk.engine import DRAW_LAYOUT_VERSION, run_simulation
 from cyberrisk.report import render_csv, render_json, render_table
@@ -149,4 +150,11 @@ def test_pins_belong_to_layout_v1():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_pins(name):
+    assert case_digests(name) == PINS[name]
+
+
+@pytest.mark.parametrize("chunk_reps", [1_000, 1 << 18])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_task_size_does_not_change_bytes(name, chunk_reps, monkeypatch):
+    monkeypatch.setattr(engine, "_CHUNK_REPS", chunk_reps)
     assert case_digests(name) == PINS[name]
