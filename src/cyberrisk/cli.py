@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import sys
+import time
 
 from .config import load_config
 from .engine import run_simulation, summarize_level
@@ -30,14 +31,7 @@ from .errors import (
     InsufficientDataError,
     NumericFault,
 )
-from .distributions import Fixed, Lognormal, Pareto
-from .ingestion import (
-    FittedParameters,
-    estimate_intensity,
-    fit_lognormal,
-    fit_pareto_tail,
-    parse_records,
-)
+from .ingestion import estimate_intensity, fit_lognormal, fit_pareto_tail, parse_records
 from .report import _rho_text, render_csv, render_json, render_table
 from .risk_measures import EmpiricalDistribution
 from .scenario import MINUTES_PER_YEAR, RiskLevel, ScenarioConfig, attacks_per_year, baseline_proportion
@@ -64,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=["table", "csv", "json"], default="table")
     sim.add_argument("--out", default=None, help="output path (default stdout)")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: machine parallelism / CYBERRISK_WORKERS); "
+                     help="worker processes (default: machine parallelism); "
                           "never changes output bytes")
 
     cal = sub.add_parser("calibrate", help="baseline attacked-proportion arithmetic")
@@ -101,9 +95,10 @@ def _cmd_simulate(args) -> int:
         # SimulationSpec re-validates the overridden fields
         spec = replace(spec, **overrides)
 
+    started = time.perf_counter()
     report = run_simulation(spec, workers=args.workers)
     logger.info("simulated %d levels x %d repetitions in %.2fs",
-                len(report.levels), report.repetitions, report.wall_time_seconds)
+                len(report.levels), spec.repetitions, time.perf_counter() - started)
 
     if args.format == "json":
         text = render_json(report)
@@ -187,33 +182,23 @@ def _cmd_fit(args) -> int:
             raise InsufficientDataError(
                 f"lognormal fit needs >= 2 positive loss amounts in window, got {len(positive)}")
         mu, sigma = fit_lognormal(positive)
-        # sigma = 0 (constant losses) degenerates to a point mass
-        severity = Lognormal(mu=mu, sigma=sigma) if sigma > 0 else Fixed(math.exp(mu))
         severity_map = {"kind": "lognormal", "mu": mu, "sigma": sigma}
         used = len(positive)
     else:
         alpha, warn = fit_pareto_tail(losses, args.x_min)
         if warn:
             warnings.append(f"tail index {alpha:.4f} outside the plausible range (1, 3)")
-        severity = Pareto(x_min=args.x_min, alpha=alpha) if alpha > 1 else None
         severity_map = {"kind": "pareto", "x_min": args.x_min, "alpha": alpha}
         used = sum(1 for x in losses if x >= args.x_min)
 
-    fitted = FittedParameters(
-        intensity_per_day=intensity,
-        severity=severity,
-        sample_sizes={"records": len(records), "rejects": len(rejects), "losses_used": used},
-        window=(start, end),
-        warnings=tuple(warnings),
-    )
     fragment = {
-        "intensity_per_day": fitted.intensity_per_day,
+        "intensity_per_day": intensity,
         "severity": severity_map,
-        "sample_sizes": fitted.sample_sizes,
+        "sample_sizes": {"records": len(records), "rejects": len(rejects), "losses_used": used},
         "window": [start.isoformat(), end.isoformat()],
     }
-    if fitted.warnings:
-        fragment["warnings"] = list(fitted.warnings)
+    if warnings:
+        fragment["warnings"] = warnings
     sys.stdout.write(json.dumps(fragment, indent=2) + "\n")
     return _EXIT_OK
 

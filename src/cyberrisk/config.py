@@ -91,11 +91,20 @@ def _section(mapping: dict, key: str, allowed: set, required: set, defaults: dic
     return {**defaults, **section}
 
 
+def _float(value, what: str) -> float:
+    """A checked JSON number as a float; an integer beyond float range is a
+    ConfigError rather than an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is too large for a float") from None
+
+
 def _number(mapping: dict, key: str, where: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _float(value, f"{where}.{key}")
 
 
 def _integer(mapping: dict, key: str, where: str) -> int:
@@ -110,7 +119,7 @@ def _numbers(mapping: dict, key: str, where: str) -> tuple:
     if not isinstance(value, list) or any(isinstance(x, bool) or not isinstance(x, (int, float))
                                           for x in value):
         raise ConfigError(f"{where}.{key} must be a list of numbers, got {value!r}")
-    return tuple(float(x) for x in value)
+    return tuple(_float(x, f"{where}.{key}[{i}]") for i, x in enumerate(value))
 
 
 def _levels(mapping: dict, key: str, where: str) -> tuple:
@@ -163,7 +172,7 @@ def _level_map(mapping: dict, where: str) -> dict:
             raise ConfigError(f"unknown risk level in {where}: {name!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}.{name} must be a number, got {value!r}")
-        out[RiskLevel.from_name(name)] = float(value)
+        out[RiskLevel.from_name(name)] = _float(value, f"{where}.{name}")
     return out
 
 

@@ -66,7 +66,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 import math
 import os
-import time
 
 import numpy as np
 
@@ -110,7 +109,6 @@ from .streams import (
     pack_stream_id,
     ragged_words,
     words_to_uniforms,
-    STREAM_FORMAT_VERSION,
 )
 
 __all__ = [
@@ -195,8 +193,6 @@ class SimulationSpec:
 @dataclass(frozen=True)
 class LevelReport:
     level: RiskLevel
-    intensity_multiplier: float
-    mitigation: float
     expected_present_loss: float     # E(P1) = alpha * mean portfolio loss
     premium_pool: float              # kappa * pi1, priced at Baseline
     metrics: RiskMetrics
@@ -205,23 +201,13 @@ class LevelReport:
 
 @dataclass(frozen=True)
 class RiskReport:
-    levels: tuple
-    seed: int
-    repetitions: int
-    portfolio_size: int
-    confidence_levels: tuple
-    baseline_expected_device_loss: float
-    engine_version: str = ENGINE_VERSION
-    stream_format_version: int = STREAM_FORMAT_VERSION
-    draw_layout_version: int = DRAW_LAYOUT_VERSION
-    spec_echo: dict = field(default_factory=dict)
-    wall_time_seconds: float | None = None  # excluded from canonical serializations
+    """The spec a run was given and the results it computed from it, one
+    ``LevelReport`` per level of ``spec.levels``: a pure function of the
+    spec."""
 
-    def level_report(self, level: RiskLevel) -> LevelReport:
-        for item in self.levels:
-            if item.level is level:
-                return item
-        raise KeyError(level.name)
+    spec: SimulationSpec
+    levels: tuple
+    baseline_expected_device_loss: float
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +437,11 @@ def summarize_level(samples: EmpiricalDistribution, premium_pool: float,
 
 def resolve_workers(workers: int | None, tasks: int | None = None,
                     cpus: int | None = None) -> int:
-    """Worker count: the explicit value, else CYBERRISK_WORKERS, else
-    machine parallelism; then at most ``tasks`` and at most ``cpus`` when
-    they are given. Never changes results, only wall time."""
+    """Worker count: the explicit value, else machine parallelism; then at
+    most ``tasks`` and at most ``cpus`` when they are given. Never changes
+    results, only wall time."""
     if workers is None:
-        env = os.environ.get("CYBERRISK_WORKERS")
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(f"CYBERRISK_WORKERS is not an integer: {env!r}") from None
-        else:
-            workers = os.cpu_count() or 1
+        workers = os.cpu_count() or 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     return min([workers] + [bound for bound in (tasks, cpus) if bound is not None])
@@ -477,8 +456,6 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     pool calibrated to normal conditions; that is what makes the shortfall
     metrics grow across levels.
     """
-    started = time.perf_counter()
-
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
     baseline_expected = expected_present_loss(baseline_device)
 
@@ -497,16 +474,8 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
             level_reports = [_level_report(spec, level, baseline_expected, results)
                              for level in spec.levels]
 
-    return RiskReport(
-        levels=tuple(level_reports),
-        seed=spec.seed,
-        repetitions=spec.repetitions,
-        portfolio_size=spec.portfolio_size,
-        confidence_levels=tuple(spec.confidence_levels),
-        baseline_expected_device_loss=baseline_expected,
-        spec_echo=_spec_echo(spec),
-        wall_time_seconds=time.perf_counter() - started,
-    )
+    return RiskReport(spec=spec, levels=tuple(level_reports),
+                      baseline_expected_device_loss=baseline_expected)
 
 
 def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,
@@ -529,16 +498,8 @@ def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: flo
     metrics = summarize_level(dist, pool_amount, spec.confidence_levels)
     return LevelReport(
         level=level,
-        intensity_multiplier=spec.scenario.intensity_multipliers[level],
-        mitigation=alpha,
         expected_present_loss=alpha * metrics.expected_loss,
         premium_pool=pool_amount,
         metrics=metrics,
         cap_events=caps,
     )
-
-
-def _spec_echo(spec: SimulationSpec) -> dict:
-    from .config import spec_to_mapping
-
-    return spec_to_mapping(spec)

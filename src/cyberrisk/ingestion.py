@@ -16,13 +16,11 @@ import io
 import json
 import math
 
-from .distributions import SeverityDistribution
 from .errors import DomainError, FormatError, InputError, InsufficientDataError
 
 __all__ = [
     "ThreatRecord",
     "RejectedRow",
-    "FittedParameters",
     "parse_records",
     "estimate_intensity",
     "fit_lognormal",
@@ -45,15 +43,6 @@ class RejectedRow:
     line: int
     field: str
     reason: str
-
-
-@dataclass(frozen=True)
-class FittedParameters:
-    intensity_per_day: float
-    severity: SeverityDistribution | None
-    sample_sizes: dict
-    window: tuple
-    warnings: tuple = ()
 
 
 def _coerce_record(raw: dict, line: int):

@@ -16,7 +16,10 @@ import csv
 import io
 import json
 
-from .engine import LevelReport, RiskReport
+from .config import spec_to_mapping
+from .engine import DRAW_LAYOUT_VERSION, ENGINE_VERSION, LevelReport, RiskReport
+from .scenario import ScenarioConfig, level_mitigation
+from .streams import STREAM_FORMAT_VERSION
 
 __all__ = ["render_json", "render_csv", "render_table", "report_rows", "REPORT_VERSION"]
 
@@ -31,13 +34,13 @@ def _ratio(value: float) -> float:
     return float(value)
 
 
-def _level_payload(item: LevelReport) -> dict:
+def _level_payload(item: LevelReport, scenario: ScenarioConfig) -> dict:
     metrics = item.metrics
     payload = {
         "level": item.level.name.lower(),
         "label": item.level.label,
-        "intensity_multiplier": item.intensity_multiplier,
-        "mitigation": item.mitigation,
+        "intensity_multiplier": scenario.intensity_multipliers[item.level],
+        "mitigation": level_mitigation(scenario, item.level),
         "expected_present_loss": _money(item.expected_present_loss),
         "expected_loss": _money(metrics.expected_loss),
         "premium_pool": _money(item.premium_pool),
@@ -58,20 +61,21 @@ def _level_payload(item: LevelReport) -> dict:
 
 def render_json(report: RiskReport) -> str:
     """Canonical JSON view; a pure function of the spec and seed."""
+    spec = report.spec
     document = {
         "report_version": REPORT_VERSION,
         "provenance": {
-            "seed": report.seed,
-            "repetitions": report.repetitions,
-            "portfolio_size": report.portfolio_size,
-            "confidence_levels": list(report.confidence_levels),
-            "engine_version": report.engine_version,
-            "stream_format_version": report.stream_format_version,
-            "draw_layout_version": report.draw_layout_version,
+            "seed": spec.seed,
+            "repetitions": spec.repetitions,
+            "portfolio_size": spec.portfolio_size,
+            "confidence_levels": list(spec.confidence_levels),
+            "engine_version": ENGINE_VERSION,
+            "stream_format_version": STREAM_FORMAT_VERSION,
+            "draw_layout_version": DRAW_LAYOUT_VERSION,
             "baseline_expected_device_loss": _money(report.baseline_expected_device_loss),
-            "config": report.spec_echo,
+            "config": spec_to_mapping(spec),
         },
-        "levels": [_level_payload(item) for item in report.levels],
+        "levels": [_level_payload(item, spec.scenario) for item in report.levels],
     }
     return json.dumps(document, indent=2) + "\n"
 
@@ -85,7 +89,7 @@ def report_rows(report: RiskReport, formatted: bool = False):
     """
     rows = []
     levels = report.levels
-    rhos = sorted(report.confidence_levels)
+    rhos = sorted(report.spec.confidence_levels)
 
     def money(value):
         return f"{value:,.1f}" if formatted else _money(value)
@@ -131,10 +135,11 @@ def render_csv(report: RiskReport) -> str:
     """CSV view: provenance in leading comment lines, then metric rows."""
     buffer = io.StringIO()
     buffer.write(f"# report_version={REPORT_VERSION}\n")
-    buffer.write(f"# seed={report.seed}\n")
-    buffer.write(f"# repetitions={report.repetitions}\n")
-    buffer.write(f"# portfolio_size={report.portfolio_size}\n")
-    buffer.write(f"# engine_version={report.engine_version}\n")
+    spec = report.spec
+    buffer.write(f"# seed={spec.seed}\n")
+    buffer.write(f"# repetitions={spec.repetitions}\n")
+    buffer.write(f"# portfolio_size={spec.portfolio_size}\n")
+    buffer.write(f"# engine_version={ENGINE_VERSION}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["metric"] + [item.level.label for item in report.levels])
     for name, cells in report_rows(report, formatted=False):
@@ -164,6 +169,7 @@ def render_table(report: RiskReport) -> str:
     for name, cells in body:
         lines.append(fmt_row(name, cells))
     lines.append("")
-    lines.append(f"seed={report.seed}  repetitions={report.repetitions:,}  "
-                 f"portfolio={report.portfolio_size:,}  engine={report.engine_version}")
+    spec = report.spec
+    lines.append(f"seed={spec.seed}  repetitions={spec.repetitions:,}  "
+                 f"portfolio={spec.portfolio_size:,}  engine={ENGINE_VERSION}")
     return "\n".join(lines) + "\n"

@@ -203,7 +203,7 @@ def test_criterion_8_performance():
     started = time.perf_counter()
     report = run_simulation(spec)  # default workers = machine parallelism
     elapsed = time.perf_counter() - started
-    ok = len(report.levels) == 4 and report.repetitions == 100_000
+    ok = len(report.levels) == 4 and report.spec.repetitions == 100_000
     _verdict(8, "paper-default run (R=100000, kappa=1000, 4 levels) within budget",
              ok, elapsed, 60.0)
 

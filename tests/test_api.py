@@ -30,3 +30,15 @@ def test_package_imports_are_exported_by_their_modules():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(cyberrisk, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_no_import_inside_a_function():
+    """Every import sits at module level, so no import cycle hides behind a
+    function call."""
+    nested = []
+    for path in sorted(Path(cyberrisk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert nested == []

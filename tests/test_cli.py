@@ -123,6 +123,22 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("path", [("schedule", "loading"), ("device", "theta"),
+                                      ("confidence_levels", 1),
+                                      ("scenario", "intensity_multipliers", "high")])
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path, path):
+        mapping = paper_config()
+        target = mapping
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10 ** 400
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(mapping))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "too large for a float" in err
+
 
 class TestCalibrate:
     def test_defaults_reproduce_published_numbers(self, capsys):
@@ -362,37 +378,16 @@ class TestPinnedText:
         )
 
 class TestWorkersResolution:
-    def test_env_fallback(self, monkeypatch):
-        from cyberrisk.engine import resolve_workers
-
-        monkeypatch.setenv("CYBERRISK_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(5) == 5  # explicit beats env
-        monkeypatch.setenv("CYBERRISK_WORKERS", "bogus")
-        from cyberrisk.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            resolve_workers(None)
-
-    def test_clamped_to_tasks_and_cpus(self, monkeypatch):
+    def test_clamped_to_tasks_and_cpus(self):
         from cyberrisk.engine import resolve_workers
         from cyberrisk.errors import ConfigError
 
-        monkeypatch.delenv("CYBERRISK_WORKERS", raising=False)
         assert resolve_workers(10 ** 6, tasks=28, cpus=2) == 2
         assert resolve_workers(10 ** 6, tasks=3, cpus=64) == 3
         assert resolve_workers(1, tasks=100, cpus=8) == 1
         assert resolve_workers(7) == 7
-        monkeypatch.setenv("CYBERRISK_WORKERS", str(10 ** 6))
-        assert resolve_workers(None, tasks=4, cpus=4) == 4
         with pytest.raises(ConfigError):
             resolve_workers(0, tasks=4, cpus=4)
-
-    def test_env_does_not_change_bytes(self, capsys, small_config, monkeypatch):
-        _, out1, _ = run_cli(capsys, "simulate", "--config", small_config, "--format", "json")
-        monkeypatch.setenv("CYBERRISK_WORKERS", "2")
-        _, out2, _ = run_cli(capsys, "simulate", "--config", small_config, "--format", "json")
-        assert out1 == out2
 
 
 def test_numeric_fault_exits_3(capsys, tmp_path):

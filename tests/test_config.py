@@ -1,10 +1,14 @@
 """Config schema validation and round trips."""
 
+import copy
 import json
+import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from cyberrisk.config import load_config, paper_config, parse_config, spec_to_mapping
+from cyberrisk.engine import SimulationSpec
 from cyberrisk.errors import ConfigError, InputError
 from cyberrisk.scenario import RiskLevel
 
@@ -171,3 +175,62 @@ def test_omitted_device_fields_use_device_defaults():
     assert device.horizon_days == 365
     assert device.kill_rate == 0.0
     assert device.loss_day_multiplier == 1.0
+
+
+def _fuzz_base() -> dict:
+    """The preset with every optional section present: a channel and a
+    partial alpha table."""
+    document = paper_config()
+    document["aggregate_channel"] = {"event_rate": 2.0, "severity": {
+        "kind": "lognormal", "mu": 8.0, "sigma": 1.5}}
+    document["scenario"]["mitigation_alphas"] = {"high": 0.8, "severe": 0.7}
+    return document
+
+
+def _paths(node, prefix=()):
+    """Every key and index path below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_DELETE = object()
+_ODD_VALUES = [None, True, False, 0, -1, 2 ** 64, 10 ** 400, math.nan, math.inf, -math.inf,
+               1e308, 1e-320, "", "0.9", "severe", [], [0.5], ["guarded"], {},
+               {"guarded": 1.0}, {"kind": "fixed", "value": 1.0}]
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(list(_paths(_fuzz_base()))),
+                                st.sampled_from([_DELETE] + _ODD_VALUES)),
+                      min_size=1, max_size=3)
+
+
+def _has(node, key) -> bool:
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+@given(_MUTATIONS)
+def test_mutated_documents_parse_or_raise_config_error(mutations):
+    document = copy.deepcopy(_fuzz_base())
+    for path, value in mutations:
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key] if _has(parent, key) else None
+        if not _has(parent, path[-1]):
+            continue  # an earlier mutation removed this path
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    try:
+        spec = parse_config(document)
+    except ConfigError:
+        return
+    assert isinstance(spec, SimulationSpec)

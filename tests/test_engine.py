@@ -112,14 +112,23 @@ class TestDeterminism:
         assert render_json(run_simulation(spec, workers=3)) == reference
         assert render_json(run_simulation(spec, workers=1)) == reference
 
+    def test_report_equal_across_workers_and_task_sizes(self, monkeypatch):
+        spec = _paper_spec(repetitions=6000)
+        reference = run_simulation(spec, workers=1)
+        assert reference.spec == spec
+        assert run_simulation(spec, workers=2) == reference
+        monkeypatch.setattr(engine, "_CHUNK_REPS", 1_000)
+        assert run_simulation(spec, workers=1) == reference
+        assert run_simulation(spec, workers=2) == reference
+
     def test_adding_levels_does_not_perturb_existing(self):
         spec_two = _paper_spec(repetitions=4000,
                                levels=(RiskLevel.GUARDED, RiskLevel.SEVERE))
         spec_four = _paper_spec(repetitions=4000)
-        two = run_simulation(spec_two, workers=1)
-        four = run_simulation(spec_four, workers=1)
+        two = {item.level: item for item in run_simulation(spec_two, workers=1).levels}
+        four = {item.level: item for item in run_simulation(spec_four, workers=1).levels}
         for level in (RiskLevel.GUARDED, RiskLevel.SEVERE):
-            a, b = two.level_report(level), four.level_report(level)
+            a, b = two[level], four[level]
             assert a.metrics == b.metrics
             assert a.premium_pool == b.premium_pool
 
@@ -258,7 +267,8 @@ class TestPricing:
         report = run_simulation(spec, workers=1)
         per_device = report.baseline_expected_device_loss
         for item in report.levels:
-            expected_pool = spec.portfolio_size * (1 + spec.loading) * item.mitigation * per_device
+            alpha = spec.scenario.mitigation_alphas[item.level]
+            expected_pool = spec.portfolio_size * (1 + spec.loading) * alpha * per_device
             assert item.premium_pool == pytest.approx(expected_pool, rel=1e-12)
         # all levels share the pool under the global-mitigation preset
         pools = {item.premium_pool for item in report.levels}
