@@ -216,15 +216,18 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     log_theta = math.log(theta)
     j_all = np.arange(1, n_max + 1, dtype=np.float64)
     lg_j1 = _lgamma(j_all + 1)
+    # log(k!) for k = 0..n_max-1; row n reads it reversed as log((n-j)!)
+    lg_k1 = _lgamma(j_all)
     log_jlam_base = np.log(j_all * lam) if lam > 0 else None
+    j_log_theta = j_all * log_theta
+    j_rate = j_all * lam + theta
     for n in range(1, n_max + 1):
-        j = j_all[:n]
-        tail = n - j
+        tail = n - j_all[:n]
         if lam > 0:
             log_jlam = np.where(tail > 0, tail * log_jlam_base[:n], 0.0)
         else:
             log_jlam = np.where(tail > 0, -np.inf, 0.0)
-        log_terms = j * log_theta + log_jlam - (j * lam + theta) - lg_j1[:n] - _lgamma(tail + 1)
+        log_terms = j_log_theta[:n] + log_jlam - j_rate[:n] - lg_j1[:n] - lg_k1[n - 1::-1]
         out[n] = _logsumexp_exp(log_terms)
     return out
 
@@ -355,18 +358,25 @@ def _ptrs_attempt(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
     return accepted, k.astype(np.int64)
 
 
-def poisson_inversion(u: np.ndarray, rate: float) -> np.ndarray:
-    """Poisson(rate) draws by sequential-search inversion, one uniform each.
+def poisson_inversion(words: np.ndarray, rate: float) -> np.ndarray:
+    """Poisson(rate) draws by sequential-search inversion, one raw word each.
 
-    When P(0) >= 1/2, most uniforms fall at or below ``cum[0]`` and draw 0;
-    one comparison settles them and only the rest are searched."""
+    When P(0) >= 1/2 most draws are 0. A word's uniform ``((w >> 11) + 1) *
+    2**-53`` is at most ``cum[0]``, and draws 0, exactly when ``w <
+    floor(cum[0] * 2**53) * 2**11``, so one ``uint64`` comparison settles
+    those words and only the rest are mapped to uniforms and searched. When
+    ``cum[0]`` is 1.0 that threshold is 2**64 and every draw is 0."""
     cum = poisson_cum_table(rate)
     if cum[0] < 0.5:
-        k = np.searchsorted(cum, u, side="left")
+        k = np.searchsorted(cum, words_to_uniforms(words), side="left")
         return np.minimum(k, len(cum) - 1).astype(np.int64)
-    k = np.zeros(np.shape(u), dtype=np.int64)
-    rest = u > cum[0]
-    k[rest] = np.minimum(np.searchsorted(cum, u[rest], side="left"), len(cum) - 1)
+    k = np.zeros(len(words), dtype=np.int64)
+    zero_below = int(cum[0] * 2.0 ** 53) << 11
+    if zero_below >= 1 << 64:
+        return k
+    rest = np.flatnonzero(words >= np.uint64(zero_below))
+    u = words_to_uniforms(words[rest])
+    k[rest] = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
     return k
 
 
@@ -430,7 +440,7 @@ def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.nda
     if size == 0 or rate == 0.0:
         return np.zeros(size, dtype=np.int64)
     if rate < PTRS_THRESHOLD:
-        return poisson_inversion(stream.uniforms(size), rate)
+        return poisson_inversion(stream.raw_words(size), rate)
     return _ptrs_rounds(lambda rows, words: stream.raw_words(int(words[0])),
                         np.array([size]), rate)
 
@@ -442,7 +452,7 @@ def sample_poisson_rows(streams: RaggedStreams, counts: np.ndarray, rate: float)
     if rate == 0.0:
         return np.zeros(int(counts.sum()), dtype=np.int64)
     if rate < PTRS_THRESHOLD:
-        return poisson_inversion(streams.uniforms(np.arange(len(counts)), counts), rate)
+        return poisson_inversion(streams.raw_words(np.arange(len(counts)), counts), rate)
     return _ptrs_rounds(streams.raw_words, counts, rate)
 
 

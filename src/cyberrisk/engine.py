@@ -18,13 +18,13 @@ Per (seed, level) there are several stream families (ids built by
   reads word r (dense layout); otherwise repetition r owns the 32-word
   region [32r, 32r+32) and burns two words per PTRS attempt, spilling to
   a per-repetition COUNT_SPILL stream (domain 4) after 16 attempts.
-* DETAIL (domain 2): repetition regions of 8 words, used only when the
-  repetition drew exactly one cluster - word 0 is reserved for the
-  cluster's device placement (the index is irrelevant to the loss when
-  there is a single cluster, so the value is not inspected), words 1..6
-  hold the cluster-size draw (one sequential-search word, or up to three
-  2-word PTRS attempts before spilling), word 7 the survival draw when
-  kill_rate > 0.
+* DETAIL (domain 2): repetition regions of 8 words (cipher blocks 2r + 1
+  and 2r + 2 of repetition r), used only when the repetition drew exactly
+  one cluster - word 0 is reserved for the cluster's device placement
+  (the index is irrelevant to the loss when there is a single cluster, so
+  the value is not inspected), words 1..6 hold the cluster-size draw (one
+  sequential-search word, or up to three 2-word PTRS attempts before
+  spilling), word 7 the survival draw when kill_rate > 0.
 * DETAIL_SPILL (domain 6): per-repetition stream for repetitions with
   two or more clusters (or an exhausted in-region size draw): placement
   words for every cluster (unbiased modulo rejection), then the cluster
@@ -53,11 +53,21 @@ more, so a task's memory does not grow with its size. COUNT_SPILL and
 CHANNEL_SPILL, taken after 16 rejected PTRS attempts, stay one stream at
 a time.
 
+Only the cipher blocks a draw reads are enciphered. A single-cluster
+repetition's DETAIL block 0 is enciphered when lambda_cluster > 0 (it
+holds the inversion word and the first PTRS attempt); block 1 when
+kill_rate > 0 (the survival word) and otherwise only when the first PTRS
+attempt was rejected; with lambda_cluster = 0 and kill_rate = 0 nothing
+is. A DETAIL_SPILL stream's first read covers the words a repetition of n
+clusters reads first - n placement words, its first size round (n words,
+or 2n with PTRS) and up to n survival words when kill_rate > 0 - plus two
+words, rounded up to whole blocks; later rounds read past it.
+
 Drawing the portfolio cluster total once and placing clusters uniformly
 over devices is distributionally identical to kappa independent
-compound-count draws (Poisson superposition/thinning); the scalar
-per-device path in ``loss_model.simulate_device`` is the reference
-implementation that the test suite checks this equivalence against.
+compound-count draws (Poisson superposition/thinning); the per-device
+sampler ``distributions.sample_compound_count_batch`` is the reference
+that the test suite checks this equivalence against.
 """
 
 from __future__ import annotations
@@ -107,7 +117,7 @@ from .streams import (
     chunk_words,
     derive_stream,
     pack_stream_id,
-    ragged_words,
+    philox_blocks,
     words_to_uniforms,
 )
 
@@ -134,6 +144,9 @@ _DOMAIN_CHANNEL_SPILL = 7
 
 _MAX_REPETITIONS = 1 << 52              # the stream-id index field
 _MAX_PORTFOLIO = (1 << 64) - 1           # devices are 64-bit words modulo kappa
+# Largest Poisson rate drawn from (kappa * theta per level, lambda_cluster,
+# the channel event rate): bounds the draws, and memory, of one repetition.
+_MAX_RATE = float(1 << 20)
 _COUNT_BLOCKS_PER_REP = 8                # 32-word PTRS regions
 _COUNT_MAX_ATTEMPTS = 16
 _DETAIL_BLOCKS_PER_REP = 2               # 8-word single-cluster regions
@@ -188,6 +201,15 @@ class SimulationSpec:
             raise ConfigError(f"loading must be nonnegative, got {self.loading}")
         if not (0.0 < self.mitigation <= 1.0):
             raise ConfigError(f"mitigation must lie in (0, 1], got {self.mitigation}")
+        rates = {f"portfolio_size * theta * multiplier at {level.name}": self.portfolio_size * (
+            self.device.counts.theta * self.scenario.intensity_multipliers[level])
+            for level in self.levels}
+        rates["lambda_cluster"] = self.device.counts.lambda_cluster
+        if self.aggregate_channel is not None:
+            rates["aggregate_channel event_rate"] = self.aggregate_channel.event_rate
+        for name, rate in rates.items():
+            if not rate <= _MAX_RATE:
+                raise ConfigError(f"{name} must be at most 2**20, got {rate}")
 
 
 @dataclass(frozen=True)
@@ -235,8 +257,8 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     stream_id = pack_stream_id(domain, level.code, 0)
     if rate < PTRS_THRESHOLD:
         for lo, hi in _spans(n, 1):
-            uniforms = RandomStream(seed, stream_id, counter=rep_lo + lo).uniforms(hi - lo)
-            out[lo:hi] = poisson_inversion(uniforms, rate)
+            words = RandomStream(seed, stream_id, counter=rep_lo + lo).raw_words(hi - lo)
+            out[lo:hi] = poisson_inversion(words, rate)
         return out
     for lo, hi in _spans(n, 4 * _COUNT_BLOCKS_PER_REP):
         words = chunk_words(seed, stream_id, rep_lo + lo, hi - lo, _COUNT_BLOCKS_PER_REP)
@@ -280,9 +302,13 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
     Returns (capped surviving loss-days per repetition, cap events)."""
     lam = device.counts.lambda_cluster
     kill = device.kill_rate > 0.0
-    # words per cluster: placement, size (two per PTRS attempt), survival
-    per_cluster = 1 + (0 if lam == 0.0 else 1 if lam < PTRS_THRESHOLD else 3) + kill
-    prefix = n_clusters * per_cluster + 8
+    # Each row's prefix holds the words it reads first - placement, the
+    # first size round (two words per PTRS draw), at most one survival word
+    # per cluster - and two words for one rejected PTRS attempt, rounded up
+    # to whole cipher blocks, which are enciphered whole in any case. Later
+    # rounds read past it.
+    per_cluster = 1 + (0 if lam == 0.0 else 1 if lam < PTRS_THRESHOLD else 2) + kill
+    prefix = (n_clusters * per_cluster + 2 + 3) // 4 * 4
     totals = np.empty(len(reps))
     caps = 0
     for lo, hi in _batches(prefix):
@@ -316,28 +342,45 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
 
 def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
                          device: DeviceParameters):
-    """Vectorized in-region path for repetitions with exactly one cluster,
-    all read in one batch.
+    """Vectorized in-region path for a batch of repetitions with exactly one
+    cluster. Only the DETAIL blocks a row's draws inspect are enciphered:
+    block 0 (words 0-3) when the cluster size is drawn, block 1 (words 4-7)
+    for every row when kill_rate > 0 and otherwise only for rows whose
+    first PTRS attempt was rejected.
 
     Returns (mask of resolved repetitions, capped surviving loss-days per
     resolved repetition, cap events); unresolved repetitions go on to the
     DETAIL_SPILL path."""
     lam = device.counts.lambda_cluster
-    region = 4 * _DETAIL_BLOCKS_PER_REP
+    kill = device.kill_rate > 0.0
     stream_ids = np.full(len(reps), pack_stream_id(_DOMAIN_DETAIL, level.code, 0), dtype=np.uint64)
-    words = ragged_words(seed, stream_ids, reps * region,
-                         np.full(len(reps), region)).reshape(len(reps), region)
+
+    def block(b, rows=slice(None)):
+        # repetition r's region is words [8r, 8r + 8), blocks 2r + 1 and 2r + 2
+        return philox_blocks(seed, stream_ids[rows], 2 * reps[rows] + 1 + b)
+
     # word 0 is the reserved placement draw; a lone cluster's device index
     # cannot change the portfolio loss, so the value is not inspected.
+    # Columns of blocks not enciphered are left unset and never read.
+    words = np.empty((len(reps), 4 * _DETAIL_BLOCKS_PER_REP), dtype=np.uint64)
+    if lam > 0.0:
+        words[:, :4] = block(0)
+    if kill:
+        words[:, 4:] = block(1)
     if lam == 0.0:
         extras = np.zeros(len(reps), dtype=np.int64)
     elif lam < PTRS_THRESHOLD:
-        extras = poisson_inversion(words_to_uniforms(words[:, 1]), lam)
+        extras = poisson_inversion(words[:, 1], lam)
     else:
-        extras = poisson_ptrs_regions(words, lam, 1, _DETAIL_MAX_ATTEMPTS)
+        # attempt 1 reads words 1-2; attempts 2 and 3 read words 3-6
+        extras = poisson_ptrs_regions(words, lam, 1, 1)
+        late = np.flatnonzero(extras < 0)
+        if not kill:
+            words[late, 4:] = block(1, late)
+        extras[late] = poisson_ptrs_regions(words[late], lam, 3, _DETAIL_MAX_ATTEMPTS - 1)
     resolved = extras >= 0
     days = device.loss_day_multiplier * (1 + extras[resolved])
-    if device.kill_rate > 0.0:
+    if kill:
         u = words_to_uniforms(words[resolved, 7])
         days = days * (u < math.exp(-device.kill_rate))
     capped = np.minimum(days, float(device.horizon_days))

@@ -139,6 +139,20 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: ") and "too large for a float" in err
 
+    @pytest.mark.parametrize("theta", [1e15, 1e300])
+    def test_count_rate_beyond_bound_exits_2(self, capsys, tmp_path, theta):
+        # kappa * theta far past 2**20: the cluster count would need more
+        # memory than any host has, or overflow the PTRS count
+        mapping = paper_config()
+        mapping["repetitions"] = 10
+        mapping["device"]["theta"] = theta
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps(mapping))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at most 2**20" in err
+
 
 class TestCalibrate:
     def test_defaults_reproduce_published_numbers(self, capsys):

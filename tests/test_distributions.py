@@ -30,7 +30,13 @@ from cyberrisk.distributions import (
     sample_severity_rows,
 )
 from cyberrisk.errors import DomainError
-from cyberrisk.streams import RaggedStreams, RandomStream, chunk_words, derive_stream
+from cyberrisk.streams import (
+    RaggedStreams,
+    RandomStream,
+    chunk_words,
+    derive_stream,
+    words_to_uniforms,
+)
 
 from oracles import compound_count_pmf_bruteforce, total_variation
 
@@ -197,17 +203,27 @@ class TestPoissonSampler:
         assert (once[once >= 0] == draws[once >= 0]).all()
 
 
-    @pytest.mark.parametrize("rate", [0.0, 0.02, 0.4, math.log(2.0), 1.0, 29.99])
+    @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.02, 0.4, math.log(2.0), 1.0, 29.99])
     def test_inversion_equals_plain_search(self, rate):
-        # ln 2 is the boundary of the P(0) >= 1/2 shortcut: there cum[0] == 0.5
+        # ln 2 is the boundary of the P(0) >= 1/2 threshold path: there
+        # cum[0] == 0.5; at 1e-17 cum[0] rounds to 1.0, so the threshold
+        # word is 2**64 and every draw is 0
         cum = poisson_cum_table(rate)
-        edges = [cum[0], np.nextafter(cum[0], 1.0), np.nextafter(cum[0], 0.0), 2.0 ** -53, 1.0]
-        u = np.concatenate([RandomStream(5, 77).uniforms(50_000), edges])
+        threshold = int(cum[0] * 2.0 ** 53) << 11
+        edges = [w for w in (threshold - 1, threshold, 0, 2 ** 64 - 1) if w < 2 ** 64]
+        words = np.concatenate([RandomStream(5, 77).raw_words(50_000),
+                                np.array(edges, dtype=np.uint64)])
+        u = words_to_uniforms(words)
         expect = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
-        draws = poisson_inversion(u, rate)
+        draws = poisson_inversion(words, rate)
         assert draws.dtype == np.int64
         assert np.array_equal(draws, expect)
-        assert draws[-5] == 0 and draws[-4] == min(1, len(cum) - 1)
+        # the last word below the threshold draws 0, the threshold itself does not
+        assert u[50_000] <= cum[0] and draws[50_000] == 0
+        if threshold < 2 ** 64:
+            assert u[50_001] > cum[0] and draws[50_001] == min(1, len(cum) - 1)
+        else:
+            assert cum[0] == 1.0 and not draws.any()
 
 
 class TestExponentialSampler:

@@ -7,11 +7,14 @@ import pytest
 
 import cyberrisk.engine as engine
 import cyberrisk.streams as streams
+from cyberrisk.config import paper_config, parse_config
 from cyberrisk.distributions import (
     CountDistributionParams,
     Fixed,
     Lognormal,
     Pareto,
+    poisson_ptrs_regions,
+    sample_compound_count_batch,
     sample_poisson_batch,
 )
 from cyberrisk.engine import (
@@ -24,7 +27,7 @@ from cyberrisk.engine import (
     summarize_level,
 )
 from cyberrisk.errors import ConfigError, NumericFault
-from cyberrisk.loss_model import AggregateLossParams, DeviceParameters, simulate_device
+from cyberrisk.loss_model import AggregateLossParams, DeviceParameters
 from cyberrisk.report import render_json
 from cyberrisk.risk_measures import EmpiricalDistribution
 from cyberrisk.scenario import RiskLevel, ScenarioConfig
@@ -154,14 +157,13 @@ class TestModelEquivalence:
         unit = 1000.0 / 1.03
         engine_days = np.round(losses / unit).astype(int)
 
-        params = _paper_device(theta=theta, lam=lam)
-        scalar_days = np.empty(reps, dtype=int)
-        for i in range(reps):
-            stream = derive_stream(999, 7000 + i)
-            total = 0
-            for _ in range(kappa):
-                total += min(simulate_device(stream, params).loss_days, 365)
-            scalar_days[i] = total
+        # the per-device reference: kappa independent compound counts per
+        # repetition, each device capped at the horizon
+        params = CountDistributionParams(theta=theta, lambda_cluster=lam)
+        scalar_days = np.array([
+            np.minimum(sample_compound_count_batch(derive_stream(999, 7000 + i), params, kappa),
+                       365).sum()
+            for i in range(reps)])
 
         # same mean within 4 joint standard errors, same P(zero), same tail shape
         mu, sd = kappa * theta * (1 + lam), np.sqrt(kappa * theta * (lam + (1 + lam) ** 2))
@@ -247,6 +249,23 @@ class TestFaults:
             _paper_spec(confidence_levels=(0.5, 1.5))
         with pytest.raises(ConfigError):
             _paper_spec(levels=(RiskLevel.GUARDED, RiskLevel.GUARDED))
+
+    def test_poisson_rates_are_bounded(self):
+        bound = float(2 ** 20)
+        # kappa * theta * 20 at Severe, the largest multiplier
+        _paper_spec(device=_paper_device(theta=bound / 1000 / 20, lam=bound),
+                    aggregate_channel=AggregateLossParams(event_rate=bound, severity=Fixed(1.0)))
+        above = np.nextafter(bound, np.inf)
+        with pytest.raises(ConfigError, match="multiplier at SEVERE"):
+            _paper_spec(device=_paper_device(theta=above / 1000 / 20))
+        # a level not requested does not count
+        _paper_spec(device=_paper_device(theta=above / 1000 / 20),
+                    levels=(RiskLevel.GUARDED, RiskLevel.ELEVATED, RiskLevel.HIGH))
+        with pytest.raises(ConfigError, match="lambda_cluster"):
+            _paper_spec(device=_paper_device(lam=above))
+        with pytest.raises(ConfigError, match="event_rate"):
+            _paper_spec(aggregate_channel=AggregateLossParams(event_rate=above,
+                                                              severity=Fixed(1.0)))
 
 
 class TestCapEvents:
@@ -367,10 +386,13 @@ class TestBatchedResolution:
             return wrapper
 
         # (words read, rows read)
-        ragged = spy(streams.ragged_words, lambda seed, ids, starts, counts:
-                     (int(np.sum(counts)), int(np.count_nonzero(counts))))
-        monkeypatch.setattr(streams, "ragged_words", ragged)
-        monkeypatch.setattr(engine, "ragged_words", ragged)
+        monkeypatch.setattr(streams, "ragged_words", spy(
+            streams.ragged_words, lambda seed, ids, starts, counts:
+            (int(np.sum(counts)), int(np.count_nonzero(counts)))))
+        # the engine's own cipher calls (single-cluster DETAIL blocks): four
+        # words per block, every block counted as a row, so no exemption
+        monkeypatch.setattr(engine, "philox_blocks", spy(
+            streams.philox_blocks, lambda seed, ids, blocks: (4 * len(blocks), len(blocks))))
         monkeypatch.setattr(engine, "chunk_words", spy(
             streams.chunk_words, lambda seed, stream_id, first, regions, blocks:
             (4 * regions * blocks, regions)))
@@ -402,6 +424,57 @@ class TestBatchedResolution:
         pack_stream_id(6, 255, last_rep)
         with pytest.raises(ConfigError):
             _paper_spec(repetitions=engine._MAX_REPETITIONS + 1)
+
+
+class TestCipherWork:
+    """The batched paths encipher only the Philox blocks their draws read."""
+
+    @staticmethod
+    def _enciphered(monkeypatch) -> list:
+        """Record the counters of every block the vectorized cipher runs."""
+        counters = []
+        cipher = streams._philox_pass
+
+        def spy(seed, stream_ids, blocks):
+            counters.append(np.array(blocks))
+            return cipher(seed, stream_ids, blocks)
+
+        monkeypatch.setattr(streams, "_philox_pass", spy)
+        return counters
+
+    def test_paper_run_enciphers_at_most_75000_blocks(self, monkeypatch):
+        counters = self._enciphered(monkeypatch)
+        run_simulation(parse_config(paper_config()), workers=1)
+        # 130,744 when every block of a DETAIL region was read and
+        # multi-cluster prefixes held n * 4 + 8 words
+        assert sum(len(c) for c in counters) <= 75_000
+
+    @pytest.mark.parametrize("lam, kill", [(182.0, 0.0), (182.0, 0.3), (5.0, 0.0), (5.0, 0.3),
+                                           (0.0, 0.0), (0.0, 0.3)])
+    def test_single_cluster_rows_read_only_the_blocks_they_use(self, monkeypatch, lam, kill):
+        seed, level = 42, RiskLevel.SEVERE
+        reps = np.arange(5, 30_000, 3)
+        device = _paper_device(lam=lam, kill=kill)
+        # the full 8-word DETAIL regions, read through numpy's Philox
+        detail = pack_stream_id(engine._DOMAIN_DETAIL, level.code, 0)
+        regions = streams.chunk_words(seed, detail, 0, int(reps[-1]) + 1, 2)[reps]
+        counters = self._enciphered(monkeypatch)
+        resolved, _, _ = engine._single_cluster_days(seed, level, reps, device)
+        enciphered = np.sort(np.concatenate(counters)) if counters else np.empty(0, np.uint64)
+
+        # block 0 of repetition r's region is counter 2r + 1, block 1 is 2r + 2
+        needs_block_1 = np.zeros(len(reps), dtype=bool)
+        if lam >= 30.0:
+            rejected_once = poisson_ptrs_regions(regions, lam, 1, 1) < 0
+            assert 0 < rejected_once.sum() < len(reps) // 4
+            needs_block_1 |= rejected_once
+            assert np.array_equal(resolved, poisson_ptrs_regions(regions, lam, 1, 3) >= 0)
+        if kill > 0.0:
+            needs_block_1[:] = True
+        expect = np.concatenate([2 * reps + 1 if lam > 0.0 else reps[:0], 2 * reps[needs_block_1] + 2])
+        assert np.array_equal(enciphered, np.sort(expect).astype(np.uint64))
+        if lam == 0.0 and kill == 0.0:
+            assert not counters
 
 
 def _traced_peak_mib(function, *args) -> float:
