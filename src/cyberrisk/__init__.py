@@ -8,19 +8,15 @@ from .distributions import (
     Pareto,
     SeverityDistribution,
     compound_count_pmf,
-    pareto_density,
     poisson_pmf,
-    sample_compound_count,
 )
 from .engine import RiskReport, SimulationSpec, run_simulation, summarize_level
 from .loss_model import (
     AggregateLossParams,
     DeviceParameters,
-    DeviceOutcome,
     PremiumSchedule,
     discount_factor,
     premium_schedule,
-    simulate_device,
 )
 from .risk_measures import (
     EmpiricalDistribution,
@@ -36,9 +32,7 @@ from .scenario import (
     ScenarioConfig,
     attacks_per_year,
     baseline_proportion,
-    decompose_intensity,
     level_parameters,
-    thin_intensity,
 )
 from .streams import RandomStream, derive_stream
 

@@ -10,11 +10,8 @@ Word consumption per draw (format version 1):
 * Poisson, rate < 30 - one word (inversion by sequential search).
 * Poisson, rate >= 30 - two words per rejection attempt (Hormann's PTRS
   transformed-rejection method), attempts until acceptance.
-* Exponential - one word (inverse CDF).
 * Severity: Lognormal / Pareto / DiscreteTable - one word (inverse CDF,
   the lognormal through the AS 241 normal quantile); Fixed - zero words.
-* Compound count - one Poisson draw for the cluster count, then one
-  Poisson draw per cluster for the cluster sizes, in cluster order.
 * Uniform index in [0, m) - one word, rejected and redrawn when it falls
   at or above the largest multiple of m below 2**64 (unbiased modulo).
 
@@ -46,7 +43,6 @@ __all__ = [
     "poisson_pmf",
     "compound_count_pmf",
     "compound_count_pmf_table",
-    "pareto_density",
     "normal_quantile",
     "PTRS_THRESHOLD",
     "poisson_inversion",
@@ -54,11 +50,8 @@ __all__ = [
     "sample_poisson_batch",
     "sample_poisson_rows",
     "sample_indices_rows",
-    "sample_exponential_batch",
     "sample_severity_batch",
     "sample_severity_rows",
-    "sample_compound_count",
-    "sample_compound_count_batch",
 ]
 
 # Sequential search switches to PTRS rejection at this rate.
@@ -230,18 +223,6 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
         log_terms = j_log_theta[:n] + log_jlam - j_rate[:n] - lg_j1[:n] - lg_k1[n - 1::-1]
         out[n] = _logsumexp_exp(log_terms)
     return out
-
-
-def pareto_density(x: float, x_min: float, alpha: float) -> float:
-    """Normalized Pareto density alpha * x_min^alpha * x^-(alpha+1) on
-    [x_min, inf); zero below x_min."""
-    if not (x_min > 0 and math.isfinite(x_min)):
-        raise DomainError(f"x_min must be positive, got {x_min}")
-    if not (alpha > 1 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if x < x_min:
-        return 0.0
-    return alpha * x_min ** alpha * x ** (-(alpha + 1.0))
 
 
 def _logsumexp_exp(log_terms: np.ndarray) -> float:
@@ -484,14 +465,6 @@ def sample_indices_rows(streams: RaggedStreams, counts: np.ndarray, modulus: int
     return out
 
 
-def sample_exponential_batch(stream: RandomStream, rate: float, size: int) -> np.ndarray:
-    """Inverse-CDF exponential: -ln(u)/rate, u in (0, 1]; CDF 1 - exp(-rate*y)."""
-    if not (rate > 0 and math.isfinite(rate)):
-        raise DomainError(f"rate must be positive, got {rate}")
-    u = stream.uniforms(size)
-    return -np.log(u) / rate
-
-
 def _severity_quantile(dist: SeverityDistribution, u: np.ndarray) -> np.ndarray:
     """Inverse CDF of a non-fixed severity at uniforms ``u``."""
     if isinstance(dist, Lognormal):
@@ -525,23 +498,3 @@ def sample_severity_rows(streams: RaggedStreams, counts: np.ndarray,
     if isinstance(dist, Fixed):
         return np.full(int(counts.sum()), dist.value)
     return _severity_quantile(dist, streams.uniforms(np.arange(len(counts)), counts))
-
-
-def sample_compound_count_batch(stream: RandomStream, params: CountDistributionParams,
-                                size: int) -> np.ndarray:
-    """Draw ``size`` compound counts M = K + sum of K Poisson(lambda) sizes,
-    K ~ Poisson(theta). Cluster-count draws come first, then all cluster
-    sizes flat in (draw, cluster) order."""
-    clusters = sample_poisson_batch(stream, params.theta, size)
-    total = int(clusters.sum())
-    if total == 0:
-        return clusters
-    if params.lambda_cluster == 0.0:
-        return clusters
-    extras = sample_poisson_batch(stream, params.lambda_cluster, total)
-    owner = np.repeat(np.arange(size), clusters)
-    return clusters + np.bincount(owner, weights=extras, minlength=size).astype(np.int64)
-
-
-def sample_compound_count(stream: RandomStream, params: CountDistributionParams) -> int:
-    return int(sample_compound_count_batch(stream, params, 1)[0])

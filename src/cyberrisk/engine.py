@@ -65,9 +65,10 @@ words, rounded up to whole blocks; later rounds read past it.
 
 Drawing the portfolio cluster total once and placing clusters uniformly
 over devices is distributionally identical to kappa independent
-compound-count draws (Poisson superposition/thinning); the per-device
-sampler ``distributions.sample_compound_count_batch`` is the reference
-that the test suite checks this equivalence against.
+compound-count draws (Poisson superposition/thinning); the test suite
+checks this equivalence against kappa independent draws of
+M = K + Poisson(lambda * K), K ~ Poisson(theta), per repetition, taken
+from numpy's own generator (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -478,16 +479,15 @@ def summarize_level(samples: EmpiricalDistribution, premium_pool: float,
     )
 
 
-def resolve_workers(workers: int | None, tasks: int | None = None,
-                    cpus: int | None = None) -> int:
+def resolve_workers(workers: int | None, tasks: int, cpus: int) -> int:
     """Worker count: the explicit value, else machine parallelism; then at
-    most ``tasks`` and at most ``cpus`` when they are given. Never changes
-    results, only wall time."""
+    most ``tasks`` and at most ``cpus``. Never changes results, only wall
+    time."""
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    return min([workers] + [bound for bound in (tasks, cpus) if bound is not None])
+    return min(workers, tasks, cpus)
 
 
 def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskReport:

@@ -19,26 +19,15 @@ import math
 
 import numpy as np
 
-from .distributions import (
-    CountDistributionParams,
-    SeverityDistribution,
-    compound_count_pmf_table,
-    sample_compound_count,
-    sample_poisson_batch,
-    sample_severity_batch,
-)
+from .distributions import CountDistributionParams, SeverityDistribution, compound_count_pmf_table
 from .errors import DomainError
-from .streams import RandomStream
 
 __all__ = [
     "DeviceParameters",
-    "DeviceOutcome",
     "PremiumSchedule",
     "AggregateLossParams",
     "discount_factor",
-    "simulate_device",
     "premium_schedule",
-    "simulate_aggregate_loss_batch",
     "expected_capped_loss_days",
     "expected_present_loss",
 ]
@@ -74,13 +63,6 @@ class DeviceParameters:
 
 
 @dataclass(frozen=True)
-class DeviceOutcome:
-    loss_days: int
-    survived_horizon: bool
-    present_loss: float
-
-
-@dataclass(frozen=True)
 class PremiumSchedule:
     """Loading / mitigation premium arithmetic around one expected loss."""
 
@@ -112,25 +94,6 @@ def discount_factor(discount_rate: float) -> float:
     return 1.0 / (1.0 + discount_rate)
 
 
-def simulate_device(stream: RandomStream, params: DeviceParameters) -> DeviceOutcome:
-    """Simulate one device-year.
-
-    Draws the attack loss-day count, then (only if kill_rate > 0) one
-    survival uniform: survived iff u < exp(-kill_rate), the probability an
-    Exponential(kill_rate) lifetime exceeds one year. kill_rate = 0 means
-    always survived and consumes no word.
-    """
-    loss_days = sample_compound_count(stream, params.counts)
-    if params.kill_rate > 0.0:
-        survived = stream.uniform() < math.exp(-params.kill_rate)
-    else:
-        survived = True
-    capped = min(params.loss_day_multiplier * loss_days, float(params.horizon_days))
-    v = discount_factor(params.discount_rate)
-    present = v * params.daily_loss * capped if survived else 0.0
-    return DeviceOutcome(loss_days=loss_days, survived_horizon=survived, present_loss=present)
-
-
 def premium_schedule(expected_loss: float, loading: float, mitigation: float) -> PremiumSchedule:
     """Compose loading and mitigation into the four premium quantities:
     premium = (1+loading) * E, adjusted E = mitigation * E, adjusted
@@ -150,22 +113,6 @@ def premium_schedule(expected_loss: float, loading: float, mitigation: float) ->
         premium=(1.0 + loading) * expected_loss,
         adjusted_premium=(1.0 + loading) * adjusted,
     )
-
-
-def simulate_aggregate_loss_batch(stream: RandomStream, params: AggregateLossParams,
-                                  size: int) -> np.ndarray:
-    """Draw ``size`` aggregate losses: N ~ Poisson(event_rate) severities
-    summed, 0 when N = 0. Count draws first, then severities flat in
-    (draw, event) order."""
-    counts = sample_poisson_batch(stream, params.event_rate, size)
-    total = int(counts.sum())
-    out = np.zeros(size)
-    if total == 0:
-        return out
-    amounts = sample_severity_batch(stream, params.severity, total)
-    owner = np.repeat(np.arange(size), counts)
-    np.add.at(out, owner, amounts)
-    return out
 
 
 def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import enum
-import math
 
 from .distributions import CountDistributionParams
 from .errors import DomainError
@@ -26,8 +25,6 @@ __all__ = [
     "ScenarioConfig",
     "baseline_proportion",
     "attacks_per_year",
-    "thin_intensity",
-    "decompose_intensity",
     "level_parameters",
     "level_mitigation",
     "MINUTES_PER_YEAR",
@@ -138,36 +135,6 @@ def attacks_per_year(proportion: float, minutes_per_year: int = MINUTES_PER_YEAR
     if minutes_per_year <= 0:
         raise DomainError("minutes_per_year must be positive")
     return proportion * minutes_per_year
-
-
-def thin_intensity(total_rate: float, proportion: float) -> float:
-    """Poisson thinning: keep each event with probability ``proportion``."""
-    if total_rate < 0 or not math.isfinite(total_rate):
-        raise DomainError(f"total_rate must be nonnegative, got {total_rate}")
-    if not (0.0 <= proportion <= 1.0):
-        raise DomainError(f"proportion must lie in [0, 1], got {proportion}")
-    return proportion * total_rate
-
-
-def decompose_intensity(total_rate: float, weights) -> list[float]:
-    """Split a total intensity over subsamples proportionally to weights.
-
-    The last component is set by subtraction to absorb rounding:
-    fsum(parts[:-1]) + parts[-1] reproduces total_rate bitwise.
-    """
-    if total_rate < 0 or not math.isfinite(total_rate):
-        raise DomainError(f"total_rate must be nonnegative, got {total_rate}")
-    weights = [float(w) for w in weights]
-    if not weights:
-        raise DomainError("weights must be nonempty")
-    if any(w < 0 for w in weights):
-        raise DomainError("weights must be nonnegative")
-    total_weight = math.fsum(weights)
-    if total_weight <= 0:
-        raise DomainError("weights must not all be zero")
-    parts = [total_rate * w / total_weight for w in weights[:-1]]
-    parts.append(total_rate - math.fsum(parts))
-    return parts
 
 
 def level_parameters(config: ScenarioConfig, level: RiskLevel,

@@ -133,12 +133,7 @@ class RandomStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Return ``n`` uniforms in (0, 1] using the versioned word mapping."""
-        words = self.raw_words(n)
-        return ((words >> _SHIFT) + _ONE) * _TWO_NEG53
-
-    def uniform(self) -> float:
-        """Return a single uniform in (0, 1]."""
-        return float(self.uniforms(1)[0])
+        return words_to_uniforms(self.raw_words(n))
 
 
 def derive_stream(seed: int, stream_id: int) -> RandomStream:
@@ -164,7 +159,7 @@ def chunk_words(seed: int, stream_id: int, first_region: int, n_regions: int,
 
 
 def words_to_uniforms(words: np.ndarray) -> np.ndarray:
-    """Vectorized version of the versioned word -> (0, 1] mapping."""
+    """The versioned word -> (0, 1] mapping, elementwise."""
     return ((words >> _SHIFT) + _ONE) * _TWO_NEG53
 
 

@@ -40,6 +40,15 @@ def compound_count_pmf_bruteforce(n_max: int, theta: float, lam: float,
     return out
 
 
+def compound_count_draws(rng: np.random.Generator, theta: float, lam: float,
+                         size) -> np.ndarray:
+    """Draws of M = K + Poisson(lam * K), K ~ Poisson(theta): K clusters of
+    1 + Poisson(lam) events each, since a sum of K independent Poisson(lam)
+    sizes is Poisson(lam * K). Drawn with numpy's own generator."""
+    clusters = rng.poisson(theta, size)
+    return clusters + rng.poisson(lam * clusters)
+
+
 def panjer_compound_poisson_cdf(rate: float, values, probabilities, x_grid) -> np.ndarray:
     """CDF of a compound Poisson sum with a discrete severity, by Panjer's
     recursion on the integer lattice spanned by the severity support.

@@ -24,9 +24,9 @@ from cyberrisk.distributions import (
     sample_poisson_batch,
     sample_severity_batch,
 )
-from cyberrisk.engine import run_simulation
+from cyberrisk.engine import _simulate_chunk, run_simulation
 from cyberrisk.ingestion import estimate_intensity, fit_lognormal, fit_pareto_tail
-from cyberrisk.loss_model import AggregateLossParams, simulate_aggregate_loss_batch
+from cyberrisk.loss_model import AggregateLossParams
 from cyberrisk.report import render_json
 from cyberrisk.risk_measures import (
     EmpiricalDistribution,
@@ -36,7 +36,7 @@ from cyberrisk.risk_measures import (
     shortfall_probability,
     value_at_risk,
 )
-from cyberrisk.scenario import baseline_proportion
+from cyberrisk.scenario import RiskLevel, baseline_proportion
 from cyberrisk.streams import derive_stream
 
 from oracles import (
@@ -73,13 +73,18 @@ def test_criterion_1_compound_count_pmf():
 
 
 def test_criterion_2_aggregate_loss_panjer():
+    """The engine's own channel (``_simulate_chunk``) against Panjer, with no
+    device losses; rate 45 draws its counts in PTRS regions."""
     started = time.perf_counter()
     severity = DiscreteTable(values=(1.0, 2.0, 5.0, 10.0), probabilities=(0.4, 0.3, 0.2, 0.1))
+    spec = parse_config(paper_config())
+    spec = replace(spec, device=replace(spec.device, daily_loss=0.0), repetitions=100_000)
+    grid = np.arange(0.0, 400.0, 1.0)  # past rate 45: mean 144, sd 27
     ok = True
-    for i, rate in enumerate((1.0, 3.0, 5.0)):
-        params = AggregateLossParams(event_rate=rate, severity=severity)
-        draws = simulate_aggregate_loss_batch(derive_stream(1001, i), params, 100_000)
-        grid = np.arange(0.0, 120.0, 1.0)
+    for rate in (1.0, 2.0, 3.0, 5.0, 45.0):
+        channel = AggregateLossParams(event_rate=rate, severity=severity)
+        draws, _ = _simulate_chunk(replace(spec, aggregate_channel=channel), RiskLevel.GUARDED,
+                                   0, spec.repetitions)
         oracle = panjer_compound_poisson_cdf(rate, severity.values, severity.probabilities, grid)
         empirical = np.searchsorted(np.sort(draws), grid, side="right") / len(draws)
         ok &= float(np.max(np.abs(empirical - oracle))) <= 0.01
@@ -133,8 +138,6 @@ def test_criterion_4_calibration_reproduction():
     ok = (p == 0.00002)
     spec = parse_config(paper_config())
     mults = spec.scenario.intensity_multipliers
-    from cyberrisk.scenario import RiskLevel
-
     ok &= mults[RiskLevel.HIGH] == 10.0 and mults[RiskLevel.SEVERE] == 20.0
     base = spec.device.counts.theta
     from cyberrisk.scenario import level_parameters

@@ -9,6 +9,8 @@ import pytest
 
 import cyberrisk
 
+from test_bench_contract import _patch_points
+
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(cyberrisk.__path__))
 
 
@@ -42,3 +44,26 @@ def test_no_import_inside_a_function():
                 nested += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                            if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_every_import_is_used():
+    """Every module-level import is read by its module or patched on
+    ``engine`` by bench/run.py, so a deletion cannot leave an import behind.
+    ``__init__`` is skipped: its imports are the package's exports."""
+    bench_patched = {attr for owner, attr in _patch_points() if owner == "engine"}
+    unused = []
+    for path in sorted(Path(cyberrisk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names if name not in read
+                       and not (path.stem == "engine" and name in bench_patched)]
+    assert unused == []

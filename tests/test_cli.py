@@ -399,7 +399,6 @@ class TestWorkersResolution:
         assert resolve_workers(10 ** 6, tasks=28, cpus=2) == 2
         assert resolve_workers(10 ** 6, tasks=3, cpus=64) == 3
         assert resolve_workers(1, tasks=100, cpus=8) == 1
-        assert resolve_workers(7) == 7
         with pytest.raises(ConfigError):
             resolve_workers(0, tasks=4, cpus=4)
 

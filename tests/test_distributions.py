@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from cyberrisk.distributions import (
     CountDistributionParams,
@@ -15,14 +15,10 @@ from cyberrisk.distributions import (
     compound_count_pmf,
     compound_count_pmf_table,
     normal_quantile,
-    pareto_density,
     poisson_cum_table,
     poisson_inversion,
     poisson_pmf,
     poisson_ptrs_regions,
-    sample_compound_count,
-    sample_compound_count_batch,
-    sample_exponential_batch,
     sample_indices_rows,
     sample_poisson_batch,
     sample_poisson_rows,
@@ -30,6 +26,7 @@ from cyberrisk.distributions import (
     sample_severity_rows,
 )
 from cyberrisk.errors import DomainError
+from cyberrisk.loss_model import DeviceParameters
 from cyberrisk.streams import (
     RaggedStreams,
     RandomStream,
@@ -39,6 +36,7 @@ from cyberrisk.streams import (
 )
 
 from oracles import compound_count_pmf_bruteforce, total_variation
+from test_loss_model import one_device_losses
 
 
 # ---------------------------------------------------------------------------
@@ -114,29 +112,6 @@ class TestCompoundCountPmf:
         params = CountDistributionParams(theta=2.0, lambda_cluster=4.0)
         n_max = int(params.mean + 12 * math.sqrt(params.variance)) + 1
         assert abs(compound_count_pmf_table(n_max, params).sum() - 1.0) < 1e-9
-
-
-class TestParetoDensity:
-    def test_outside_support(self):
-        assert pareto_density(0.5, x_min=1.0, alpha=2.0) == 0.0
-
-    def test_at_x_min(self):
-        assert pareto_density(1.0, x_min=1.0, alpha=2.0) == 2.0
-
-    def test_integrates_to_one(self):
-        # piecewise quadrature: one huge interval hides the peak from quad
-        edges = [1.0, 10.0, 1e3, 1e4, 1e5, 1e6]
-        total = sum(
-            integrate.quad(lambda x: pareto_density(x, 1.0, 2.5), lo, hi, limit=200)[0]
-            for lo, hi in zip(edges, edges[1:])
-        )
-        assert abs(total - 1.0) < 1e-6
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            pareto_density(2.0, x_min=0.0, alpha=2.0)
-        with pytest.raises(DomainError):
-            pareto_density(2.0, x_min=1.0, alpha=1.0)
 
 
 def test_normal_quantile_matches_scipy():
@@ -226,34 +201,6 @@ class TestPoissonSampler:
             assert cum[0] == 1.0 and not draws.any()
 
 
-class TestExponentialSampler:
-    def test_cdf_form_at_zero(self):
-        # F(0) = 1 - exp(0) = 0 for any rate: no mass at or below zero
-        draws = sample_exponential_batch(derive_stream(3, 1), 2.0, 10_000)
-        assert (draws > 0).all()
-
-    def test_median_identity(self):
-        draws = sample_exponential_batch(derive_stream(3, 2), 2.0, 1_000_000)
-        assert abs(np.median(draws) - math.log(2) / 2.0) < 0.01
-
-    def test_arrival_counts_are_poisson(self):
-        # counting exponential inter-arrivals in [0, t] with rate*t = 5
-        rate, t, horizons = 2.5, 2.0, 100_000
-        stream = derive_stream(3, 3)
-        cols = 40
-        gaps = sample_exponential_batch(stream, rate, horizons * cols).reshape(horizons, cols)
-        arrival_times = np.cumsum(gaps, axis=1)
-        assert (arrival_times[:, -1] > t).all()  # 40 columns always cover t
-        counts = (arrival_times <= t).sum(axis=1)
-        pmf = np.array([poisson_pmf(n, rate * t) for n in range(40)])
-        assert total_variation(np.bincount(counts), pmf, horizons) < 0.01
-
-    def test_scalar_and_domain(self):
-        assert sample_exponential_batch(derive_stream(3, 4), 1.0, 1)[0] >= 0.0
-        with pytest.raises(DomainError):
-            sample_exponential_batch(derive_stream(3, 5), 0.0, 1)
-
-
 class TestSeveritySampler:
     def test_fixed_always(self):
         s = derive_stream(4, 1)
@@ -293,32 +240,35 @@ class TestSeveritySampler:
 
 
 class TestCompoundCountSampler:
-    def test_theta_limit_zero(self):
-        params = CountDistributionParams(theta=1e-12, lambda_cluster=5.0)
-        draws = sample_compound_count_batch(derive_stream(5, 1), params, 10_000)
-        assert (draws == 0).all()
+    """The engine draws a device's compound count M: at portfolio_size 1,
+    with b = 1, r = 0 and a horizon that never binds, each repetition's
+    loss is its M."""
 
-    def test_wald_mean(self):
-        params = CountDistributionParams(theta=2.0, lambda_cluster=0.5)
-        draws = sample_compound_count_batch(derive_stream(5, 2), params, 1_000_000)
+    @staticmethod
+    def _counts(theta, lam, repetitions, seed):
+        device = DeviceParameters(daily_loss=1.0, discount_rate=0.0, horizon_days=10 ** 9,
+                                  counts=CountDistributionParams(theta, lam))
+        losses, caps = one_device_losses(device, repetitions, seed)
+        counts = losses.astype(np.int64)
+        assert caps == 0 and (counts == losses).all()
+        return counts
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return self._counts(2.0, 0.5, 1_000_000, 5)
+
+    def test_theta_limit_zero(self):
+        assert (self._counts(1e-12, 5.0, 10_000, 1) == 0).all()
+
+    def test_wald_mean(self, draws):
         assert abs(draws.mean() - 3.0) < 0.01
 
-    def test_second_moment(self):
-        params = CountDistributionParams(theta=2.0, lambda_cluster=0.5)
-        draws = sample_compound_count_batch(derive_stream(5, 3), params, 1_000_000)
+    def test_second_moment(self, draws):
         assert abs(draws.var() - 5.5) < 0.05
 
-    def test_tv_against_pmf(self):
-        params = CountDistributionParams(theta=2.0, lambda_cluster=0.5)
-        draws = sample_compound_count_batch(derive_stream(5, 4), params, 1_000_000)
-        pmf = compound_count_pmf_table(40, params)
+    def test_tv_against_pmf(self, draws):
+        pmf = compound_count_pmf_table(40, CountDistributionParams(theta=2.0, lambda_cluster=0.5))
         assert total_variation(np.bincount(draws), pmf, len(draws)) < 0.005
-
-    def test_scalar_equals_batch_single(self):
-        params = CountDistributionParams(theta=1.5, lambda_cluster=2.0)
-        a = derive_stream(5, 5)
-        b = derive_stream(5, 5)
-        assert sample_compound_count(a, params) == sample_compound_count_batch(b, params, 1)[0]
 
     def test_params_validation(self):
         with pytest.raises(DomainError):

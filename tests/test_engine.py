@@ -14,7 +14,6 @@ from cyberrisk.distributions import (
     Lognormal,
     Pareto,
     poisson_ptrs_regions,
-    sample_compound_count_batch,
     sample_poisson_batch,
 )
 from cyberrisk.engine import (
@@ -31,7 +30,9 @@ from cyberrisk.loss_model import AggregateLossParams, DeviceParameters
 from cyberrisk.report import render_json
 from cyberrisk.risk_measures import EmpiricalDistribution
 from cyberrisk.scenario import RiskLevel, ScenarioConfig
-from cyberrisk.streams import RandomStream, derive_stream, pack_stream_id
+from cyberrisk.streams import RandomStream, pack_stream_id
+
+from oracles import compound_count_draws
 
 
 def _paper_device(theta=2e-5, lam=182.0, kill=0.0):
@@ -159,11 +160,8 @@ class TestModelEquivalence:
 
         # the per-device reference: kappa independent compound counts per
         # repetition, each device capped at the horizon
-        params = CountDistributionParams(theta=theta, lambda_cluster=lam)
-        scalar_days = np.array([
-            np.minimum(sample_compound_count_batch(derive_stream(999, 7000 + i), params, kappa),
-                       365).sum()
-            for i in range(reps)])
+        draws = compound_count_draws(np.random.default_rng(999), theta, lam, (reps, kappa))
+        scalar_days = np.minimum(draws, 365).sum(axis=1)
 
         # same mean within 4 joint standard errors, same P(zero), same tail shape
         mu, sd = kappa * theta * (1 + lam), np.sqrt(kappa * theta * (lam + (1 + lam) ** 2))

@@ -1,4 +1,5 @@
-"""Loss arithmetic, premiums, and the aggregate-loss Panjer oracle."""
+"""Loss arithmetic and premiums, and one-device portfolios as the engine
+draws them."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from cyberrisk.distributions import CountDistributionParams, DiscreteTable, Fixed
+from cyberrisk.engine import SimulationSpec, _simulate_chunk
 from cyberrisk.errors import DomainError
 from cyberrisk.loss_model import (
     AggregateLossParams,
@@ -14,10 +16,8 @@ from cyberrisk.loss_model import (
     expected_capped_loss_days,
     expected_present_loss,
     premium_schedule,
-    simulate_aggregate_loss_batch,
-    simulate_device,
 )
-from cyberrisk.streams import derive_stream
+from cyberrisk.scenario import RiskLevel
 
 from oracles import panjer_compound_poisson_cdf
 
@@ -40,51 +40,43 @@ class TestDiscountFactor:
             discount_factor(-1.0)
 
 
+def one_device_losses(device, repetitions, seed, channel=None):
+    """(present losses, cap events) the engine draws for a one-device
+    portfolio: each repetition is one device-year of ``device``."""
+    spec = SimulationSpec(device=device, portfolio_size=1, repetitions=repetitions, seed=seed,
+                          levels=(RiskLevel.GUARDED,), aggregate_channel=channel)
+    return _simulate_chunk(spec, RiskLevel.GUARDED, 0, repetitions)
+
+
 class TestSimulateDevice:
     def test_present_loss_formula(self):
-        # find a stream whose drawn count is 3, then check the monetization
-        params = _device(theta=3.0)
-        for sid in range(200):
-            probe = derive_stream(11, sid)
-            if simulate_device(probe, params).loss_days == 3:
-                outcome = simulate_device(derive_stream(11, sid), params)
-                assert outcome.present_loss == pytest.approx(1000 * 3 / 1.03, rel=1e-12)
-                assert outcome.survived_horizon
-                break
-        else:
-            pytest.fail("no stream with a count of 3 in 200 candidates")
+        # every loss is v * b * k for a whole number of loss-days k
+        losses, _ = one_device_losses(_device(theta=3.0), 2000, 11)
+        days = np.round(losses / (1000 / 1.03))
+        assert losses == pytest.approx(days * 1000 / 1.03, rel=1e-12)
+        assert (days == 3).any()
 
     def test_killed_device_loses_nothing(self):
         # enormous kill hazard: survival is essentially impossible
-        params = _device(theta=5.0, kill=50.0)
-        for sid in range(50):
-            outcome = simulate_device(derive_stream(12, sid), params)
-            assert not outcome.survived_horizon
-            assert outcome.present_loss == 0.0
+        losses, _ = one_device_losses(_device(theta=5.0, kill=50.0), 1000, 12)
+        assert (losses == 0.0).all()
 
     def test_zero_daily_loss(self):
-        params = _device(theta=5.0, b=0.0)
-        for sid in range(20):
-            assert simulate_device(derive_stream(13, sid), params).present_loss == 0.0
+        losses, _ = one_device_losses(_device(theta=5.0, b=0.0), 1000, 13)
+        assert (losses == 0.0).all()
 
     def test_cap_at_horizon(self):
-        params = _device(theta=4.0, lam=400.0, horizon=365)
-        seen_cap = False
-        for sid in range(40):
-            outcome = simulate_device(derive_stream(14, sid), params)
-            expected = min(outcome.loss_days, 365) * 1000 / 1.03
-            assert outcome.present_loss == pytest.approx(expected, rel=1e-12)
-            seen_cap = seen_cap or outcome.loss_days > 365
-        assert seen_cap
+        losses, caps = one_device_losses(_device(theta=4.0, lam=400.0, horizon=365), 40, 14)
+        days = np.round(losses / (1000 / 1.03))
+        assert losses == pytest.approx(days * 1000 / 1.03, rel=1e-12)
+        assert caps > 0 and days.max() == 365
 
     def test_survival_probability(self):
-        # survival draw matches exp(-kill_rate) empirically
-        params = _device(theta=0.5, kill=0.7)
-        survived = sum(
-            simulate_device(derive_stream(15, sid), params).survived_horizon
-            for sid in range(4000)
-        )
-        assert abs(survived / 4000 - math.exp(-0.7)) < 0.025
+        # among the repetitions a kill-free run shows attacked, the share
+        # that still lose something matches exp(-kill_rate)
+        attacked = one_device_losses(_device(theta=0.5), 20_000, 15)[0] > 0
+        killed, _ = one_device_losses(_device(theta=0.5, kill=0.7), 20_000, 15)
+        assert abs((killed[attacked] > 0).mean() - math.exp(-0.7)) < 0.025
 
 
 class TestPremiumSchedule:
@@ -126,21 +118,22 @@ class TestPremiumSchedule:
 
 class TestAggregateLoss:
     def test_zero_rate(self):
-        params = AggregateLossParams(event_rate=0.0, severity=Fixed(10.0))
-        draws = simulate_aggregate_loss_batch(derive_stream(20, 0), params, 1000)
-        assert (draws == 0.0).all()
+        channel = AggregateLossParams(event_rate=0.0, severity=Fixed(10.0))
+        device = _device(theta=3.0)
+        with_channel, _ = one_device_losses(device, 1000, 20, channel)
+        assert (with_channel == one_device_losses(device, 1000, 20)[0]).all()
 
     def test_wald_identity(self):
-        params = AggregateLossParams(event_rate=3.0, severity=Fixed(2.0))
-        draws = simulate_aggregate_loss_batch(derive_stream(20, 1), params, 1_000_000)
-        assert abs(draws.mean() - 6.0) < 0.02
+        channel = AggregateLossParams(event_rate=3.0, severity=Fixed(2.0))
+        losses, _ = one_device_losses(_device(b=0.0), 1_000_000, 21, channel)
+        assert abs(losses.mean() - 6.0) < 0.02
 
     @pytest.mark.parametrize("rate", [1.0, 2.0, 5.0])
     def test_panjer_oracle(self, rate):
         severity = DiscreteTable(values=(1.0, 2.0, 5.0, 10.0),
                                  probabilities=(0.4, 0.3, 0.2, 0.1))
-        params = AggregateLossParams(event_rate=rate, severity=severity)
-        draws = simulate_aggregate_loss_batch(derive_stream(20, 2 + int(rate)), params, 100_000)
+        channel = AggregateLossParams(event_rate=rate, severity=severity)
+        draws, _ = one_device_losses(_device(b=0.0), 100_000, 40 + int(rate), channel)
         grid = np.arange(0.0, 80.0, 1.0)
         oracle_cdf = panjer_compound_poisson_cdf(rate, severity.values,
                                                  severity.probabilities, grid)
@@ -148,8 +141,8 @@ class TestAggregateLoss:
         assert np.max(np.abs(empirical_cdf - oracle_cdf)) <= 0.01
 
     def test_scalar_degenerate(self):
-        params = AggregateLossParams(event_rate=0.0, severity=Fixed(1.0))
-        assert simulate_aggregate_loss_batch(derive_stream(20, 9), params, 1)[0] == 0.0
+        channel = AggregateLossParams(event_rate=0.0, severity=Fixed(1.0))
+        assert one_device_losses(_device(b=0.0), 1, 22, channel)[0].tolist() == [0.0]
 
 
 class TestExpectedLoss:
@@ -182,12 +175,10 @@ class TestLinearity:
         from dataclasses import replace
 
         base = _device(theta=3.0, horizon=100_000)
-        tripled = replace(base, daily_loss=3000.0)
-        for sid in range(30):
-            a = simulate_device(derive_stream(30, sid), base)
-            b = simulate_device(derive_stream(30, sid), tripled)
-            assert b.loss_days == a.loss_days
-            assert b.present_loss == pytest.approx(3.0 * a.present_loss, rel=1e-12)
+        a, _ = one_device_losses(base, 1000, 30)
+        b, _ = one_device_losses(replace(base, daily_loss=3000.0), 1000, 30)
+        assert a.any()
+        assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
 class TestLossDayMultiplier:
@@ -199,20 +190,18 @@ class TestLossDayMultiplier:
         from dataclasses import replace
 
         base = _device(theta=3.0, horizon=100_000)
-        doubled = replace(base, loss_day_multiplier=2.0)
-        for sid in range(30):
-            a = simulate_device(derive_stream(31, sid), base)
-            b = simulate_device(derive_stream(31, sid), doubled)
-            assert b.loss_days == a.loss_days
-            assert b.present_loss == pytest.approx(2.0 * a.present_loss, rel=1e-12)
+        a, _ = one_device_losses(base, 1000, 31)
+        b, _ = one_device_losses(replace(base, loss_day_multiplier=2.0), 1000, 31)
+        assert a.any()
+        assert b == pytest.approx(2.0 * a, rel=1e-12)
 
     def test_multiplier_respects_horizon_cap(self):
         from dataclasses import replace
 
         dev = replace(_device(theta=5.0, horizon=4), loss_day_multiplier=3.0)
-        for sid in range(30):
-            outcome = simulate_device(derive_stream(32, sid), dev)
-            assert outcome.present_loss <= 4 * 1000 / 1.03 + 1e-9
+        losses, caps = one_device_losses(dev, 1000, 32)
+        assert caps > 0
+        assert losses.max() <= 4 * 1000 / 1.03 + 1e-9
 
     def test_expected_loss_uses_multiplier(self):
         from dataclasses import replace

@@ -1,7 +1,5 @@
 """Traffic-light calibration arithmetic."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,10 +11,8 @@ from cyberrisk.scenario import (
     ScenarioConfig,
     attacks_per_year,
     baseline_proportion,
-    decompose_intensity,
     level_mitigation,
     level_parameters,
-    thin_intensity,
 )
 
 
@@ -62,51 +58,6 @@ def test_attacks_per_year_default_mapping():
     theta = attacks_per_year(0.00002)
     assert theta == pytest.approx(10.512, abs=1e-9)
     assert attacks_per_year(0.0) == 0.0
-
-
-class TestThinning:
-    def test_examples(self):
-        assert thin_intensity(100.0, 0.00002) == pytest.approx(0.002, rel=1e-12)
-        assert thin_intensity(7.25, 1.0) == 7.25
-        assert thin_intensity(7.25, 0.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            thin_intensity(-1.0, 0.5)
-        with pytest.raises(DomainError):
-            thin_intensity(1.0, 1.5)
-
-
-class TestDecomposeIntensity:
-    def test_symmetric_split(self):
-        assert decompose_intensity(10.0, [1, 1, 1, 1, 1]) == [2.0] * 5
-
-    def test_proportional_split(self):
-        assert decompose_intensity(9.0, [1, 2]) == [3.0, 6.0]
-
-    def test_sum_is_bitwise_exact(self):
-        # exactness contract: fsum of the leading parts plus the balancing
-        # last part reproduces the input bitwise
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            total = float(rng.uniform(0, 1e6))
-            weights = rng.uniform(0, 1, size=int(rng.integers(1, 20)))
-            parts = decompose_intensity(total, weights)
-            assert math.fsum(parts[:-1]) + parts[-1] == total
-            assert math.fsum(parts) == pytest.approx(total, rel=1e-15)
-
-    def test_thin_then_sum_equals_thin_total(self):
-        parts = decompose_intensity(50.0, [3, 1, 6])
-        p = 0.125  # power of two keeps float products exact
-        assert math.fsum(thin_intensity(x, p) for x in parts) == thin_intensity(50.0, p)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            decompose_intensity(10.0, [])
-        with pytest.raises(DomainError):
-            decompose_intensity(10.0, [0.0, 0.0])
-        with pytest.raises(DomainError):
-            decompose_intensity(10.0, [1.0, -1.0])
 
 
 def _base_device(theta=10.512):
