@@ -56,6 +56,7 @@ __all__ = [
 
 # Sequential search switches to PTRS rejection at this rate.
 PTRS_THRESHOLD = 30.0
+_TABLE_BLOCK = 8192  # (n, j) terms per compound_count_pmf_table block: 64 KiB
 
 
 # ---------------------------------------------------------------------------
@@ -198,40 +199,54 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
         P(M = n) = sum_{j=1..n} theta^j (j*lambda)^(n-j)
                    exp(-(j*lambda + theta)) / (j! (n-j)!)
 
-    computed term-wise in log space with log-sum-exp, taking
-    0*log(0) = 0 at j = n when lambda = 0.
+    computed term-wise in log space with log-sum-exp (0*log(0) = 0).
+
+    Rows are built in blocks of at most ``_TABLE_BLOCK`` (n, j) terms, so a
+    block stays in cache and memory is O(n_max). Row n reads n - j and
+    log((n - j)!) as window n_max - n of two descending arrays; lgamma's
+    +inf at n - j < 0 makes the terms past the diagonal -inf. Each term is
+    evaluated left to right in the order of the formula (at j = n, adding
+    0*log(j*lambda) = +-0.0 is exact), then shifted by its row's max. Each
+    row is summed by one ``ndarray.sum`` over exactly its first n entries,
+    so it is grouped as a row of n terms alone, whatever the block; a
+    padded ``sum(axis=1)`` groups differently. Where j*lambda overflows, a
+    row sums only its finite terms.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     theta, lam = params.theta, params.lambda_cluster
     out = np.empty(n_max + 1)
     out[0] = math.exp(-theta)
-    log_theta = math.log(theta)
     j_all = np.arange(1, n_max + 1, dtype=np.float64)
-    lg_j1 = _lgamma(j_all + 1)
-    # log(k!) for k = 0..n_max-1; row n reads it reversed as log((n-j)!)
-    lg_k1 = _lgamma(j_all)
-    log_jlam_base = np.log(j_all * lam) if lam > 0 else None
-    j_log_theta = j_all * log_theta
+    j_log_theta = j_all * math.log(theta)
     j_rate = j_all * lam + theta
-    for n in range(1, n_max + 1):
-        tail = n - j_all[:n]
-        if lam > 0:
-            log_jlam = np.where(tail > 0, tail * log_jlam_base[:n], 0.0)
-        else:
-            log_jlam = np.where(tail > 0, -np.inf, 0.0)
-        log_terms = j_log_theta[:n] + log_jlam - j_rate[:n] - lg_j1[:n] - lg_k1[n - 1::-1]
-        out[n] = _logsumexp_exp(log_terms)
+    lg_j1 = _lgamma(j_all + 1)
+    if lam == 0.0:  # row n's one finite term is its own shift: its sum is 1.0
+        out[1:] = [math.exp(t) for t in j_log_theta - j_rate - lg_j1]
+        return out
+    log_jlam = np.log(j_all * lam)
+    # both grow with j, so every term of rows n <= n_exact is finite
+    n_exact = np.count_nonzero(np.isfinite(log_jlam) & np.isfinite(j_rate))
+    steps = np.arange(n_max - 1, -n_max - 1, -1.0)
+    tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
+    log_facts = np.lib.stride_tricks.sliding_window_view(_lgamma(steps + 1.0), n_max)[::-1]
+    lo = 1
+    while lo <= n_max:
+        # the largest row count with rows * (lo + rows - 1) <= _TABLE_BLOCK
+        rows = max(1, (math.isqrt((lo - 1) ** 2 + 4 * _TABLE_BLOCK) - lo + 1) // 2)
+        hi = min(lo + rows, n_max + 1)
+        terms = (j_log_theta[:hi - 1] + tails[lo:hi, :hi - 1] * log_jlam[:hi - 1]
+                 - j_rate[:hi - 1] - lg_j1[:hi - 1] - log_facts[lo:hi, :hi - 1])
+        shifts = terms.max(axis=1)
+        scaled = np.exp(terms - shifts[:, None])
+        for n, shift, row, row_terms in zip(range(lo, hi), shifts, scaled, terms):
+            if n > n_exact:
+                row = row_terms[:n][np.isfinite(row_terms[:n])]
+                shift = row.max(initial=-np.inf)
+                row = np.exp(row - shift)
+            out[n] = math.exp(shift) * row[:n].sum()
+        lo = hi
     return out
-
-
-def _logsumexp_exp(log_terms: np.ndarray) -> float:
-    """exp(logsumexp(log_terms)) with empty/-inf handled as 0."""
-    finite = log_terms[np.isfinite(log_terms)]
-    if finite.size == 0:
-        return 0.0
-    m = finite.max()
-    return float(math.exp(m) * np.exp(finite - m).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,15 @@ def panjer_compound_poisson_cdf(rate: float, values, probabilities, x_grid) -> n
     recursion on the integer lattice spanned by the severity support.
 
     ``values`` must be positive multiples of a common step for the lattice
-    to be exact; the function rescales by the gcd-like step it detects.
+    to be exact. The step is their gcd when every value is an integer and
+    ``min(values) / 64`` otherwise.
     """
     values = np.asarray(values, dtype=float)
     probabilities = np.asarray(probabilities, dtype=float)
-    step = values.min() / 64.0
+    if np.all(values == np.round(values)):
+        step = float(np.gcd.reduce(values.astype(np.int64)))
+    else:
+        step = values.min() / 64.0
     lattice = np.round(values / step).astype(int)
     # verify the lattice is exact for these values
     assert np.allclose(lattice * step, values, rtol=0, atol=1e-9), "severity not on a lattice"

@@ -1,11 +1,14 @@
 """Distribution pmfs and samplers against independent oracles."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from cyberrisk.config import paper_config, parse_config
 from cyberrisk.distributions import (
     CountDistributionParams,
     DiscreteTable,
@@ -26,7 +29,8 @@ from cyberrisk.distributions import (
     sample_severity_rows,
 )
 from cyberrisk.errors import DomainError
-from cyberrisk.loss_model import DeviceParameters
+from cyberrisk.loss_model import DeviceParameters, expected_present_loss
+from cyberrisk.scenario import RiskLevel, level_parameters
 from cyberrisk.streams import (
     RaggedStreams,
     RandomStream,
@@ -112,6 +116,42 @@ class TestCompoundCountPmf:
         params = CountDistributionParams(theta=2.0, lambda_cluster=4.0)
         n_max = int(params.mean + 12 * math.sqrt(params.variance)) + 1
         assert abs(compound_count_pmf_table(n_max, params).sum() - 1.0) < 1e-9
+
+    def test_table_bytes_pinned(self):
+        # SHA-256 of every table on the grid, then of the paper Baseline
+        # premium's repr, captured from the row-at-a-time build. Lambda runs
+        # from 0 to 1e300, where every term but one underflows; n_max
+        # straddles the small sizes where numpy's pairwise sum changes its
+        # grouping.
+        digest = hashlib.sha256()
+        for theta in (1e-12, 2e-5, 0.4, 50.0, 2.0 ** 20):
+            for lam in (0.0, 1e-9, 0.5, 29.99, 182.0, 1e3, 2.0 ** 20, 1e300):
+                params = CountDistributionParams(theta, lam)
+                for n_max in (0, 1, 7, 8, 9, 65, 422):
+                    digest.update(compound_count_pmf_table(n_max, params).tobytes())
+        spec = parse_config(paper_config())
+        baseline = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
+        digest.update(repr(expected_present_loss(baseline)).encode())
+        assert digest.hexdigest() == (
+            "8805640f33200e78caf642dbf4609bb67cb0e02b6af0aa03abaa88a1711ffae1")
+
+    def test_rows_past_an_overflowing_j_lambda_sum_their_finite_terms(self):
+        # 2 * 1e308 overflows, so rows n >= 2 hold NaN terms; their finite
+        # terms all underflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = compound_count_pmf_table(9, CountDistributionParams(0.4, 1e308))
+        assert table.tolist() == [math.exp(-0.4)] + [0.0] * 9
+
+    def test_table_memory_is_bounded(self):
+        # the paper Baseline at n_max 5,000: 0.50 MiB row by row, about
+        # 0.7 MiB in 8,192-entry blocks, 190 MiB per array as one 2-D build
+        tracemalloc.start()
+        try:
+            compound_count_pmf_table(5_000, CountDistributionParams(2e-5, 182.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 def test_normal_quantile_matches_scipy():
