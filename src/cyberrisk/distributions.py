@@ -20,15 +20,23 @@ The ``*_rows`` samplers draw from many streams at once (one
 one-stream form would on that row's stream: rejection samplers proceed
 round by round, each round reading the next words of every row that still
 has unresolved draws.
+
+Log-factorials (the PTRS acceptance test and the compound-count pmf) come
+from ``_lgamma``, cephes ``lgam`` (what ``scipy.special.gammaln``
+computes) bit for bit at integer arguments, with each log taken by libm
+(``math.log``). numpy's SIMD ``np.log`` is not libm's: on an AVX-512 host
+it rounded 148 of 5e6 arguments differently, and a port built on it
+differed from ``gammaln`` at 93 of 4e6 integers, which would move PTRS
+draws and pmf bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln as _lgamma
 
 from .errors import DomainError
 from .streams import RaggedStreams, RandomStream, row_positions, words_to_uniforms
@@ -166,6 +174,45 @@ SeverityDistribution = Lognormal | Pareto | Fixed | DiscreteTable
 # exact probability functions
 # ---------------------------------------------------------------------------
 
+# cephes lgam (Moshier): log((x - 1)!) for x = 1..12, its Stirling-series
+# coefficients, log(sqrt(2 pi)), and the x above which it returns +inf
+_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) at integer-valued ``x``, bit for bit as cephes ``lgam``
+    (``scipy.special.gammaln``): +inf at the poles x <= 0 and above
+    ``_MAXLGM``, log((x - 1)!) from a table below 13, and above it Stirling's
+    series ``(x - 0.5) log x - x + LS2PI`` plus the 5-term correction below
+    1000, the 3-term one up to 1e8 and none beyond. Each log is libm's
+    (``math.log``), as cephes takes it; ``np.log`` may round differently.
+    Non-integer x below 13 is not supported."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.full(x.shape, np.inf)
+    small = (x >= 1.0) & (x < 13.0)
+    out[small] = _LOG_FACTORIALS[x[small].astype(np.intp) - 1]
+    large = (x >= 13.0) & (x <= _MAXLGM)
+    z = x[large]
+    log_z = np.fromiter(map(math.log, z.tolist()), dtype=np.float64, count=z.size)
+    q = (z - 0.5) * log_z - z + _LS2PI
+    with np.errstate(over="ignore"):  # z * z overflows only where z > 1e8
+        p = 1.0 / (z * z)
+    series = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        series = series * p + c
+    short = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p \
+        + 0.0833333333333333333333
+    out[large] = np.where(z > 1e8, q, q + np.where(z >= 1000.0, short, series) / z)
+    nonfinite = ~np.isfinite(x)
+    out[nonfinite] = x[nonfinite]
+    return out
+
+
 def poisson_pmf(n: int, rate: float) -> float:
     """P(N = n) for N ~ Poisson(rate).
 
@@ -202,15 +249,16 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     computed term-wise in log space with log-sum-exp (0*log(0) = 0).
 
     Rows are built in blocks of at most ``_TABLE_BLOCK`` (n, j) terms, so a
-    block stays in cache and memory is O(n_max). Row n reads n - j and
-    log((n - j)!) as window n_max - n of two descending arrays; lgamma's
-    +inf at n - j < 0 makes the terms past the diagonal -inf. Each term is
-    evaluated left to right in the order of the formula (at j = n, adding
-    0*log(j*lambda) = +-0.0 is exact), then shifted by its row's max. Each
-    row is summed by one ``ndarray.sum`` over exactly its first n entries,
-    so it is grouped as a row of n terms alone, whatever the block; a
-    padded ``sum(axis=1)`` groups differently. Where j*lambda overflows, a
-    row sums only its finite terms.
+    block stays in cache and memory is O(n_max). log(j!) and log((n - j)!)
+    both come from one log-factorial array over 0..n_max. Row n reads n - j
+    and log((n - j)!) as window n_max - n of two descending arrays; the
+    second is padded with +inf at n - j < 0, which makes the terms past the
+    diagonal -inf. Each term is evaluated left to right in the order of the
+    formula (at j = n, adding 0*log(j*lambda) = +-0.0 is exact), then
+    shifted by its row's max. Each row is summed by one ``ndarray.sum`` over
+    exactly its first n entries, so it is grouped as a row of n terms alone,
+    whatever the block; a padded ``sum(axis=1)`` groups differently. Where
+    j*lambda overflows, a row sums only its finite terms.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -220,7 +268,8 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     j_all = np.arange(1, n_max + 1, dtype=np.float64)
     j_log_theta = j_all * math.log(theta)
     j_rate = j_all * lam + theta
-    lg_j1 = _lgamma(j_all + 1)
+    log_fact = _lgamma(np.arange(1.0, n_max + 2.0))  # log(k!) for k = 0..n_max
+    lg_j1 = log_fact[1:]
     if lam == 0.0:  # row n's one finite term is its own shift: its sum is 1.0
         out[1:] = [math.exp(t) for t in j_log_theta - j_rate - lg_j1]
         return out
@@ -229,7 +278,8 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     n_exact = np.count_nonzero(np.isfinite(log_jlam) & np.isfinite(j_rate))
     steps = np.arange(n_max - 1, -n_max - 1, -1.0)
     tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
-    log_facts = np.lib.stride_tricks.sliding_window_view(_lgamma(steps + 1.0), n_max)[::-1]
+    log_facts = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((log_fact[:n_max][::-1], np.full(n_max, np.inf))), n_max)[::-1]
     lo = 1
     while lo <= n_max:
         # the largest row count with rows * (lo + rows - 1) <= _TABLE_BLOCK
@@ -331,24 +381,44 @@ def poisson_cum_table(rate: float) -> np.ndarray:
     return np.cumsum(pmf)
 
 
+@functools.lru_cache(maxsize=32)
 def _ptrs_consts(rate: float) -> tuple:
+    """PTRS constants for ``rate``, and log(k!) for k in the window
+    ``[first, first + len(log_fact))``, that is [rate - 12 sqrt(rate) - 48,
+    rate + 12 sqrt(rate) + 48) clamped at 0, where nearly every slow test
+    falls. Cached, since ``_lgamma`` costs about 15 times what
+    ``scipy.special.gammaln`` does per element."""
     b = 0.931 + 2.53 * math.sqrt(rate)
     a = -0.059 + 0.02483 * b
     vr = 0.9277 - 3.6224 / (b - 2.0)
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    return a, b, vr, inv_alpha, math.log(rate)
+    first = max(0, int(rate - 12.0 * math.sqrt(rate)) - 48)
+    log_fact = _lgamma(np.arange(first + 1.0, int(rate + 12.0 * math.sqrt(rate)) + 49.0))
+    log_fact.setflags(write=False)  # shared by every caller through the cache
+    return a, b, vr, inv_alpha, math.log(rate), first, log_fact
 
 
 def _ptrs_attempt(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
-    """One PTRS attempt per element; returns (accepted mask, values)."""
-    a, b, vr, inv_alpha, log_rate = consts
+    """One PTRS attempt per element; returns (accepted mask, values).
+
+    log(k!) is read from the window in ``consts``; a draw outside it whose
+    slow test decides evaluates its own."""
+    a, b, vr, inv_alpha, log_rate, first, log_fact = consts
     us = 0.5 - np.abs(u - 0.5)
     k = np.floor((2.0 * a / us + b) * (u - 0.5) + rate + 0.43)
     fastpath = (us >= 0.07) & (v <= vr)
     invalid = (k < 0) | ((us < 0.013) & (v > us))
     with np.errstate(divide="ignore", invalid="ignore"):
+        # at rates up to 2**20 and uniforms from words (us >= 2**-53), |k| <
+        # 2**60 casts exactly, and k = inf (us = 0) is invalid; as unsigned,
+        # an index below the window wraps above it
+        at = (k - first).astype(np.intp)
+        lg_k1 = log_fact.take(at, mode="clip")
+        outside = (at.view(np.uintp) >= len(log_fact)) & ~(fastpath | invalid)
+        if outside.any():
+            lg_k1[outside] = _lgamma(k[outside] + 1.0)
         lhs = np.log(v * inv_alpha / (a / (us * us) + b))
-        rhs = k * log_rate - rate - _lgamma(k + 1.0)
+        rhs = k * log_rate - rate - lg_k1
         slowpath = lhs <= rhs
     accepted = fastpath | (~invalid & slowpath)
     return accepted, k.astype(np.int64)

@@ -5,8 +5,11 @@ never by calling the implementation under test, so each check is a true
 dual route: closed form vs brute force, sampler vs recursion, etc.
 """
 
+import math
+
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln
 
 
 def compound_count_pmf_bruteforce(n_max: int, theta: float, lam: float,
@@ -47,6 +50,25 @@ def compound_count_draws(rng: np.random.Generator, theta: float, lam: float,
     sizes is Poisson(lam * K). Drawn with numpy's own generator."""
     clusters = rng.poisson(theta, size)
     return clusters + rng.poisson(lam * clusters)
+
+
+def ptrs_attempt_gammaln(u: np.ndarray, v: np.ndarray, rate: float):
+    """One PTRS attempt (Hormann 1993) per (u, v) pair, as the package's
+    sampler computed it when every log(k!) came from
+    ``scipy.special.gammaln``; returns (accepted mask, k as int64)."""
+    b = 0.931 + 2.53 * math.sqrt(rate)
+    a = -0.059 + 0.02483 * b
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    us = 0.5 - np.abs(u - 0.5)
+    k = np.floor((2.0 * a / us + b) * (u - 0.5) + rate + 0.43)
+    fastpath = (us >= 0.07) & (v <= vr)
+    invalid = (k < 0) | ((us < 0.013) & (v > us))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = np.log(v * inv_alpha / (a / (us * us) + b))
+        rhs = k * math.log(rate) - rate - gammaln(k + 1.0)
+        slowpath = lhs <= rhs
+    return fastpath | (~invalid & slowpath), k.astype(np.int64)
 
 
 def panjer_compound_poisson_cdf(rate: float, values, probabilities, x_grid) -> np.ndarray:

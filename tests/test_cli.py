@@ -440,3 +440,27 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["scenario"]["base_proportion"] == 0.00002
+
+
+def test_simulate_never_loads_scipy(small_config, tmp_path):
+    """The runtime needs numpy only: importing the package and its CLI and
+    running a simulate load no scipy module."""
+    import os
+    from pathlib import Path
+    import subprocess
+    import sys
+
+    import cyberrisk
+
+    script = (
+        "import sys, cyberrisk, cyberrisk.cli\n"
+        f"code = cyberrisk.cli.main(['simulate', '--config', {small_config!r}, '--reps', '200',\n"
+        f"                           '--format', 'json', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cyberrisk.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "0 []\n"

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from cyberrisk.config import paper_config, parse_config
 from cyberrisk.distributions import (
@@ -15,6 +16,9 @@ from cyberrisk.distributions import (
     Fixed,
     Lognormal,
     Pareto,
+    _lgamma,
+    _ptrs_attempt,
+    _ptrs_consts,
     compound_count_pmf,
     compound_count_pmf_table,
     normal_quantile,
@@ -39,7 +43,7 @@ from cyberrisk.streams import (
     words_to_uniforms,
 )
 
-from oracles import compound_count_pmf_bruteforce, total_variation
+from oracles import compound_count_pmf_bruteforce, ptrs_attempt_gammaln, total_variation
 from test_loss_model import one_device_losses
 
 
@@ -75,6 +79,26 @@ class TestPoissonPmf:
             poisson_pmf(1, -0.5)
         with pytest.raises(DomainError):
             poisson_pmf(-1, 1.0)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLogGamma:
+    """``_lgamma`` is cephes lgam bit for bit at the package's arguments."""
+
+    def test_every_integer_to_two_to_the_21(self):
+        x = np.arange(-40, 2 ** 21 + 1, dtype=np.float64)
+        assert _same_bits(_lgamma(x), gammaln(x))
+
+    def test_log_spaced_integers_to_1e300(self):
+        x = np.floor(np.logspace(0, 300, 10 ** 6))
+        assert _same_bits(_lgamma(x), gammaln(x))
+
+    def test_special_values(self):
+        x = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 2.556348e305, 1e306, 1.7e308])
+        assert _same_bits(_lgamma(x), gammaln(x))
 
 
 class TestCompoundCountPmf:
@@ -217,6 +241,27 @@ class TestPoissonSampler:
         assert 0 < (once == -1).sum() < len(once) // 2
         assert (once[once >= 0] == draws[once >= 0]).all()
 
+    @pytest.mark.parametrize("rate", [30.0, 182.0, 2.0 ** 20])
+    def test_ptrs_attempt_matches_gammaln_inside_and_outside_the_window(self, rate):
+        # log(k!) comes from the cached window around the rate. With v <= us
+        # the slow test decides: a u within 1e-6 of 1 puts k far above the
+        # window, and at 2**20 a u in (1e-4, 5e-3) puts some k in [0, first),
+        # so those k evaluate their own log(k!)
+        rng = np.random.default_rng(int(rate))
+        u = rng.uniform(size=200_000)
+        v = rng.uniform(size=200_000)
+        d = rng.uniform(0.0, 1e-6, size=2_000)
+        u_edge = np.concatenate([d, 1.0 - d, rng.uniform(1e-4, 5e-3, size=2_000)])
+        v_edge = (0.5 - np.abs(u_edge - 0.5)) * rng.uniform(size=6_000)
+        _, _, _, _, _, first, log_fact = _ptrs_consts(rate)
+        k_edge = ptrs_attempt_gammaln(u_edge, v_edge, rate)[1]
+        assert (k_edge >= first + len(log_fact)).sum() >= 2_000
+        assert first == 0 or ((k_edge >= 0) & (k_edge < first)).sum() >= 100
+        for u, v in ((u, v), (u_edge, v_edge)):
+            accepted, k = _ptrs_attempt(u, v, rate, _ptrs_consts(rate))
+            want_accepted, want_k = ptrs_attempt_gammaln(u, v, rate)
+            assert np.array_equal(accepted, want_accepted)
+            assert np.array_equal(k, want_k)
 
     @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.02, 0.4, math.log(2.0), 1.0, 29.99])
     def test_inversion_equals_plain_search(self, rate):
