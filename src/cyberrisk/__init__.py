@@ -7,8 +7,6 @@ from .distributions import (
     Lognormal,
     Pareto,
     SeverityDistribution,
-    compound_count_pmf,
-    poisson_pmf,
 )
 from .engine import RiskReport, SimulationSpec, run_simulation, summarize_level
 from .loss_model import (

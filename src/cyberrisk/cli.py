@@ -236,7 +236,7 @@ def _cmd_report(args) -> int:
     for rho in levels:
         if not (0.0 < rho < 1.0):
             raise ConfigError(f"confidence level {rho} outside (0, 1)")
-    if args.premium_pool < 0:
+    if not (args.premium_pool >= 0):
         raise ConfigError("--premium-pool must be nonnegative")
 
     dist = EmpiricalDistribution(_read_samples(args.samples))

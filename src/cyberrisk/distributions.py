@@ -48,8 +48,6 @@ __all__ = [
     "Fixed",
     "DiscreteTable",
     "SeverityDistribution",
-    "poisson_pmf",
-    "compound_count_pmf",
     "compound_count_pmf_table",
     "normal_quantile",
     "PTRS_THRESHOLD",
@@ -211,33 +209,6 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     nonfinite = ~np.isfinite(x)
     out[nonfinite] = x[nonfinite]
     return out
-
-
-def poisson_pmf(n: int, rate: float) -> float:
-    """P(N = n) for N ~ Poisson(rate).
-
-    Evaluated in log space once rate or n exceeds 30 so that rates in the
-    hundreds (horizon-scaled intensities) do not overflow.
-    """
-    if rate < 0 or not math.isfinite(rate):
-        raise DomainError(f"rate must be nonnegative, got {rate}")
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    if rate == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if rate <= 30.0 and n <= 30:
-        return math.exp(-rate) * rate ** n / math.factorial(n)
-    return math.exp(n * math.log(rate) - rate - math.lgamma(n + 1))
-
-
-def compound_count_pmf(n: int, params: CountDistributionParams) -> float:
-    """P(M = n) for M = sum over K clusters of (1 + Poisson(lambda)),
-    K ~ Poisson(theta); entry n of ``compound_count_pmf_table``."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    return float(compound_count_pmf_table(n, params)[n])
 
 
 def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.ndarray:

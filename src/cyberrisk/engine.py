@@ -50,8 +50,9 @@ batched read - COUNT and CHANNEL counts, the in-region DETAIL words of
 single-cluster repetitions, DETAIL_SPILL and CHANNEL_SEV - holds at most
 ``_BATCH_WORDS`` (2**16) words, except for a repetition that alone needs
 more, so a task's memory does not grow with its size. COUNT_SPILL and
-CHANNEL_SPILL, taken after 16 rejected PTRS attempts, stay one stream at
-a time.
+CHANNEL_SPILL, taken after 16 rejected PTRS attempts (about one region in
+10**12), are drawn in one batched call per task, each spilled repetition
+on its own stream, without that cut.
 
 Only the cipher blocks a draw reads are enciphered. A single-cluster
 repetition's DETAIL block 0 is enciphered when lambda_cluster > 0 (it
@@ -82,8 +83,9 @@ import numpy as np
 
 # bench/run.py traces the engine by patching sample_severity_batch,
 # sample_poisson_batch, chunk_words, derive_stream, expected_present_loss
-# and summarize_level as attributes of this module, so they stay imported
-# here even where the batched path no longer calls them.
+# and summarize_level as attributes of this module. No engine path calls
+# derive_stream, sample_poisson_batch or sample_severity_batch: they are
+# imported only for that.
 from .distributions import (
     PTRS_THRESHOLD,
     poisson_inversion,
@@ -251,7 +253,8 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     """Event counts ~ Poisson(rate) for repetitions [rep_lo, rep_lo + n).
 
     Dense one-word-per-repetition inversion below rate 30; 32-word PTRS
-    regions (with per-repetition spill) above."""
+    regions above, the rows still unresolved after ``_COUNT_MAX_ATTEMPTS``
+    attempts drawn together, each on its own spill stream."""
     out = np.zeros(n, dtype=np.int64)
     if rate == 0.0:
         return out
@@ -265,9 +268,10 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
         words = chunk_words(seed, stream_id, rep_lo + lo, hi - lo, _COUNT_BLOCKS_PER_REP)
         out[lo:hi] = poisson_ptrs_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
     spill_domain = _DOMAIN_COUNT_SPILL if domain == _DOMAIN_COUNT else _DOMAIN_CHANNEL_SPILL
-    for rep_off in np.nonzero(out < 0)[0]:
-        stream = derive_stream(seed, pack_stream_id(spill_domain, level.code, rep_lo + int(rep_off)))
-        out[rep_off] = sample_poisson_batch(stream, rate, 1)[0]
+    spilled = np.flatnonzero(out < 0)
+    if spilled.size:
+        streams = RaggedStreams(seed, pack_stream_id(spill_domain, level.code, rep_lo + spilled))
+        out[spilled] = sample_poisson_rows(streams, np.ones(len(spilled), dtype=np.int64), rate)
     return out
 
 

@@ -112,7 +112,7 @@ def conditional_tail_expectation(dist: EmpiricalDistribution, level: float) -> f
 
 def shortfall_probability(dist: EmpiricalDistribution, premium_pool: float) -> float:
     """Fraction of sample points L with premium_pool <= L."""
-    if premium_pool < 0:
+    if not (premium_pool >= 0):
         raise DomainError(f"premium_pool must be nonnegative, got {premium_pool}")
     first = np.searchsorted(dist.sorted_losses, premium_pool, side="left")
     return (dist.count - int(first)) / dist.count
@@ -124,7 +124,7 @@ def expected_shortfall(dist: EmpiricalDistribution, premium_pool: float) -> floa
     Note the orientation: mean excess of losses over the pool, which is the
     only direction consistent with the reference results this models.
     """
-    if premium_pool < 0:
+    if not (premium_pool >= 0):
         raise DomainError(f"premium_pool must be nonnegative, got {premium_pool}")
     first = np.searchsorted(dist.sorted_losses, premium_pool, side="left")
     tail = dist.sorted_losses[first:]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import enum
+import math
 
 from .distributions import CountDistributionParams
 from .errors import DomainError
@@ -117,8 +118,10 @@ class ScenarioConfig:
 def baseline_proportion(minutes_per_year: int, unrecorded_fraction: float,
                         attack_window_minutes: float, population: int) -> float:
     """Baseline per-device attacked proportion from exposure arithmetic."""
-    if minutes_per_year <= 0 or attack_window_minutes <= 0 or population <= 0:
-        raise DomainError("minutes_per_year, attack_window_minutes and population must be positive")
+    if not (0 < minutes_per_year < math.inf and 0 < attack_window_minutes < math.inf
+            and population > 0):
+        raise DomainError("minutes_per_year and attack_window_minutes must be finite and "
+                          "positive, and population positive")
     if not (0.0 < unrecorded_fraction <= 1.0):
         raise DomainError(f"unrecorded_fraction must lie in (0, 1], got {unrecorded_fraction}")
     exposed_minutes = minutes_per_year * unrecorded_fraction

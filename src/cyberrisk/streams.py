@@ -11,13 +11,13 @@ Counter convention: word ``i`` of a stream is lane ``i % 4`` of the cipher
 of the 256-bit counter ``(i // 4 + 1, 0, 0, 0)``. That is what
 ``numpy.random.Philox(key=[seed, stream_id], counter=c)`` emits, since it
 increments its counter before enciphering: its first four words are block
-``c + 1``. Single streams are read through numpy's Philox
-(``RandomStream``, ``chunk_words``); many streams at once are read through
-``philox_blocks``, the same cipher in numpy ``uint64`` arithmetic,
-vectorized over (key, counter) pairs. Its 64x64 -> 128-bit multiply-high
-is assembled from the four products of 32-bit halves. The counter's upper
-three words stay 0 because every address the engine's layout forms has
-``i // 4 + 1 < 2**64``.
+``c + 1``. Single streams are read through numpy's Philox, which only
+``RandomStream`` constructs (``chunk_words`` reads through it); many
+streams at once are read through ``philox_blocks``, the same cipher in
+numpy ``uint64`` arithmetic, vectorized over (key, counter) pairs. Its
+64x64 -> 128-bit multiply-high is assembled from the four products of
+32-bit halves. The counter's upper three words stay 0 because every
+address the engine's layout forms has ``i // 4 + 1 < 2**64``.
 
 Uniform mapping (format version 1): a raw 64-bit word ``w`` maps to the
 open-closed unit interval as ``u = ((w >> 11) + 1) * 2**-53``, i.e.
@@ -152,10 +152,9 @@ def chunk_words(seed: int, stream_id: int, first_region: int, n_regions: int,
     bulk or one at a time yields identical words, which is what makes the
     engine's chunked execution independent of the worker partition.
     """
-    key = np.array([seed, stream_id], dtype=np.uint64)
-    bit_gen = Philox(key=key, counter=first_region * blocks_per_region)
-    total = n_regions * blocks_per_region * _WORDS_PER_BLOCK
-    return bit_gen.random_raw(total).reshape(n_regions, blocks_per_region * _WORDS_PER_BLOCK)
+    words = blocks_per_region * _WORDS_PER_BLOCK
+    stream = RandomStream(seed, stream_id, counter=first_region * words)
+    return stream.raw_words(n_regions * words).reshape(n_regions, words)
 
 
 def words_to_uniforms(words: np.ndarray) -> np.ndarray:

@@ -2,14 +2,26 @@
 
 Everything here is deliberately written against scipy / first principles,
 never by calling the implementation under test, so each check is a true
-dual route: closed form vs brute force, sampler vs recursion, etc.
+dual route: closed form vs brute force, sampler vs recursion, etc. The one
+exception is the draw-layout reference, which takes its per-draw
+arithmetic (the inversion table, one PTRS attempt, the severity quantiles)
+from the package and reads every word itself.
 """
 
+from collections import Counter
 import math
 
 import numpy as np
+from numpy.random import Philox
 from scipy import stats
 from scipy.special import gammaln
+
+from cyberrisk.distributions import (
+    _ptrs_attempt,
+    _ptrs_consts,
+    _severity_quantile,
+    poisson_cum_table,
+)
 
 
 def compound_count_pmf_bruteforce(n_max: int, theta: float, lam: float,
@@ -143,3 +155,187 @@ def total_variation(counts: np.ndarray, pmf: np.ndarray, n_draws: int) -> float:
     exact = np.zeros(k)
     exact[: len(pmf)] = pmf
     return 0.5 * (np.abs(emp - exact).sum() + max(0.0, 1.0 - exact.sum()))
+
+
+# ---------------------------------------------------------------------------
+# the engine's draw layout, version 1, one repetition at a time
+# ---------------------------------------------------------------------------
+
+(_COUNT, _DETAIL, _CHANNEL, _COUNT_SPILL, _CHANNEL_SEV, _DETAIL_SPILL,
+ _CHANNEL_SPILL) = range(1, 8)
+_PTRS_THRESHOLD = 30.0
+
+
+def _stream_id(domain: int, level_code: int, index: int) -> int:
+    """4 domain bits, 8 level bits, 52 index bits."""
+    return (domain << 60) | (level_code << 52) | index
+
+
+def _stream(seed: int, stream_id: int, word: int = 0) -> Philox:
+    """numpy's Philox on stream (seed, stream_id) whose next output is word
+    ``word``: word i is lane i % 4 of block i // 4 + 1, and
+    ``Philox(counter=c)`` enciphers block c + 1 first."""
+    bit_gen = Philox(key=np.array([seed, stream_id], dtype=np.uint64), counter=word // 4)
+    bit_gen.random_raw(word % 4)
+    return bit_gen
+
+
+def _uniform(word) -> float:
+    return ((int(word) >> 11) + 1) * 2.0 ** -53
+
+
+def _inversion(word, rate: float) -> int:
+    """Sequential search: the first k whose cumulative pmf reaches u."""
+    cum = poisson_cum_table(rate)
+    u, k = _uniform(word), 0
+    while k < len(cum) - 1 and u > cum[k]:
+        k += 1
+    return k
+
+
+def _ptrs(words, rate: float):
+    """One PTRS attempt per (u, v) word pair: (accepted, k) arrays."""
+    u = np.array([_uniform(w) for w in words[0::2]])
+    v = np.array([_uniform(w) for w in words[1::2]])
+    return _ptrs_attempt(u, v, rate, _ptrs_consts(rate))
+
+
+def _poisson_draws(bit_gen: Philox, rate: float, n: int) -> list:
+    """``n`` Poisson(rate) draws from one stream: one word each by inversion
+    below rate 30; from 30 on, PTRS in rounds, each round giving every draw
+    still unresolved the next two words, in draw order."""
+    if rate == 0.0:
+        return [0] * n
+    if rate < _PTRS_THRESHOLD:
+        return [_inversion(word, rate) for word in bit_gen.random_raw(n)]
+    out = [None] * n
+    pending = list(range(n))
+    while pending:
+        accepted, k = _ptrs(bit_gen.random_raw(2 * len(pending)), rate)
+        for j, ok, value in zip(pending, accepted, k):
+            if ok:
+                out[j] = int(value)
+        pending = [j for j, ok in zip(pending, accepted) if not ok]
+    return out
+
+
+def _count(seed: int, domain: int, spill_domain: int, level_code: int, rep: int,
+           rate: float, attempts: int, spills: Counter) -> int:
+    """COUNT or CHANNEL draw of repetition ``rep``: word ``rep`` by inversion
+    below rate 30, else PTRS on the 32-word region [32 rep, 32 rep + 32),
+    then on the repetition's own spill stream."""
+    if rate == 0.0:
+        return 0
+    stream_id = _stream_id(domain, level_code, 0)
+    if rate < _PTRS_THRESHOLD:
+        return _inversion(_stream(seed, stream_id, rep).random_raw(1)[0], rate)
+    region = _stream(seed, stream_id, 32 * rep).random_raw(32)
+    for attempt in range(attempts):
+        accepted, k = _ptrs(region[2 * attempt:2 * attempt + 2], rate)
+        if accepted[0]:
+            return int(k[0])
+    spills[spill_domain] += 1
+    return _poisson_draws(_stream(seed, _stream_id(spill_domain, level_code, rep)), rate, 1)[0]
+
+
+def _capped_days(days: list, survived: list, device):
+    """(ndarray.sum of the surviving devices' capped loss-days, in the order
+    given, and how many of them the horizon capped)."""
+    effective = [device.loss_day_multiplier * d for d, alive in zip(days, survived) if alive]
+    capped = np.array([min(e, float(device.horizon_days)) for e in effective], dtype=np.float64)
+    return float(capped.sum()), sum(e > device.horizon_days for e in effective)
+
+
+def detail_spill_days(seed: int, level, rep: int, n_clusters: int, device, kappa: int):
+    """Repetition ``rep``'s ``n_clusters`` clusters resolved on its own
+    DETAIL_SPILL stream: a device per cluster (unbiased modulo rejection),
+    then the cluster sizes, then one survival word per affected device in
+    ascending device order when kill_rate > 0. Returns (capped surviving
+    loss-days, cap events)."""
+    bit_gen = _stream(seed, _stream_id(_DETAIL_SPILL, level.code, rep))
+    remainder = (1 << 64) % kappa
+    placement = []
+    while len(placement) < n_clusters:
+        word = bit_gen.random_raw()
+        if remainder == 0 or word < (1 << 64) - remainder:
+            placement.append(word % kappa)
+    extras = _poisson_draws(bit_gen, device.counts.lambda_cluster, n_clusters)
+    days = {}
+    for where, extra in zip(placement, extras):
+        days[where] = days.get(where, 0) + 1 + extra
+    days = [days[where] for where in sorted(days)]
+    threshold = math.exp(-device.kill_rate)
+    survived = [device.kill_rate == 0.0 or _uniform(bit_gen.random_raw()) < threshold
+                for _ in days]
+    return _capped_days(days, survived, device)
+
+
+def _single_cluster_days(seed: int, level, rep: int, device, kappa: int, attempts: int,
+                         spills: Counter):
+    """A lone cluster on DETAIL region [8 rep, 8 rep + 8): word 0 reserved,
+    the size from word 1 (inversion) or words 1-6 (PTRS attempts), the
+    survival draw from word 7; an exhausted size draw goes to DETAIL_SPILL."""
+    words = _stream(seed, _stream_id(_DETAIL, level.code, 0), 8 * rep).random_raw(8)
+    lam = device.counts.lambda_cluster
+    if lam == 0.0:
+        extra = 0
+    elif lam < _PTRS_THRESHOLD:
+        extra = _inversion(words[1], lam)
+    else:
+        extra = None
+        for attempt in range(attempts):
+            accepted, k = _ptrs(words[1 + 2 * attempt:3 + 2 * attempt], lam)
+            if accepted[0]:
+                extra = int(k[0])
+                break
+        if extra is None:
+            spills[_DETAIL_SPILL] += 1
+            return detail_spill_days(seed, level, rep, 1, device, kappa)
+    alive = device.kill_rate == 0.0 or _uniform(words[7]) < math.exp(-device.kill_rate)
+    return _capped_days([1 + extra], [alive], device)
+
+
+def reference_chunk(spec, level, rep_lo: int, rep_hi: int, count_attempts: int = 16,
+                    detail_attempts: int = 3):
+    """Losses and cap events of repetitions [rep_lo, rep_hi) of one level,
+    drawn one repetition at a time as the engine's "Draw layout, version 1"
+    describes, every word read through ``numpy.random.Philox``.
+
+    ``count_attempts`` and ``detail_attempts`` are the PTRS attempts a COUNT
+    or CHANNEL region and a DETAIL region hold before spilling. Returns
+    (losses, caps, spills), ``spills`` counting repetitions per spill domain
+    (4 COUNT_SPILL, 6 DETAIL_SPILL, 7 CHANNEL_SPILL)."""
+    device = spec.device
+    theta = device.counts.theta * spec.scenario.intensity_multipliers[level]
+    unit = 1.0 / (1.0 + device.discount_rate) * device.daily_loss
+    channel = spec.aggregate_channel
+    losses = np.zeros(rep_hi - rep_lo)
+    caps = 0
+    spills = Counter()
+    for i, rep in enumerate(range(rep_lo, rep_hi)):
+        n_clusters = _count(spec.seed, _COUNT, _COUNT_SPILL, level.code, rep,
+                            spec.portfolio_size * theta, count_attempts, spills)
+        if n_clusters == 1:
+            days, rep_caps = _single_cluster_days(spec.seed, level, rep, device,
+                                                  spec.portfolio_size, detail_attempts, spills)
+        elif n_clusters:
+            days, rep_caps = detail_spill_days(spec.seed, level, rep, n_clusters, device,
+                                               spec.portfolio_size)
+        else:
+            days, rep_caps = 0.0, 0
+        losses[i] = unit * days
+        caps += rep_caps
+        if channel is None or channel.event_rate == 0.0:
+            continue
+        n_events = _count(spec.seed, _CHANNEL, _CHANNEL_SPILL, level.code, rep,
+                          channel.event_rate, count_attempts, spills)
+        if n_events == 0:
+            continue
+        if hasattr(channel.severity, "value"):  # a fixed severity reads no words
+            amounts = np.full(n_events, channel.severity.value)
+        else:
+            bit_gen = _stream(spec.seed, _stream_id(_CHANNEL_SEV, level.code, rep))
+            words = bit_gen.random_raw(n_events)
+            amounts = _severity_quantile(channel.severity, np.array([_uniform(w) for w in words]))
+        losses[i] += amounts.sum()
+    return losses, caps, spills

@@ -8,6 +8,7 @@ import pkgutil
 import pytest
 
 import cyberrisk
+import cyberrisk.engine as engine
 
 from test_bench_contract import _patch_points
 
@@ -67,3 +68,15 @@ def test_every_import_is_used():
             unused += [f"{path.name}: {name}" for name in names if name not in read
                        and not (path.stem == "engine" and name in bench_patched)]
     assert unused == []
+
+
+def test_engine_draws_only_through_the_batched_samplers():
+    """``engine`` imports derive_stream, sample_poisson_batch and
+    sample_severity_batch only for bench/run.py to patch; it never calls or
+    otherwise reads them, so a per-repetition loop over single streams
+    cannot come back unnoticed."""
+    single = {"derive_stream", "sample_poisson_batch", "sample_severity_batch"}
+    tree = ast.parse(Path(engine.__file__).read_text())
+    uses = [f"engine.py:{node.lineno}" for node in ast.walk(tree)
+            if getattr(node, "id", None) in single or getattr(node, "attr", None) in single]
+    assert uses == []

@@ -172,6 +172,13 @@ class TestCalibrate:
         code, _, _ = run_cli(capsys, "calibrate", "--attack-window-min", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("window", ["inf", "nan"])
+    def test_nonfinite_window_exits_2(self, capsys, window):
+        code, out, err = run_cli(capsys, "calibrate", "--attack-window-min", window)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
 
 class TestFit:
     def test_generate_then_recover_roundtrip(self, capsys, tmp_path):
@@ -240,6 +247,15 @@ class TestReport:
         assert code == 0
         assert "E(Shortfall)      12.500000" in out
         assert "Prob(Shortfall)   1.0" in out
+
+    @pytest.mark.parametrize("pool", ["-1", "nan"])
+    def test_negative_or_nan_pool_exits_2(self, capsys, tmp_path, pool):
+        path = tmp_path / "losses.txt"
+        path.write_text("1\n2\n")
+        code, out, err = run_cli(capsys, "report", "--samples", str(path), "--premium-pool", pool)
+        assert code == 2
+        assert out == ""
+        assert "--premium-pool must be nonnegative" in err
 
     def test_out_of_range_level_exits_2(self, capsys, tmp_path):
         path = tmp_path / "losses.txt"

@@ -19,12 +19,10 @@ from cyberrisk.distributions import (
     _lgamma,
     _ptrs_attempt,
     _ptrs_consts,
-    compound_count_pmf,
     compound_count_pmf_table,
     normal_quantile,
     poisson_cum_table,
     poisson_inversion,
-    poisson_pmf,
     poisson_ptrs_regions,
     sample_indices_rows,
     sample_poisson_batch,
@@ -51,34 +49,47 @@ from test_loss_model import one_device_losses
 # exact pmfs / densities
 # ---------------------------------------------------------------------------
 
+def _poisson_pmf(n: int, rate: float) -> float:
+    """P(N = n), N ~ Poisson(rate), from the compound-count table at lambda 0."""
+    return float(compound_count_pmf_table(n, CountDistributionParams(rate, 0.0))[n])
+
+
 class TestPoissonPmf:
+    """The package's Poisson pmfs against scipy: the cumulative table of the
+    inversion sampler (rate < 30) and the compound-count table at lambda 0."""
+
     def test_spec_values(self):
-        assert poisson_pmf(0, 1.0) == pytest.approx(math.exp(-1), abs=1e-12)
-        assert poisson_pmf(2, 2.0) == pytest.approx(2 * math.exp(-2), abs=1e-12)
-        assert poisson_pmf(3, 0.0) == 0.0
-        assert poisson_pmf(0, 0.0) == 1.0
+        assert _poisson_pmf(0, 1.0) == pytest.approx(math.exp(-1), abs=1e-12)
+        assert _poisson_pmf(2, 2.0) == pytest.approx(2 * math.exp(-2), abs=1e-12)
+        assert poisson_cum_table(1.0)[0] == pytest.approx(math.exp(-1), abs=1e-12)
+        assert np.diff(poisson_cum_table(2.0))[1] == pytest.approx(2 * math.exp(-2), abs=1e-12)
+        assert poisson_cum_table(0.0).tolist() == [1.0]
 
     def test_matches_scipy_small_and_large(self):
         for rate in (0.3, 1.0, 7.5, 29.9, 31.0, 250.0, 800.0):
             for n in (0, 1, 5, 30, 31, 100, 900):
-                assert poisson_pmf(n, rate) == pytest.approx(
+                assert _poisson_pmf(n, rate) == pytest.approx(
                     float(stats.poisson.pmf(n, rate)), rel=1e-10, abs=1e-300)
+        for rate in (0.3, 1.0, 7.5, 29.9):
+            cum = poisson_cum_table(rate)
+            assert cum == pytest.approx(stats.poisson.cdf(np.arange(len(cum)), rate), rel=1e-10)
 
     def test_survives_huge_rate(self):
-        assert poisson_pmf(1000, 1000.0) == pytest.approx(
+        assert _poisson_pmf(1000, 1000.0) == pytest.approx(
             float(stats.poisson.pmf(1000, 1000.0)), rel=1e-9)
 
     def test_normalization_truncated(self):
         for rate in (0.5, 4.0, 25.0):
             n_max = int(rate + 12 * math.sqrt(rate)) + 20
-            total = sum(poisson_pmf(n, rate) for n in range(n_max + 1))
-            assert abs(total - 1.0) < 1e-9
+            table = compound_count_pmf_table(n_max, CountDistributionParams(rate, 0.0))
+            assert abs(table.sum() - 1.0) < 1e-9
+            assert abs(poisson_cum_table(rate)[-1] - 1.0) < 1e-9
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            poisson_pmf(1, -0.5)
+            CountDistributionParams(-0.5, 0.0)
         with pytest.raises(DomainError):
-            poisson_pmf(-1, 1.0)
+            compound_count_pmf_table(-1, CountDistributionParams(1.0, 0.0))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -104,11 +115,11 @@ class TestLogGamma:
 class TestCompoundCountPmf:
     def test_zero_branch(self):
         params = CountDistributionParams(theta=1.7, lambda_cluster=0.4)
-        assert compound_count_pmf(0, params) == pytest.approx(math.exp(-1.7), abs=1e-12)
+        assert compound_count_pmf_table(0, params)[0] == pytest.approx(math.exp(-1.7), abs=1e-12)
 
     def test_single_term(self):
         params = CountDistributionParams(theta=1.0, lambda_cluster=1.0)
-        assert compound_count_pmf(1, params) == pytest.approx(math.exp(-2), abs=1e-12)
+        assert compound_count_pmf_table(1, params)[1] == pytest.approx(math.exp(-2), abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -116,24 +127,26 @@ class TestCompoundCountPmf:
         params = CountDistributionParams(theta=theta, lambda_cluster=lam)
         oracle = compound_count_pmf_bruteforce(20, theta, lam)
         for n in range(21):
-            assert abs(compound_count_pmf(n, params) - oracle[n]) <= 1e-10
+            assert abs(compound_count_pmf_table(n, params)[n] - oracle[n]) <= 1e-10
 
     def test_zero_lambda_collapses_to_poisson(self):
         params = CountDistributionParams(theta=3.0, lambda_cluster=0.0)
         for n in range(15):
-            assert compound_count_pmf(n, params) == pytest.approx(
+            assert compound_count_pmf_table(n, params)[n] == pytest.approx(
                 float(stats.poisson.pmf(n, 3.0)), rel=1e-10)
 
     def test_normalization(self):
         params = CountDistributionParams(theta=2.0, lambda_cluster=0.5)
-        total = sum(compound_count_pmf(n, params) for n in range(41))
+        total = sum(compound_count_pmf_table(n, params)[n] for n in range(41))
         assert abs(total - 1.0) < 1e-9
 
     def test_table_matches_scalar(self):
+        # row n does not depend on how far the table extends
         params = CountDistributionParams(theta=0.8, lambda_cluster=3.0)
         table = compound_count_pmf_table(30, params)
         for n in range(31):
-            assert table[n] == pytest.approx(compound_count_pmf(n, params), rel=1e-12, abs=1e-300)
+            assert table[n] == pytest.approx(compound_count_pmf_table(n, params)[n],
+                                             rel=1e-12, abs=1e-300)
 
     def test_normalization_at_wide_truncation(self):
         # mean + 12 sigma truncation keeps mass within 1e-9
@@ -209,7 +222,7 @@ class TestPoissonSampler:
         s = derive_stream(2024, 2)
         draws = sample_poisson_batch(s, 1.0, 1_000_000)
         counts = np.bincount(draws)
-        pmf = np.array([poisson_pmf(n, 1.0) for n in range(40)])
+        pmf = stats.poisson.pmf(np.arange(40), 1.0)
         assert total_variation(counts, pmf, len(draws)) < 0.005
 
     def test_tv_distance_rejection_regime(self):
@@ -217,7 +230,7 @@ class TestPoissonSampler:
         s = derive_stream(2024, 3)
         draws = sample_poisson_batch(s, 45.0, 300_000)
         counts = np.bincount(draws)
-        pmf = np.array([poisson_pmf(n, 45.0) for n in range(150)])
+        pmf = stats.poisson.pmf(np.arange(150), 45.0)
         assert total_variation(counts, pmf, len(draws)) < 0.005
         assert abs(draws.mean() - 45.0) < 0.1
 
@@ -234,7 +247,7 @@ class TestPoissonSampler:
         words = chunk_words(2024, 4, 0, 300_000, 8)
         draws = poisson_ptrs_regions(words, 45.0, 1, 15)
         assert (draws >= 0).all()
-        pmf = np.array([poisson_pmf(n, 45.0) for n in range(150)])
+        pmf = stats.poisson.pmf(np.arange(150), 45.0)
         assert total_variation(np.bincount(draws), pmf, len(draws)) < 0.005
         # rows a single attempt leaves unresolved come back as -1
         once = poisson_ptrs_regions(words, 45.0, 1, 1)

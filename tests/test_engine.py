@@ -1,7 +1,9 @@
 """Engine orchestration: determinism, reduction, and model equivalences."""
 
+from collections import Counter
 import tracemalloc
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ import cyberrisk.streams as streams
 from cyberrisk.config import paper_config, parse_config
 from cyberrisk.distributions import (
     CountDistributionParams,
+    DiscreteTable,
     Fixed,
     Lognormal,
     Pareto,
     poisson_ptrs_regions,
-    sample_poisson_batch,
 )
 from cyberrisk.engine import (
     SimulationSpec,
@@ -32,7 +34,7 @@ from cyberrisk.risk_measures import EmpiricalDistribution
 from cyberrisk.scenario import RiskLevel, ScenarioConfig
 from cyberrisk.streams import RandomStream, pack_stream_id
 
-from oracles import compound_count_draws
+from oracles import compound_count_draws, detail_spill_days, reference_chunk
 
 
 def _paper_device(theta=2e-5, lam=182.0, kill=0.0):
@@ -292,28 +294,6 @@ class TestPricing:
         assert len(pools) == 1
 
 
-def _reference_repetition_days(seed, level, rep, n_clusters, device, kappa):
-    """One multi-cluster repetition resolved on its own DETAIL_SPILL stream,
-    one stream read after another: (capped surviving loss-days, caps)."""
-    stream = RandomStream(seed, pack_stream_id(6, level.code, rep))
-    remainder = (1 << 64) % kappa
-    placement = []
-    while len(placement) < n_clusters:
-        for word in stream.raw_words(n_clusters - len(placement)):
-            if remainder == 0 or int(word) < (1 << 64) - remainder:
-                placement.append(int(word) % kappa)
-    extras = sample_poisson_batch(stream, device.counts.lambda_cluster, n_clusters)
-    days = {}
-    for where, extra in zip(placement, extras):
-        days[where] = days.get(where, 0) + 1 + int(extra)
-    affected = np.array([days[where] for where in sorted(days)])
-    if device.kill_rate > 0.0:
-        affected = affected[stream.uniforms(len(affected)) < np.exp(-device.kill_rate)]
-    effective = device.loss_day_multiplier * affected
-    capped = np.minimum(effective, float(device.horizon_days))
-    return float(capped.sum()), int((effective > device.horizon_days).sum())
-
-
 class TestBatchedResolution:
     """The batched DETAIL_SPILL and CHANNEL_SEV resolution replays every
     repetition's own stream."""
@@ -341,7 +321,7 @@ class TestBatchedResolution:
         reps = np.array([0, 3, 4, 17, 1000, 2 ** 40])
         n_clusters = np.array([2, 1, 9, 40, 3, 12])
         totals, caps = _multi_cluster_days(42, RiskLevel.HIGH, reps, n_clusters, device, kappa)
-        expect = [_reference_repetition_days(42, RiskLevel.HIGH, int(rep), int(n), device, kappa)
+        expect = [detail_spill_days(42, RiskLevel.HIGH, int(rep), int(n), device, kappa)
                   for rep, n in zip(reps, n_clusters)]
         assert list(totals) == [days for days, _ in expect]
         assert caps == sum(c for _, c in expect)
@@ -422,6 +402,85 @@ class TestBatchedResolution:
         pack_stream_id(6, 255, last_rep)
         with pytest.raises(ConfigError):
             _paper_spec(repetitions=engine._MAX_REPETITIONS + 1)
+
+
+_SEVERITIES = (Lognormal(mu=8.0, sigma=1.5), Pareto(x_min=1000.0, alpha=2.5),
+               DiscreteTable(values=(100.0, 1000.0), probabilities=(0.25, 0.75)),
+               Fixed(value=5.0))
+
+
+def _layout_case(level, kappa, rate, lam, kill, multiplier, horizon, channel, seed, rep_lo, n):
+    """(spec, level, rep_lo, rep_hi) of a one-level spec whose portfolio
+    count rate kappa * theta at ``level`` is ``rate``."""
+    theta = rate / kappa / ScenarioConfig().intensity_multipliers[level]
+    device = DeviceParameters(daily_loss=1000.0, discount_rate=0.03, horizon_days=horizon,
+                              kill_rate=kill, loss_day_multiplier=multiplier,
+                              counts=CountDistributionParams(theta=theta, lambda_cluster=lam))
+    spec = SimulationSpec(device=device, portfolio_size=kappa, repetitions=rep_lo + n, seed=seed,
+                          levels=(level,), aggregate_channel=channel)
+    return spec, level, rep_lo, rep_lo + n
+
+
+_LAYOUT_CASES = st.builds(
+    _layout_case,
+    level=st.sampled_from([RiskLevel.GUARDED, RiskLevel.ELEVATED, RiskLevel.HIGH,
+                           RiskLevel.SEVERE]),
+    kappa=st.integers(1, 2 ** 63),
+    rate=st.one_of(st.floats(0.05, 29.9), st.floats(30.0, 60.0)),
+    lam=st.one_of(st.just(0.0), st.floats(0.01, 29.9), st.floats(30.0, 250.0)),
+    kill=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    multiplier=st.one_of(st.just(1.0), st.floats(0.1, 3.0)),
+    horizon=st.integers(1, 400),
+    channel=st.one_of(st.none(), st.builds(
+        AggregateLossParams, event_rate=st.one_of(st.floats(0.05, 29.9), st.floats(30.0, 50.0)),
+        severity=st.sampled_from(_SEVERITIES))),
+    seed=st.integers(0, 2 ** 64 - 1),
+    rep_lo=st.sampled_from([0, 7, 2 ** 40]),
+    n=st.integers(1, 64),
+)
+
+
+class TestLayoutReference:
+    """``_simulate_chunk`` bit for bit against ``reference_chunk``, which
+    draws one repetition at a time as the engine docstring's layout v1
+    says, through numpy's own Philox. With one PTRS attempt per region, rows
+    spill to COUNT_SPILL, CHANNEL_SPILL and DETAIL_SPILL."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["layout", "spills_forced"])
+    def test_chunk_matches_reference(self, monkeypatch, forced):
+        if forced:
+            monkeypatch.setattr(engine, "_COUNT_MAX_ATTEMPTS", 1)
+            monkeypatch.setattr(engine, "_DETAIL_MAX_ATTEMPTS", 1)
+        spills = Counter()
+
+        @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+        @given(_LAYOUT_CASES)
+        # PTRS COUNT and CHANNEL regions, a binding horizon, kill_rate > 0
+        @example(_layout_case(RiskLevel.SEVERE, 2 ** 63, 40.0, 182.0, 0.3, 0.7, 30,
+                              AggregateLossParams(45.0, _SEVERITIES[0]), 7, 2 ** 40, 64))
+        # single-cluster DETAIL regions with PTRS sizes, and a rejecting modulus
+        @example(_layout_case(RiskLevel.GUARDED, 3 * 2 ** 61, 1.0, 45.0, 0.0, 1.37, 365,
+                              AggregateLossParams(1.0, _SEVERITIES[1]), 8, 0, 64))
+        @example(_layout_case(RiskLevel.HIGH, 1000, 1.2, 182.0, 0.5, 1.0, 50,
+                              AggregateLossParams(35.0, _SEVERITIES[2]), 9, 7, 64))
+        @example(_layout_case(RiskLevel.ELEVATED, 5, 3.0, 5.0, 0.0, 2.5, 6,
+                              AggregateLossParams(40.0, _SEVERITIES[3]), 10, 0, 64))
+        def check(case):
+            spec, level, lo, hi = case
+            losses, caps = _simulate_chunk(spec, level, lo, hi)
+            expect, expect_caps, case_spills = reference_chunk(
+                spec, level, lo, hi, engine._COUNT_MAX_ATTEMPTS, engine._DETAIL_MAX_ATTEMPTS)
+            assert losses.tobytes() == expect.tobytes()
+            assert caps == expect_caps
+            spills.update(case_spills)
+
+        check()
+        if forced:
+            assert all(spills[domain] > 0 for domain in (engine._DOMAIN_COUNT_SPILL,
+                                                         engine._DOMAIN_CHANNEL_SPILL,
+                                                         engine._DOMAIN_DETAIL_SPILL)), spills
+        else:
+            assert not spills
 
 
 class TestCipherWork:

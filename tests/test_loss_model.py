@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from cyberrisk.distributions import CountDistributionParams, DiscreteTable, Fixed
+from cyberrisk.distributions import (
+    CountDistributionParams,
+    DiscreteTable,
+    Fixed,
+    compound_count_pmf_table,
+)
 from cyberrisk.engine import SimulationSpec, _simulate_chunk
 from cyberrisk.errors import DomainError
 from cyberrisk.loss_model import (
@@ -148,10 +153,9 @@ class TestAggregateLoss:
 class TestExpectedLoss:
     def test_capped_mean_matches_direct_sum(self):
         counts = CountDistributionParams(theta=2.0, lambda_cluster=1.5)
-        from cyberrisk.distributions import compound_count_pmf
-
+        table = compound_count_pmf_table(199, counts)
         horizon = 6
-        direct = sum(min(n, horizon) * compound_count_pmf(n, counts) for n in range(200))
+        direct = sum(min(n, horizon) * table[n] for n in range(200))
         assert expected_capped_loss_days(counts, horizon) == pytest.approx(direct, abs=1e-9)
 
     def test_no_cap_equals_wald_mean(self):

@@ -84,6 +84,14 @@ class TestShortfall:
         assert expected_shortfall(two, 0.0) == 100.0  # mean of the sample
         assert expected_shortfall(two, 150.0) == 0.0
 
+    @pytest.mark.parametrize("pool", [-1.0, float("nan")])
+    def test_negative_or_nan_pool_is_rejected(self, pool):
+        two = EmpiricalDistribution([50.0, 150.0])
+        with pytest.raises(DomainError):
+            shortfall_probability(two, pool)
+        with pytest.raises(DomainError):
+            expected_shortfall(two, pool)
+
 
 class TestMarginRatio:
     def test_examples(self):

@@ -1,5 +1,7 @@
 """Traffic-light calibration arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ class TestBaselineProportion:
             baseline_proportion(525600, 0.5, 0.0, 10000)
         with pytest.raises(DomainError):
             baseline_proportion(525600, 0.5, 5.0, 0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_window_or_year_is_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            baseline_proportion(525600, 0.5, value, 10000)
+        with pytest.raises(DomainError, match="finite"):
+            baseline_proportion(value, 0.5, 5.0, 10000)
 
 
 def test_attacks_per_year_default_mapping():
