@@ -52,7 +52,7 @@ __all__ = [
     "normal_quantile",
     "PTRS_THRESHOLD",
     "poisson_inversion",
-    "poisson_ptrs_regions",
+    "poisson_regions",
     "sample_poisson_batch",
     "sample_poisson_rows",
     "sample_indices_rows",
@@ -228,12 +228,13 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     formula (at j = n, adding 0*log(j*lambda) = +-0.0 is exact), then
     shifted by its row's max. Each row is summed by one ``ndarray.sum`` over
     exactly its first n entries, so it is grouped as a row of n terms alone,
-    whatever the block; a padded ``sum(axis=1)`` groups differently. Where
-    j*lambda overflows, a row sums only its finite terms.
+    whatever the block; a padded ``sum(axis=1)`` groups differently. The
+    domain is n_max >= 0 and n_max*lambda + theta finite, where each row's
+    n terms are finite.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
     theta, lam = params.theta, params.lambda_cluster
+    if n_max < 0 or not math.isfinite(n_max * lam + theta):
+        raise DomainError(f"need n_max >= 0 and finite n_max*lambda + theta, got {n_max}*{lam} + {theta}")
     out = np.empty(n_max + 1)
     out[0] = math.exp(-theta)
     j_all = np.arange(1, n_max + 1, dtype=np.float64)
@@ -245,8 +246,6 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
         out[1:] = [math.exp(t) for t in j_log_theta - j_rate - lg_j1]
         return out
     log_jlam = np.log(j_all * lam)
-    # both grow with j, so every term of rows n <= n_exact is finite
-    n_exact = np.count_nonzero(np.isfinite(log_jlam) & np.isfinite(j_rate))
     steps = np.arange(n_max - 1, -n_max - 1, -1.0)
     tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
     log_facts = np.lib.stride_tricks.sliding_window_view(
@@ -260,11 +259,7 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
                  - j_rate[:hi - 1] - lg_j1[:hi - 1] - log_facts[lo:hi, :hi - 1])
         shifts = terms.max(axis=1)
         scaled = np.exp(terms - shifts[:, None])
-        for n, shift, row, row_terms in zip(range(lo, hi), shifts, scaled, terms):
-            if n > n_exact:
-                row = row_terms[:n][np.isfinite(row_terms[:n])]
-                shift = row.max(initial=-np.inf)
-                row = np.exp(row - shift)
+        for n, shift, row in zip(range(lo, hi), shifts, scaled):
             out[n] = math.exp(shift) * row[:n].sum()
         lo = hi
     return out
@@ -417,13 +412,18 @@ def poisson_inversion(words: np.ndarray, rate: float) -> np.ndarray:
     return k
 
 
-def poisson_ptrs_regions(words: np.ndarray, rate: float, first: int, attempts: int) -> np.ndarray:
-    """PTRS draws from fixed per-row word regions.
+def poisson_regions(words: np.ndarray, rate: float, first: int, attempts: int) -> np.ndarray:
+    """One Poisson(rate) draw per row of fixed per-row word regions.
 
-    Row i's attempt a reads raw words ``words[i, first + 2a]`` and
-    ``words[i, first + 2a + 1]``; rows still unresolved after ``attempts``
-    attempts come back as -1 for the caller to spill.
+    At rate 0 no word is read. Below ``PTRS_THRESHOLD`` row i inverts
+    ``words[i, first]``. From it on, PTRS attempt a reads ``words[i, first
+    + 2a]`` and ``words[i, first + 2a + 1]``; rows still unresolved after
+    ``attempts`` attempts come back as -1 for the caller to spill.
     """
+    if rate == 0.0:
+        return np.zeros(len(words), dtype=np.int64)
+    if rate < PTRS_THRESHOLD:
+        return poisson_inversion(words[:, first], rate)
     consts = _ptrs_consts(rate)
     out = np.full(len(words), -1, dtype=np.int64)
     pending = np.arange(len(words))

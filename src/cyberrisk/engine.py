@@ -84,12 +84,11 @@ import numpy as np
 # bench/run.py traces the engine by patching sample_severity_batch,
 # sample_poisson_batch, chunk_words, derive_stream, expected_present_loss
 # and summarize_level as attributes of this module. No engine path calls
-# derive_stream, sample_poisson_batch or sample_severity_batch: they are
-# imported only for that.
+# chunk_words, derive_stream, sample_poisson_batch or sample_severity_batch:
+# they are imported only for that.
 from .distributions import (
     PTRS_THRESHOLD,
-    poisson_inversion,
-    poisson_ptrs_regions,
+    poisson_regions,
     sample_indices_rows,
     sample_poisson_batch,
     sample_poisson_rows,
@@ -252,21 +251,16 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
                       rate: float) -> np.ndarray:
     """Event counts ~ Poisson(rate) for repetitions [rep_lo, rep_lo + n).
 
-    Dense one-word-per-repetition inversion below rate 30; 32-word PTRS
-    regions above, the rows still unresolved after ``_COUNT_MAX_ATTEMPTS``
-    attempts drawn together, each on its own spill stream."""
+    Repetition r reads its dense inversion word r below rate 30, and its
+    32-word PTRS region [32r, 32r + 32) above, the rows still unresolved
+    after ``_COUNT_MAX_ATTEMPTS`` attempts drawn together, each on its own
+    spill stream."""
     out = np.zeros(n, dtype=np.int64)
-    if rate == 0.0:
-        return out
-    stream_id = pack_stream_id(domain, level.code, 0)
-    if rate < PTRS_THRESHOLD:
-        for lo, hi in _spans(n, 1):
-            words = RandomStream(seed, stream_id, counter=rep_lo + lo).raw_words(hi - lo)
-            out[lo:hi] = poisson_inversion(words, rate)
-        return out
-    for lo, hi in _spans(n, 4 * _COUNT_BLOCKS_PER_REP):
-        words = chunk_words(seed, stream_id, rep_lo + lo, hi - lo, _COUNT_BLOCKS_PER_REP)
-        out[lo:hi] = poisson_ptrs_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
+    width = 1 if rate < PTRS_THRESHOLD else 4 * _COUNT_BLOCKS_PER_REP
+    stream = RandomStream(seed, pack_stream_id(domain, level.code, 0), counter=rep_lo * width)
+    for lo, hi in _spans(n, width):
+        words = stream.raw_words((hi - lo) * width).reshape(hi - lo, width)
+        out[lo:hi] = poisson_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
     spill_domain = _DOMAIN_COUNT_SPILL if domain == _DOMAIN_COUNT else _DOMAIN_CHANNEL_SPILL
     spilled = np.flatnonzero(out < 0)
     if spilled.size:
@@ -372,17 +366,13 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
         words[:, :4] = block(0)
     if kill:
         words[:, 4:] = block(1)
-    if lam == 0.0:
-        extras = np.zeros(len(reps), dtype=np.int64)
-    elif lam < PTRS_THRESHOLD:
-        extras = poisson_inversion(words[:, 1], lam)
-    else:
-        # attempt 1 reads words 1-2; attempts 2 and 3 read words 3-6
-        extras = poisson_ptrs_regions(words, lam, 1, 1)
-        late = np.flatnonzero(extras < 0)
-        if not kill:
-            words[late, 4:] = block(1, late)
-        extras[late] = poisson_ptrs_regions(words[late], lam, 3, _DETAIL_MAX_ATTEMPTS - 1)
+    # the inversion word, or PTRS attempt 1, is word 1; attempts 2 and 3
+    # read words 3-6, and only rows attempt 1 left unresolved take them
+    extras = poisson_regions(words, lam, 1, 1)
+    late = np.flatnonzero(extras < 0)
+    if not kill:
+        words[late, 4:] = block(1, late)
+    extras[late] = poisson_regions(words[late], lam, 3, _DETAIL_MAX_ATTEMPTS - 1)
     resolved = extras >= 0
     days = device.loss_day_multiplier * (1 + extras[resolved])
     if kill:

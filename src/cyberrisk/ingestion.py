@@ -46,6 +46,9 @@ class RejectedRow:
 
 
 def _coerce_record(raw: dict, line: int):
+    for field in ("date", "category"):  # a JSON value may be any type
+        if not isinstance(raw.get(field, ""), (str, type(None))):
+            return None, RejectedRow(line, field, f"not a string: {raw[field]!r}")
     date_text = (raw.get("date") or "").strip()
     try:
         date = dt.date.fromisoformat(date_text)
@@ -78,7 +81,7 @@ def parse_records(data: bytes, fmt: str = "csv"):
 
     Total over its input: every data row becomes either a record or a
     reject. Raises InputError when the bytes do not decode, FormatError
-    when more than half of the rows reject.
+    when the csv module cannot read a row or more than half of the rows reject.
     """
     try:
         text = data.decode("utf-8")
@@ -90,20 +93,23 @@ def parse_records(data: bytes, fmt: str = "csv"):
 
     if fmt == "csv":
         reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is not None:
-            missing = [f for f in ("date", "event_count") if f not in reader.fieldnames]
-            if missing:
-                raise FormatError(f"CSV header missing required columns: {', '.join(missing)}")
-        for line, row in enumerate(reader, start=2):
-            extra = row.pop(None, None)
-            if extra:
-                rejects.append(RejectedRow(line, "", f"{len(extra)} unexpected extra column(s)"))
-                continue
-            record, reject = _coerce_record(row, line)
-            if record is not None:
-                records.append(record)
-            else:
-                rejects.append(reject)
+        try:
+            if reader.fieldnames is not None:
+                missing = [f for f in ("date", "event_count") if f not in reader.fieldnames]
+                if missing:
+                    raise FormatError(f"CSV header missing required columns: {', '.join(missing)}")
+            for line, row in enumerate(reader, start=2):
+                extra = row.pop(None, None)
+                if extra:
+                    rejects.append(RejectedRow(line, "", f"{len(extra)} unexpected extra column(s)"))
+                    continue
+                record, reject = _coerce_record(row, line)
+                if record is not None:
+                    records.append(record)
+                else:
+                    rejects.append(reject)
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise FormatError(f"CSV line {reader.reader.line_num}: {exc}") from exc
     elif fmt in ("jsonl", "json-lines"):
         for line, raw_line in enumerate(text.splitlines(), start=1):
             if not raw_line.strip():

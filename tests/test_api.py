@@ -71,12 +71,25 @@ def test_every_import_is_used():
 
 
 def test_engine_draws_only_through_the_batched_samplers():
-    """``engine`` imports derive_stream, sample_poisson_batch and
-    sample_severity_batch only for bench/run.py to patch; it never calls or
-    otherwise reads them, so a per-repetition loop over single streams
-    cannot come back unnoticed."""
-    single = {"derive_stream", "sample_poisson_batch", "sample_severity_batch"}
+    """``engine`` imports chunk_words, derive_stream, sample_poisson_batch
+    and sample_severity_batch only for bench/run.py to patch; it never calls
+    or otherwise reads them, so a per-repetition loop over single streams,
+    or a second count-region reader, cannot come back unnoticed."""
+    single = {"chunk_words", "derive_stream", "sample_poisson_batch", "sample_severity_batch"}
     tree = ast.parse(Path(engine.__file__).read_text())
     uses = [f"engine.py:{node.lineno}" for node in ast.walk(tree)
             if getattr(node, "id", None) in single or getattr(node, "attr", None) in single]
     assert uses == []
+
+
+def test_engine_reads_the_ptrs_threshold_only_to_size_its_reads():
+    """The choice between inversion and PTRS is made in ``distributions``.
+    ``engine`` reads PTRS_THRESHOLD only where it sizes the words a row
+    reads: the count layout's region width and the DETAIL_SPILL prefix."""
+    tree = ast.parse(Path(engine.__file__).read_text())
+    readers = set()
+    for node in tree.body:
+        names = {inner.id for inner in ast.walk(node) if isinstance(inner, ast.Name)}
+        if "PTRS_THRESHOLD" in names:
+            readers.add(getattr(node, "name", f"engine.py:{node.lineno}"))
+    assert readers == {"_counts_for_chunk", "_multi_cluster_days"}

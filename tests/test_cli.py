@@ -1,11 +1,20 @@
 """CLI contract: flags, formats, exit codes, deterministic bytes."""
 
+import datetime as dt
 import json
+import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import cyberrisk
 from cyberrisk.cli import main
 from cyberrisk.config import CONFIG_VERSION, paper_config
+from cyberrisk.distributions import Pareto, sample_severity_batch
+from cyberrisk.streams import derive_stream
 
 
 @pytest.fixture()
@@ -81,6 +90,14 @@ class TestSimulate:
         assert body[0].startswith("metric,")
         assert "," in body[1]
         assert "# seed=42" in content
+
+    def test_out_into_missing_directory_exits_1(self, capsys, small_config, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "simulate", "--config", small_config, "--reps", "10",
+                                 "--out", str(out_path))
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error: cannot write report to ") and "report.json" in err
 
     def test_seed_and_reps_overrides(self, capsys, small_config):
         _, out_a, _ = run_cli(capsys, "simulate", "--config", small_config,
@@ -180,6 +197,25 @@ class TestCalibrate:
         assert err.startswith("error: ") and "finite" in err
 
 
+def _events_csv(tmp_path, losses):
+    """An events CSV with one event and one loss a day from 2020-01-01."""
+    lines = ["date,category,event_count,loss_amount"]
+    day = dt.date(2020, 1, 1)
+    lines += [f"{day + dt.timedelta(days=i)},c,1,{float(x)!r}" for i, x in enumerate(losses)]
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _run_module(argv):
+    """``python -m cyberrisk.cli`` in a fresh interpreter on this package."""
+    src = str(Path(cyberrisk.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "cyberrisk.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestFit:
     def test_generate_then_recover_roundtrip(self, capsys, tmp_path):
         import numpy as np
@@ -216,6 +252,54 @@ class TestFit:
         path.write_text("date,category,event_count,loss_amount\n")
         code, _, _ = run_cli(capsys, "fit", "--input", str(path))
         assert code == 4
+
+    def test_pareto_fit_recovers_alpha(self, capsys, tmp_path):
+        # 2,000 Pareto(x_min 1000, alpha 2.5) losses and 300 below x_min;
+        # the Hill estimate has standard error alpha / sqrt(n), so it must
+        # land within 4 of them: |alpha - 2.5| < 4 * 2.5 / sqrt(2000) = 0.224
+        n = 2000
+        tail = sample_severity_batch(derive_stream(9, 60), Pareto(x_min=1000.0, alpha=2.5), n)
+        path = _events_csv(tmp_path, list(tail) + [500.0] * 300)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--severity", "pareto",
+                                 "--x-min", "1000")
+        assert code == 0 and err == ""
+        fragment = json.loads(out)
+        assert fragment["severity"]["kind"] == "pareto"
+        assert fragment["severity"]["x_min"] == 1000.0
+        assert abs(fragment["severity"]["alpha"] - 2.5) < 4 * 2.5 / math.sqrt(n)
+        assert fragment["sample_sizes"]["losses_used"] == n == sum(tail >= 1000.0)
+        assert "warnings" not in fragment
+
+    def test_pareto_fit_warns_on_a_heavy_tail(self, capsys, tmp_path):
+        # alpha 0.8 has no finite mean; the estimate falls below 1
+        u = derive_stream(9, 61).uniforms(2000)
+        path = _events_csv(tmp_path, list(1000.0 * u ** (-1.0 / 0.8)))
+        code, out, _ = run_cli(capsys, "fit", "--input", str(path), "--severity", "pareto",
+                               "--x-min", "1000")
+        assert code == 0
+        fragment = json.loads(out)
+        assert fragment["severity"]["alpha"] < 1.0
+        assert any("tail index" in w and "(1, 3)" in w for w in fragment["warnings"])
+
+    @pytest.mark.parametrize("window", [("--from", "2020-13-01"), ("--to", "01/02/2020"),
+                                        ("--from", "2020-03-01", "--to", "2020-02-01")],
+                             ids=["bad_from", "bad_to", "to_before_from"])
+    def test_bad_window_exits_2(self, capsys, tmp_path, window):
+        path = _events_csv(tmp_path, [10.0, 20.0, 30.0])
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), *window)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and window[-2] in err
+
+    def test_overlong_csv_field_exits_2_without_a_traceback(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("date,category,event_count,loss_amount\n"
+                        f"2020-01-01,{'x' * 200_000},1,\n")
+        result = _run_module(["fit", "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: CSV line 2: field larger than field limit")
 
     def test_rejects_go_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "events.csv"

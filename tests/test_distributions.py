@@ -23,7 +23,7 @@ from cyberrisk.distributions import (
     normal_quantile,
     poisson_cum_table,
     poisson_inversion,
-    poisson_ptrs_regions,
+    poisson_regions,
     sample_indices_rows,
     sample_poisson_batch,
     sample_poisson_rows,
@@ -172,12 +172,15 @@ class TestCompoundCountPmf:
         assert digest.hexdigest() == (
             "8805640f33200e78caf642dbf4609bb67cb0e02b6af0aa03abaa88a1711ffae1")
 
-    def test_rows_past_an_overflowing_j_lambda_sum_their_finite_terms(self):
-        # 2 * 1e308 overflows, so rows n >= 2 hold NaN terms; their finite
-        # terms all underflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = compound_count_pmf_table(9, CountDistributionParams(0.4, 1e308))
-        assert table.tolist() == [math.exp(-0.4)] + [0.0] * 9
+    def test_overflowing_n_max_lambda_is_rejected(self):
+        # 2 * 1e308 overflows, and so does 1e308 + theta at theta 1e308; at
+        # n_max 1 and theta 0.4 the sum stays finite
+        params = CountDistributionParams(0.4, 1e308)
+        with pytest.raises(DomainError):
+            compound_count_pmf_table(9, params)
+        with pytest.raises(DomainError):
+            compound_count_pmf_table(1, CountDistributionParams(1e308, 1e308))
+        assert compound_count_pmf_table(1, params).tolist() == [math.exp(-0.4), 0.0]
 
     def test_table_memory_is_bounded(self):
         # the paper Baseline at n_max 5,000: 0.50 MiB row by row, about
@@ -245,14 +248,25 @@ class TestPoissonSampler:
 
     def test_ptrs_regions(self):
         words = chunk_words(2024, 4, 0, 300_000, 8)
-        draws = poisson_ptrs_regions(words, 45.0, 1, 15)
+        draws = poisson_regions(words, 45.0, 1, 15)
         assert (draws >= 0).all()
         pmf = stats.poisson.pmf(np.arange(150), 45.0)
         assert total_variation(np.bincount(draws), pmf, len(draws)) < 0.005
         # rows a single attempt leaves unresolved come back as -1
-        once = poisson_ptrs_regions(words, 45.0, 1, 1)
+        once = poisson_regions(words, 45.0, 1, 1)
         assert 0 < (once == -1).sum() < len(once) // 2
         assert (once[once >= 0] == draws[once >= 0]).all()
+
+    @pytest.mark.parametrize("rate", [1e-17, 0.4, 5.0, 29.99])
+    def test_regions_below_the_threshold_invert_column_first(self, rate):
+        words = chunk_words(2024, 5, 0, 10_000, 2)
+        draws = poisson_regions(words, rate, 3, 1)
+        assert np.array_equal(draws, poisson_inversion(words[:, 3], rate))
+
+    def test_regions_at_rate_0_read_no_word(self):
+        words = np.empty((1_000, 0), dtype=np.uint64)
+        draws = poisson_regions(words, 0.0, 0, 16)
+        assert draws.dtype == np.int64 and draws.tolist() == [0] * 1_000
 
     @pytest.mark.parametrize("rate", [30.0, 182.0, 2.0 ** 20])
     def test_ptrs_attempt_matches_gammaln_inside_and_outside_the_window(self, rate):
@@ -321,6 +335,23 @@ class TestSeveritySampler:
         draws = sample_severity_batch(derive_stream(4, 4), table, 500_000)
         for value, prob in zip(table.values, table.probabilities):
             assert abs((draws == value).mean() - prob) < 0.005
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (8.0, 1.5), (-3.0, 0.2)])
+    def test_lognormal_mean_property(self, mu, sigma):
+        expect = stats.lognorm(s=sigma, scale=math.exp(mu)).mean()
+        assert Lognormal(mu, sigma).mean == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("x_min, alpha", [(1.0, 1.5), (1000.0, 2.5), (2.0, 30.0)])
+    def test_pareto_mean_property(self, x_min, alpha):
+        expect = stats.pareto(alpha, scale=x_min).mean()
+        assert Pareto(x_min=x_min, alpha=alpha).mean == pytest.approx(expect, rel=1e-13)
+
+    def test_fixed_and_discrete_mean_properties(self):
+        assert Fixed(7.5).mean == 7.5
+        values, probs = (0.1, 1000.0, 1e6), (0.7, 0.2, 0.1)
+        table = DiscreteTable(values=values, probabilities=probs)
+        assert table.mean == math.fsum(v * p for v, p in zip(values, probs))
+        assert table.mean == pytest.approx(0.07 + 200.0 + 100_000.0, rel=1e-15)
 
     def test_discrete_table_validation(self):
         with pytest.raises(DomainError):

@@ -16,7 +16,7 @@ from cyberrisk.distributions import (
     Fixed,
     Lognormal,
     Pareto,
-    poisson_ptrs_regions,
+    poisson_regions,
 )
 from cyberrisk.engine import (
     SimulationSpec,
@@ -371,10 +371,9 @@ class TestBatchedResolution:
         # words per block, every block counted as a row, so no exemption
         monkeypatch.setattr(engine, "philox_blocks", spy(
             streams.philox_blocks, lambda seed, ids, blocks: (4 * len(blocks), len(blocks))))
-        monkeypatch.setattr(engine, "chunk_words", spy(
-            streams.chunk_words, lambda seed, stream_id, first, regions, blocks:
-            (4 * regions * blocks, regions)))
-        # one stream, one word per repetition in the dense COUNT layout
+        # one stream, read a span at a time: one word per repetition in the
+        # dense COUNT and CHANNEL layouts, a 32-word region per repetition in
+        # the PTRS one; every word counted as a row, so no exemption
         monkeypatch.setattr(RandomStream, "raw_words", spy(
             RandomStream.raw_words, lambda stream, n: (n, n)))
         # severe paper preset: about 70,000 single-cluster and 16,000
@@ -522,10 +521,10 @@ class TestCipherWork:
         # block 0 of repetition r's region is counter 2r + 1, block 1 is 2r + 2
         needs_block_1 = np.zeros(len(reps), dtype=bool)
         if lam >= 30.0:
-            rejected_once = poisson_ptrs_regions(regions, lam, 1, 1) < 0
+            rejected_once = poisson_regions(regions, lam, 1, 1) < 0
             assert 0 < rejected_once.sum() < len(reps) // 4
             needs_block_1 |= rejected_once
-            assert np.array_equal(resolved, poisson_ptrs_regions(regions, lam, 1, 3) >= 0)
+            assert np.array_equal(resolved, poisson_regions(regions, lam, 1, 3) >= 0)
         if kill > 0.0:
             needs_block_1[:] = True
         expect = np.concatenate([2 * reps + 1 if lam > 0.0 else reps[:0], 2 * reps[needs_block_1] + 2])

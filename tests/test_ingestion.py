@@ -1,6 +1,7 @@
 """Dataset parsing and generate-then-recover fitting."""
 
 import datetime as dt
+import json
 import math
 
 import pytest
@@ -75,6 +76,29 @@ class TestParseRecords:
         records, rejects = parse_records(data)
         assert len(records) == 1
         assert rejects[0].field == "event_count"
+
+    @pytest.mark.parametrize("field", ["date", "category"])
+    @pytest.mark.parametrize("value", [20200101, 7.5, True, False, 0, [1], [], {"a": 1}, {}],
+                             ids=repr)
+    def test_non_string_json_field_is_rejected(self, field, value):
+        row = {"date": "2020-02-02", "category": "c", "event_count": 1, field: value}
+        data = (json.dumps({"date": "2020-02-01", "category": "c", "event_count": 2}) + "\n"
+                + json.dumps(row) + "\n").encode()
+        records, rejects = parse_records(data, fmt="jsonl")
+        assert records == [ThreatRecord(dt.date(2020, 2, 1), "c", 2)]
+        assert [(r.line, r.field) for r in rejects] == [(2, field)]
+        assert repr(value) in rejects[0].reason
+
+    def test_null_category_is_empty(self):
+        data = b'{"date": "2020-02-02", "category": null, "event_count": 1}\n'
+        records, rejects = parse_records(data, fmt="jsonl")
+        assert rejects == [] and records[0].category == ""
+
+    def test_overlong_csv_field_is_format_error_naming_its_line(self):
+        data = ("date,category,event_count,loss_amount\n2020-01-01,c,1,\n"
+                f"2020-01-02,{'x' * 200_000},1,\n").encode()
+        with pytest.raises(FormatError, match="CSV line 3: field larger than field limit"):
+            parse_records(data)
 
 
 class TestEstimateIntensity:
