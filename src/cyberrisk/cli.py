@@ -5,8 +5,8 @@ Four subcommands: ``simulate`` (run the engine on a config file),
 ``fit`` (estimate intensity/severity parameters from a threat dataset)
 and ``report`` (risk measures over a pre-existing loss sample).
 
-Exit codes are a stable contract: 0 ok, 1 I/O, 2 config/usage,
-3 numeric fault, 4 insufficient data.
+Exit codes are a stable contract: 0 ok, otherwise the ``exit_code`` of
+the error class raised, as tabled in ``errors.py``.
 """
 
 from __future__ import annotations
@@ -14,35 +14,22 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 import datetime as dt
+import io
 import json
 import logging
 import math
 import sys
 import time
 
-from .config import load_config
+from .config import load_config, scenario_to_mapping
 from .engine import run_simulation, summarize_level
-from .errors import (
-    ConfigError,
-    CyberRiskError,
-    DomainError,
-    FormatError,
-    InputError,
-    InsufficientDataError,
-    NumericFault,
-)
+from .errors import ConfigError, CyberRiskError, InputError, InsufficientDataError, read_input
 from .ingestion import estimate_intensity, fit_lognormal, fit_pareto_tail, parse_records
 from .report import _rho_text, render_csv, render_json, render_table
 from .risk_measures import EmpiricalDistribution
-from .scenario import MINUTES_PER_YEAR, RiskLevel, ScenarioConfig, attacks_per_year, baseline_proportion
+from .scenario import MINUTES_PER_YEAR, ScenarioConfig, attacks_per_year, baseline_proportion
 
 logger = logging.getLogger("cyberrisk")
-
-_EXIT_OK = 0
-_EXIT_IO = 1
-_EXIT_CONFIG = 2
-_EXIT_NUMERIC = 3
-_EXIT_DATA = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +102,7 @@ def _cmd_simulate(args) -> int:
                 handle.write(text)
         except OSError as exc:
             raise InputError(f"cannot write report to {args.out}: {exc}") from exc
-    return _EXIT_OK
+    return 0
 
 
 def _cmd_calibrate(args) -> int:
@@ -125,30 +112,16 @@ def _cmd_calibrate(args) -> int:
         attack_window_minutes=args.attack_window_min,
         population=args.population,
     )
-    theta = attacks_per_year(proportion, args.minutes_per_year)
-    scenario = {
-        "base_proportion": proportion,
-        "population": args.population,
-        "attacks_per_year_base": theta,
-    }
-    defaults = ScenarioConfig()
-    for key in ("intensity_multipliers", "mitigation_alphas"):
-        table = getattr(defaults, key)
-        scenario[key] = {level.name.lower(): table[level] for level in RiskLevel}
-    sys.stdout.write(json.dumps({"scenario": scenario}, indent=2) + "\n")
-    return _EXIT_OK
+    scenario = ScenarioConfig(base_proportion=proportion, population=args.population,
+                              attacks_per_year_base=attacks_per_year(proportion, args.minutes_per_year))
+    sys.stdout.write(json.dumps({"scenario": scenario_to_mapping(scenario)}, indent=2) + "\n")
+    return 0
 
 
 def _cmd_fit(args) -> int:
     if args.severity == "pareto" and args.x_min is None:
         raise ConfigError("--x-min is required with --severity pareto")
-    try:
-        with open(args.input, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read input file {args.input}: {exc}") from exc
-
-    records, rejects = parse_records(data, fmt=args.format)
+    records, rejects = parse_records(read_input(args.input, "input"), fmt=args.format)
     if rejects:
         sys.stderr.write(f"rejected {len(rejects)} row(s):\n")
         for reject in rejects[:20]:
@@ -182,6 +155,9 @@ def _cmd_fit(args) -> int:
             raise InsufficientDataError(
                 f"lognormal fit needs >= 2 positive loss amounts in window, got {len(positive)}")
         mu, sigma = fit_lognormal(positive)
+        if sigma == 0.0:
+            warnings.append("all positive losses are equal: lognormal sigma is 0, "
+                            "which a config rejects (sigma must be positive)")
         severity_map = {"kind": "lognormal", "mu": mu, "sigma": sigma}
         used = len(positive)
     else:
@@ -200,15 +176,14 @@ def _cmd_fit(args) -> int:
     if warnings:
         fragment["warnings"] = warnings
     sys.stdout.write(json.dumps(fragment, indent=2) + "\n")
-    return _EXIT_OK
+    return 0
 
 
 def _read_samples(path: str) -> list[float]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read samples file {path}: {exc}") from exc
+    try:  # newline=None splits lines as a file opened in text mode does
+        lines = io.StringIO(read_input(path, "samples").decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"samples file {path} is not valid UTF-8: {exc}") from exc
     values = []
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -256,7 +231,7 @@ def _cmd_report(args) -> int:
             lines += [f"Margin {measure.upper()}({_rho_text(rho)})   {metrics.margin_ratio[measure, rho]!r}"
                       for rho in rhos]
     sys.stdout.write("\n".join(lines) + "\n")
-    return _EXIT_OK
+    return 0
 
 
 _HANDLERS = {
@@ -273,24 +248,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_IO
-    except (ConfigError, FormatError, DomainError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_CONFIG
-    except NumericFault as exc:
-        sys.stderr.write(f"error: numeric fault: {exc}\n")
-        return _EXIT_NUMERIC
-    except InsufficientDataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_DATA
     except CyberRiskError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_CONFIG
+        sys.stderr.write(f"error: {exc.prefix}{exc}\n")
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_IO
+        return InputError.exit_code
 
 
 if __name__ == "__main__":

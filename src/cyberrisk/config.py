@@ -23,11 +23,12 @@ from .distributions import (
     SeverityDistribution,
 )
 from .engine import SimulationSpec
-from .errors import ConfigError, DomainError, InputError
+from .errors import ConfigError, DomainError, read_input
 from .loss_model import AggregateLossParams, DeviceParameters
 from .scenario import MINUTES_PER_YEAR, RiskLevel, ScenarioConfig
 
-__all__ = ["CONFIG_VERSION", "paper_config", "load_config", "parse_config", "spec_to_mapping"]
+__all__ = ["CONFIG_VERSION", "paper_config", "load_config", "parse_config", "scenario_to_mapping",
+           "spec_to_mapping"]
 
 CONFIG_VERSION = 1
 
@@ -258,16 +259,28 @@ def parse_config(mapping: dict) -> SimulationSpec:
 
 
 def load_config(path: str) -> SimulationSpec:
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
+    raw = read_input(path, "config")
     try:
         mapping = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to convert
+    # bad UTF-8, bad JSON, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(mapping)
+
+
+def scenario_to_mapping(scenario: ScenarioConfig) -> dict:
+    """The ``scenario`` section of a configuration, as parse_config reads it."""
+    return {
+        "base_proportion": scenario.base_proportion,
+        "population": scenario.population,
+        "attacks_per_year_base": scenario.attacks_per_year_base,
+        "intensity_multipliers": {
+            level.name.lower(): scenario.intensity_multipliers[level] for level in RiskLevel
+        },
+        "mitigation_alphas": {
+            level.name.lower(): scenario.mitigation_alphas[level] for level in RiskLevel
+        },
+    }
 
 
 def spec_to_mapping(spec: SimulationSpec) -> dict:
@@ -289,19 +302,7 @@ def spec_to_mapping(spec: SimulationSpec) -> dict:
             "loss_day_multiplier": spec.device.loss_day_multiplier,
         },
         "schedule": {"loading": spec.loading, "mitigation": spec.mitigation},
-        "scenario": {
-            "base_proportion": spec.scenario.base_proportion,
-            "population": spec.scenario.population,
-            "attacks_per_year_base": spec.scenario.attacks_per_year_base,
-            "intensity_multipliers": {
-                level.name.lower(): spec.scenario.intensity_multipliers[level]
-                for level in RiskLevel
-            },
-            "mitigation_alphas": {
-                level.name.lower(): spec.scenario.mitigation_alphas[level]
-                for level in RiskLevel
-            },
-        },
+        "scenario": scenario_to_mapping(spec.scenario),
         "aggregate_channel": None if spec.aggregate_channel is None else {
             "event_rate": spec.aggregate_channel.event_rate,
             "severity": _severity_to_mapping(spec.aggregate_channel.severity),

@@ -1,12 +1,22 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one reader of
+input files, which turns an ``OSError`` into an InputError.
 
-Exit-code mapping used by the CLI: InputError -> 1, ConfigError and
-DomainError -> 2, NumericFault -> 3, InsufficientDataError -> 4.
+Each class carries the exit code the CLI returns for it (``exit_code``),
+which it inherits from the nearest class in this table; the CLI prints
+one ``error: `` line to stderr. An ``OSError`` outside these classes exits 1.
+
+    CyberRiskError         2
+    InputError             1
+    NumericFault           3
+    InsufficientDataError  4
 """
 
 
 class CyberRiskError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+    prefix = ""  # printed between "error: " and the message
 
 
 class DomainError(CyberRiskError, ValueError):
@@ -18,7 +28,9 @@ class ConfigError(CyberRiskError, ValueError):
 
 
 class InputError(CyberRiskError):
-    """An input file cannot be read or decoded."""
+    """An input file cannot be read or decoded, or an output file cannot be written."""
+
+    exit_code = 1
 
 
 class FormatError(CyberRiskError, ValueError):
@@ -28,6 +40,8 @@ class FormatError(CyberRiskError, ValueError):
 class InsufficientDataError(CyberRiskError, ValueError):
     """Too few records to fit the requested estimator."""
 
+    exit_code = 4
+
 
 class NumericFault(CyberRiskError, ArithmeticError):
     """A nonfinite value was produced during simulation.
@@ -35,6 +49,9 @@ class NumericFault(CyberRiskError, ArithmeticError):
     Carries the risk level and repetition index where it occurred so the
     run can be reproduced.
     """
+
+    exit_code = 3
+    prefix = "numeric fault: "
 
     def __init__(self, message: str, level: str | None = None, repetition: int | None = None):
         super().__init__(message)
@@ -44,3 +61,13 @@ class NumericFault(CyberRiskError, ArithmeticError):
 
 class UndefinedMarginError(DomainError):
     """Risk margin ratio requested against a zero expected loss."""
+
+
+def read_input(path: str, what: str) -> bytes:
+    """The bytes of the file at ``path``. An ``OSError`` becomes an
+    InputError reading "cannot read <what> file <path>: ..."."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc

@@ -148,7 +148,10 @@ def estimate_intensity(records, window: tuple) -> float:
     if days < 1:
         raise DomainError(f"window must span at least one day, got {start}..{end}")
     events = sum(r.event_count for r in records if start <= r.date <= end)
-    return events / days
+    try:
+        return events / days
+    except OverflowError:
+        raise DomainError("event count in window is too large for a float intensity") from None
 
 
 def fit_lognormal(losses) -> tuple[float, float]:

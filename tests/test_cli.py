@@ -5,12 +5,15 @@ import json
 import math
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 import cyberrisk
+from cyberrisk import cli, errors
 from cyberrisk.cli import main
 from cyberrisk.config import CONFIG_VERSION, paper_config
 from cyberrisk.distributions import Pareto, sample_severity_batch
@@ -124,6 +127,15 @@ class TestSimulate:
         assert code == 2
         assert "surprise" in err
 
+    def test_too_deeply_nested_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: config file {path} is not valid JSON: maximum recursion depth "
+                       "exceeded while decoding a JSON array from a unicode string\n")
+
     @pytest.mark.parametrize("flags", [("--reps", "0"), ("--seed", "-1"),
                                        ("--seed", str(2 ** 64))])
     def test_out_of_range_overrides_exit_2(self, capsys, small_config, flags):
@@ -188,6 +200,14 @@ class TestCalibrate:
     def test_zero_window_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "calibrate", "--attack-window-min", "0")
         assert code == 2
+
+    def test_underflowing_proportion_exits_2(self, capsys):
+        # p = 1 / (1e308 * 1e16) underflows to 0, which no config accepts
+        code, out, err = run_cli(capsys, "calibrate", "--attack-window-min", "1e308",
+                                 "--population", "10000000000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: base_proportion must lie in (0, 1], got 0.0\n"
 
     @pytest.mark.parametrize("window", ["inf", "nan"])
     def test_nonfinite_window_exits_2(self, capsys, window):
@@ -301,6 +321,46 @@ class TestFit:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: CSV line 2: field larger than field limit")
 
+    def test_lognormal_fit_of_equal_losses_warns_on_sigma_0(self, capsys, tmp_path):
+        path = _events_csv(tmp_path, [500.0, 500.0, 500.0])
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--severity", "lognormal")
+        assert code == 0 and err == ""
+        fragment = json.loads(out)
+        assert fragment["severity"] == {"kind": "lognormal", "mu": math.log(500.0), "sigma": 0.0}
+        assert fragment["warnings"] == [
+            "all positive losses are equal: lognormal sigma is 0, "
+            "which a config rejects (sigma must be positive)"]
+
+    @pytest.mark.parametrize("losses, window", [([10.0, 20.0, 30.0], ("--from", "2020-01-03")),
+                                                ([0.0, 0.0, 30.0], ())],
+                             ids=["window", "zero_losses"])
+    def test_lognormal_fit_of_one_positive_loss_exits_4(self, capsys, tmp_path, losses, window):
+        path = _events_csv(tmp_path, losses)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), *window)
+        assert code == 4
+        assert out == ""
+        assert err == "error: lognormal fit needs >= 2 positive loss amounts in window, got 1\n"
+
+    def test_event_count_beyond_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(f"date,category,event_count,loss_amount\n2020-01-01,c,{10 ** 400},\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: event count in window is too large for a float intensity\n"
+
+    def test_more_than_20_rejects_list_the_first_20(self, capsys, tmp_path):
+        path = _events_csv(tmp_path, [1.0] * 30)
+        with path.open("a") as handle:
+            handle.writelines(f"day {i},c,1,\n" for i in range(25))
+        code, _, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[0] == "rejected 25 row(s):"
+        assert lines[1:21] == [f"  line {32 + i}: field date: not ISO-8601: 'day {i}'"
+                               for i in range(20)]
+        assert lines[21:] == ["  ... and 5 more"]
+
     def test_rejects_go_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("date,category,event_count,loss_amount\n"
@@ -346,6 +406,31 @@ class TestReport:
         path.write_text("1\n2\n")
         code, _, _ = run_cli(capsys, "report", "--samples", str(path), "--levels", "1.5")
         assert code == 2
+
+    def test_non_utf8_samples_exit_1_with_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        code, out, err = run_cli(capsys, "report", "--samples", str(path))  # returns, no raise
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: samples file {path} is not valid UTF-8: 'utf-8' codec can't "
+                       "decode byte 0xff in position 4: invalid start byte\n")
+
+    def test_samples_split_on_any_newline_convention(self, capsys, tmp_path):
+        path = tmp_path / "losses.txt"
+        path.write_bytes(b"1\r2\r\n3\n4")
+        code, out, _ = run_cli(capsys, "report", "--samples", str(path))
+        assert code == 0
+        assert out.startswith("samples           4\nexpected loss     2.500000\n")
+
+    @pytest.mark.parametrize("levels, message", [
+        ("0.9,x", "--levels must be comma-separated numbers, got '0.9,x'"),
+        (" , ", "--levels must name at least one confidence level")])
+    def test_malformed_levels_exit_2(self, capsys, tmp_path, levels, message):
+        path = tmp_path / "losses.txt"
+        path.write_text("1\n2\n")
+        code, out, err = run_cli(capsys, "report", "--samples", str(path), "--levels", levels)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unparseable_sample_exits_2(self, capsys, tmp_path):
         path = tmp_path / "losses.txt"
@@ -564,3 +649,84 @@ def test_simulate_never_loads_scipy(small_config, tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout == "0 []\n"
+
+
+@pytest.mark.parametrize("argv, what", [(("simulate", "--config"), "config"),
+                                        (("fit", "--input"), "input"),
+                                        (("report", "--samples"), "samples")],
+                         ids=["config", "input", "samples"])
+def test_unreadable_input_file_exits_1_naming_it(capsys, tmp_path, argv, what):
+    missing = str(tmp_path / "gone")
+    code, out, err = run_cli(capsys, *argv, missing)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: cannot read {what} file {missing}: "
+                   f"[Errno 2] No such file or directory: {missing!r}\n")
+
+
+# {class name: exit code}, the table in the errors.py docstring
+_EXIT_TABLE = {m[1]: int(m[2]) for m in re.finditer(r"^ +(\w+) +(\d)$", errors.__doc__, re.M)}
+
+
+def _documented_exit_code(cls) -> int:
+    """The row of the nearest class in ``cls``'s method resolution order."""
+    assert _EXIT_TABLE.keys() <= set(vars(errors)) and "CyberRiskError" in _EXIT_TABLE
+    return next(_EXIT_TABLE[base.__name__] for base in cls.__mro__ if base.__name__ in _EXIT_TABLE)
+
+
+_ERROR_CLASSES = sorted((obj for obj in vars(errors).values()
+                         if isinstance(obj, type) and issubclass(obj, errors.CyberRiskError)),
+                        key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_documented_code(capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "calibrate", fail)
+    code, out, err = run_cli(capsys, "calibrate")
+    assert code == _documented_exit_code(cls)
+    assert out == ""
+    assert err == ("error: numeric fault: boom\n" if cls is errors.NumericFault
+                   else "error: boom\n")
+
+
+def test_os_error_exits_1(capsys, monkeypatch):
+    def fail(args):
+        raise PermissionError("denied")
+
+    monkeypatch.setitem(cli._HANDLERS, "calibrate", fail)
+    assert run_cli(capsys, "calibrate") == (1, "", "error: denied\n")
+
+
+# Arbitrary bytes, and lines the parsers look for, so that some examples
+# get past decoding into the row and value checks.
+_INPUT_LINES = st.lists(st.sampled_from([
+    b"2020-01-01,c,1,500", b"2020-01-02,c,2,", b"2020-01-03,c,0,7.5,x", b"01/02/2020,c,1,",
+    b'{"date": "2020-01-03", "event_count": 3, "loss_amount": 2.5}', b'{"date": "x"}', b"[1]",
+    b"0", b"12.5", b"1e308", b"-1", b"inf", b"abc", b"# note", b"", b" \r", b"{",
+    b'{"version": 1, "device": {"daily_loss": 1, "discount_rate": 0, "theta": 0.001}}',
+]), max_size=12).map(b"\n".join)
+_INPUT_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.tuples(st.sampled_from([b"", b"date,category,event_count,loss_amount\n"]),
+              _INPUT_LINES).map(b"".join),
+)
+
+
+@pytest.mark.parametrize("argv", [("report", "--samples"),
+                                  ("fit", "--format", "csv", "--input"),
+                                  ("fit", "--format", "jsonl", "--input"),
+                                  ("simulate", "--reps", "10", "--config")],
+                         ids=["samples", "csv", "jsonl", "config"])
+@settings(derandomize=True, deadline=None, database=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_INPUT_BYTES)
+def test_arbitrary_input_bytes_end_in_a_documented_exit_code(capsys, tmp_path, argv, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code in {0, *_EXIT_TABLE.values()}
+    assert code == 0 or err.splitlines()[-1].startswith("error: ")

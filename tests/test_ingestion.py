@@ -100,6 +100,62 @@ class TestParseRecords:
         with pytest.raises(FormatError, match="CSV line 3: field larger than field limit"):
             parse_records(data)
 
+    @pytest.mark.parametrize("header", ["category,event_count,loss_amount",
+                                        "date,category,loss_amount",
+                                        "category,loss_amount"])
+    def test_csv_header_missing_a_required_column_is_format_error(self, header):
+        missing = [f for f in ("date", "event_count") if f not in header.split(",")]
+        with pytest.raises(FormatError, match=f"missing required columns: {', '.join(missing)}$"):
+            parse_records(f"{header}\nx,1,2\n".encode())
+
+    def test_csv_row_with_extra_columns_is_rejected(self):
+        data = (b"date,category,event_count,loss_amount\n"
+                b"2020-01-01,c,1,\n"
+                b"2020-01-02,c,1,5.0,surplus,more\n"
+                b"2020-01-03,c,1,\n")
+        records, rejects = parse_records(data)
+        assert [r.date.day for r in records] == [1, 3]
+        assert [(r.line, r.field, r.reason) for r in rejects] == [
+            (3, "", "2 unexpected extra column(s)")]
+
+    def test_blank_json_lines_are_skipped(self):
+        data = (b'\n{"date": "2020-02-02", "event_count": 1}\n'
+                b'   \n\t\n{"date": "2020-02-03", "event_count": 2}\n\n')
+        records, rejects = parse_records(data, fmt="jsonl")
+        assert rejects == []
+        assert [(r.date.day, r.event_count) for r in records] == [(2, 1), (3, 2)]
+
+    @pytest.mark.parametrize("line", [b"[1]", b'"x"', b"7", b"null", b"{"])
+    def test_json_line_that_is_not_an_object_is_rejected(self, line):
+        data = (b'{"date": "2020-02-02", "event_count": 1}\n' + line + b"\n"
+                b'{"date": "2020-02-03", "event_count": 2}\n')
+        records, rejects = parse_records(data, fmt="jsonl")
+        assert len(records) == 2
+        assert [(r.line, r.field) for r in rejects] == [(2, "")]
+        assert rejects[0].reason.startswith("not a JSON object")
+
+    def test_unknown_json_field_is_rejected_naming_it(self):
+        data = (b'{"date": "2020-02-02", "event_count": 1}\n'
+                b'{"date": "2020-02-03", "event_count": 2, "severity": 9, "actor": "x"}\n'
+                b'{"date": "2020-02-04", "event_count": 3}\n')
+        records, rejects = parse_records(data, fmt="jsonl")
+        assert len(records) == 2
+        assert [(r.line, r.field, r.reason) for r in rejects] == [
+            (2, "actor,severity", "unknown field(s)")]
+
+    @pytest.mark.parametrize("loss", ["-1", "abc", "inf", "nan", "-0.5"])
+    def test_invalid_loss_amount_is_rejected(self, loss):
+        data = ("date,category,event_count,loss_amount\n"
+                f"2020-01-01,c,1,5.0\n2020-01-02,c,1,{loss}\n2020-01-03,c,1,\n").encode()
+        records, rejects = parse_records(data)
+        assert len(records) == 2
+        assert [(r.line, r.field) for r in rejects] == [(3, "loss_amount")]
+        assert repr(loss) in rejects[0].reason
+
+    def test_unknown_format_is_domain_error(self):
+        with pytest.raises(DomainError, match="unknown input format 'xml'"):
+            parse_records(b"date,category,event_count,loss_amount\n", fmt="xml")
+
 
 class TestEstimateIntensity:
     def test_division(self):
@@ -141,6 +197,11 @@ class TestEstimateIntensity:
     def test_empty_window(self):
         with pytest.raises(DomainError):
             estimate_intensity([], (dt.date(2020, 1, 2), dt.date(2020, 1, 1)))
+
+    def test_event_count_beyond_float_range_is_domain_error(self):
+        records = [ThreatRecord(dt.date(2020, 1, 1), "c", 10 ** 400, None)]
+        with pytest.raises(DomainError, match="too large for a float"):
+            estimate_intensity(records, (dt.date(2020, 1, 1), dt.date(2020, 1, 1)))
 
 
 class TestFitLognormal:
