@@ -8,20 +8,17 @@ multipliers 1/2/10/20, and the rare-compromise device calibration
 (theta = p per device-year, cluster size 1 + Poisson(182) loss-days:
 a compromise at a uniform time in the year costs on average half the
 365-day horizon).
+
+Each JSON object of the schema is stated once, as an ordered table from
+key to reader; the same table checks and fills the object in
+``parse_config`` and writes it back, in table order, in ``spec_to_mapping``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .distributions import (
-    CountDistributionParams,
-    DiscreteTable,
-    Fixed,
-    Lognormal,
-    Pareto,
-    SeverityDistribution,
-)
+from .distributions import CountDistributionParams, DiscreteTable, Fixed, Lognormal, Pareto
 from .engine import SimulationSpec
 from .errors import ConfigError, DomainError, read_input
 from .loss_model import AggregateLossParams, DeviceParameters
@@ -73,187 +70,189 @@ _DEVICE_DEFAULTS = {"lambda_cluster": 0.0, "horizon_days": 365, "kill_rate": 0.0
                     "loss_day_multiplier": 1.0}
 
 
-def _require_keys(mapping: dict, allowed: set, required: set, where: str):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    missing = required - set(mapping)
-    if missing:
-        raise ConfigError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
+# Readers: (value, where) -> value, where is the key's path in the document.
 
-
-def _section(mapping: dict, key: str, allowed: set, required: set, defaults: dict) -> dict:
-    """``mapping[key]`` checked to be an object holding only ``allowed`` keys
-    and every ``required`` one, with absent keys filled from ``defaults``."""
-    section = mapping.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object, got {section!r}")
-    _require_keys(section, allowed, required, key)
-    return {**defaults, **section}
-
-
-def _float(value, what: str) -> float:
+def _number(value, where: str) -> float:
     """A checked JSON number as a float; an integer beyond float range is a
     ConfigError rather than an OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ConfigError(f"{what} is too large for a float") from None
+        raise ConfigError(f"{where} is too large for a float") from None
 
 
-def _number(mapping: dict, key: str, where: str) -> float:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return _float(value, f"{where}.{key}")
-
-
-def _integer(mapping: dict, key: str, where: str) -> int:
-    value = mapping[key]
+def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
 
 
-def _numbers(mapping: dict, key: str, where: str) -> tuple:
-    value = mapping[key]
+def _numbers(value, where: str) -> tuple:
     if not isinstance(value, list) or any(isinstance(x, bool) or not isinstance(x, (int, float))
                                           for x in value):
-        raise ConfigError(f"{where}.{key} must be a list of numbers, got {value!r}")
-    return tuple(_float(x, f"{where}.{key}[{i}]") for i, x in enumerate(value))
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
-def _levels(mapping: dict, key: str, where: str) -> tuple:
-    value = mapping[key]
+def _levels(value, where: str) -> tuple:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ConfigError(f"{where}.{key} must be a list of level names, got {value!r}")
+        raise ConfigError(f"{where} must be a list of level names, got {value!r}")
     return tuple(RiskLevel.from_name(name) for name in value)
 
 
-def _severity_from_mapping(mapping: dict, where: str) -> SeverityDistribution:
-    if not isinstance(mapping, dict) or "kind" not in mapping:
-        raise ConfigError(f"{where} must be an object with a 'kind' key")
-    kind = mapping["kind"]
-    try:
-        if kind == "lognormal":
-            _require_keys(mapping, {"kind", "mu", "sigma"}, {"mu", "sigma"}, where)
-            return Lognormal(mu=_number(mapping, "mu", where), sigma=_number(mapping, "sigma", where))
-        if kind == "pareto":
-            _require_keys(mapping, {"kind", "x_min", "alpha"}, {"x_min", "alpha"}, where)
-            return Pareto(x_min=_number(mapping, "x_min", where), alpha=_number(mapping, "alpha", where))
-        if kind == "fixed":
-            _require_keys(mapping, {"kind", "value"}, {"value"}, where)
-            return Fixed(value=_number(mapping, "value", where))
-        if kind == "discrete":
-            _require_keys(mapping, {"kind", "values", "probabilities"}, {"values", "probabilities"}, where)
-            return DiscreteTable(values=_numbers(mapping, "values", where),
-                                 probabilities=_numbers(mapping, "probabilities", where))
-    except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.kind must be one of lognormal/pareto/fixed/discrete, got {kind!r}")
-
-
-def _severity_to_mapping(dist: SeverityDistribution) -> dict:
-    if isinstance(dist, Lognormal):
-        return {"kind": "lognormal", "mu": dist.mu, "sigma": dist.sigma}
-    if isinstance(dist, Pareto):
-        return {"kind": "pareto", "x_min": dist.x_min, "alpha": dist.alpha}
-    if isinstance(dist, Fixed):
-        return {"kind": "fixed", "value": dist.value}
-    return {"kind": "discrete", "values": list(dist.values),
-            "probabilities": list(dist.probabilities)}
-
-
-def _level_map(mapping: dict, where: str) -> dict:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be an object, got {mapping!r}")
+def _level_map(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
     out = {}
-    for name, value in mapping.items():
+    for name, number in value.items():
         if name not in _LEVEL_NAMES:
             raise ConfigError(f"unknown risk level in {where}: {name!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{name} must be a number, got {value!r}")
-        out[RiskLevel.from_name(name)] = _float(value, f"{where}.{name}")
+        out[RiskLevel.from_name(name)] = _number(number, f"{where}.{name}")
     return out
+
+
+def _version(value, where: str) -> int:
+    if _integer(value, where) != CONFIG_VERSION:
+        raise ConfigError(f"unsupported config version {value!r}; this build reads version {CONFIG_VERSION}")
+    return value
+
+
+class _Object:
+    """Reader of one JSON object. ``fields`` maps each key, in echo order,
+    to its reader; a key is required unless ``defaults`` holds it. The read
+    values go to ``build`` as keywords, and ``view`` maps a built object
+    back to its values for ``echo``. An object with a ``name`` has one
+    place in the document and reports under that name; a ``nullable`` one
+    reads and echoes null as None."""
+
+    def __init__(self, fields: dict, defaults: dict | None = None, build=dict, view=vars,
+                 name: str | None = None, nullable: bool = False):
+        self.fields, self.defaults = fields, defaults or {}
+        self.required = fields.keys() - self.defaults.keys()
+        self.build, self.view, self.name, self.nullable = build, view, name, nullable
+
+    def __call__(self, value, where: str):
+        where = self.name or where
+        if value is None and self.nullable:
+            return None
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        for problem, keys in (("unknown", value.keys() - self.fields.keys()),
+                              ("missing", self.required - value.keys())):
+            if keys:
+                raise ConfigError(f"{problem} key(s) in {where}: {', '.join(sorted(keys))}")
+        value = {**self.defaults, **value}
+        return self.build(**{key: read(value[key], f"{where}.{key}")
+                             for key, read in self.fields.items()})
+
+    def echo(self, obj) -> dict | None:
+        if obj is None:
+            return None
+        values = self.view(obj)
+        return {key: _echo(values[key], read) for key, read in self.fields.items()}
+
+
+# severity kind -> reader of its other keys; build is the distribution class
+_KINDS = {
+    "lognormal": _Object({"mu": _number, "sigma": _number}, build=Lognormal),
+    "pareto": _Object({"x_min": _number, "alpha": _number}, build=Pareto),
+    "fixed": _Object({"value": _number}, build=Fixed),
+    "discrete": _Object({"values": _numbers, "probabilities": _numbers}, build=DiscreteTable),
+}
+
+
+class _Severity:
+    """Reader of a severity object, whose ``kind`` picks its reader in ``_KINDS``."""
+
+    def __call__(self, value, where: str):
+        if not isinstance(value, dict) or "kind" not in value:
+            raise ConfigError(f"{where} must be an object with a 'kind' key")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in _KINDS:  # a list is not a hashable key
+            raise ConfigError(f"{where}.kind must be one of {'/'.join(_KINDS)}, got {kind!r}")
+        try:
+            return _KINDS[kind]({key: x for key, x in value.items() if key != "kind"}, where)
+        except DomainError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
+    def echo(self, dist) -> dict:
+        kind = next(kind for kind, read in _KINDS.items() if isinstance(dist, read.build))
+        return {"kind": kind, **_KINDS[kind].echo(dist)}
+
+
+def _echo(value, read):
+    """A read value in its JSON form again."""
+    if isinstance(read, (_Object, _Severity)):
+        return read.echo(value)
+    if isinstance(value, (tuple, list)):
+        return [x.name.lower() if isinstance(x, RiskLevel) else x for x in value]
+    if isinstance(value, dict):  # a level map, echoed whole
+        return {level.name.lower(): value[level] for level in RiskLevel}
+    return value
+
+
+def _device(theta, lambda_cluster, **fields) -> DeviceParameters:
+    return DeviceParameters(counts=CountDistributionParams(theta=theta, lambda_cluster=lambda_cluster),
+                            **fields)
+
+
+def _spec(version, schedule, scenario, **fields) -> SimulationSpec:
+    """The schedule's values are spec fields; its mitigation is the alpha of
+    every level ``scenario.mitigation_alphas`` omits."""
+    alphas = {level: schedule["mitigation"] for level in RiskLevel} | scenario["mitigation_alphas"]
+    return SimulationSpec(**schedule, **fields,
+                          scenario=ScenarioConfig(**{**scenario, "mitigation_alphas": alphas}))
+
+
+_PRESET = paper_config()
+_DEVICE = _Object({
+    "daily_loss": _number,
+    "discount_rate": _number,
+    "horizon_days": _integer,
+    "kill_rate": _number,
+    "theta": _number,
+    "lambda_cluster": _number,
+    "loss_day_multiplier": _number,
+}, _DEVICE_DEFAULTS, build=_device, view=lambda device: {**vars(device), **vars(device.counts)},
+    name="device")
+_SCENARIO = _Object({
+    "base_proportion": _number,
+    "population": _integer,
+    "attacks_per_year_base": _number,
+    "intensity_multipliers": _level_map,
+    "mitigation_alphas": _level_map,
+}, {**_PRESET["scenario"], "mitigation_alphas": {}}, name="scenario")
+# version and device are required; every other omitted key takes the preset's value
+_CONFIG = _Object({
+    "version": _version,
+    "seed": _integer,
+    "repetitions": _integer,
+    "portfolio_size": _integer,
+    "confidence_levels": _numbers,
+    "levels": _levels,
+    "device": _DEVICE,
+    "schedule": _Object({"loading": _number, "mitigation": _number}, _PRESET["schedule"],
+                        name="schedule"),
+    "scenario": _SCENARIO,
+    "aggregate_channel": _Object({"event_rate": _number, "severity": _Severity()},
+                                 build=AggregateLossParams, name="aggregate_channel", nullable=True),
+}, {key: value for key, value in _PRESET.items() if key not in ("version", "device")}, build=_spec,
+    view=lambda spec: {**vars(spec), "version": CONFIG_VERSION, "schedule": spec}, name="config")
 
 
 def parse_config(mapping: dict) -> SimulationSpec:
     """Validate a configuration mapping and build the simulation spec.
 
     Omitted fields take their ``paper_config()`` values, except the
-    optional device fields, which take ``_DEVICE_DEFAULTS``."""
+    optional device fields, which take ``_DEVICE_DEFAULTS``, and the
+    levels ``scenario.mitigation_alphas`` omits, which take
+    ``schedule.mitigation``."""
     if not isinstance(mapping, dict):
         raise ConfigError("configuration must be a JSON object")
-    _require_keys(
-        mapping,
-        {"version", "seed", "repetitions", "portfolio_size", "confidence_levels",
-         "levels", "device", "schedule", "scenario", "aggregate_channel"},
-        {"version", "device"},
-        "config",
-    )
-    if _integer(mapping, "version", "config") != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {mapping['version']!r}; this build reads version {CONFIG_VERSION}")
-
-    defaults = paper_config()
-    top = {**defaults, **mapping}
-    device_map = _section(mapping, "device",
-                          {"daily_loss", "discount_rate", "horizon_days", "kill_rate",
-                           "theta", "lambda_cluster", "loss_day_multiplier"},
-                          {"daily_loss", "discount_rate", "theta"}, _DEVICE_DEFAULTS)
-    schedule_map = _section(mapping, "schedule", {"loading", "mitigation"}, set(),
-                            defaults["schedule"])
-    scenario_map = _section(mapping, "scenario",
-                            {"base_proportion", "population", "attacks_per_year_base",
-                             "intensity_multipliers", "mitigation_alphas"},
-                            set(), defaults["scenario"])
-
     try:
-        device = DeviceParameters(
-            daily_loss=_number(device_map, "daily_loss", "device"),
-            discount_rate=_number(device_map, "discount_rate", "device"),
-            counts=CountDistributionParams(
-                theta=_number(device_map, "theta", "device"),
-                lambda_cluster=_number(device_map, "lambda_cluster", "device")),
-            horizon_days=_integer(device_map, "horizon_days", "device"),
-            kill_rate=_number(device_map, "kill_rate", "device"),
-            loss_day_multiplier=_number(device_map, "loss_day_multiplier", "device"),
-        )
-
-        mitigation = _number(schedule_map, "mitigation", "schedule")
-        # absent alpha table = the replication reading: schedule mitigation everywhere
-        alphas = {level: mitigation for level in RiskLevel}
-        if "mitigation_alphas" in scenario_map:
-            alphas.update(_level_map(scenario_map["mitigation_alphas"], "scenario.mitigation_alphas"))
-        scenario = ScenarioConfig(
-            base_proportion=_number(scenario_map, "base_proportion", "scenario"),
-            population=_integer(scenario_map, "population", "scenario"),
-            attacks_per_year_base=_number(scenario_map, "attacks_per_year_base", "scenario"),
-            intensity_multipliers=_level_map(scenario_map["intensity_multipliers"],
-                                             "scenario.intensity_multipliers"),
-            mitigation_alphas=alphas,
-        )
-
-        channel = None
-        if top["aggregate_channel"] is not None:
-            channel_map = _section(mapping, "aggregate_channel", {"event_rate", "severity"},
-                                   {"event_rate", "severity"}, {})
-            channel = AggregateLossParams(
-                event_rate=_number(channel_map, "event_rate", "aggregate_channel"),
-                severity=_severity_from_mapping(channel_map["severity"], "aggregate_channel.severity"),
-            )
-
-        return SimulationSpec(
-            device=device,
-            loading=_number(schedule_map, "loading", "schedule"),
-            mitigation=mitigation,
-            portfolio_size=_integer(top, "portfolio_size", "config"),
-            repetitions=_integer(top, "repetitions", "config"),
-            seed=_integer(top, "seed", "config"),
-            levels=_levels(top, "levels", "config"),
-            scenario=scenario,
-            aggregate_channel=channel,
-            confidence_levels=_numbers(top, "confidence_levels", "config"),
-        )
+        return _CONFIG(mapping, "config")
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -270,41 +269,9 @@ def load_config(path: str) -> SimulationSpec:
 
 def scenario_to_mapping(scenario: ScenarioConfig) -> dict:
     """The ``scenario`` section of a configuration, as parse_config reads it."""
-    return {
-        "base_proportion": scenario.base_proportion,
-        "population": scenario.population,
-        "attacks_per_year_base": scenario.attacks_per_year_base,
-        "intensity_multipliers": {
-            level.name.lower(): scenario.intensity_multipliers[level] for level in RiskLevel
-        },
-        "mitigation_alphas": {
-            level.name.lower(): scenario.mitigation_alphas[level] for level in RiskLevel
-        },
-    }
+    return _SCENARIO.echo(scenario)
 
 
 def spec_to_mapping(spec: SimulationSpec) -> dict:
     """Inverse of parse_config, used for provenance echo and round trips."""
-    return {
-        "version": CONFIG_VERSION,
-        "seed": spec.seed,
-        "repetitions": spec.repetitions,
-        "portfolio_size": spec.portfolio_size,
-        "confidence_levels": list(spec.confidence_levels),
-        "levels": [level.name.lower() for level in spec.levels],
-        "device": {
-            "daily_loss": spec.device.daily_loss,
-            "discount_rate": spec.device.discount_rate,
-            "horizon_days": spec.device.horizon_days,
-            "kill_rate": spec.device.kill_rate,
-            "theta": spec.device.counts.theta,
-            "lambda_cluster": spec.device.counts.lambda_cluster,
-            "loss_day_multiplier": spec.device.loss_day_multiplier,
-        },
-        "schedule": {"loading": spec.loading, "mitigation": spec.mitigation},
-        "scenario": scenario_to_mapping(spec.scenario),
-        "aggregate_channel": None if spec.aggregate_channel is None else {
-            "event_rate": spec.aggregate_channel.event_rate,
-            "severity": _severity_to_mapping(spec.aggregate_channel.severity),
-        },
-    }
+    return _CONFIG.echo(spec)

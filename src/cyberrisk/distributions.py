@@ -296,14 +296,12 @@ def _poly(coeffs, x):
     return r
 
 
-def normal_quantile(u) -> np.ndarray | float:
+def normal_quantile(u) -> np.ndarray:
     """Inverse standard normal CDF (Wichura's AS 241 rational approximation,
-    double-precision PPND16 variant). Accepts scalars or arrays in (0, 1]."""
-    scalar = np.isscalar(u)
+    double-precision PPND16 variant) of an array in (0, 1]."""
     u = np.asarray(u, dtype=np.float64)
     q = u - 0.5
     central = np.abs(q) <= 0.425
-    out = np.empty_like(u)
 
     r = 0.180625 - q * q
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -321,8 +319,7 @@ def normal_quantile(u) -> np.ndarray | float:
                         _poly(_C, r_near) / _poly(_D, r_near),
                         _poly(_E, r_far) / _poly(_F, r_far))
         tail = np.where(q < 0.0, -tail, tail)
-    out = np.where(central, out_central, tail)
-    return float(out) if scalar else out
+    return np.where(central, out_central, tail)
 
 
 # ---------------------------------------------------------------------------

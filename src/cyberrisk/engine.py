@@ -395,6 +395,7 @@ def _channel_losses(seed: int, level: RiskLevel, reps: np.ndarray, counts: np.nd
     return totals
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a nonfinite loss raises NumericFault below
 def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi: int):
     """Losses and cap counts for repetitions [rep_lo, rep_hi) of one level."""
     n = rep_hi - rep_lo
@@ -448,13 +449,15 @@ def _chunk_task(args):
 # reduction and public entry points
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a nonfinite measure raises NumericFault below
 def summarize_level(samples: EmpiricalDistribution, premium_pool: float,
                     levels) -> RiskMetrics:
     """Compose the five risk measures over one loss sample.
 
     Margin ratios are produced for every (measure, confidence) pair, and
     omitted entirely when the expected loss is zero (Solvency-2 ratio is
-    undefined there)."""
+    undefined there). Finite losses can still sum past the float range;
+    a nonfinite measure raises NumericFault."""
     expected = samples.mean()
     var = {rho: value_at_risk(samples, rho) for rho in levels}
     cte = {rho: conditional_tail_expectation(samples, rho) for rho in levels}
@@ -463,10 +466,15 @@ def summarize_level(samples: EmpiricalDistribution, premium_pool: float,
         for rho in levels:
             margin[("var", rho)] = risk_margin_ratio(var[rho], expected)
             margin[("cte", rho)] = risk_margin_ratio(cte[rho], expected)
+    shortfall = (shortfall_probability(samples, premium_pool),
+                 expected_shortfall(samples, premium_pool))
+    if not all(map(math.isfinite, [expected, *shortfall, *var.values(), *cte.values(),
+                                   *margin.values()])):
+        raise NumericFault("nonfinite risk measure: a sum over the losses overflows")
     return RiskMetrics(
         expected_loss=expected,
-        shortfall_probability=shortfall_probability(samples, premium_pool),
-        expected_shortfall=expected_shortfall(samples, premium_pool),
+        shortfall_probability=shortfall[0],
+        expected_shortfall=shortfall[1],
         var=var,
         cte=cte,
         margin_ratio=margin,

@@ -110,7 +110,7 @@ def parse_records(data: bytes, fmt: str = "csv"):
                     rejects.append(reject)
         except csv.Error as exc:  # a field longer than csv.field_size_limit()
             raise FormatError(f"CSV line {reader.reader.line_num}: {exc}") from exc
-    elif fmt in ("jsonl", "json-lines"):
+    elif fmt == "jsonl":
         for line, raw_line in enumerate(text.splitlines(), start=1):
             if not raw_line.strip():
                 continue

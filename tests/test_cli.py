@@ -183,6 +183,21 @@ class TestSimulate:
         assert err.startswith("error: ") and "at most 2**20" in err
 
 
+    # 1e305: every loss is finite, their mean is not; 1e307: a loss overflows
+    @pytest.mark.parametrize("daily_loss", [1e305, 1e307])
+    def test_overflow_is_a_numeric_fault_without_a_warning(self, tmp_path, daily_loss):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "version": 1, "repetitions": 10, "portfolio_size": 1, "levels": ["severe"],
+            "device": {"daily_loss": daily_loss, "discount_rate": 0.0, "theta": 5.0,
+                       "lambda_cluster": 400.0}}))
+        done = _run_module(["simulate", "--config", str(path), "--format", "json"])
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: numeric fault: ")
+        assert done.stderr.count("\n") == 1
+
+
 class TestCalibrate:
     def test_defaults_reproduce_published_numbers(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate")
@@ -383,6 +398,15 @@ class TestReport:
         assert "CTE(.90)" in out and "95.000000" in out
         assert "0.11" in out
         assert "0.55" in out
+
+    def test_overflowing_sum_is_a_numeric_fault_without_a_warning(self, tmp_path):
+        path = tmp_path / "losses.txt"
+        path.write_text("1e308\n1e308\n")
+        done = _run_module(["report", "--samples", str(path)])
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == ("error: numeric fault: nonfinite risk measure: "
+                               "a sum over the losses overflows\n")
 
     def test_single_value_pool_zero(self, capsys, tmp_path):
         path = tmp_path / "losses.txt"

@@ -202,7 +202,7 @@ def test_normal_quantile_matches_scipy():
     mine = normal_quantile(u)
     ref = stats.norm.ppf(u)
     assert np.max(np.abs(mine - ref)) < 1e-9
-    assert normal_quantile(0.5) == 0.0
+    assert normal_quantile(np.array([0.5]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
