@@ -211,8 +211,6 @@ def _cmd_report(args) -> int:
     for rho in levels:
         if not (0.0 < rho < 1.0):
             raise ConfigError(f"confidence level {rho} outside (0, 1)")
-    if not (args.premium_pool >= 0):
-        raise ConfigError("--premium-pool must be nonnegative")
 
     dist = EmpiricalDistribution(_read_samples(args.samples))
     metrics = summarize_level(dist, args.premium_pool, levels)

@@ -83,6 +83,7 @@ class CountDistributionParams:
             raise DomainError(f"theta must be positive, got {self.theta}")
         if not (self.lambda_cluster >= 0 and math.isfinite(self.lambda_cluster)):
             raise DomainError(f"lambda_cluster must be nonnegative, got {self.lambda_cluster}")
+        object.__setattr__(self, "lambda_cluster", self.lambda_cluster + 0.0)  # -0.0 reads as +0.0
 
     @property
     def mean(self) -> float:
@@ -135,6 +136,7 @@ class Fixed:
     def __post_init__(self):
         if not (self.value >= 0 and math.isfinite(self.value)):
             raise DomainError(f"fixed severity must be nonnegative, got {self.value}")
+        object.__setattr__(self, "value", self.value + 0.0)  # -0.0 reads as +0.0
 
     @property
     def mean(self) -> float:
@@ -147,8 +149,9 @@ class DiscreteTable:
     probabilities: tuple
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        probs = tuple(float(p) for p in self.probabilities)
+        # -0.0 passes the checks below; it is read as +0.0
+        values = tuple(float(v) + 0.0 for v in self.values)
+        probs = tuple(float(p) + 0.0 for p in self.probabilities)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probabilities", probs)
         if len(values) != len(probs) or not values:

@@ -54,6 +54,13 @@ CHANNEL_SPILL, taken after 16 rejected PTRS attempts (about one region in
 10**12), are drawn in one batched call per task, each spilled repetition
 on its own stream, without that cut.
 
+Past its count words, a task works only on the repetitions that drew
+something: its count reads keep the rows with a nonzero count, and it
+returns only its nonzero losses. A level holds one R-length loss array:
+each task's nonzero losses go into its tail, and the level's sample is
+its zeros followed by its sorted nonzero losses, which is ``np.sort`` of
+all R losses bit for bit, as no loss is negative or -0.0.
+
 Only the cipher blocks a draw reads are enciphered. A single-cluster
 repetition's DETAIL block 0 is enciphered when lambda_cluster > 0 (it
 holds the inversion word and the first PTRS attempt); block 1 when
@@ -201,6 +208,7 @@ class SimulationSpec:
             raise ConfigError("confidence levels must be ascending")
         if not (self.loading >= 0 and math.isfinite(self.loading)):
             raise ConfigError(f"loading must be nonnegative, got {self.loading}")
+        object.__setattr__(self, "loading", self.loading + 0.0)  # -0.0 reads as +0.0
         if not (0.0 < self.mitigation <= 1.0):
             raise ConfigError(f"mitigation must lie in (0, 1], got {self.mitigation}")
         rates = {f"portfolio_size * theta * multiplier at {level.name}": self.portfolio_size * (
@@ -248,25 +256,36 @@ def _spans(n: int, words_per_row: int):
 
 
 def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: int,
-                      rate: float) -> np.ndarray:
-    """Event counts ~ Poisson(rate) for repetitions [rep_lo, rep_lo + n).
+                      rate: float):
+    """Event counts ~ Poisson(rate) for repetitions [rep_lo, rep_lo + n), as
+    (rows, counts): the offsets from ``rep_lo`` of the repetitions whose
+    count is nonzero, ascending, and their counts.
 
     Repetition r reads its dense inversion word r below rate 30, and its
     32-word PTRS region [32r, 32r + 32) above, the rows still unresolved
     after ``_COUNT_MAX_ATTEMPTS`` attempts drawn together, each on its own
     spill stream."""
-    out = np.zeros(n, dtype=np.int64)
+    rows = np.empty(n, dtype=np.int64)
+    counts = np.empty(n, dtype=np.int64)
+    found = 0
     width = 1 if rate < PTRS_THRESHOLD else 4 * _COUNT_BLOCKS_PER_REP
     stream = RandomStream(seed, pack_stream_id(domain, level.code, 0), counter=rep_lo * width)
     for lo, hi in _spans(n, width):
         words = stream.raw_words((hi - lo) * width).reshape(hi - lo, width)
-        out[lo:hi] = poisson_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
+        span = poisson_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
+        nonzero = np.flatnonzero(span != 0)  # unresolved rows (-1) included
+        rows[found:found + len(nonzero)] = lo + nonzero
+        counts[found:found + len(nonzero)] = span[nonzero]
+        found += len(nonzero)
+    rows, counts = rows[:found], counts[:found]
     spill_domain = _DOMAIN_COUNT_SPILL if domain == _DOMAIN_COUNT else _DOMAIN_CHANNEL_SPILL
-    spilled = np.flatnonzero(out < 0)
+    spilled = np.flatnonzero(counts < 0)
     if spilled.size:
-        streams = RaggedStreams(seed, pack_stream_id(spill_domain, level.code, rep_lo + spilled))
-        out[spilled] = sample_poisson_rows(streams, np.ones(len(spilled), dtype=np.int64), rate)
-    return out
+        streams = RaggedStreams(seed, pack_stream_id(spill_domain, level.code, rep_lo + rows[spilled]))
+        counts[spilled] = sample_poisson_rows(streams, np.ones(len(spilled), dtype=np.int64), rate)
+        drawn = counts > 0  # a spilled draw may be 0
+        rows, counts = rows[drawn], counts[drawn]
+    return rows, counts
 
 
 def _batches(words: np.ndarray):
@@ -403,46 +422,50 @@ def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi:
     v = discount_factor(device.discount_rate)
     unit = v * device.daily_loss
 
-    cluster_counts = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
+    drew, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
                                        spec.portfolio_size * device.counts.theta)
     losses = np.zeros(n)
     caps = 0
 
-    single_rows = np.flatnonzero(cluster_counts == 1)
+    # single- and multi-cluster repetitions, as indexes into drew
+    single = np.flatnonzero(clusters == 1)
     spilled = []
-    for lo, hi in _spans(len(single_rows), 4 * _DETAIL_BLOCKS_PER_REP):
-        rows = single_rows[lo:hi]
-        resolved, capped_days, single_caps = _single_cluster_days(spec.seed, level, rep_lo + rows,
-                                                                  device)
-        losses[rows[resolved]] = unit * capped_days
+    for lo, hi in _spans(len(single), 4 * _DETAIL_BLOCKS_PER_REP):
+        at = single[lo:hi]
+        resolved, capped_days, single_caps = _single_cluster_days(spec.seed, level,
+                                                                  rep_lo + drew[at], device)
+        losses[drew[at[resolved]]] = unit * capped_days
         caps += single_caps
-        spilled.append(rows[~resolved])
-    multi_rows = np.concatenate([np.flatnonzero(cluster_counts >= 2)] + spilled)
-    if multi_rows.size:
-        total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + multi_rows,
-                                                     cluster_counts[multi_rows], device,
-                                                     spec.portfolio_size)
-        losses[multi_rows] = unit * total_days
+        spilled.append(at[~resolved])
+    multi = np.concatenate([np.flatnonzero(clusters >= 2)] + spilled)
+    if multi.size:
+        total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + drew[multi],
+                                                     clusters[multi], device, spec.portfolio_size)
+        losses[drew[multi]] = unit * total_days
         caps += multi_caps
 
+    touched = drew
     if spec.aggregate_channel is not None and spec.aggregate_channel.event_rate > 0.0:
-        event_counts = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
+        rows, events = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
                                          spec.aggregate_channel.event_rate)
-        rows = np.flatnonzero(event_counts)
-        losses[rows] += _channel_losses(spec.seed, level, rep_lo + rows, event_counts[rows],
+        losses[rows] += _channel_losses(spec.seed, level, rep_lo + rows, events,
                                         spec.aggregate_channel.severity)
+        touched = np.concatenate([drew, rows])
 
-    bad = np.nonzero(~np.isfinite(losses))[0]
+    bad = touched[~np.isfinite(losses[touched])]
     if bad.size:
-        raise NumericFault(
-            f"nonfinite loss at level {level.name}, repetition {rep_lo + int(bad[0])}",
-            level=level.name, repetition=rep_lo + int(bad[0]))
+        first = rep_lo + int(bad.min())
+        raise NumericFault(f"nonfinite loss at level {level.name}, repetition {first}",
+                           level=level.name, repetition=first)
     return losses, caps
 
 
 def _chunk_task(args):
+    """The nonzero losses of one task, in repetition order, and its cap
+    events: a repetition that drew nothing is not sent back."""
     spec, level, lo, hi = args
-    return _simulate_chunk(spec, level, lo, hi)
+    losses, caps = _simulate_chunk(spec, level, lo, hi)
+    return losses[losses != 0.0], caps
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +549,20 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
 def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,
                   results) -> LevelReport:
     """Reduce one level's losses to its report. The level's tasks are the
-    next ones of the ``results`` iterator, in repetition order; each fills
-    its span of the loss array as it arrives."""
-    losses = np.empty(spec.repetitions)
+    next ones of the ``results`` iterator, in repetition order; each
+    writes its nonzero losses into the tail of the level's one R-length
+    array as it arrives. Losses are nonnegative and carry no -0.0, so the
+    sorted sample is its zeros followed by its sorted nonzero losses: only
+    the tail is sorted, and the head stays zero."""
+    losses = np.zeros(spec.repetitions)
+    start = spec.repetitions
     caps = 0
-    for lo in range(0, spec.repetitions, _CHUNK_REPS):
-        chunk_losses, chunk_caps = next(results)
-        losses[lo:lo + len(chunk_losses)] = chunk_losses
+    for _ in range(0, spec.repetitions, _CHUNK_REPS):
+        nonzero, chunk_caps = next(results)
+        start -= len(nonzero)
+        losses[start:start + len(nonzero)] = nonzero
         caps += chunk_caps
-    losses.sort()
+    losses[start:].sort()
     dist = EmpiricalDistribution.from_sorted(losses)
 
     alpha = level_mitigation(spec.scenario, level)

@@ -60,6 +60,10 @@ class DeviceParameters:
         if not (self.loss_day_multiplier >= 0 and math.isfinite(self.loss_day_multiplier)):
             raise DomainError(
                 f"loss_day_multiplier must be nonnegative, got {self.loss_day_multiplier}")
+        # -0.0 passes the checks above; it is read as +0.0, so that no loss
+        # or report figure carries the sign
+        for name in ("daily_loss", "kill_rate", "loss_day_multiplier"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,7 @@ class AggregateLossParams:
     def __post_init__(self):
         if not (self.event_rate >= 0 and math.isfinite(self.event_rate)):
             raise DomainError(f"event_rate must be nonnegative, got {self.event_rate}")
+        object.__setattr__(self, "event_rate", self.event_rate + 0.0)  # -0.0 reads as +0.0
 
 
 def discount_factor(discount_rate: float) -> float:

@@ -30,7 +30,7 @@ __all__ = [
 class EmpiricalDistribution:
     """An ascending sample of nonnegative losses."""
 
-    __slots__ = ("sorted_losses", "count")
+    __slots__ = ("sorted_losses", "count", "_mean")
 
     def __init__(self, losses):
         arr = np.asarray(losses, dtype=np.float64)
@@ -40,19 +40,27 @@ class EmpiricalDistribution:
             raise DomainError("losses must be finite")
         if (arr < 0).any():
             raise DomainError("losses must be nonnegative")
-        self.sorted_losses = np.sort(arr)
-        self.count = int(arr.size)
+        sorted_arr = np.sort(arr)
+        sorted_arr += 0.0  # -0.0 reads as +0.0, so no measure carries its sign
+        self._adopt(sorted_arr)
 
     @classmethod
     def from_sorted(cls, sorted_arr: np.ndarray) -> "EmpiricalDistribution":
         """Adopt an already-sorted array without copying (engine fast path)."""
         self = cls.__new__(cls)
-        self.sorted_losses = sorted_arr
-        self.count = int(sorted_arr.size)
+        self._adopt(sorted_arr)
         return self
 
+    def _adopt(self, sorted_arr: np.ndarray):
+        self.sorted_losses = sorted_arr
+        self.count = int(sorted_arr.size)
+        self._mean = None
+
     def mean(self) -> float:
-        return float(self.sorted_losses.mean())
+        """The sample mean, reduced once and then reused."""
+        if self._mean is None:
+            self._mean = float(self.sorted_losses.mean())
+        return self._mean
 
 
 @dataclass(frozen=True)
@@ -104,18 +112,26 @@ def conditional_tail_expectation(dist: EmpiricalDistribution, level: float) -> f
     """Mean of all sample points >= VaR(level), ties at the threshold included.
 
     The true tail mean dominates its threshold; the clamp repairs the
-    one-ulp dips pairwise summation can produce on constant tails."""
+    one-ulp dips pairwise summation can produce on constant tails. A tail
+    of the whole sample is the same reduction as the sample mean, so it
+    reuses that."""
     threshold = value_at_risk(dist, level)
     start = np.searchsorted(dist.sorted_losses, threshold, side="left")
-    return max(float(dist.sorted_losses[start:].mean()), threshold)
+    tail_mean = dist.mean() if start == 0 else float(dist.sorted_losses[start:].mean())
+    return max(tail_mean, threshold)
+
+
+def _first_at_or_above(dist: EmpiricalDistribution, premium_pool: float) -> int:
+    """Index of the first sample point >= ``premium_pool``, which must be a
+    finite nonnegative amount."""
+    if not (premium_pool >= 0 and math.isfinite(premium_pool)):
+        raise DomainError(f"premium_pool must be finite and nonnegative, got {premium_pool}")
+    return int(np.searchsorted(dist.sorted_losses, premium_pool, side="left"))
 
 
 def shortfall_probability(dist: EmpiricalDistribution, premium_pool: float) -> float:
     """Fraction of sample points L with premium_pool <= L."""
-    if not (premium_pool >= 0):
-        raise DomainError(f"premium_pool must be nonnegative, got {premium_pool}")
-    first = np.searchsorted(dist.sorted_losses, premium_pool, side="left")
-    return (dist.count - int(first)) / dist.count
+    return (dist.count - _first_at_or_above(dist, premium_pool)) / dist.count
 
 
 def expected_shortfall(dist: EmpiricalDistribution, premium_pool: float) -> float:
@@ -124,10 +140,7 @@ def expected_shortfall(dist: EmpiricalDistribution, premium_pool: float) -> floa
     Note the orientation: mean excess of losses over the pool, which is the
     only direction consistent with the reference results this models.
     """
-    if not (premium_pool >= 0):
-        raise DomainError(f"premium_pool must be nonnegative, got {premium_pool}")
-    first = np.searchsorted(dist.sorted_losses, premium_pool, side="left")
-    tail = dist.sorted_losses[first:]
+    tail = dist.sorted_losses[_first_at_or_above(dist, premium_pool):]
     return float((tail - premium_pool).sum() / dist.count)
 
 

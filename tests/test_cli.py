@@ -416,14 +416,23 @@ class TestReport:
         assert "E(Shortfall)      12.500000" in out
         assert "Prob(Shortfall)   1.0" in out
 
-    @pytest.mark.parametrize("pool", ["-1", "nan"])
+    # and an infinite pool, which 1e400 also reads as
+    @pytest.mark.parametrize("pool", ["-1", "nan", "inf", "1e400"])
     def test_negative_or_nan_pool_exits_2(self, capsys, tmp_path, pool):
         path = tmp_path / "losses.txt"
         path.write_text("1\n2\n")
         code, out, err = run_cli(capsys, "report", "--samples", str(path), "--premium-pool", pool)
         assert code == 2
         assert out == ""
-        assert "--premium-pool must be nonnegative" in err
+        assert err == f"error: premium_pool must be finite and nonnegative, got {float(pool)}\n"
+
+    def test_negative_zero_samples_print_unsigned(self, capsys, tmp_path):
+        path = tmp_path / "losses.txt"
+        path.write_text("-0\n-0.0\n0\n")
+        code, out, _ = run_cli(capsys, "report", "--samples", str(path))
+        assert code == 0
+        assert "-0" not in out
+        assert "VAR(.90)          0.000000" in out
 
     def test_out_of_range_level_exits_2(self, capsys, tmp_path):
         path = tmp_path / "losses.txt"

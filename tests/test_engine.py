@@ -1,6 +1,7 @@
 """Engine orchestration: determinism, reduction, and model equivalences."""
 
 from collections import Counter
+from dataclasses import replace
 import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
@@ -142,6 +143,59 @@ class TestDeterminism:
         a = run_simulation(_paper_spec(repetitions=4000), workers=1)
         b = run_simulation(_paper_spec(repetitions=4000, seed=43), workers=1)
         assert a.levels[0].metrics.expected_loss != b.levels[0].metrics.expected_loss
+
+
+_COMPACT_CASES = {
+    "daily_loss_0": dict(device=replace(_paper_device(theta=2e-3), daily_loss=0.0)),
+    "theta_1e-12": dict(device=_paper_device(theta=1e-12)),
+    # kappa * theta >= 30 at every level: PTRS counts, none of them zero
+    "no_zero_count": dict(device=_paper_device(theta=0.03, lam=5.0), repetitions=400),
+    # rows that drew clusters but lost nothing
+    "kill_0.5": dict(device=_paper_device(theta=2e-3, lam=0.0, kill=0.5)),
+    "channel_lognormal": dict(aggregate_channel=AggregateLossParams(
+        event_rate=1.0, severity=Lognormal(mu=8.0, sigma=1.5))),
+    # a zero severity: rows with events that lost nothing
+    "channel_discrete": dict(aggregate_channel=AggregateLossParams(
+        event_rate=2.0, severity=DiscreteTable(values=(0.0, 100.0, 1000.0),
+                                               probabilities=(0.5, 0.25, 0.25)))),
+    "chunk_reps_1000": dict(device=_paper_device(theta=2e-4), repetitions=4_500),
+}
+
+
+class TestCompactReduction:
+    """A level's sample, built from its tasks' nonzero losses, is
+    ``np.sort`` of all its losses bit for bit, and so are its measures."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_COMPACT_CASES))
+    def test_level_equals_the_sorted_dense_losses(self, monkeypatch, name, workers):
+        if name == "chunk_reps_1000":
+            monkeypatch.setattr(engine, "_CHUNK_REPS", 1_000)
+        spec = _paper_spec(**{"repetitions": 3_000, "levels": (RiskLevel.GUARDED, RiskLevel.SEVERE),
+                              **_COMPACT_CASES[name]})
+        samples = []
+
+        def keep_sample(dist, premium_pool, levels):
+            samples.append(dist.sorted_losses.copy())
+            return summarize_level(dist, premium_pool, levels)
+
+        monkeypatch.setattr(engine, "summarize_level", keep_sample)
+        report = run_simulation(spec, workers=workers)
+        for item, sample in zip(report.levels, samples, strict=True):
+            losses, caps = _simulate_chunk(spec, item.level, 0, spec.repetitions)
+            expect = np.sort(losses)
+            assert sample.tobytes() == expect.tobytes()
+            assert item.metrics == summarize_level(EmpiricalDistribution(losses),
+                                                   item.premium_pool, spec.confidence_levels)
+            assert item.cap_events == caps
+
+    def test_tasks_return_only_nonzero_losses(self):
+        spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=5_000)
+        losses, caps = _simulate_chunk(spec, RiskLevel.GUARDED, 0, 5_000)
+        nonzero, task_caps = engine._chunk_task((spec, RiskLevel.GUARDED, 0, 5_000))
+        assert 0 < len(nonzero) < 5_000 // 2
+        assert nonzero.tobytes() == losses[losses > 0].tobytes()
+        assert task_caps == caps
 
 
 class TestModelEquivalence:
@@ -545,7 +599,7 @@ def _traced_peak_mib(function, *args) -> float:
 class TestBoundedMemory:
     """A full task's traced allocations stay within a fixed bound: every
     batched read is cut at ``_BATCH_WORDS`` words. The bounds are twice the
-    peaks measured with numpy 2.4 (9.2 and 3.0 MiB)."""
+    peaks measured with numpy 2.4 (9.2, 3.0 and 15.6 MiB)."""
 
     def test_severe_paper_task(self):
         spec = _paper_spec(repetitions=engine._CHUNK_REPS)
@@ -560,3 +614,11 @@ class TestBoundedMemory:
         peak = _traced_peak_mib(engine._counts_for_chunk, 42, engine._DOMAIN_COUNT,
                                 RiskLevel.GUARDED, 0, engine._CHUNK_REPS, rate)
         assert peak < 6.0
+
+    def test_guarded_level_of_2_20_repetitions(self):
+        # one R-length (8 MiB) loss array for the level, plus one task's
+        # working set; the peak was 15.6 MiB also when tasks returned all
+        # their losses
+        spec = _paper_spec(repetitions=1 << 20, levels=(RiskLevel.GUARDED,))
+        peak = _traced_peak_mib(run_simulation, spec, 1)
+        assert peak < 31.2

@@ -13,6 +13,8 @@ bump, recorded in CHANGES.md.
 """
 
 import hashlib
+import json
+import re
 
 import pytest
 
@@ -158,3 +160,37 @@ def test_report_bytes_match_pins(name):
 def test_task_size_does_not_change_bytes(name, chunk_reps, monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK_REPS", chunk_reps)
     assert case_digests(name) == PINS[name]
+
+
+# Fields whose checks (>= 0) let -0.0 through; each case sets some to -0.0.
+NEGATIVE_ZERO_CASES = {
+    "daily_loss": {"device": {"daily_loss": -0.0}},
+    "loss_day_multiplier": {"device": {"loss_day_multiplier": -0.0}},
+    "discrete_values": {"aggregate_channel": {"event_rate": 2.0, "severity": {
+        "kind": "discrete", "values": [-0.0, 100.0, 5.0], "probabilities": [0.5, 0.5, -0.0]}}},
+    "other_fields": {"device": {"kill_rate": -0.0, "lambda_cluster": -0.0},
+                     "schedule": {"loading": -0.0, "mitigation": 0.9},
+                     "aggregate_channel": {"event_rate": -0.0, "severity": {
+                         "kind": "fixed", "value": -0.0}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_ZERO_CASES))
+def test_negative_zero_fields_render_as_positive_zero(name):
+    """-0.0 is read as +0.0: the report bytes equal those of the same
+    config with 0.0, and no figure or echoed field is a negative zero."""
+    negative = json.dumps(NEGATIVE_ZERO_CASES[name])
+    assert "-0.0" in negative
+
+    def rendered(overrides: str) -> tuple:
+        document = paper_config()
+        document["repetitions"] = 2_000
+        for key, value in json.loads(overrides).items():
+            document[key] = {**document[key], **value} if key == "device" else value
+        report = run_simulation(parse_config(document), workers=1)
+        return tuple(render(report) for render in (render_table, render_csv, render_json))
+
+    texts = rendered(negative)
+    assert texts == rendered(negative.replace("-0.0", "0.0"))
+    for text in texts:
+        assert not re.search(r"-0\.0*(?![0-9])", text)

@@ -84,12 +84,13 @@ class TestShortfall:
         assert expected_shortfall(two, 0.0) == 100.0  # mean of the sample
         assert expected_shortfall(two, 150.0) == 0.0
 
-    @pytest.mark.parametrize("pool", [-1.0, float("nan")])
+    # and an infinite pool
+    @pytest.mark.parametrize("pool", [-1.0, float("nan"), float("inf")])
     def test_negative_or_nan_pool_is_rejected(self, pool):
         two = EmpiricalDistribution([50.0, 150.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="premium_pool must be finite and nonnegative"):
             shortfall_probability(two, pool)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="premium_pool must be finite and nonnegative"):
             expected_shortfall(two, pool)
 
 
@@ -213,3 +214,26 @@ class TestEmpiricalDistribution:
         dist = EmpiricalDistribution([3.0, 1.0, 2.0])
         assert list(dist.sorted_losses) == [1.0, 2.0, 3.0]
         assert dist.count == 3
+
+    def test_negative_zero_reads_as_positive_zero(self):
+        dist = EmpiricalDistribution([-0.0, 0.0, -0.0, 2.0])
+        assert not np.signbit(dist.sorted_losses).any()
+        assert not np.signbit(value_at_risk(dist, 0.5))
+
+    def test_mean_is_reduced_once(self):
+        losses = np.array([0.0, 0.1, 0.2, 0.7])
+        dist = EmpiricalDistribution.from_sorted(losses)
+        mean = dist.mean()
+        losses[:] = 5.0  # the array is adopted, so a second reduction would see this
+        assert dist.mean() == mean
+
+    @pytest.mark.parametrize("losses", [[0.0] * 9 + [3.0], [0.1] * 7 + [0.2] * 3,
+                                        [0.1, 0.7, 0.2, 0.3], np.linspace(0.0, 1.0, 1001) ** 3])
+    def test_whole_sample_tail_reuses_the_mean(self, losses):
+        """A tail that starts at index 0 is the sample mean, bit for bit."""
+        dist = EmpiricalDistribution(losses)
+        for rho in (0.05, 0.5, 0.9):
+            threshold = value_at_risk(dist, rho)
+            start = np.searchsorted(dist.sorted_losses, threshold, side="left")
+            expect = max(float(dist.sorted_losses[start:].mean()), threshold)
+            assert conditional_tail_expectation(dist, rho) == expect
