@@ -213,12 +213,13 @@ def _cmd_report(args) -> int:
             raise ConfigError(f"confidence level {rho} outside (0, 1)")
 
     dist = EmpiricalDistribution(_read_samples(args.samples))
-    metrics = summarize_level(dist, args.premium_pool, levels)
+    pool = args.premium_pool + 0.0  # -0.0 reads as +0.0, as in every figure it yields
+    metrics = summarize_level(dist, pool, levels)
     rhos = sorted(metrics.var)
     lines = [
         f"samples           {dist.count}",
         f"expected loss     {metrics.expected_loss:.6f}",
-        f"premium pool      {args.premium_pool:.6f}",
+        f"premium pool      {pool:.6f}",
         f"Prob(Shortfall)   {metrics.shortfall_probability!r}",
         f"E(Shortfall)      {metrics.expected_shortfall:.6f}",
     ]

@@ -37,28 +37,38 @@ Per (seed, level) there are several stream families (ids built by
 
 Batched resolution
 ------------------
-Layout v1 above is unchanged; it is defined per repetition, but a task
-(up to ``_CHUNK_REPS`` = 2**18 repetitions of one level) resolves its
-DETAIL_SPILL and CHANNEL_SEV repetitions in batches, each repetition on
-its own stream (``streams.RaggedStreams``), and replays every stream's
-word order exactly: placement rejection and PTRS size draws proceed round
-by round, each round reading the next words of every repetition that
-still has unresolved draws, as the one-stream samplers do. Per-repetition
-totals are bit-identical to ``ndarray.sum`` over that repetition's
-devices or events. Batches are bounded by words, not repetitions: every
-batched read - COUNT and CHANNEL counts, the in-region DETAIL words of
-single-cluster repetitions, DETAIL_SPILL and CHANNEL_SEV - holds at most
-``_BATCH_WORDS`` (2**16) words, except for a repetition that alone needs
-more, so a task's memory does not grow with its size. COUNT_SPILL and
-CHANNEL_SPILL, taken after 16 rejected PTRS attempts (about one region in
-10**12), are drawn in one batched call per task, each spilled repetition
-on its own stream, without that cut.
+Layout v1 above is unchanged; it is defined per repetition, so any
+partition of a level's repetitions into tasks gives the same bytes, and
+the partition follows the work. A level of R repetitions at count rate r
+(kappa * theta at the level, plus the channel's event rate) is cut into T
+tasks of equal size, T = max(w, ceil(R * min(1, r) / _TASK_DRAWN_ROWS)) on
+w workers and at most R: min(1, r) bounds the share 1 - exp(-r) of
+repetitions that draw something, so a task expects at most
+``_TASK_DRAWN_ROWS`` (2**18) drawn rows, and a quiet level is one task on
+one worker.
 
-Past its count words, a task works only on the repetitions that drew
-something: its count reads keep the rows with a nonzero count, and it
-returns only its nonzero losses. A level holds one R-length loss array:
-each task's nonzero losses go into its tail, and the level's sample is
-its zeros followed by its sorted nonzero losses, which is ``np.sort`` of
+A task resolves its DETAIL_SPILL and CHANNEL_SEV repetitions in batches,
+each repetition on its own stream (``streams.RaggedStreams``), and
+replays every stream's word order exactly: placement rejection and PTRS
+size draws proceed round by round, each round reading the next words of
+every repetition that still has unresolved draws, as the one-stream
+samplers do. Per-repetition totals are bit-identical to ``ndarray.sum``
+over that repetition's devices or events. Batches are bounded by words,
+not repetitions: every batched read - COUNT and CHANNEL counts, the
+in-region DETAIL words of single-cluster repetitions, DETAIL_SPILL and
+CHANNEL_SEV - holds at most ``_BATCH_WORDS`` (2**16) words, except for a
+repetition that alone needs more. COUNT_SPILL and CHANNEL_SPILL, taken
+after 16 rejected PTRS attempts (about one region in 10**12), are drawn
+in one batched call per task, each spilled repetition on its own stream,
+without that cut.
+
+Past its count words, a task holds arrays only over the rows that drew
+something: its count reads keep the rows with a nonzero count, in arrays
+sized from the expected number of them, and it returns the losses of
+those rows alone. So a task's memory grows with its drawn rows, not with
+the repetitions it scans. A run holds one R-length loss array, reused by
+every level: each task's losses go into its tail, and the level's sample
+is its zeros followed by its sorted drawn losses, which is ``np.sort`` of
 all R losses bit for bit, as no loss is negative or -0.0.
 
 Only the cipher blocks a draw reads are enciphered. A single-cluster
@@ -82,6 +92,7 @@ from numpy's own generator (``tests/oracles.py``).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 import math
 import os
@@ -160,8 +171,12 @@ _COUNT_BLOCKS_PER_REP = 8                # 32-word PTRS regions
 _COUNT_MAX_ATTEMPTS = 16
 _DETAIL_BLOCKS_PER_REP = 2               # 8-word single-cluster regions
 _DETAIL_MAX_ATTEMPTS = 3
-# Repetitions of one level per task (the unit handed to a worker).
-_CHUNK_REPS = 1 << 18
+# Most rows a task (the unit handed to a worker) expects to draw something;
+# sets the number of tasks a level is cut into.
+_TASK_DRAWN_ROWS = 1 << 18
+# Rows over the expected nonzero count that a task's count arrays hold
+# before they grow.
+_COUNT_SLACK = 64
 # Most words one batched read holds (plus any row that alone exceeds it);
 # bounds a task's memory for any kappa and R.
 _BATCH_WORDS = 1 << 16
@@ -264,9 +279,14 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     Repetition r reads its dense inversion word r below rate 30, and its
     32-word PTRS region [32r, 32r + 32) above, the rows still unresolved
     after ``_COUNT_MAX_ATTEMPTS`` attempts drawn together, each on its own
-    spill stream."""
-    rows = np.empty(n, dtype=np.int64)
-    counts = np.empty(n, dtype=np.int64)
+    spill stream.
+
+    The arrays are sized for the expected nonzero count, at most
+    n * min(1, rate) plus ``_COUNT_SLACK`` rows, and double when more
+    rows drew."""
+    size = min(n, math.ceil(n * min(1.0, rate)) + _COUNT_SLACK)
+    rows = np.empty(size, dtype=np.int64)
+    counts = np.empty(size, dtype=np.int64)
     found = 0
     width = 1 if rate < PTRS_THRESHOLD else 4 * _COUNT_BLOCKS_PER_REP
     stream = RandomStream(seed, pack_stream_id(domain, level.code, 0), counter=rep_lo * width)
@@ -274,6 +294,9 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
         words = stream.raw_words((hi - lo) * width).reshape(hi - lo, width)
         span = poisson_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
         nonzero = np.flatnonzero(span != 0)  # unresolved rows (-1) included
+        if found + len(nonzero) > len(rows):
+            size = min(n, max(2 * len(rows), found + len(nonzero)))
+            rows, counts = np.resize(rows[:found], size), np.resize(counts[:found], size)
         rows[found:found + len(nonzero)] = lo + nonzero
         counts[found:found + len(nonzero)] = span[nonzero]
         found += len(nonzero)
@@ -414,58 +437,70 @@ def _channel_losses(seed: int, level: RiskLevel, reps: np.ndarray, counts: np.nd
     return totals
 
 
+def _merged(rows: np.ndarray, losses: np.ndarray, more_rows: np.ndarray, more: np.ndarray):
+    """The union of two sets of distinct rows, ``more_rows`` ascending, and
+    each row's loss: ``losses + more`` for a row in both, and its one loss
+    otherwise. Adds into ``more``."""
+    at = np.searchsorted(more_rows, rows)
+    both = at < len(more_rows)
+    both[both] = more_rows[at[both]] == rows[both]
+    more[at[both]] += losses[both]  # the same bits as losses + more: IEEE addition commutes
+    return np.concatenate([rows[~both], more_rows]), np.concatenate([losses[~both], more])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a nonfinite loss raises NumericFault below
 def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi: int):
-    """Losses and cap counts for repetitions [rep_lo, rep_hi) of one level."""
+    """Losses and cap events of repetitions [rep_lo, rep_hi) of one level,
+    over the rows that drew something: (rows, losses, caps), ``rows`` the
+    offsets from ``rep_lo`` of the repetitions that drew a cluster or a
+    channel event, each once. Every other repetition loses 0."""
     n = rep_hi - rep_lo
     device = level_parameters(spec.scenario, level, spec.device)
     v = discount_factor(device.discount_rate)
     unit = v * device.daily_loss
 
-    drew, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
+    rows, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
                                        spec.portfolio_size * device.counts.theta)
-    losses = np.zeros(n)
+    losses = np.empty(len(rows))  # every row is written below
     caps = 0
 
-    # single- and multi-cluster repetitions, as indexes into drew
+    # single- and multi-cluster repetitions, as indexes into rows
     single = np.flatnonzero(clusters == 1)
     spilled = []
     for lo, hi in _spans(len(single), 4 * _DETAIL_BLOCKS_PER_REP):
         at = single[lo:hi]
         resolved, capped_days, single_caps = _single_cluster_days(spec.seed, level,
-                                                                  rep_lo + drew[at], device)
-        losses[drew[at[resolved]]] = unit * capped_days
+                                                                  rep_lo + rows[at], device)
+        losses[at[resolved]] = unit * capped_days
         caps += single_caps
         spilled.append(at[~resolved])
     multi = np.concatenate([np.flatnonzero(clusters >= 2)] + spilled)
     if multi.size:
-        total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + drew[multi],
+        total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + rows[multi],
                                                      clusters[multi], device, spec.portfolio_size)
-        losses[drew[multi]] = unit * total_days
+        losses[multi] = unit * total_days
         caps += multi_caps
 
-    touched = drew
-    if spec.aggregate_channel is not None and spec.aggregate_channel.event_rate > 0.0:
-        rows, events = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
-                                         spec.aggregate_channel.event_rate)
-        losses[rows] += _channel_losses(spec.seed, level, rep_lo + rows, events,
-                                        spec.aggregate_channel.severity)
-        touched = np.concatenate([drew, rows])
+    channel = spec.aggregate_channel
+    if channel is not None and channel.event_rate > 0.0:
+        events_at, events = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
+                                              channel.event_rate)
+        amounts = _channel_losses(spec.seed, level, rep_lo + events_at, events, channel.severity)
+        rows, losses = _merged(rows, losses, events_at, amounts)
 
-    bad = touched[~np.isfinite(losses[touched])]
+    bad = rows[~np.isfinite(losses)]
     if bad.size:
         first = rep_lo + int(bad.min())
         raise NumericFault(f"nonfinite loss at level {level.name}, repetition {first}",
                            level=level.name, repetition=first)
-    return losses, caps
+    return rows, losses, caps
 
 
 def _chunk_task(args):
-    """The nonzero losses of one task, in repetition order, and its cap
-    events: a repetition that drew nothing is not sent back."""
-    spec, level, lo, hi = args
-    losses, caps = _simulate_chunk(spec, level, lo, hi)
-    return losses[losses != 0.0], caps
+    """The losses of one task's drawn rows and its cap events: a
+    repetition that drew nothing is not sent back."""
+    _, losses, caps = _simulate_chunk(*args)
+    return losses, caps
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +550,19 @@ def resolve_workers(workers: int | None, tasks: int, cpus: int) -> int:
     return min(workers, tasks, cpus)
 
 
+def _level_tasks(spec: SimulationSpec, level: RiskLevel, workers: int) -> int:
+    """How many tasks of equal size one level is cut into on ``workers``
+    workers: enough that each expects at most ``_TASK_DRAWN_ROWS`` drawn
+    rows, at least one per worker, at most one per repetition. A
+    repetition draws something with probability 1 - exp(-r) <= min(1, r)
+    at count rate r."""
+    rate = spec.portfolio_size * level_parameters(spec.scenario, level, spec.device).counts.theta
+    if spec.aggregate_channel is not None:
+        rate += spec.aggregate_channel.event_rate
+    drawn = spec.repetitions * min(1.0, rate)
+    return min(spec.repetitions, max(workers, math.ceil(drawn / _TASK_DRAWN_ROWS)))
+
+
 def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskReport:
     """Run the full experiment described by ``spec``.
 
@@ -527,41 +575,51 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
     baseline_expected = expected_present_loss(baseline_device)
 
-    tasks = [(spec, level, lo, min(lo + _CHUNK_REPS, spec.repetitions))
-             for level in spec.levels for lo in range(0, spec.repetitions, _CHUNK_REPS)]
-    workers = resolve_workers(workers, len(tasks), os.cpu_count() or 1)
-    # Results are consumed as they arrive, so only one level's losses are
-    # held at a time.
-    if workers == 1:
-        results = map(_chunk_task, tasks)
-        level_reports = [_level_report(spec, level, baseline_expected, results)
-                         for level in spec.levels]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_chunk_task, tasks, chunksize=1)
-            level_reports = [_level_report(spec, level, baseline_expected, results)
-                             for level in spec.levels]
+    reps = spec.repetitions
+    workers = resolve_workers(workers, reps * len(spec.levels), os.cpu_count() or 1)
+    # The one loss array every level reuses, taken before any task runs.
+    try:
+        losses = np.zeros(reps)
+    except MemoryError:
+        raise ConfigError(f"repetitions {reps} need a {8 * reps}-byte loss array, "
+                          "more memory than can be allocated") from None
+    task_counts = [_level_tasks(spec, level, workers) for level in spec.levels]
+    tasks = ((spec, level, reps * i // n, reps * (i + 1) // n)
+             for level, n in zip(spec.levels, task_counts) for i in range(n))
+    # A task's losses are written into the loss array as its result
+    # arrives; on one worker, tasks run only as their results are consumed.
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_chunk_task, tasks, chunksize=1) if pool else map(_chunk_task, tasks)
+        level_reports, written = [], reps
+        for level, n in zip(spec.levels, task_counts):
+            report, written = _level_report(spec, level, baseline_expected, results, n,
+                                            losses, written)
+            level_reports.append(report)
 
     return RiskReport(spec=spec, levels=tuple(level_reports),
                       baseline_expected_device_loss=baseline_expected)
 
 
 def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,
-                  results) -> LevelReport:
-    """Reduce one level's losses to its report. The level's tasks are the
-    next ones of the ``results`` iterator, in repetition order; each
-    writes its nonzero losses into the tail of the level's one R-length
-    array as it arrives. Losses are nonnegative and carry no -0.0, so the
-    sorted sample is its zeros followed by its sorted nonzero losses: only
-    the tail is sorted, and the head stays zero."""
-    losses = np.zeros(spec.repetitions)
-    start = spec.repetitions
+                  results, tasks: int, losses: np.ndarray, written: int):
+    """Reduce one level's losses to its report; returns the report and the
+    index where the level's drawn losses start.
+
+    ``losses`` is the run's one R-length array, zero below index
+    ``written``, where the previous level's sample starts; that sample is
+    zeroed first. The level's ``tasks`` tasks are the next ones of the
+    ``results`` iterator; each writes its drawn rows' losses into the tail
+    of ``losses`` as it arrives. Losses are nonnegative and carry no -0.0,
+    so the sorted sample is its zeros followed by its sorted drawn losses:
+    only the tail is sorted, and the head stays zero."""
+    losses[written:] = 0.0
+    start = len(losses)
     caps = 0
-    for _ in range(0, spec.repetitions, _CHUNK_REPS):
-        nonzero, chunk_caps = next(results)
-        start -= len(nonzero)
-        losses[start:start + len(nonzero)] = nonzero
-        caps += chunk_caps
+    for _ in range(tasks):
+        drawn, task_caps = next(results)
+        start -= len(drawn)
+        losses[start:start + len(drawn)] = drawn
+        caps += task_caps
     losses[start:].sort()
     dist = EmpiricalDistribution.from_sorted(losses)
 
@@ -575,4 +633,4 @@ def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: flo
         premium_pool=pool_amount,
         metrics=metrics,
         cap_events=caps,
-    )
+    ), start

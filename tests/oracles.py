@@ -339,3 +339,14 @@ def reference_chunk(spec, level, rep_lo: int, rep_hi: int, count_attempts: int =
             amounts = _severity_quantile(channel.severity, np.array([_uniform(w) for w in words]))
         losses[i] += amounts.sum()
     return losses, caps, spills
+
+
+def scatter_chunk(chunk, n: int):
+    """A task's ``(rows, losses, caps)``, its drawn rows' losses, as
+    ``(losses, caps)`` over all n of its repetitions: the losses scattered
+    into ``np.zeros(n)``. The rows must be distinct."""
+    rows, drawn, caps = chunk
+    assert len(np.unique(rows)) == len(rows) == len(drawn)
+    losses = np.zeros(n)
+    losses[rows] = drawn
+    return losses, caps

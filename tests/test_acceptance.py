@@ -43,6 +43,7 @@ from oracles import (
     expected_shortfall_bruteforce,
     nearest_rank_var_bruteforce,
     panjer_compound_poisson_cdf,
+    scatter_chunk,
     shortfall_prob_bruteforce,
     tail_mean_bruteforce,
 )
@@ -83,8 +84,9 @@ def test_criterion_2_aggregate_loss_panjer():
     ok = True
     for rate in (1.0, 2.0, 3.0, 5.0, 45.0):
         channel = AggregateLossParams(event_rate=rate, severity=severity)
-        draws, _ = _simulate_chunk(replace(spec, aggregate_channel=channel), RiskLevel.GUARDED,
-                                   0, spec.repetitions)
+        draws, _ = scatter_chunk(_simulate_chunk(replace(spec, aggregate_channel=channel),
+                                                 RiskLevel.GUARDED, 0, spec.repetitions),
+                                 spec.repetitions)
         oracle = panjer_compound_poisson_cdf(rate, severity.values, severity.probabilities, grid)
         empirical = np.searchsorted(np.sort(draws), grid, side="right") / len(draws)
         ok &= float(np.max(np.abs(empirical - oracle))) <= 0.01

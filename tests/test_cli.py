@@ -182,6 +182,20 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: ") and "at most 2**20" in err
 
+    def test_loss_array_beyond_memory_exits_2(self, capsys, tmp_path):
+        # 2**52 repetitions are legal, but their 32 PiB loss array is not
+        # allocatable on any host; the run fails before any task starts
+        mapping = paper_config()
+        mapping["repetitions"] = 2 ** 52
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(mapping))
+        message = (f"error: repetitions {2 ** 52} need a {2 ** 55}-byte loss array, "
+                   "more memory than can be allocated\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out, err) == (2, "", message)
+        done = _run_module(["simulate", "--config", str(config)])
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
 
     # 1e305: every loss is finite, their mean is not; 1e307: a loss overflows
     @pytest.mark.parametrize("daily_loss", [1e305, 1e307])
@@ -425,6 +439,15 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert err == f"error: premium_pool must be finite and nonnegative, got {float(pool)}\n"
+
+    def test_negative_zero_pool_prints_unsigned(self, capsys, tmp_path):
+        path = tmp_path / "losses.txt"
+        path.write_text("1\n2\n")
+        code, out, _ = run_cli(capsys, "report", "--samples", str(path), "--premium-pool", "-0")
+        assert code == 0
+        assert "premium pool      0.000000" in out
+        assert "-0" not in out
+        assert run_cli(capsys, "report", "--samples", str(path), "--premium-pool", "0")[1] == out
 
     def test_negative_zero_samples_print_unsigned(self, capsys, tmp_path):
         path = tmp_path / "losses.txt"

@@ -2,6 +2,10 @@
 
 from collections import Counter
 from dataclasses import replace
+import json
+import math
+import os
+from pathlib import Path
 import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
@@ -35,7 +39,7 @@ from cyberrisk.risk_measures import EmpiricalDistribution
 from cyberrisk.scenario import RiskLevel, ScenarioConfig
 from cyberrisk.streams import RandomStream, pack_stream_id
 
-from oracles import compound_count_draws, detail_spill_days, reference_chunk
+from oracles import compound_count_draws, detail_spill_days, reference_chunk, scatter_chunk
 
 
 def _paper_device(theta=2e-5, lam=182.0, kill=0.0):
@@ -124,7 +128,8 @@ class TestDeterminism:
         reference = run_simulation(spec, workers=1)
         assert reference.spec == spec
         assert run_simulation(spec, workers=2) == reference
-        monkeypatch.setattr(engine, "_CHUNK_REPS", 1_000)
+        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 50)
+        assert [engine._level_tasks(spec, level, 1) for level in spec.levels] == [3, 5, 24, 48]
         assert run_simulation(spec, workers=1) == reference
         assert run_simulation(spec, workers=2) == reference
 
@@ -145,6 +150,50 @@ class TestDeterminism:
         assert a.levels[0].metrics.expected_loss != b.levels[0].metrics.expected_loss
 
 
+def _bench_workload(name: str) -> SimulationSpec:
+    """The spec of one workload of ``bench/workloads.json``."""
+    document = json.loads((Path(__file__).parents[1] / "bench" / "workloads.json").read_text())
+    return parse_config({**document["base"], **document["workloads"][name]["overrides"]})
+
+
+class TestTaskCount:
+    """A level is cut into tasks by the rows it expects to draw, not by the
+    repetitions it scans."""
+
+    def test_bench_workloads_are_one_task_per_level_per_worker(self):
+        for name in ("paper", "channel", "dense"):
+            spec = _bench_workload(name)
+            for workers in (1, 2):
+                assert [engine._level_tasks(spec, level, workers) for level in spec.levels] == \
+                    [workers] * len(spec.levels), name
+
+    def test_a_paper_run_takes_one_task_per_level(self, monkeypatch):
+        spans = []
+        task = engine._chunk_task
+
+        def spy(args):
+            spans.append(args[2:])
+            return task(args)
+
+        monkeypatch.setattr(engine, "_chunk_task", spy)
+        run_simulation(parse_config(paper_config()), workers=1)
+        assert spans == [(0, 100_000)] * 4
+
+    def test_a_task_expects_at_most_2_18_drawn_rows(self):
+        # Severe draws at rate 0.4: 400,000 expected drawn rows at R = 1e6
+        spec = replace(parse_config(paper_config()), repetitions=1_000_000)
+        assert [engine._level_tasks(spec, level, 1) for level in spec.levels] == [1, 1, 1, 2]
+        assert engine._level_tasks(replace(spec, repetitions=7), RiskLevel.SEVERE, 8) == 7
+
+    def test_bytes_equal_across_one_two_and_three_workers(self, monkeypatch):
+        spec = replace(parse_config(paper_config()), repetitions=50_000)
+        reference = render_json(run_simulation(spec, workers=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers also on two CPUs
+        for workers in (2, 3):
+            assert engine._level_tasks(spec, RiskLevel.GUARDED, workers) == workers
+            assert render_json(run_simulation(spec, workers=workers)) == reference
+
+
 _COMPACT_CASES = {
     "daily_loss_0": dict(device=replace(_paper_device(theta=2e-3), daily_loss=0.0)),
     "theta_1e-12": dict(device=_paper_device(theta=1e-12)),
@@ -158,7 +207,9 @@ _COMPACT_CASES = {
     "channel_discrete": dict(aggregate_channel=AggregateLossParams(
         event_rate=2.0, severity=DiscreteTable(values=(0.0, 100.0, 1000.0),
                                                probabilities=(0.5, 0.25, 0.25)))),
-    "chunk_reps_1000": dict(device=_paper_device(theta=2e-4), repetitions=4_500),
+    "several_tasks": dict(device=_paper_device(theta=2e-4), repetitions=4_500),
+    # a level with fewer drawn rows than the one before it, in the same array
+    "severe_then_guarded": dict(levels=(RiskLevel.SEVERE, RiskLevel.GUARDED)),
 }
 
 
@@ -169,10 +220,11 @@ class TestCompactReduction:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(_COMPACT_CASES))
     def test_level_equals_the_sorted_dense_losses(self, monkeypatch, name, workers):
-        if name == "chunk_reps_1000":
-            monkeypatch.setattr(engine, "_CHUNK_REPS", 1_000)
         spec = _paper_spec(**{"repetitions": 3_000, "levels": (RiskLevel.GUARDED, RiskLevel.SEVERE),
                               **_COMPACT_CASES[name]})
+        if name == "several_tasks":
+            monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
+            assert [engine._level_tasks(spec, level, 1) for level in spec.levels] == [5, 23]
         samples = []
 
         def keep_sample(dist, premium_pool, levels):
@@ -182,7 +234,8 @@ class TestCompactReduction:
         monkeypatch.setattr(engine, "summarize_level", keep_sample)
         report = run_simulation(spec, workers=workers)
         for item, sample in zip(report.levels, samples, strict=True):
-            losses, caps = _simulate_chunk(spec, item.level, 0, spec.repetitions)
+            losses, caps = scatter_chunk(_simulate_chunk(spec, item.level, 0, spec.repetitions),
+                                         spec.repetitions)
             expect = np.sort(losses)
             assert sample.tobytes() == expect.tobytes()
             assert item.metrics == summarize_level(EmpiricalDistribution(losses),
@@ -191,7 +244,7 @@ class TestCompactReduction:
 
     def test_tasks_return_only_nonzero_losses(self):
         spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=5_000)
-        losses, caps = _simulate_chunk(spec, RiskLevel.GUARDED, 0, 5_000)
+        losses, caps = scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, 5_000), 5_000)
         nonzero, task_caps = engine._chunk_task((spec, RiskLevel.GUARDED, 0, 5_000))
         assert 0 < len(nonzero) < 5_000 // 2
         assert nonzero.tobytes() == losses[losses > 0].tobytes()
@@ -210,7 +263,7 @@ class TestModelEquivalence:
             repetitions=reps,
             levels=(RiskLevel.GUARDED,),
         )
-        losses, _ = _simulate_chunk(spec, RiskLevel.GUARDED, 0, reps)
+        losses, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, reps), reps)
         unit = 1000.0 / 1.03
         engine_days = np.round(losses / unit).astype(int)
 
@@ -238,7 +291,7 @@ class TestModelEquivalence:
             repetitions=reps,
             levels=(RiskLevel.GUARDED,),
         )
-        losses, _ = _simulate_chunk(spec, RiskLevel.GUARDED, 0, reps)
+        losses, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, reps), reps)
         unit = 1000.0 / 1.03
         days = losses / unit
         mu = kappa * theta * (1 + lam)
@@ -273,8 +326,9 @@ class TestMonotoneRisk:
 class TestConvergence:
     def test_standard_error_shrinks_as_sqrt_r(self):
         spec = _paper_spec(repetitions=100_000, levels=(RiskLevel.HIGH,))
-        losses, _ = _simulate_chunk(spec, RiskLevel.HIGH, 0, 16384)
-        more, _ = _simulate_chunk(spec, RiskLevel.HIGH, 16384, 100_000)
+        losses, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.HIGH, 0, 16384), 16384)
+        more, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.HIGH, 16384, 100_000),
+                                100_000 - 16384)
         losses = np.concatenate([losses, more])
         # block means at R=1000 vs R=10000: sd ratio ~ sqrt(10)
         blocks_1k = losses.reshape(100, 1000).mean(axis=1)
@@ -384,9 +438,9 @@ class TestBatchedResolution:
         channel = AggregateLossParams(event_rate=12.0, severity=Pareto(x_min=1000.0, alpha=2.5))
         spec = _paper_spec(device=_paper_device(theta=1e-3, lam=45.0, kill=0.2),
                            repetitions=3000, aggregate_channel=channel)
-        whole = _simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000)
+        whole = scatter_chunk(_simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000), 3000)
         monkeypatch.setattr(engine, "_BATCH_WORDS", 100)
-        split = _simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000)
+        split = scatter_chunk(_simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000), 3000)
         assert np.array_equal(whole[0], split[0])
         assert whole[1] == split[1]
 
@@ -432,8 +486,8 @@ class TestBatchedResolution:
             RandomStream.raw_words, lambda stream, n: (n, n)))
         # severe paper preset: about 70,000 single-cluster and 16,000
         # multi-cluster repetitions in the task
-        spec = _paper_spec(repetitions=engine._CHUNK_REPS, aggregate_channel=channel)
-        _simulate_chunk(spec, RiskLevel.SEVERE, 0, engine._CHUNK_REPS)
+        spec = _paper_spec(repetitions=1 << 18, aggregate_channel=channel)
+        _simulate_chunk(spec, RiskLevel.SEVERE, 0, 1 << 18)
         assert sum(words for words, _ in reads) > 8 * engine._BATCH_WORDS
         for words, rows in reads:
             assert words <= engine._BATCH_WORDS or rows == 1
@@ -520,7 +574,7 @@ class TestLayoutReference:
                               AggregateLossParams(40.0, _SEVERITIES[3]), 10, 0, 64))
         def check(case):
             spec, level, lo, hi = case
-            losses, caps = _simulate_chunk(spec, level, lo, hi)
+            losses, caps = scatter_chunk(_simulate_chunk(spec, level, lo, hi), hi - lo)
             expect, expect_caps, case_spills = reference_chunk(
                 spec, level, lo, hi, engine._COUNT_MAX_ATTEMPTS, engine._DETAIL_MAX_ATTEMPTS)
             assert losses.tobytes() == expect.tobytes()
@@ -599,11 +653,13 @@ def _traced_peak_mib(function, *args) -> float:
 class TestBoundedMemory:
     """A full task's traced allocations stay within a fixed bound: every
     batched read is cut at ``_BATCH_WORDS`` words. The bounds are twice the
-    peaks measured with numpy 2.4 (9.2, 3.0 and 15.6 MiB)."""
+    peaks measured with numpy 2.4 (9.2, 3.0 and 15.6 MiB), and for the
+    2**22-repetition level its 32 MiB loss array plus 16 MiB (37.0 MiB
+    measured)."""
 
     def test_severe_paper_task(self):
-        spec = _paper_spec(repetitions=engine._CHUNK_REPS)
-        peak = _traced_peak_mib(_simulate_chunk, spec, RiskLevel.SEVERE, 0, engine._CHUNK_REPS)
+        spec = _paper_spec(repetitions=1 << 18)
+        peak = _traced_peak_mib(_simulate_chunk, spec, RiskLevel.SEVERE, 0, 1 << 18)
         assert peak < 18.5
 
     def test_count_ptrs_regions_of_a_kappa_2e6_task(self):
@@ -612,8 +668,33 @@ class TestBoundedMemory:
         # about 10 million clusters, is too slow for this suite
         rate = 2_000_000 * 2e-5
         peak = _traced_peak_mib(engine._counts_for_chunk, 42, engine._DOMAIN_COUNT,
-                                RiskLevel.GUARDED, 0, engine._CHUNK_REPS, rate)
+                                RiskLevel.GUARDED, 0, 1 << 18, rate)
         assert peak < 6.0
+
+    def test_guarded_level_of_2_22_repetitions_in_one_task(self):
+        # a 32 MiB loss array and one task over all 2**22 repetitions, whose
+        # arrays hold only its ~83,000 drawn rows; n-length task arrays
+        # would add 32 MiB
+        spec = _paper_spec(repetitions=1 << 22, levels=(RiskLevel.GUARDED,))
+        assert engine._level_tasks(spec, RiskLevel.GUARDED, 1) == 1
+        peak = _traced_peak_mib(run_simulation, spec, 1)
+        assert peak < 48.0
+
+    @pytest.mark.parametrize("seed, rate", [(2, 1e-3), (5, 0.02)])
+    def test_count_arrays_grow_past_the_expected_rows(self, monkeypatch, seed, rate):
+        monkeypatch.setattr(engine, "_COUNT_SLACK", 0)
+        monkeypatch.setattr(engine, "_BATCH_WORDS", 1_000)
+        n, level = 100_000, RiskLevel.GUARDED
+        words = RandomStream(seed, pack_stream_id(engine._DOMAIN_COUNT, level.code, 0)).raw_words(n)
+        expect = poisson_regions(words.reshape(n, 1), rate, 0, engine._COUNT_MAX_ATTEMPTS)
+        rows, counts = engine._counts_for_chunk(seed, engine._DOMAIN_COUNT, level, 0, n, rate)
+        assert len(rows) > math.ceil(n * rate)  # more than the arrays first held
+        assert np.array_equal(rows, np.flatnonzero(expect))
+        assert np.array_equal(counts, expect[rows])
+
+    def test_unallocatable_loss_array_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=f"need a {2 ** 55}-byte loss array"):
+            run_simulation(_paper_spec(repetitions=2 ** 52), workers=1)
 
     def test_guarded_level_of_2_20_repetitions(self):
         # one R-length (8 MiB) loss array for the level, plus one task's

@@ -155,10 +155,18 @@ def test_report_bytes_match_pins(name):
     assert case_digests(name) == PINS[name]
 
 
-@pytest.mark.parametrize("chunk_reps", [1_000, 1 << 18])
+@pytest.mark.parametrize("drawn_rows", [1_000, 1 << 18])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_task_size_does_not_change_bytes(name, chunk_reps, monkeypatch):
-    monkeypatch.setattr(engine, "_CHUNK_REPS", chunk_reps)
+def test_task_size_does_not_change_bytes(name, drawn_rows, monkeypatch):
+    monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", drawn_rows)
+    assert case_digests(name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_several_tasks_per_level_do_not_change_bytes(name, monkeypatch):
+    monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 50)
+    spec = parse_config(case_document(name))
+    assert min(engine._level_tasks(spec, level, 1) for level in spec.levels) >= 2
     assert case_digests(name) == PINS[name]
 
 

@@ -24,7 +24,7 @@ from cyberrisk.loss_model import (
 )
 from cyberrisk.scenario import RiskLevel
 
-from oracles import panjer_compound_poisson_cdf
+from oracles import panjer_compound_poisson_cdf, scatter_chunk
 
 
 def _device(theta=1.0, lam=0.0, b=1000.0, r=0.03, kill=0.0, horizon=365):
@@ -50,7 +50,8 @@ def one_device_losses(device, repetitions, seed, channel=None):
     portfolio: each repetition is one device-year of ``device``."""
     spec = SimulationSpec(device=device, portfolio_size=1, repetitions=repetitions, seed=seed,
                           levels=(RiskLevel.GUARDED,), aggregate_channel=channel)
-    return _simulate_chunk(spec, RiskLevel.GUARDED, 0, repetitions)
+    return scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, repetitions),
+                         repetitions)
 
 
 class TestSimulateDevice:
