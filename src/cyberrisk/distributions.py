@@ -53,6 +53,7 @@ __all__ = [
     "PTRS_THRESHOLD",
     "poisson_inversion",
     "poisson_regions",
+    "poisson_regions_nonzero",
     "sample_poisson_batch",
     "sample_poisson_rows",
     "sample_indices_rows",
@@ -329,22 +330,22 @@ def normal_quantile(u) -> np.ndarray:
 # samplers
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def poisson_cum_table(rate: float) -> np.ndarray:
     """Cumulative pmf table used by sequential-search inversion (rate < 30).
 
     Extends to rate + 12*sqrt(rate) + 48 terms, past the point where the
     table saturates in double precision; draws beyond the last entry
-    (probability < 1e-15) clamp to it.
+    (probability < 1e-15) clamp to it. Cached per rate, read-only.
     """
-    length = int(rate + 12.0 * math.sqrt(rate)) + 48
-    k = np.arange(length, dtype=np.float64)
-    if rate == 0.0:
-        return np.ones(1)
+    length = 1 if rate == 0.0 else int(rate + 12.0 * math.sqrt(rate)) + 48
     pmf = np.empty(length)
     pmf[0] = math.exp(-rate)
-    np.multiply.accumulate(rate / k[1:], out=pmf[1:])
+    np.multiply.accumulate(rate / np.arange(1.0, length), out=pmf[1:])
     pmf[1:] *= pmf[0]
-    return np.cumsum(pmf)
+    cum = np.cumsum(pmf)
+    cum.setflags(write=False)  # shared by every caller through the cache
+    return cum
 
 
 @functools.lru_cache(maxsize=32)
@@ -390,25 +391,42 @@ def _ptrs_attempt(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
     return accepted, k.astype(np.int64)
 
 
-def poisson_inversion(words: np.ndarray, rate: float) -> np.ndarray:
-    """Poisson(rate) draws by sequential-search inversion, one raw word each.
+def _inversion_nonzero(words: np.ndarray, rate: float):
+    """Poisson(rate) draws by sequential-search inversion, one raw word
+    each, as (rows, counts): the indexes of the words that draw a nonzero
+    count, ascending, and those counts.
 
     When P(0) >= 1/2 most draws are 0. A word's uniform ``((w >> 11) + 1) *
     2**-53`` is at most ``cum[0]``, and draws 0, exactly when ``w <
-    floor(cum[0] * 2**53) * 2**11``, so one ``uint64`` comparison settles
-    those words and only the rest are mapped to uniforms and searched. When
-    ``cum[0]`` is 1.0 that threshold is 2**64 and every draw is 0."""
+    floor(cum[0] * 2**53) * 2**11``, so one ``uint64`` comparison picks the
+    nonzero rows and only those words are mapped to uniforms and searched.
+    When ``cum[0]`` is 1.0 that threshold is 2**64 and every draw is 0.
+    Otherwise every word is searched and the nonzero draws are kept."""
     cum = poisson_cum_table(rate)
     if cum[0] < 0.5:
-        k = np.searchsorted(cum, words_to_uniforms(words), side="left")
-        return np.minimum(k, len(cum) - 1).astype(np.int64)
-    k = np.zeros(len(words), dtype=np.int64)
+        k = _search(cum, words)
+        rows = np.flatnonzero(k)
+        return rows, k[rows]
     zero_below = int(cum[0] * 2.0 ** 53) << 11
     if zero_below >= 1 << 64:
-        return k
-    rest = np.flatnonzero(words >= np.uint64(zero_below))
-    u = words_to_uniforms(words[rest])
-    k[rest] = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    rows = np.flatnonzero(words >= np.uint64(zero_below))
+    return rows, _search(cum, words[rows])
+
+
+def _search(cum: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The first k with ``cum[k]`` at least each word's uniform, clamped to
+    the table."""
+    k = np.searchsorted(cum, words_to_uniforms(words), side="left")
+    return np.minimum(k, len(cum) - 1).astype(np.int64)
+
+
+def poisson_inversion(words: np.ndarray, rate: float) -> np.ndarray:
+    """Poisson(rate) draws by sequential-search inversion, one raw word
+    each: ``_inversion_nonzero`` with the zeros filled in."""
+    rows, counts = _inversion_nonzero(words, rate)
+    k = np.zeros(len(words), dtype=np.int64)
+    k[rows] = counts
     return k
 
 
@@ -429,14 +447,27 @@ def poisson_regions(words: np.ndarray, rate: float, first: int, attempts: int) -
     pending = np.arange(len(words))
     for attempt in range(attempts):
         column = first + 2 * attempt
-        u = words_to_uniforms(words[pending, column])
-        v = words_to_uniforms(words[pending, column + 1])
-        accepted, k = _ptrs_attempt(u, v, rate, consts)
+        # attempt 1 reads every row, so its columns are read in place
+        pair = words[:, column:column + 2] if attempt == 0 else words[pending, column:column + 2]
+        accepted, k = _ptrs_attempt(words_to_uniforms(pair[:, 0]), words_to_uniforms(pair[:, 1]),
+                                    rate, consts)
         out[pending[accepted]] = k[accepted]
         pending = pending[~accepted]
         if pending.size == 0:
             break
     return out
+
+
+def poisson_regions_nonzero(words: np.ndarray, rate: float, attempts: int):
+    """``poisson_regions(words, rate, 0, attempts)`` at its nonzero rows, as
+    (rows, counts): the rows, ascending, whose draw is nonzero or
+    unresolved (-1), and their draws. Below ``PTRS_THRESHOLD`` the zero
+    draws are never searched (``_inversion_nonzero``)."""
+    if rate < PTRS_THRESHOLD:
+        return _inversion_nonzero(words[:, 0], rate)
+    draws = poisson_regions(words, rate, 0, attempts)
+    rows = np.flatnonzero(draws)
+    return rows, draws[rows]
 
 
 def _ptrs_rounds(read, counts: np.ndarray, rate: float) -> np.ndarray:

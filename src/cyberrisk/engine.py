@@ -65,8 +65,13 @@ without that cut.
 Past its count words, a task holds arrays only over the rows that drew
 something: its count reads keep the rows with a nonzero count, in arrays
 sized from the expected number of them, and it returns the losses of
-those rows alone. So a task's memory grows with its drawn rows, not with
-the repetitions it scans. A run holds one R-length loss array, reused by
+those rows alone. Below rate 30 a span of count words becomes those rows
+in one step: when P(0) >= 1/2, one ``uint64`` comparison against the
+first word that does not invert to 0 picks them, and only their words
+are mapped to uniforms and searched; otherwise the span is inverted
+whole and its nonzero draws kept (``distributions.poisson_regions_nonzero``).
+So a task's memory grows with its drawn rows, not with the repetitions it
+scans. A run holds one R-length loss array, reused by
 every level: each task's losses go into its tail, and the level's sample
 is its zeros followed by its sorted drawn losses, which is ``np.sort`` of
 all R losses bit for bit, as no loss is negative or -0.0.
@@ -76,7 +81,14 @@ repetition's DETAIL block 0 is enciphered when lambda_cluster > 0 (it
 holds the inversion word and the first PTRS attempt); block 1 when
 kill_rate > 0 (the survival word) and otherwise only when the first PTRS
 attempt was rejected; with lambda_cluster = 0 and kill_rate = 0 nothing
-is. A DETAIL_SPILL stream's first read covers the words a repetition of n
+is. A task resolves all its single-cluster repetitions in one call, block
+0 in spans of ``_BATCH_WORDS // 4`` rows (both blocks at once, in spans
+half that size, when kill_rate > 0). About 10% of first PTRS attempts are
+rejected (Hormann 1993); those rows keep their word 3, and block 1 of all
+of them is read after the last span, in spans of the same size, for
+their attempts 2 and 3: full cipher passes, not one small pass per span.
+
+A DETAIL_SPILL stream's first read covers the words a repetition of n
 clusters reads first - n placement words, its first size round (n words,
 or 2n with PTRS) and up to n survival words when kill_rate > 0 - plus two
 words, rounded up to whole blocks; later rounds read past it.
@@ -91,6 +103,7 @@ from numpy's own generator (``tests/oracles.py``).
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -107,6 +120,7 @@ import numpy as np
 from .distributions import (
     PTRS_THRESHOLD,
     poisson_regions,
+    poisson_regions_nonzero,
     sample_indices_rows,
     sample_poisson_batch,
     sample_poisson_rows,
@@ -279,7 +293,7 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     Repetition r reads its dense inversion word r below rate 30, and its
     32-word PTRS region [32r, 32r + 32) above, the rows still unresolved
     after ``_COUNT_MAX_ATTEMPTS`` attempts drawn together, each on its own
-    spill stream.
+    spill stream. A span's zero inversion draws are never searched.
 
     The arrays are sized for the expected nonzero count, at most
     n * min(1, rate) plus ``_COUNT_SLACK`` rows, and double when more
@@ -292,13 +306,13 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     stream = RandomStream(seed, pack_stream_id(domain, level.code, 0), counter=rep_lo * width)
     for lo, hi in _spans(n, width):
         words = stream.raw_words((hi - lo) * width).reshape(hi - lo, width)
-        span = poisson_regions(words, rate, 0, _COUNT_MAX_ATTEMPTS)
-        nonzero = np.flatnonzero(span != 0)  # unresolved rows (-1) included
+        # unresolved rows (-1) included
+        nonzero, span_counts = poisson_regions_nonzero(words, rate, _COUNT_MAX_ATTEMPTS)
         if found + len(nonzero) > len(rows):
             size = min(n, max(2 * len(rows), found + len(nonzero)))
             rows, counts = np.resize(rows[:found], size), np.resize(counts[:found], size)
         rows[found:found + len(nonzero)] = lo + nonzero
-        counts[found:found + len(nonzero)] = span[nonzero]
+        counts[found:found + len(nonzero)] = span_counts
         found += len(nonzero)
     rows, counts = rows[:found], counts[:found]
     spill_domain = _DOMAIN_COUNT_SPILL if domain == _DOMAIN_COUNT else _DOMAIN_CHANNEL_SPILL
@@ -383,46 +397,65 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
 
 def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
                          device: DeviceParameters):
-    """Vectorized in-region path for a batch of repetitions with exactly one
+    """Vectorized in-region path for a task's repetitions with exactly one
     cluster. Only the DETAIL blocks a row's draws inspect are enciphered:
     block 0 (words 0-3) when the cluster size is drawn, block 1 (words 4-7)
     for every row when kill_rate > 0 and otherwise only for rows whose
     first PTRS attempt was rejected.
 
+    Rows are read a span at a time, both blocks in one read when kill_rate
+    > 0. Otherwise a row that attempt 1 leaves unresolved keeps its word 3,
+    and block 1 of all such rows is read once, after the last span, for
+    their attempts 2 and 3; only those rows are held across spans.
+
     Returns (mask of resolved repetitions, capped surviving loss-days per
-    resolved repetition, cap events); unresolved repetitions go on to the
-    DETAIL_SPILL path."""
+    repetition, 0 where unresolved, cap events); unresolved repetitions go
+    on to the DETAIL_SPILL path."""
     lam = device.counts.lambda_cluster
     kill = device.kill_rate > 0.0
-    stream_ids = np.full(len(reps), pack_stream_id(_DOMAIN_DETAIL, level.code, 0), dtype=np.uint64)
+    stream_id = pack_stream_id(_DOMAIN_DETAIL, level.code, 0)
+    blocks = np.flatnonzero([lam > 0.0, kill])  # the DETAIL blocks every row reads
 
-    def block(b, rows=slice(None)):
+    def read(at, blocks):
         # repetition r's region is words [8r, 8r + 8), blocks 2r + 1 and 2r + 2
-        return philox_blocks(seed, stream_ids[rows], 2 * reps[rows] + 1 + b)
+        counters = (_DETAIL_BLOCKS_PER_REP * at[:, None] + 1 + blocks).ravel()
+        ids = np.broadcast_to(np.uint64(stream_id), counters.shape)
+        words = philox_blocks(seed, ids, counters)
+        return words.reshape(len(at), 4 * len(blocks))
 
-    # word 0 is the reserved placement draw; a lone cluster's device index
-    # cannot change the portfolio loss, so the value is not inspected.
-    # Columns of blocks not enciphered are left unset and never read.
-    words = np.empty((len(reps), 4 * _DETAIL_BLOCKS_PER_REP), dtype=np.uint64)
-    if lam > 0.0:
-        words[:, :4] = block(0)
-    if kill:
-        words[:, 4:] = block(1)
-    # the inversion word, or PTRS attempt 1, is word 1; attempts 2 and 3
-    # read words 3-6, and only rows attempt 1 left unresolved take them
-    extras = poisson_regions(words, lam, 1, 1)
-    late = np.flatnonzero(extras < 0)
-    if not kill:
-        words[late, 4:] = block(1, late)
-    extras[late] = poisson_regions(words[late], lam, 3, _DETAIL_MAX_ATTEMPTS - 1)
-    resolved = extras >= 0
-    days = device.loss_day_multiplier * (1 + extras[resolved])
-    if kill:
-        u = words_to_uniforms(words[resolved, 7])
-        days = days * (u < math.exp(-device.kill_rate))
-    capped = np.minimum(days, float(device.horizon_days))
-    caps = int((days > device.horizon_days).sum())
-    return resolved, capped, caps
+    def loss_days(extras, survival=None):
+        days = device.loss_day_multiplier * (1 + extras)  # 0 where unresolved (-1)
+        if survival is not None:
+            days *= words_to_uniforms(survival) < math.exp(-device.kill_rate)
+        return days
+
+    days = np.empty(len(reps))
+    resolved = np.empty(len(reps), dtype=bool)
+    late, late_word_3 = [], []
+    for lo, hi in _spans(len(reps), 4 * len(blocks) or 1):
+        # word 0 is the reserved placement draw; a lone cluster's device
+        # index cannot change the portfolio loss, so it is not inspected.
+        # The inversion word, or PTRS attempt 1, is word 1; attempts 2 and
+        # 3 read words 3-6, and the survival word is word 7, the last read.
+        words = read(reps[lo:hi], blocks)
+        extras = poisson_regions(words, lam, 1, _DETAIL_MAX_ATTEMPTS if kill else 1)
+        days[lo:hi] = loss_days(extras, words[:, -1] if kill else None)
+        resolved[lo:hi] = extras >= 0
+        rejected = np.flatnonzero(extras < 0)
+        if rejected.size and not kill:
+            late.append(lo + rejected)
+            late_word_3.append(words[rejected, 3])
+    if late:
+        late, late_word_3 = np.concatenate(late), np.concatenate(late_word_3)
+        for lo, hi in _spans(len(late), 4):
+            at = late[lo:hi]
+            words = np.column_stack((late_word_3[lo:hi], read(reps[at], [1])))
+            extras = poisson_regions(words, lam, 0, _DETAIL_MAX_ATTEMPTS - 1)
+            days[at] = loss_days(extras)
+            resolved[at] = extras >= 0
+    caps = int(np.count_nonzero(days > device.horizon_days))
+    np.minimum(days, float(device.horizon_days), out=days)
+    return resolved, days, caps
 
 
 def _channel_losses(seed: int, level: RiskLevel, reps: np.ndarray, counts: np.ndarray,
@@ -461,23 +494,22 @@ def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi:
 
     rows, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
                                        spec.portfolio_size * device.counts.theta)
+    # Multi-cluster repetitions, as indexes into rows, and their cluster
+    # counts; only these counts are kept while the single-cluster ones,
+    # marked in a mask, are resolved.
+    single = clusters == 1
+    multi = np.flatnonzero(clusters >= 2)
+    clusters = clusters[multi]
+    resolved, capped_days, caps = _single_cluster_days(spec.seed, level, rep_lo + rows[single],
+                                                       device)
     losses = np.empty(len(rows))  # every row is written below
-    caps = 0
-
-    # single- and multi-cluster repetitions, as indexes into rows
-    single = np.flatnonzero(clusters == 1)
-    spilled = []
-    for lo, hi in _spans(len(single), 4 * _DETAIL_BLOCKS_PER_REP):
-        at = single[lo:hi]
-        resolved, capped_days, single_caps = _single_cluster_days(spec.seed, level,
-                                                                  rep_lo + rows[at], device)
-        losses[at[resolved]] = unit * capped_days
-        caps += single_caps
-        spilled.append(at[~resolved])
-    multi = np.concatenate([np.flatnonzero(clusters >= 2)] + spilled)
+    losses[single] = unit * capped_days
+    spilled = np.flatnonzero(single)[~resolved]  # single-cluster rows left unresolved
+    multi = np.concatenate([multi, spilled])
     if multi.size:
+        n_clusters = np.concatenate([clusters, np.ones(len(spilled), dtype=np.int64)])
         total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + rows[multi],
-                                                     clusters[multi], device, spec.portfolio_size)
+                                                     n_clusters, device, spec.portfolio_size)
         losses[multi] = unit * total_days
         caps += multi_caps
 
@@ -587,9 +619,10 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     tasks = ((spec, level, reps * i // n, reps * (i + 1) // n)
              for level, n in zip(spec.levels, task_counts) for i in range(n))
     # A task's losses are written into the loss array as its result
-    # arrives; on one worker, tasks run only as their results are consumed.
+    # arrives; tasks run only as their results are consumed, at most
+    # 2 * workers of them ahead.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(_chunk_task, tasks, chunksize=1) if pool else map(_chunk_task, tasks)
+        results = _ahead(pool, _chunk_task, tasks, 2 * workers) if pool else map(_chunk_task, tasks)
         level_reports, written = [], reps
         for level, n in zip(spec.levels, task_counts):
             report, written = _level_report(spec, level, baseline_expected, results, n,
@@ -598,6 +631,19 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
 
     return RiskReport(spec=spec, levels=tuple(level_reports),
                       baseline_expected_device_loss=baseline_expected)
+
+
+def _ahead(pool, function, tasks, depth: int):
+    """``function`` of each task, in task order, run on ``pool`` with at most
+    ``depth`` tasks submitted and not yet consumed. ``Executor.map`` would
+    submit every task before yielding its first result."""
+    futures = deque()
+    for task in tasks:
+        if len(futures) == depth:
+            yield futures.popleft().result()
+        futures.append(pool.submit(function, task))
+    while futures:
+        yield futures.popleft().result()
 
 
 def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,

@@ -193,6 +193,52 @@ class TestTaskCount:
             assert engine._level_tasks(spec, RiskLevel.GUARDED, workers) == workers
             assert render_json(run_simulation(spec, workers=workers)) == reference
 
+    def test_a_pool_runs_at_most_two_tasks_per_worker_ahead(self, monkeypatch):
+        """Tasks are submitted as their results are consumed, at most
+        2 * workers of them ahead; the bytes do not depend on it."""
+        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
+        spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=3_000,
+                           levels=(RiskLevel.GUARDED, RiskLevel.SEVERE))
+        tasks = [engine._level_tasks(spec, level, 3) for level in spec.levels]
+        assert tasks == [3, 15]
+        reference = render_json(run_simulation(spec, workers=1))
+        calls = Counter()
+
+        class Ran:
+            """A future whose task ran on submission; it is consumed when
+            its result is read."""
+
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                calls["consumed"] += 1
+                return self.value
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                calls["workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, function, task):
+                calls["submitted"] += 1
+                calls["most"] = max(calls["most"], calls["submitted"] - calls["consumed"])
+                return Ran(function(task))
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for workers in (2, 3):
+            calls.clear()
+            assert render_json(run_simulation(spec, workers=workers)) == reference
+            assert calls["workers"] == workers
+            assert calls["most"] == 2 * workers
+            assert calls["submitted"] == calls["consumed"] == sum(tasks)
+
 
 _COMPACT_CASES = {
     "daily_loss_0": dict(device=replace(_paper_device(theta=2e-3), daily_loss=0.0)),
@@ -434,6 +480,23 @@ class TestBatchedResolution:
         assert list(totals) == [days for days, _ in expect]
         assert caps == sum(c for _, c in expect)
 
+    @pytest.mark.parametrize("rate", [1e-300, 0.02, 0.7, 5.0, 29.99, 30.0, 45.0])
+    def test_count_scan_keeps_the_nonzero_rows_of_every_span(self, monkeypatch, rate):
+        # P(0) rounds to 1 at 1e-300 and is below 1/2 from 0.7 on; from 30
+        # on, each repetition owns a 32-word PTRS region
+        monkeypatch.setattr(engine, "_BATCH_WORDS", 4_096)
+        seed, level, rep_lo, n = 11, RiskLevel.HIGH, 1_000, 20_000
+        width = 1 if rate < 30.0 else 4 * engine._COUNT_BLOCKS_PER_REP
+        stream_id = pack_stream_id(engine._DOMAIN_COUNT, level.code, 0)
+        words = RandomStream(seed, stream_id, counter=rep_lo * width).raw_words(n * width)
+        expect = poisson_regions(words.reshape(n, width), rate, 0, engine._COUNT_MAX_ATTEMPTS)
+        rows, counts = engine._counts_for_chunk(seed, engine._DOMAIN_COUNT, level, rep_lo, n, rate)
+        assert n * width > 4 * engine._BATCH_WORDS  # several spans
+        assert (expect >= 0).all()
+        assert np.array_equal(rows, np.flatnonzero(expect))
+        assert np.array_equal(counts, expect[rows])
+        assert (rate == 1e-300) == (len(rows) == 0)
+
     def test_batch_cap_does_not_change_losses(self, monkeypatch):
         channel = AggregateLossParams(event_rate=12.0, severity=Pareto(x_min=1000.0, alpha=2.5))
         spec = _paper_spec(device=_paper_device(theta=1e-3, lam=45.0, kill=0.2),
@@ -639,6 +702,43 @@ class TestCipherWork:
         assert np.array_equal(enciphered, np.sort(expect).astype(np.uint64))
         if lam == 0.0 and kill == 0.0:
             assert not counters
+
+
+    def test_single_cluster_rows_take_one_late_block_read(self, monkeypatch):
+        """Block 0 is read in spans of ``_BATCH_WORDS // 4`` rows, two full
+        cipher passes each; block 1 of every row that attempt 1 left
+        unresolved is read once, after the last span."""
+        seed, level, lam = 42, RiskLevel.SEVERE, 182.0
+        reps = np.arange(5, 150_000, 3)
+        detail = pack_stream_id(engine._DOMAIN_DETAIL, level.code, 0)
+        regions = streams.chunk_words(seed, detail, 0, int(reps[-1]) + 1, 2)[reps]
+        late = int((poisson_regions(regions, lam, 1, 1) < 0).sum())
+        passes = []
+        cipher = streams._philox_pass
+
+        def spy(seed, stream_ids, blocks):
+            assert (np.asarray(stream_ids) == detail).all()
+            parity = set((np.asarray(blocks) % 2).tolist())  # 1: block 0, 0: block 1
+            assert len(parity) == 1
+            passes.append(parity.pop())
+            return cipher(seed, stream_ids, blocks)
+
+        monkeypatch.setattr(streams, "_philox_pass", spy)
+        engine._single_cluster_days(seed, level, reps, _paper_device(lam=lam))
+        span = engine._BATCH_WORDS // 4
+        assert span == 2 * streams._CIPHER_PASS_BLOCKS
+        assert math.ceil(len(reps) / span) == 4 and 0 < late < span
+        assert passes.count(1) == math.ceil(len(reps) / streams._CIPHER_PASS_BLOCKS)
+        assert passes.count(0) == math.ceil(late / streams._CIPHER_PASS_BLOCKS)
+        assert passes == sorted(passes, reverse=True)  # every block-1 pass comes last
+
+    def test_dense_workload_makes_at_most_44_cipher_passes(self, monkeypatch):
+        # 68 when each 8,192-row span of single-cluster rows made its own
+        # block-0 and block-1 passes
+        counters = self._enciphered(monkeypatch)
+        run_simulation(_bench_workload("dense"), workers=1)
+        assert len(counters) <= 44
+        assert sum(len(c) for c in counters) == 273_985
 
 
 def _traced_peak_mib(function, *args) -> float:
