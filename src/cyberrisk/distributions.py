@@ -239,7 +239,11 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     theta, lam = params.theta, params.lambda_cluster
     if n_max < 0 or not math.isfinite(n_max * lam + theta):
         raise DomainError(f"need n_max >= 0 and finite n_max*lambda + theta, got {n_max}*{lam} + {theta}")
-    out = np.empty(n_max + 1)
+    try:
+        out = np.empty(n_max + 1)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
+        raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * (n_max + 1)} bytes, "
+                          "more memory than can be allocated") from None
     out[0] = math.exp(-theta)
     j_all = np.arange(1, n_max + 1, dtype=np.float64)
     j_log_theta = j_all * math.log(theta)

@@ -76,17 +76,14 @@ every level: each task's losses go into its tail, and the level's sample
 is its zeros followed by its sorted drawn losses, which is ``np.sort`` of
 all R losses bit for bit, as no loss is negative or -0.0.
 
-Only the cipher blocks a draw reads are enciphered. A single-cluster
-repetition's DETAIL block 0 is enciphered when lambda_cluster > 0 (it
-holds the inversion word and the first PTRS attempt); block 1 when
-kill_rate > 0 (the survival word) and otherwise only when the first PTRS
-attempt was rejected; with lambda_cluster = 0 and kill_rate = 0 nothing
-is. A task resolves all its single-cluster repetitions in one call, block
-0 in spans of ``_BATCH_WORDS // 4`` rows (both blocks at once, in spans
-half that size, when kill_rate > 0). About 10% of first PTRS attempts are
-rejected (Hormann 1993); those rows keep their word 3, and block 1 of all
-of them is read after the last span, in spans of the same size, for
-their attempts 2 and 3: full cipher passes, not one small pass per span.
+Only the cipher blocks a draw reads are enciphered. A task reads its
+single-cluster repetitions' DETAIL regions in two reads, each in spans of
+``_BATCH_WORDS // 4`` rows, one block per row: block 0 of every row when
+lambda_cluster > 0 (the inversion word, or PTRS attempt 1), then, after
+the last block-0 span, block 1 of every row when kill_rate > 0 (the
+survival word) and otherwise only of the rows whose first PTRS attempt
+was rejected (about 10%, Hormann 1993). Those rows keep their word 3 for
+attempts 2 and 3. So every cipher pass holds one block of many rows.
 
 A DETAIL_SPILL stream's first read covers the words a repetition of n
 clusters reads first - n placement words, its first size round (n words,
@@ -398,15 +395,9 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
 def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
                          device: DeviceParameters):
     """Vectorized in-region path for a task's repetitions with exactly one
-    cluster. Only the DETAIL blocks a row's draws inspect are enciphered:
-    block 0 (words 0-3) when the cluster size is drawn, block 1 (words 4-7)
-    for every row when kill_rate > 0 and otherwise only for rows whose
-    first PTRS attempt was rejected.
-
-    Rows are read a span at a time, both blocks in one read when kill_rate
-    > 0. Otherwise a row that attempt 1 leaves unresolved keeps its word 3,
-    and block 1 of all such rows is read once, after the last span, for
-    their attempts 2 and 3; only those rows are held across spans.
+    cluster: DETAIL block 0, then block 1, each read in spans (see the
+    module docstring). Only the rows that attempt 1 leaves unresolved are
+    held across spans, with their word 3.
 
     Returns (mask of resolved repetitions, capped surviving loss-days per
     repetition, 0 where unresolved, cap events); unresolved repetitions go
@@ -414,45 +405,40 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
     lam = device.counts.lambda_cluster
     kill = device.kill_rate > 0.0
     stream_id = pack_stream_id(_DOMAIN_DETAIL, level.code, 0)
-    blocks = np.flatnonzero([lam > 0.0, kill])  # the DETAIL blocks every row reads
 
-    def read(at, blocks):
+    def read(at, block):
         # repetition r's region is words [8r, 8r + 8), blocks 2r + 1 and 2r + 2
-        counters = (_DETAIL_BLOCKS_PER_REP * at[:, None] + 1 + blocks).ravel()
-        ids = np.broadcast_to(np.uint64(stream_id), counters.shape)
-        words = philox_blocks(seed, ids, counters)
-        return words.reshape(len(at), 4 * len(blocks))
+        counters = _DETAIL_BLOCKS_PER_REP * at + 1 + block
+        return philox_blocks(seed, np.broadcast_to(np.uint64(stream_id), counters.shape), counters)
 
-    def loss_days(extras, survival=None):
-        days = device.loss_day_multiplier * (1 + extras)  # 0 where unresolved (-1)
-        if survival is not None:
-            days *= words_to_uniforms(survival) < math.exp(-device.kill_rate)
-        return days
-
-    days = np.empty(len(reps))
-    resolved = np.empty(len(reps), dtype=bool)
-    late, late_word_3 = [], []
-    for lo, hi in _spans(len(reps), 4 * len(blocks) or 1):
-        # word 0 is the reserved placement draw; a lone cluster's device
-        # index cannot change the portfolio loss, so it is not inspected.
-        # The inversion word, or PTRS attempt 1, is word 1; attempts 2 and
-        # 3 read words 3-6, and the survival word is word 7, the last read.
-        words = read(reps[lo:hi], blocks)
-        extras = poisson_regions(words, lam, 1, _DETAIL_MAX_ATTEMPTS if kill else 1)
-        days[lo:hi] = loss_days(extras, words[:, -1] if kill else None)
+    days = np.full(len(reps), device.loss_day_multiplier)  # a cluster of 1 at lambda_cluster = 0
+    resolved = np.ones(len(reps), dtype=bool)
+    late, late_word_3 = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
+    # Block 0: word 0 is the reserved placement draw, not inspected (a lone
+    # cluster's device cannot change the loss); attempt 1 reads words 1-2.
+    for lo, hi in _spans(len(reps) if lam > 0.0 else 0, 4):
+        words = read(reps[lo:hi], 0)
+        extras = poisson_regions(words, lam, 1, 1)
+        days[lo:hi] = device.loss_day_multiplier * (1 + extras)  # 0 where unresolved (-1)
         resolved[lo:hi] = extras >= 0
         rejected = np.flatnonzero(extras < 0)
-        if rejected.size and not kill:
-            late.append(lo + rejected)
-            late_word_3.append(words[rejected, 3])
-    if late:
-        late, late_word_3 = np.concatenate(late), np.concatenate(late_word_3)
-        for lo, hi in _spans(len(late), 4):
-            at = late[lo:hi]
-            words = np.column_stack((late_word_3[lo:hi], read(reps[at], [1])))
-            extras = poisson_regions(words, lam, 0, _DETAIL_MAX_ATTEMPTS - 1)
-            days[at] = loss_days(extras)
-            resolved[at] = extras >= 0
+        late.append(lo + rejected)
+        late_word_3.append(words[rejected, 3])
+    late, late_word_3 = np.concatenate(late), np.concatenate(late_word_3)
+    # Block 1: attempts 2 and 3 of the late rows read words 3-6; word 7 is
+    # the survival draw.
+    for lo, hi in _spans(len(reps) if kill else len(late), 4):
+        at = np.arange(lo, hi) if kill else late[lo:hi]
+        words = read(reps[at], 1)
+        first, last = np.searchsorted(late, (at[0], at[-1] + 1))  # the late rows in at
+        retry = late[first:last]
+        words_3_to_6 = np.column_stack((late_word_3[first:last],
+                                        words[np.searchsorted(at, retry), :3]))
+        extras = poisson_regions(words_3_to_6, lam, 0, _DETAIL_MAX_ATTEMPTS - 1)
+        days[retry] = device.loss_day_multiplier * (1 + extras)
+        resolved[retry] = extras >= 0
+        if kill:
+            days[at] *= words_to_uniforms(words[:, 3]) < math.exp(-device.kill_rate)
     caps = int(np.count_nonzero(days > device.horizon_days))
     np.minimum(days, float(device.horizon_days), out=days)
     return resolved, days, caps

@@ -126,7 +126,8 @@ def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int
 
     The pmf table is truncated at mean + 12 sigma past the horizon; the
     residual mass (< ~1e-12) is assigned the horizon value, which is the
-    cap it would monetize at anyway.
+    cap it would monetize at anyway. A table too large to allocate raises
+    DomainError.
     """
     if horizon_days < 1:
         raise DomainError("horizon_days must be >= 1")
@@ -136,10 +137,16 @@ def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int
     if multiplier * (mean - 12.0 * math.sqrt(var)) > horizon_days:
         # cap binds with probability 1 - O(1e-30)
         return float(horizon_days)
-    n_max = int(mean + 12.0 * math.sqrt(var)) + int(horizon_days / multiplier) + 48
+    try:
+        reach = int(horizon_days / multiplier)
+    except OverflowError:  # the quotient is inf
+        raise DomainError("a count pmf table of over 2**1024 rows needs over 2**1027 bytes, "
+                          "more memory than can be allocated") from None
+    n_max = int(mean + 12.0 * math.sqrt(var)) + reach + 48
     pmf = compound_count_pmf_table(n_max, counts)
     n = np.arange(n_max + 1)
-    capped = np.minimum(multiplier * n, float(horizon_days))
+    with np.errstate(over="ignore"):  # a product past the float range is capped like any other
+        capped = np.minimum(multiplier * n, float(horizon_days))
     residual = max(0.0, 1.0 - pmf.sum())
     return float((pmf * capped).sum() + residual * horizon_days)
 

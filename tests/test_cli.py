@@ -197,6 +197,34 @@ class TestSimulate:
         assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
 
 
+    @pytest.mark.parametrize("field, value", [("loss_day_multiplier", 1e-320),
+                                              ("loss_day_multiplier", 1e-300),
+                                              ("loss_day_multiplier", 1e-12),
+                                              ("horizon_days", 10 ** 12),
+                                              ("horizon_days", 2 ** 53)])
+    def test_pmf_table_beyond_memory_exits_2(self, capsys, tmp_path, field, value):
+        # the Baseline expected loss needs a count pmf table of about
+        # horizon_days / loss_day_multiplier rows: past 2**1024 rows, past
+        # numpy's largest dimension, or petabytes
+        mapping = paper_config()
+        mapping["repetitions"] = 10
+        mapping["device"][field] = value
+        config = tmp_path / "table.json"
+        config.write_text(json.dumps(mapping))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        done = _run_module(["simulate", "--config", str(config)])
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        assert (code, out) == (2, "")
+        rows = re.fullmatch(r"error: a count pmf table of (over 2\*\*1024|\d+) rows needs "
+                            r"(over 2\*\*1027|\d+) bytes, more memory than can be allocated\n",
+                            err)
+        assert rows is not None, err
+        if value != 1e-320:
+            device = mapping["device"]
+            reach = device["horizon_days"] / device.get("loss_day_multiplier", 1.0)
+            assert int(rows[2]) == 8 * int(rows[1]) > 8 * reach
+
+
     # 1e305: every loss is finite, their mean is not; 1e307: a loss overflows
     @pytest.mark.parametrize("daily_loss", [1e305, 1e307])
     def test_overflow_is_a_numeric_fault_without_a_warning(self, tmp_path, daily_loss):

@@ -9,6 +9,7 @@ import re
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from cyberrisk.cli import main
 from cyberrisk.config import load_config, paper_config, parse_config, spec_to_mapping
 from cyberrisk.engine import SimulationSpec
 from cyberrisk.errors import ConfigError, InputError
@@ -255,9 +256,11 @@ def test_omitted_device_fields_use_device_defaults():
 
 
 def _fuzz_base(kind: str) -> dict:
-    """The preset with every optional section present: a channel of the
-    given severity kind and a partial alpha table."""
+    """The preset with every optional key and section present: the loss-day
+    multiplier, a channel of the given severity kind and a partial alpha
+    table."""
     document = paper_config()
+    document["device"]["loss_day_multiplier"] = 1.0
     document["aggregate_channel"] = {"event_rate": 2.0, "severity": copy.deepcopy(_SEVERITIES[kind])}
     document["scenario"]["mitigation_alphas"] = {"high": 0.8, "severe": 0.7}
     return document
@@ -285,33 +288,93 @@ _MUTATIONS = {kind: st.lists(st.tuples(st.sampled_from(list(_paths(_fuzz_base(ki
               for kind in _SEVERITIES}
 
 
+def _get(node, path):
+    """The value at ``path`` below ``node``."""
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _has(node, key) -> bool:
     if isinstance(node, dict):
         return key in node
     return isinstance(node, list) and isinstance(key, int) and key < len(node)
 
 
-@pytest.mark.parametrize("kind", sorted(_SEVERITIES))
-@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
-@given(data=st.data())
-def test_mutated_documents_of_each_kind_parse_or_raise_config_error(kind, data):
-    mutations = data.draw(_MUTATIONS[kind])
+def _mutated(kind: str, mutations) -> dict:
+    """The fuzz base of ``kind`` with each (path, value) mutation applied in
+    turn; a path an earlier mutation removed is skipped."""
     document = _fuzz_base(kind)
     for path, value in mutations:
         parent = document
         for key in path[:-1]:
             parent = parent[key] if _has(parent, key) else None
         if not _has(parent, path[-1]):
-            continue  # an earlier mutation removed this path
+            continue
         if value is _DELETE:
             del parent[path[-1]]
         else:
             parent[path[-1]] = copy.deepcopy(value)
+    return document
+
+
+@pytest.mark.parametrize("kind", sorted(_SEVERITIES))
+@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+@given(data=st.data())
+def test_mutated_documents_of_each_kind_parse_or_raise_config_error(kind, data):
+    document = _mutated(kind, data.draw(_MUTATIONS[kind]))
     try:
         spec = parse_config(document)
     except ConfigError:
         return
     assert isinstance(spec, SimulationSpec)
+
+
+# An odd number at a number's place parses more often than an odd value
+# at any place, so these reach simulate.
+_ODD_NUMBERS = [value for value in _ODD_VALUES if type(value) in (int, float)]
+
+
+def _number_paths(document) -> list:
+    """Every path below ``document`` that holds a number (not a bool)."""
+    return [path for path in _paths(document) if type(_get(document, path)) in (int, float)]
+
+
+def _simulate(document, reps: int, folder) -> int:
+    """``simulate``'s exit code on ``document`` at ``reps`` repetitions."""
+    (folder / "config.json").write_text(json.dumps(document))
+    return main(["simulate", "--config", str(folder / "config.json"), "--reps", str(reps),
+                 "--workers", "1", "--format", "json", "--out", str(folder / "report.json")])
+
+
+@pytest.mark.parametrize("kind", sorted(_SEVERITIES))
+def test_each_odd_number_in_each_place_simulates_or_exits_2_or_3(kind, tmp_path):
+    """Each document with one odd number at one number's place that parses
+    runs through ``simulate``, which returns 0, 2 (a spec the run cannot
+    hold) or 3 (a numeric fault): never a traceback or a warning."""
+    for path in _number_paths(_fuzz_base(kind)):
+        for value in _ODD_NUMBERS:
+            document = _mutated(kind, [(path, value)])
+            try:
+                parse_config(document)
+            except ConfigError:
+                continue
+            assert _simulate(document, 100, tmp_path) in (0, 2, 3), (path, value)
+
+
+@pytest.mark.parametrize("kind", sorted(_SEVERITIES))
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data())
+def test_odd_numbers_in_two_places_simulate_or_exit_2_or_3(kind, data, tmp_path_factory):
+    paths = _number_paths(_fuzz_base(kind))
+    document = _mutated(kind, data.draw(st.lists(
+        st.tuples(st.sampled_from(paths), st.sampled_from(_ODD_NUMBERS)), min_size=2, max_size=2)))
+    try:
+        parse_config(document)
+    except ConfigError:
+        return
+    reps = data.draw(st.integers(1, 100))
+    assert _simulate(document, reps, tmp_path_factory.mktemp("simulate")) in (0, 2, 3)
 
 
 def _keys(node):

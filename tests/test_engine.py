@@ -707,7 +707,9 @@ class TestCipherWork:
     def test_single_cluster_rows_take_one_late_block_read(self, monkeypatch):
         """Block 0 is read in spans of ``_BATCH_WORDS // 4`` rows, two full
         cipher passes each; block 1 of every row that attempt 1 left
-        unresolved is read once, after the last span."""
+        unresolved is read once, after the last span. With kill_rate > 0
+        block 1 of every row is read after the last block-0 span, in spans
+        of the same size: no pass mixes the two blocks."""
         seed, level, lam = 42, RiskLevel.SEVERE, 182.0
         reps = np.arange(5, 150_000, 3)
         detail = pack_stream_id(engine._DOMAIN_DETAIL, level.code, 0)
@@ -724,13 +726,15 @@ class TestCipherWork:
             return cipher(seed, stream_ids, blocks)
 
         monkeypatch.setattr(streams, "_philox_pass", spy)
-        engine._single_cluster_days(seed, level, reps, _paper_device(lam=lam))
         span = engine._BATCH_WORDS // 4
         assert span == 2 * streams._CIPHER_PASS_BLOCKS
         assert math.ceil(len(reps) / span) == 4 and 0 < late < span
-        assert passes.count(1) == math.ceil(len(reps) / streams._CIPHER_PASS_BLOCKS)
-        assert passes.count(0) == math.ceil(late / streams._CIPHER_PASS_BLOCKS)
-        assert passes == sorted(passes, reverse=True)  # every block-1 pass comes last
+        for kill, block_1_rows in [(0.0, late), (0.3, len(reps))]:
+            passes.clear()
+            engine._single_cluster_days(seed, level, reps, _paper_device(lam=lam, kill=kill))
+            assert passes.count(1) == math.ceil(len(reps) / streams._CIPHER_PASS_BLOCKS)
+            assert passes.count(0) == math.ceil(block_1_rows / streams._CIPHER_PASS_BLOCKS)
+            assert passes == sorted(passes, reverse=True)  # every block-1 pass comes last
 
     def test_dense_workload_makes_at_most_44_cipher_passes(self, monkeypatch):
         # 68 when each 8,192-row span of single-cluster rows made its own
@@ -752,10 +756,11 @@ def _traced_peak_mib(function, *args) -> float:
 
 class TestBoundedMemory:
     """A full task's traced allocations stay within a fixed bound: every
-    batched read is cut at ``_BATCH_WORDS`` words. The bounds are twice the
-    peaks measured with numpy 2.4 (9.2, 3.0 and 15.6 MiB), and for the
-    2**22-repetition level its 32 MiB loss array plus 16 MiB (37.0 MiB
-    measured)."""
+    batched read is cut at ``_BATCH_WORDS`` words. The bounds were set at
+    twice the peaks first measured with numpy 2.4 (9.2, 3.0 and 15.6 MiB),
+    and for the 2**22-repetition level at its 32 MiB loss array plus 16
+    MiB. The peaks now read 7.8, 5.0 (16% under its bound), 10.7 and 37.0
+    MiB."""
 
     def test_severe_paper_task(self):
         spec = _paper_spec(repetitions=1 << 18)

@@ -2,6 +2,7 @@
 draws them."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,3 +215,11 @@ class TestLossDayMultiplier:
         dev = replace(_device(theta=0.5, lam=2.0, r=0.0, horizon=10_000),
                       loss_day_multiplier=2.5)
         assert expected_present_loss(dev) == pytest.approx(1000.0 * 2.5 * 1.5, rel=1e-9)
+
+    def test_a_product_past_the_float_range_is_capped_without_a_warning(self):
+        # 1e308 * n overflows to inf for n >= 2; the cap takes it to the horizon
+        counts = CountDistributionParams(theta=2.0, lambda_cluster=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            days = expected_capped_loss_days(counts, 365, 1e308)
+        assert days == pytest.approx(365.0 * (1.0 - math.exp(-2.0)), rel=1e-12)
