@@ -15,11 +15,12 @@ Word consumption per draw (format version 1):
 * Uniform index in [0, m) - one word, rejected and redrawn when it falls
   at or above the largest multiple of m below 2**64 (unbiased modulo).
 
-The ``*_rows`` samplers draw from many streams at once (one
-``RaggedStreams`` row each) and consume every row's words exactly as the
-one-stream form would on that row's stream: rejection samplers proceed
-round by round, each round reading the next words of every row that still
-has unresolved draws.
+Each sampler has one implementation, a ``*_rows`` form that draws from
+many streams at once through ``read(rows, words)`` (the engine passes
+``RaggedStreams.raw_words``) and reads each row's words in its stream's
+order: rejection samplers proceed round by round, each round reading the
+next words of every row that still has unresolved draws. The one-stream
+``sample_poisson_batch`` and ``sample_severity_batch`` are one-row calls.
 
 Log-factorials (the PTRS acceptance test and the compound-count pmf) come
 from ``_lgamma``, cephes ``lgam`` (what ``scipy.special.gammaln``
@@ -39,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .streams import RaggedStreams, RandomStream, row_positions, words_to_uniforms
+from .streams import RandomStream, row_positions, words_to_uniforms
 
 __all__ = [
     "CountDistributionParams",
@@ -400,29 +401,19 @@ def _inversion_nonzero(words: np.ndarray, rate: float):
     each, as (rows, counts): the indexes of the words that draw a nonzero
     count, ascending, and those counts.
 
-    When P(0) >= 1/2 most draws are 0. A word's uniform ``((w >> 11) + 1) *
-    2**-53`` is at most ``cum[0]``, and draws 0, exactly when ``w <
-    floor(cum[0] * 2**53) * 2**11``, so one ``uint64`` comparison picks the
-    nonzero rows and only those words are mapped to uniforms and searched.
-    When ``cum[0]`` is 1.0 that threshold is 2**64 and every draw is 0.
-    Otherwise every word is searched and the nonzero draws are kept."""
+    A word's uniform ``((w >> 11) + 1) * 2**-53`` is at most ``cum[0]``, and
+    draws 0, exactly when ``w < floor(cum[0] * 2**53) * 2**11``, so one
+    ``uint64`` comparison picks the nonzero rows, and only those words are
+    mapped to uniforms and searched for the first k with ``cum[k]`` at
+    least the uniform, clamped to the table. When ``cum[0]`` is 1.0 that
+    threshold is 2**64 and every draw is 0."""
     cum = poisson_cum_table(rate)
-    if cum[0] < 0.5:
-        k = _search(cum, words)
-        rows = np.flatnonzero(k)
-        return rows, k[rows]
     zero_below = int(cum[0] * 2.0 ** 53) << 11
     if zero_below >= 1 << 64:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
     rows = np.flatnonzero(words >= np.uint64(zero_below))
-    return rows, _search(cum, words[rows])
-
-
-def _search(cum: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The first k with ``cum[k]`` at least each word's uniform, clamped to
-    the table."""
-    k = np.searchsorted(cum, words_to_uniforms(words), side="left")
-    return np.minimum(k, len(cum) - 1).astype(np.int64)
+    k = np.searchsorted(cum, words_to_uniforms(words[rows]), side="left")
+    return rows, np.minimum(k, len(cum) - 1).astype(np.int64)
 
 
 def poisson_inversion(words: np.ndarray, rate: float) -> np.ndarray:
@@ -434,23 +425,24 @@ def poisson_inversion(words: np.ndarray, rate: float) -> np.ndarray:
     return k
 
 
-def poisson_regions(words: np.ndarray, rate: float, first: int, attempts: int) -> np.ndarray:
-    """One Poisson(rate) draw per row of fixed per-row word regions.
+def poisson_regions(words: np.ndarray, rate: float, attempts: int) -> np.ndarray:
+    """One Poisson(rate) draw per row of fixed per-row word regions; a
+    region that starts past a row's first word is passed as a column view.
 
     At rate 0 no word is read. Below ``PTRS_THRESHOLD`` row i inverts
-    ``words[i, first]``. From it on, PTRS attempt a reads ``words[i, first
-    + 2a]`` and ``words[i, first + 2a + 1]``; rows still unresolved after
-    ``attempts`` attempts come back as -1 for the caller to spill.
+    ``words[i, 0]``. From it on, PTRS attempt a reads ``words[i, 2a]`` and
+    ``words[i, 2a + 1]``; rows still unresolved after ``attempts`` attempts
+    come back as -1 for the caller to spill.
     """
     if rate == 0.0:
         return np.zeros(len(words), dtype=np.int64)
     if rate < PTRS_THRESHOLD:
-        return poisson_inversion(words[:, first], rate)
+        return poisson_inversion(words[:, 0], rate)
     consts = _ptrs_consts(rate)
     out = np.full(len(words), -1, dtype=np.int64)
     pending = np.arange(len(words))
     for attempt in range(attempts):
-        column = first + 2 * attempt
+        column = 2 * attempt
         # attempt 1 reads every row, so its columns are read in place
         pair = words[:, column:column + 2] if attempt == 0 else words[pending, column:column + 2]
         accepted, k = _ptrs_attempt(words_to_uniforms(pair[:, 0]), words_to_uniforms(pair[:, 1]),
@@ -463,23 +455,47 @@ def poisson_regions(words: np.ndarray, rate: float, first: int, attempts: int) -
 
 
 def poisson_regions_nonzero(words: np.ndarray, rate: float, attempts: int):
-    """``poisson_regions(words, rate, 0, attempts)`` at its nonzero rows, as
+    """``poisson_regions(words, rate, attempts)`` at its nonzero rows, as
     (rows, counts): the rows, ascending, whose draw is nonzero or
     unresolved (-1), and their draws. Below ``PTRS_THRESHOLD`` the zero
     draws are never searched (``_inversion_nonzero``)."""
     if rate < PTRS_THRESHOLD:
         return _inversion_nonzero(words[:, 0], rate)
-    draws = poisson_regions(words, rate, 0, attempts)
+    draws = poisson_regions(words, rate, attempts)
     rows = np.flatnonzero(draws)
     return rows, draws[rows]
 
 
-def _ptrs_rounds(read, counts: np.ndarray, rate: float) -> np.ndarray:
-    """PTRS draws for ragged rows, ``counts[i]`` draws for row ``i``.
+def _one_row(stream: RandomStream, size: int):
+    """The ``read`` and ``counts`` of a row sampler for ``size`` draws from
+    ``stream`` alone."""
+    if size < 0:
+        raise DomainError("size must be nonnegative")
+    return (lambda rows, counts: stream.raw_words(int(counts.sum()))), np.array([size])
 
-    Each round, every row with ``p`` unresolved draws reads its next
-    ``2p`` words through ``read(rows, words_per_row)``; unresolved draw
-    ``j`` takes the round's words ``2j`` and ``2j + 1`` as (u, v)."""
+
+def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.ndarray:
+    """Draw ``size`` Poisson(rate) variates from ``stream``: one row of
+    ``sample_poisson_rows``."""
+    return sample_poisson_rows(*_one_row(stream, size), rate)
+
+
+def sample_poisson_rows(read, counts: np.ndarray, rate: float) -> np.ndarray:
+    """``counts[i]`` Poisson(rate) draws from row ``i``, concatenated.
+    ``read(rows, words)`` returns the next ``words[j]`` words of each row
+    ``rows[j]``, concatenated (``RaggedStreams.raw_words``).
+
+    Rate 0 reads no word. Below ``PTRS_THRESHOLD`` each draw inverts one
+    word (``poisson_inversion``). From it on, draws use PTRS rejection,
+    round by round: each round, every row with ``p`` unresolved draws reads
+    its next ``2p`` words, and its unresolved draw ``j`` takes the round's
+    words ``2j`` and ``2j + 1`` as (u, v)."""
+    if rate < 0 or not math.isfinite(rate):
+        raise DomainError(f"rate must be nonnegative, got {rate}")
+    if rate == 0.0:
+        return np.zeros(int(counts.sum()), dtype=np.int64)
+    if rate < PTRS_THRESHOLD:
+        return poisson_inversion(read(np.arange(len(counts)), counts), rate)
     consts = _ptrs_consts(rate)
     owner = np.repeat(np.arange(len(counts)), counts)
     out = np.empty(len(owner), dtype=np.int64)
@@ -494,43 +510,9 @@ def _ptrs_rounds(read, counts: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def _check_rate(rate: float):
-    if rate < 0 or not math.isfinite(rate):
-        raise DomainError(f"rate must be nonnegative, got {rate}")
-
-
-def sample_poisson_batch(stream: RandomStream, rate: float, size: int) -> np.ndarray:
-    """Draw ``size`` Poisson(rate) variates from ``stream``.
-
-    rate < 30 uses inversion by sequential search (one word per draw);
-    rate >= 30 uses PTRS rejection (two words per attempt, attempts for
-    the still-unresolved draws proceed round by round in index order).
-    """
-    _check_rate(rate)
-    if size < 0:
-        raise DomainError("size must be nonnegative")
-    if size == 0 or rate == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    if rate < PTRS_THRESHOLD:
-        return poisson_inversion(stream.raw_words(size), rate)
-    return _ptrs_rounds(lambda rows, words: stream.raw_words(int(words[0])),
-                        np.array([size]), rate)
-
-
-def sample_poisson_rows(streams: RaggedStreams, counts: np.ndarray, rate: float) -> np.ndarray:
-    """``counts[i]`` Poisson(rate) draws from row ``i`` of ``streams``, per
-    row as ``sample_poisson_batch`` on that row's stream; concatenated."""
-    _check_rate(rate)
-    if rate == 0.0:
-        return np.zeros(int(counts.sum()), dtype=np.int64)
-    if rate < PTRS_THRESHOLD:
-        return poisson_inversion(streams.raw_words(np.arange(len(counts)), counts), rate)
-    return _ptrs_rounds(streams.raw_words, counts, rate)
-
-
-def sample_indices_rows(streams: RaggedStreams, counts: np.ndarray, modulus: int) -> np.ndarray:
-    """``counts[i]`` unbiased indices in ``[0, modulus)`` from row ``i`` of
-    ``streams``, concatenated, as ``uint64``.
+def sample_indices_rows(read, counts: np.ndarray, modulus: int) -> np.ndarray:
+    """``counts[i]`` unbiased indices in ``[0, modulus)`` from row ``i``,
+    concatenated, as ``uint64``; rows are read as in ``sample_poisson_rows``.
 
     A word at or above the largest multiple of ``modulus`` not exceeding
     2**64 is rejected. Each round, a row still short of ``n`` indices reads
@@ -543,7 +525,7 @@ def sample_indices_rows(streams: RaggedStreams, counts: np.ndarray, modulus: int
     need = np.array(counts, dtype=np.int64)
     rows = np.flatnonzero(need)
     while rows.size:
-        words = streams.raw_words(rows, need[rows])
+        words = read(rows, need[rows])
         owner = np.repeat(rows, need[rows])
         if limit is not None:
             kept = words < limit
@@ -573,19 +555,15 @@ def _severity_quantile(dist: SeverityDistribution, u: np.ndarray) -> np.ndarray:
 
 
 def sample_severity_batch(stream: RandomStream, dist: SeverityDistribution, size: int) -> np.ndarray:
-    """Draw ``size`` severities. Fixed consumes no words; all other kinds
-    consume one word per draw (inverse CDF)."""
-    if size < 0:
-        raise DomainError("size must be nonnegative")
-    if isinstance(dist, Fixed):
-        return np.full(size, dist.value)
-    return _severity_quantile(dist, stream.uniforms(size))
+    """Draw ``size`` severities from ``stream``: one row of
+    ``sample_severity_rows``."""
+    return sample_severity_rows(*_one_row(stream, size), dist)
 
 
-def sample_severity_rows(streams: RaggedStreams, counts: np.ndarray,
-                         dist: SeverityDistribution) -> np.ndarray:
-    """``counts[i]`` severities from row ``i`` of ``streams``, per row as
-    ``sample_severity_batch`` on that row's stream; concatenated."""
+def sample_severity_rows(read, counts: np.ndarray, dist: SeverityDistribution) -> np.ndarray:
+    """``counts[i]`` severities from row ``i``, concatenated; rows are read
+    as in ``sample_poisson_rows``. Fixed reads no word; every other kind
+    reads one word per draw (inverse CDF)."""
     if isinstance(dist, Fixed):
         return np.full(int(counts.sum()), dist.value)
-    return _severity_quantile(dist, streams.uniforms(np.arange(len(counts)), counts))
+    return _severity_quantile(dist, words_to_uniforms(read(np.arange(len(counts)), counts)))

@@ -48,33 +48,34 @@ repetitions that draw something, so a task expects at most
 one worker.
 
 A task resolves its DETAIL_SPILL and CHANNEL_SEV repetitions in batches,
-each repetition on its own stream (``streams.RaggedStreams``), and
-replays every stream's word order exactly: placement rejection and PTRS
+each repetition on its own stream, a ``streams.RaggedStreams`` row that
+the ``distributions`` row samplers read through its ``raw_words``. They
+replay every stream's word order exactly: placement rejection and PTRS
 size draws proceed round by round, each round reading the next words of
-every repetition that still has unresolved draws, as the one-stream
-samplers do. Per-repetition totals are bit-identical to ``ndarray.sum``
-over that repetition's devices or events. Batches are bounded by words,
-not repetitions: every batched read - COUNT and CHANNEL counts, the
-in-region DETAIL words of single-cluster repetitions, DETAIL_SPILL and
-CHANNEL_SEV - holds at most ``_BATCH_WORDS`` (2**16) words, except for a
-repetition that alone needs more. COUNT_SPILL and CHANNEL_SPILL, taken
-after 16 rejected PTRS attempts (about one region in 10**12), are drawn
-in one batched call per task, each spilled repetition on its own stream,
-without that cut.
+every repetition that still has unresolved draws, and a one-stream
+sampler is the same code on one row. Per-repetition totals are
+bit-identical to ``ndarray.sum`` over that repetition's devices or
+events. Batches are bounded by words, not repetitions: every batched
+read - COUNT and CHANNEL counts, the in-region DETAIL words of
+single-cluster repetitions, DETAIL_SPILL and CHANNEL_SEV - holds at most
+``_BATCH_WORDS`` (2**16) words, except for a repetition that alone needs
+more. COUNT_SPILL and CHANNEL_SPILL, taken after 16 rejected PTRS
+attempts (about one region in 10**12), are drawn in one batched call per
+task, each spilled repetition on its own stream, without that cut.
 
 Past its count words, a task holds arrays only over the rows that drew
 something: its count reads keep the rows with a nonzero count, in arrays
-sized from the expected number of them, and it returns the losses of
-those rows alone. Below rate 30 a span of count words becomes those rows
-in one step: when P(0) >= 1/2, one ``uint64`` comparison against the
-first word that does not invert to 0 picks them, and only their words
-are mapped to uniforms and searched; otherwise the span is inverted
-whole and its nonzero draws kept (``distributions.poisson_regions_nonzero``).
-So a task's memory grows with its drawn rows, not with the repetitions it
-scans. A run holds one R-length loss array, reused by
-every level: each task's losses go into its tail, and the level's sample
-is its zeros followed by its sorted drawn losses, which is ``np.sort`` of
-all R losses bit for bit, as no loss is negative or -0.0.
+of ceil(n * min(1, r)) rows for n repetitions, which grow when more rows
+drew, and it returns the losses of those rows alone. Below rate 30 a span
+of count words becomes those rows in one step: one ``uint64`` comparison
+against the first word that does not invert to 0 picks them, and only
+their words are mapped to uniforms and searched
+(``distributions.poisson_regions_nonzero``). So a task's memory grows
+with its drawn rows, not with the repetitions it scans. A run holds one
+R-length loss array, reused by every level: each task's losses go into
+its tail, and the level's sample is its zeros followed by its sorted
+drawn losses, which is ``np.sort`` of all R losses bit for bit, as no
+loss is negative or -0.0.
 
 Only the cipher blocks a draw reads are enciphered. A task reads its
 single-cluster repetitions' DETAIL regions in two reads, each in spans of
@@ -101,7 +102,7 @@ from numpy's own generator (``tests/oracles.py``).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 import math
@@ -185,9 +186,6 @@ _DETAIL_MAX_ATTEMPTS = 3
 # Most rows a task (the unit handed to a worker) expects to draw something;
 # sets the number of tasks a level is cut into.
 _TASK_DRAWN_ROWS = 1 << 18
-# Rows over the expected nonzero count that a task's count arrays hold
-# before they grow.
-_COUNT_SLACK = 64
 # Most words one batched read holds (plus any row that alone exceeds it);
 # bounds a task's memory for any kappa and R.
 _BATCH_WORDS = 1 << 16
@@ -237,9 +235,16 @@ class SimulationSpec:
         object.__setattr__(self, "loading", self.loading + 0.0)  # -0.0 reads as +0.0
         if not (0.0 < self.mitigation <= 1.0):
             raise ConfigError(f"mitigation must lie in (0, 1], got {self.mitigation}")
-        rates = {f"portfolio_size * theta * multiplier at {level.name}": self.portfolio_size * (
-            self.device.counts.theta * self.scenario.intensity_multipliers[level])
-            for level in self.levels}
+        theta = self.device.counts.theta
+        rates = {}
+        for level in (RiskLevel.BASELINE, *self.levels):
+            multiplier = self.scenario.intensity_multipliers[level]
+            if not theta * multiplier > 0:  # both are positive: the product underflowed
+                raise ConfigError(f"theta * intensity multiplier at {level.name} must be positive, "
+                                  f"got {theta} * {multiplier} = {theta * multiplier}")
+            if level in self.levels:  # Baseline only prices the pool: nothing is drawn at it
+                rates[f"portfolio_size * theta * multiplier at {level.name}"] = (
+                    self.portfolio_size * (theta * multiplier))
         rates["lambda_cluster"] = self.device.counts.lambda_cluster
         if self.aggregate_channel is not None:
             rates["aggregate_channel event_rate"] = self.aggregate_channel.event_rate
@@ -293,9 +298,8 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     spill stream. A span's zero inversion draws are never searched.
 
     The arrays are sized for the expected nonzero count, at most
-    n * min(1, rate) plus ``_COUNT_SLACK`` rows, and double when more
-    rows drew."""
-    size = min(n, math.ceil(n * min(1.0, rate)) + _COUNT_SLACK)
+    n * min(1, rate) rows, and double when more rows drew."""
+    size = math.ceil(n * min(1.0, rate))
     rows = np.empty(size, dtype=np.int64)
     counts = np.empty(size, dtype=np.int64)
     found = 0
@@ -316,7 +320,7 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     spilled = np.flatnonzero(counts < 0)
     if spilled.size:
         streams = RaggedStreams(seed, pack_stream_id(spill_domain, level.code, rep_lo + rows[spilled]))
-        counts[spilled] = sample_poisson_rows(streams, np.ones(len(spilled), dtype=np.int64), rate)
+        counts[spilled] = sample_poisson_rows(streams.raw_words, np.ones_like(spilled), rate)
         drawn = counts > 0  # a spilled draw may be 0
         rows, counts = rows[drawn], counts[drawn]
     return rows, counts
@@ -368,8 +372,8 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
         rows = np.arange(hi - lo)
         streams = RaggedStreams(seed, pack_stream_id(_DOMAIN_DETAIL_SPILL, level.code, reps[lo:hi]),
                                 prefix[lo:hi])
-        devices = sample_indices_rows(streams, n, kappa)
-        extras = sample_poisson_rows(streams, n, lam)
+        devices = sample_indices_rows(streams.raw_words, n, kappa)
+        extras = sample_poisson_rows(streams.raw_words, n, lam)
         # one entry per (repetition, affected device), devices ascending:
         # rank the devices, then sort one key by repetition and rank
         ranks, rank = np.unique(devices, return_inverse=True)
@@ -382,7 +386,7 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
         days = np.diff(starts, append=len(key)) + np.add.reduceat(extras, starts)
         owner = key[starts] // len(ranks)
         if kill:
-            u = streams.uniforms(rows, np.bincount(owner, minlength=hi - lo))
+            u = words_to_uniforms(streams.raw_words(rows, np.bincount(owner, minlength=hi - lo)))
             survived = u < math.exp(-device.kill_rate)
             days, owner = days[survived], owner[survived]
         effective = device.loss_day_multiplier * days
@@ -418,7 +422,7 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
     # cluster's device cannot change the loss); attempt 1 reads words 1-2.
     for lo, hi in _spans(len(reps) if lam > 0.0 else 0, 4):
         words = read(reps[lo:hi], 0)
-        extras = poisson_regions(words, lam, 1, 1)
+        extras = poisson_regions(words[:, 1:], lam, 1)
         days[lo:hi] = device.loss_day_multiplier * (1 + extras)  # 0 where unresolved (-1)
         resolved[lo:hi] = extras >= 0
         rejected = np.flatnonzero(extras < 0)
@@ -434,7 +438,7 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
         retry = late[first:last]
         words_3_to_6 = np.column_stack((late_word_3[first:last],
                                         words[np.searchsorted(at, retry), :3]))
-        extras = poisson_regions(words_3_to_6, lam, 0, _DETAIL_MAX_ATTEMPTS - 1)
+        extras = poisson_regions(words_3_to_6, lam, _DETAIL_MAX_ATTEMPTS - 1)
         days[retry] = device.loss_day_multiplier * (1 + extras)
         resolved[retry] = extras >= 0
         if kill:
@@ -451,7 +455,7 @@ def _channel_losses(seed: int, level: RiskLevel, reps: np.ndarray, counts: np.nd
     totals = np.empty(len(reps))
     for lo, hi in _batches(counts):
         streams = RaggedStreams(seed, pack_stream_id(_DOMAIN_CHANNEL_SEV, level.code, reps[lo:hi]))
-        amounts = sample_severity_rows(streams, counts[lo:hi], severity)
+        amounts = sample_severity_rows(streams.raw_words, counts[lo:hi], severity)
         totals[lo:hi] = _row_totals(amounts, counts[lo:hi])
     return totals
 
@@ -607,7 +611,8 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     # A task's losses are written into the loss array as its result
     # arrives; tasks run only as their results are consumed, at most
     # 2 * workers of them ahead.
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
         results = _ahead(pool, _chunk_task, tasks, 2 * workers) if pool else map(_chunk_task, tasks)
         level_reports, written = [], reps
         for level, n in zip(spec.levels, task_counts):

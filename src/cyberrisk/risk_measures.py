@@ -9,6 +9,7 @@ points >= VaR(rho), ties included.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 import math
 
@@ -91,14 +92,9 @@ class RiskMetrics:
 
 def _nearest_rank(count: int, level: float) -> int:
     """1-based index of the nearest-rank upper quantile: the smallest k
-    with k/count >= level (float comparison, adjusted around ceil)."""
-    k = int(math.ceil(level * count))
-    k = min(max(k, 1), count)
-    while k > 1 and (k - 1) / count >= level:
-        k -= 1
-    while k < count and k / count < level:
-        k += 1
-    return k
+    with k/count >= level in float arithmetic, by bisection, as k/count is
+    nondecreasing in k; k = count qualifies for any level below 1."""
+    return bisect.bisect_left(range(1, count + 1), level, key=lambda k: k / count) + 1
 
 
 def value_at_risk(dist: EmpiricalDistribution, level: float) -> float:

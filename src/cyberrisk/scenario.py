@@ -103,8 +103,8 @@ class ScenarioConfig:
         for level in RiskLevel:
             mult = self.intensity_multipliers.get(level)
             alpha = self.mitigation_alphas.get(level)
-            if mult is None or mult <= 0:
-                raise DomainError(f"missing or nonpositive multiplier for {level.name}")
+            if mult is None or not mult > 0:
+                raise DomainError(f"intensity multiplier for {level.name} must be positive, got {mult}")
             if alpha is None or not (0.0 < alpha <= 1.0):
                 raise DomainError(f"mitigation alpha for {level.name} must lie in (0, 1]")
         order = [RiskLevel.GUARDED, RiskLevel.ELEVATED, RiskLevel.HIGH, RiskLevel.SEVERE]

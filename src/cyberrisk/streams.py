@@ -281,7 +281,3 @@ class RaggedStreams:
                                              start[late], counts[late])
         self.counter[rows] = end
         return words
-
-    def uniforms(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """``raw_words`` mapped to (0, 1] with the versioned word mapping."""
-        return words_to_uniforms(self.raw_words(rows, counts))

@@ -225,6 +225,29 @@ class TestSimulate:
             assert int(rows[2]) == 8 * int(rows[1]) > 8 * reach
 
 
+    # NaN at Baseline, and theta * multiplier underflowing to 0.0 at Baseline
+    # (where nothing is drawn) and at every level
+    @pytest.mark.parametrize("theta, multipliers", [
+        (None, {"baseline": math.nan}),
+        (None, {"baseline": 1e-320}),
+        (1e-300, {"baseline": 1e-30, "guarded": 1e-30, "elevated": 2e-30, "high": 1e-29,
+                  "severe": 2e-29}),
+    ])
+    def test_intensity_multiplier_without_a_positive_rate_exits_2(self, capsys, tmp_path, theta,
+                                                                  multipliers):
+        mapping = paper_config()
+        mapping["repetitions"] = 10
+        if theta is not None:
+            mapping["device"]["theta"] = theta
+        mapping["scenario"]["intensity_multipliers"].update(multipliers)
+        config = tmp_path / "multipliers.json"
+        config.write_text(json.dumps(mapping))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: (intensity multiplier for BASELINE must be positive, got nan"
+                            r"|theta \* intensity multiplier at BASELINE must be positive, "
+                            r"got \S+ \* \S+ = 0\.0)\n", err), err
+
     # 1e305: every loss is finite, their mean is not; 1e307: a loss overflows
     @pytest.mark.parametrize("daily_loss", [1e305, 1e307])
     def test_overflow_is_a_numeric_fault_without_a_warning(self, tmp_path, daily_loss):
@@ -284,13 +307,17 @@ def _events_csv(tmp_path, losses):
     return path
 
 
-def _run_module(argv):
-    """``python -m cyberrisk.cli`` in a fresh interpreter on this package."""
+def _python(*args):
+    """A fresh interpreter on this package, run with ``args``."""
     src = str(Path(cyberrisk.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "cyberrisk.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_module(argv):
+    """``python -m cyberrisk.cli`` in a fresh interpreter on this package."""
+    return _python("-m", "cyberrisk.cli", *argv)
 
 
 class TestFit:
@@ -733,6 +760,14 @@ def test_simulate_never_loads_scipy(small_config, tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout == "0 []\n"
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    """The process pool is made only for more than one worker, so a
+    1-worker run does not pay for loading ``multiprocessing``."""
+    done = _python("-c", "import sys, cyberrisk.cli\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 @pytest.mark.parametrize("argv, what", [(("simulate", "--config"), "config"),

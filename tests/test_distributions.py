@@ -248,24 +248,24 @@ class TestPoissonSampler:
 
     def test_ptrs_regions(self):
         words = chunk_words(2024, 4, 0, 300_000, 8)
-        draws = poisson_regions(words, 45.0, 1, 15)
+        draws = poisson_regions(words[:, 1:], 45.0, 15)
         assert (draws >= 0).all()
         pmf = stats.poisson.pmf(np.arange(150), 45.0)
         assert total_variation(np.bincount(draws), pmf, len(draws)) < 0.005
         # rows a single attempt leaves unresolved come back as -1
-        once = poisson_regions(words, 45.0, 1, 1)
+        once = poisson_regions(words[:, 1:], 45.0, 1)
         assert 0 < (once == -1).sum() < len(once) // 2
         assert (once[once >= 0] == draws[once >= 0]).all()
 
     @pytest.mark.parametrize("rate", [1e-17, 0.4, 5.0, 29.99])
     def test_regions_below_the_threshold_invert_column_first(self, rate):
         words = chunk_words(2024, 5, 0, 10_000, 2)
-        draws = poisson_regions(words, rate, 3, 1)
+        draws = poisson_regions(words[:, 3:], rate, 1)
         assert np.array_equal(draws, poisson_inversion(words[:, 3], rate))
 
     def test_regions_at_rate_0_read_no_word(self):
         words = np.empty((1_000, 0), dtype=np.uint64)
-        draws = poisson_regions(words, 0.0, 0, 16)
+        draws = poisson_regions(words, 0.0, 16)
         assert draws.dtype == np.int64 and draws.tolist() == [0] * 1_000
 
     @pytest.mark.parametrize("rate", [30.0, 182.0, 2.0 ** 20])
@@ -290,11 +290,11 @@ class TestPoissonSampler:
             assert np.array_equal(accepted, want_accepted)
             assert np.array_equal(k, want_k)
 
-    @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.02, 0.4, math.log(2.0), 1.0, 29.99])
+    @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.02, 0.4, math.log(2.0), 1.0, 5.0, 29.99])
     def test_inversion_equals_plain_search(self, rate):
-        # ln 2 is the boundary of the P(0) >= 1/2 threshold path: there
-        # cum[0] == 0.5; at 1e-17 cum[0] rounds to 1.0, so the threshold
-        # word is 2**64 and every draw is 0
+        # at ln 2 cum[0] == 0.5, and above it most words lie past the
+        # threshold; at 1e-17 cum[0] rounds to 1.0, so the threshold word
+        # is 2**64 and every draw is 0
         cum = poisson_cum_table(rate)
         threshold = int(cum[0] * 2.0 ** 53) << 11
         edges = [w for w in (threshold - 1, threshold, 0, 2 ** 64 - 1) if w < 2 ** 64]
@@ -434,7 +434,7 @@ class TestRowSamplers:
     def test_indices_match_per_row_loop(self, modulus):
         counts = np.array([0, 1, 2, 3, 9, 40, 1, 0, 17, 250])
         batch, singles = _row_streams(31, len(counts), prefix=counts)
-        got = sample_indices_rows(batch, counts, modulus)
+        got = sample_indices_rows(batch.raw_words, counts, modulus)
         expect = [_reference_indices(s, int(c), modulus) for s, c in zip(singles, counts)]
         assert got.dtype == np.uint64
         assert np.array_equal(got, np.concatenate(expect))
@@ -444,14 +444,14 @@ class TestRowSamplers:
     def test_indices_reject_about_a_quarter_at_three_quarters_of_the_range(self):
         counts = np.full(200, 50)
         batch, _ = _row_streams(32, len(counts))
-        sample_indices_rows(batch, counts, 3 * 2 ** 62)
+        sample_indices_rows(batch.raw_words, counts, 3 * 2 ** 62)
         assert 1.25 < batch.counter.sum() / counts.sum() < 1.42
 
     @pytest.mark.parametrize("rate", [0.0, 0.3, 5.0, 29.9, 30.0, 45.0, 182.0])
     def test_poisson_rows_match_per_stream_batches(self, rate):
         counts = np.array([3, 0, 1, 12, 2, 60, 1, 7])
         batch, singles = _row_streams(33, len(counts), prefix=counts)
-        got = sample_poisson_rows(batch, counts, rate)
+        got = sample_poisson_rows(batch.raw_words, counts, rate)
         expect = [sample_poisson_batch(s, rate, int(c)) for s, c in zip(singles, counts)]
         assert np.array_equal(got, np.concatenate(expect))
         assert [int(c) for c in batch.counter] == [s.counter for s in singles]
@@ -459,7 +459,7 @@ class TestRowSamplers:
     def test_poisson_rows_negative_rate(self):
         batch, _ = _row_streams(34, 1)
         with pytest.raises(DomainError):
-            sample_poisson_rows(batch, np.array([1]), -1.0)
+            sample_poisson_rows(batch.raw_words, np.array([1]), -1.0)
 
     @pytest.mark.parametrize("dist", [
         Lognormal(mu=8.0, sigma=1.5),
@@ -470,7 +470,7 @@ class TestRowSamplers:
     def test_severity_rows_match_per_stream_batches(self, dist):
         counts = np.array([1, 0, 4, 9, 2])
         batch, singles = _row_streams(35, len(counts))
-        got = sample_severity_rows(batch, counts, dist)
+        got = sample_severity_rows(batch.raw_words, counts, dist)
         expect = [sample_severity_batch(s, dist, int(c)) for s, c in zip(singles, counts)]
         assert np.array_equal(got, np.concatenate(expect))
         assert [int(c) for c in batch.counter] == [s.counter for s in singles]

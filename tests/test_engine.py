@@ -1,6 +1,7 @@
 """Engine orchestration: determinism, reduction, and model equivalences."""
 
 from collections import Counter
+import concurrent.futures
 from dataclasses import replace
 import json
 import math
@@ -230,7 +231,7 @@ class TestTaskCount:
                 calls["most"] = max(calls["most"], calls["submitted"] - calls["consumed"])
                 return Ran(function(task))
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for workers in (2, 3):
             calls.clear()
@@ -489,7 +490,7 @@ class TestBatchedResolution:
         width = 1 if rate < 30.0 else 4 * engine._COUNT_BLOCKS_PER_REP
         stream_id = pack_stream_id(engine._DOMAIN_COUNT, level.code, 0)
         words = RandomStream(seed, stream_id, counter=rep_lo * width).raw_words(n * width)
-        expect = poisson_regions(words.reshape(n, width), rate, 0, engine._COUNT_MAX_ATTEMPTS)
+        expect = poisson_regions(words.reshape(n, width), rate, engine._COUNT_MAX_ATTEMPTS)
         rows, counts = engine._counts_for_chunk(seed, engine._DOMAIN_COUNT, level, rep_lo, n, rate)
         assert n * width > 4 * engine._BATCH_WORDS  # several spans
         assert (expect >= 0).all()
@@ -692,10 +693,10 @@ class TestCipherWork:
         # block 0 of repetition r's region is counter 2r + 1, block 1 is 2r + 2
         needs_block_1 = np.zeros(len(reps), dtype=bool)
         if lam >= 30.0:
-            rejected_once = poisson_regions(regions, lam, 1, 1) < 0
+            rejected_once = poisson_regions(regions[:, 1:], lam, 1) < 0
             assert 0 < rejected_once.sum() < len(reps) // 4
             needs_block_1 |= rejected_once
-            assert np.array_equal(resolved, poisson_regions(regions, lam, 1, 3) >= 0)
+            assert np.array_equal(resolved, poisson_regions(regions[:, 1:], lam, 3) >= 0)
         if kill > 0.0:
             needs_block_1[:] = True
         expect = np.concatenate([2 * reps + 1 if lam > 0.0 else reps[:0], 2 * reps[needs_block_1] + 2])
@@ -714,7 +715,7 @@ class TestCipherWork:
         reps = np.arange(5, 150_000, 3)
         detail = pack_stream_id(engine._DOMAIN_DETAIL, level.code, 0)
         regions = streams.chunk_words(seed, detail, 0, int(reps[-1]) + 1, 2)[reps]
-        late = int((poisson_regions(regions, lam, 1, 1) < 0).sum())
+        late = int((poisson_regions(regions[:, 1:], lam, 1) < 0).sum())
         passes = []
         cipher = streams._philox_pass
 
@@ -787,11 +788,10 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("seed, rate", [(2, 1e-3), (5, 0.02)])
     def test_count_arrays_grow_past_the_expected_rows(self, monkeypatch, seed, rate):
-        monkeypatch.setattr(engine, "_COUNT_SLACK", 0)
         monkeypatch.setattr(engine, "_BATCH_WORDS", 1_000)
         n, level = 100_000, RiskLevel.GUARDED
         words = RandomStream(seed, pack_stream_id(engine._DOMAIN_COUNT, level.code, 0)).raw_words(n)
-        expect = poisson_regions(words.reshape(n, 1), rate, 0, engine._COUNT_MAX_ATTEMPTS)
+        expect = poisson_regions(words.reshape(n, 1), rate, engine._COUNT_MAX_ATTEMPTS)
         rows, counts = engine._counts_for_chunk(seed, engine._DOMAIN_COUNT, level, 0, n, rate)
         assert len(rows) > math.ceil(n * rate)  # more than the arrays first held
         assert np.array_equal(rows, np.flatnonzero(expect))

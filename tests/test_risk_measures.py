@@ -1,5 +1,7 @@
 """Risk-measure exactness and property battery (counting oracles)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ class TestValueAtRisk:
         sample = EmpiricalDistribution(np.arange(1.0, 21.0))
         assert value_at_risk(sample, 0.95) == 19.0
         assert value_at_risk(sample, 0.95) == nearest_rank_var_bruteforce(sample.sorted_losses, 0.95)
+
+    def test_nearest_rank_equals_the_linear_scan(self):
+        # the report's levels, and levels at, just below and just above k/count
+        # for a few k: there level * count can round to the other side of an
+        # integer, and its ceil lands one rank off either way
+        for count in range(1, 2001):
+            sample = EmpiricalDistribution.from_sorted(np.arange(1.0, count + 1.0))
+            levels = {0.90, 0.95, 0.99}
+            for k in {1, (count + 1) // 2, count - 1, math.ceil(0.95 * count)}:
+                edge = k / count
+                levels |= {edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)}
+            for level in sorted(level for level in levels if 0.0 < level < 1.0):
+                expect = nearest_rank_var_bruteforce(sample.sorted_losses, level)
+                assert value_at_risk(sample, level) == expect, (count, level)
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.5):

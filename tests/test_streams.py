@@ -176,10 +176,6 @@ def test_ragged_streams_follow_each_row_stream():
             expect = [singles[r].raw_words(int(c)) for r, c in zip(rows, counts)]
             assert np.array_equal(batch.raw_words(rows, counts), np.concatenate(expect))
         assert [int(c) for c in batch.counter] == [s.counter for s in singles]
-    rows = np.arange(3)
-    counts = np.array([2, 0, 5])
-    assert np.array_equal(RaggedStreams(8, ids[:3]).uniforms(rows, counts),
-                          words_to_uniforms(RaggedStreams(8, ids[:3]).raw_words(rows, counts)))
 
 
 def test_row_positions():
