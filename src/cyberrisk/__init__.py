@@ -12,9 +12,7 @@ from .engine import RiskReport, SimulationSpec, run_simulation, summarize_level
 from .loss_model import (
     AggregateLossParams,
     DeviceParameters,
-    PremiumSchedule,
     discount_factor,
-    premium_schedule,
 )
 from .risk_measures import (
     EmpiricalDistribution,

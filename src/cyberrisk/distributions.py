@@ -21,6 +21,9 @@ many streams at once through ``read(rows, words)`` (the engine passes
 order: rejection samplers proceed round by round, each round reading the
 next words of every row that still has unresolved draws. The one-stream
 ``sample_poisson_batch`` and ``sample_severity_batch`` are one-row calls.
+Fixed per-row word regions (the engine's count and single-cluster words)
+have one Poisson reader, ``poisson_regions``, which returns only the rows
+that draw something.
 
 Log-factorials (the PTRS acceptance test and the compound-count pmf) come
 from ``_lgamma``, cephes ``lgam`` (what ``scipy.special.gammaln``
@@ -52,9 +55,7 @@ __all__ = [
     "compound_count_pmf_table",
     "normal_quantile",
     "PTRS_THRESHOLD",
-    "poisson_inversion",
     "poisson_regions",
-    "poisson_regions_nonzero",
     "sample_poisson_batch",
     "sample_poisson_rows",
     "sample_indices_rows",
@@ -235,43 +236,44 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     exactly its first n entries, so it is grouped as a row of n terms alone,
     whatever the block; a padded ``sum(axis=1)`` groups differently. The
     domain is n_max >= 0 and n_max*lambda + theta finite, where each row's
-    n terms are finite.
+    n terms are finite. If any array of the build cannot be allocated, it
+    raises DomainError.
     """
     theta, lam = params.theta, params.lambda_cluster
     if n_max < 0 or not math.isfinite(n_max * lam + theta):
         raise DomainError(f"need n_max >= 0 and finite n_max*lambda + theta, got {n_max}*{lam} + {theta}")
     try:
         out = np.empty(n_max + 1)
+        out[0] = math.exp(-theta)
+        j_all = np.arange(1, n_max + 1, dtype=np.float64)
+        j_log_theta = j_all * math.log(theta)
+        j_rate = j_all * lam + theta
+        log_fact = _lgamma(np.arange(1.0, n_max + 2.0))  # log(k!) for k = 0..n_max
+        lg_j1 = log_fact[1:]
+        if lam == 0.0:  # row n's one finite term is its own shift: its sum is 1.0
+            out[1:] = [math.exp(t) for t in j_log_theta - j_rate - lg_j1]
+            return out
+        log_jlam = np.log(j_all * lam)
+        steps = np.arange(n_max - 1, -n_max - 1, -1.0)
+        tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
+        log_facts = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((log_fact[:n_max][::-1], np.full(n_max, np.inf))), n_max)[::-1]
+        lo = 1
+        while lo <= n_max:
+            # the largest row count with rows * (lo + rows - 1) <= _TABLE_BLOCK
+            rows = max(1, (math.isqrt((lo - 1) ** 2 + 4 * _TABLE_BLOCK) - lo + 1) // 2)
+            hi = min(lo + rows, n_max + 1)
+            terms = (j_log_theta[:hi - 1] + tails[lo:hi, :hi - 1] * log_jlam[:hi - 1]
+                     - j_rate[:hi - 1] - lg_j1[:hi - 1] - log_facts[lo:hi, :hi - 1])
+            shifts = terms.max(axis=1)
+            scaled = np.exp(terms - shifts[:, None])
+            for n, shift, row in zip(range(lo, hi), shifts, scaled):
+                out[n] = math.exp(shift) * row[:n].sum()
+            lo = hi
+        return out
     except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
         raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * (n_max + 1)} bytes, "
                           "more memory than can be allocated") from None
-    out[0] = math.exp(-theta)
-    j_all = np.arange(1, n_max + 1, dtype=np.float64)
-    j_log_theta = j_all * math.log(theta)
-    j_rate = j_all * lam + theta
-    log_fact = _lgamma(np.arange(1.0, n_max + 2.0))  # log(k!) for k = 0..n_max
-    lg_j1 = log_fact[1:]
-    if lam == 0.0:  # row n's one finite term is its own shift: its sum is 1.0
-        out[1:] = [math.exp(t) for t in j_log_theta - j_rate - lg_j1]
-        return out
-    log_jlam = np.log(j_all * lam)
-    steps = np.arange(n_max - 1, -n_max - 1, -1.0)
-    tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
-    log_facts = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((log_fact[:n_max][::-1], np.full(n_max, np.inf))), n_max)[::-1]
-    lo = 1
-    while lo <= n_max:
-        # the largest row count with rows * (lo + rows - 1) <= _TABLE_BLOCK
-        rows = max(1, (math.isqrt((lo - 1) ** 2 + 4 * _TABLE_BLOCK) - lo + 1) // 2)
-        hi = min(lo + rows, n_max + 1)
-        terms = (j_log_theta[:hi - 1] + tails[lo:hi, :hi - 1] * log_jlam[:hi - 1]
-                 - j_rate[:hi - 1] - lg_j1[:hi - 1] - log_facts[lo:hi, :hi - 1])
-        shifts = terms.max(axis=1)
-        scaled = np.exp(terms - shifts[:, None])
-        for n, shift, row in zip(range(lo, hi), shifts, scaled):
-            out[n] = math.exp(shift) * row[:n].sum()
-        lo = hi
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +418,24 @@ def _inversion_nonzero(words: np.ndarray, rate: float):
     return rows, np.minimum(k, len(cum) - 1).astype(np.int64)
 
 
-def poisson_inversion(words: np.ndarray, rate: float) -> np.ndarray:
-    """Poisson(rate) draws by sequential-search inversion, one raw word
-    each: ``_inversion_nonzero`` with the zeros filled in."""
-    rows, counts = _inversion_nonzero(words, rate)
-    k = np.zeros(len(words), dtype=np.int64)
-    k[rows] = counts
-    return k
-
-
-def poisson_regions(words: np.ndarray, rate: float, attempts: int) -> np.ndarray:
-    """One Poisson(rate) draw per row of fixed per-row word regions; a
-    region that starts past a row's first word is passed as a column view.
+def poisson_regions(words: np.ndarray, rate: float, attempts: int):
+    """One Poisson(rate) draw per row of fixed per-row word regions, as
+    (rows, draws): the rows, ascending, whose draw is nonzero or unresolved
+    (-1), and their draws; every other row draws 0. A region that starts
+    past a row's first word is passed as a column view.
 
     At rate 0 no word is read. Below ``PTRS_THRESHOLD`` row i inverts
-    ``words[i, 0]``. From it on, PTRS attempt a reads ``words[i, 2a]`` and
-    ``words[i, 2a + 1]``; rows still unresolved after ``attempts`` attempts
-    come back as -1 for the caller to spill.
+    ``words[i, 0]``, and the zero draws are never searched
+    (``_inversion_nonzero``). From it on, PTRS attempt a reads
+    ``words[i, 2a]`` and ``words[i, 2a + 1]``; rows still unresolved after
+    ``attempts`` attempts come back as -1 for the caller to spill.
     """
     if rate == 0.0:
-        return np.zeros(len(words), dtype=np.int64)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
     if rate < PTRS_THRESHOLD:
-        return poisson_inversion(words[:, 0], rate)
+        return _inversion_nonzero(words[:, 0], rate)
     consts = _ptrs_consts(rate)
-    out = np.full(len(words), -1, dtype=np.int64)
+    draws = np.full(len(words), -1, dtype=np.int64)
     pending = np.arange(len(words))
     for attempt in range(attempts):
         column = 2 * attempt
@@ -447,21 +443,10 @@ def poisson_regions(words: np.ndarray, rate: float, attempts: int) -> np.ndarray
         pair = words[:, column:column + 2] if attempt == 0 else words[pending, column:column + 2]
         accepted, k = _ptrs_attempt(words_to_uniforms(pair[:, 0]), words_to_uniforms(pair[:, 1]),
                                     rate, consts)
-        out[pending[accepted]] = k[accepted]
+        draws[pending[accepted]] = k[accepted]
         pending = pending[~accepted]
         if pending.size == 0:
             break
-    return out
-
-
-def poisson_regions_nonzero(words: np.ndarray, rate: float, attempts: int):
-    """``poisson_regions(words, rate, attempts)`` at its nonzero rows, as
-    (rows, counts): the rows, ascending, whose draw is nonzero or
-    unresolved (-1), and their draws. Below ``PTRS_THRESHOLD`` the zero
-    draws are never searched (``_inversion_nonzero``)."""
-    if rate < PTRS_THRESHOLD:
-        return _inversion_nonzero(words[:, 0], rate)
-    draws = poisson_regions(words, rate, attempts)
     rows = np.flatnonzero(draws)
     return rows, draws[rows]
 
@@ -486,28 +471,31 @@ def sample_poisson_rows(read, counts: np.ndarray, rate: float) -> np.ndarray:
     ``rows[j]``, concatenated (``RaggedStreams.raw_words``).
 
     Rate 0 reads no word. Below ``PTRS_THRESHOLD`` each draw inverts one
-    word (``poisson_inversion``). From it on, draws use PTRS rejection,
-    round by round: each round, every row with ``p`` unresolved draws reads
-    its next ``2p`` words, and its unresolved draw ``j`` takes the round's
-    words ``2j`` and ``2j + 1`` as (u, v)."""
+    word, and only the nonzero draws are searched (``_inversion_nonzero``).
+    From it on, draws use PTRS rejection, round by round: each round, every
+    row with ``p`` unresolved draws reads its next ``2p`` words, and its
+    unresolved draw ``j`` takes the round's words ``2j`` and ``2j + 1`` as
+    (u, v)."""
     if rate < 0 or not math.isfinite(rate):
         raise DomainError(f"rate must be nonnegative, got {rate}")
+    draws = np.zeros(int(counts.sum()), dtype=np.int64)
     if rate == 0.0:
-        return np.zeros(int(counts.sum()), dtype=np.int64)
+        return draws
     if rate < PTRS_THRESHOLD:
-        return poisson_inversion(read(np.arange(len(counts)), counts), rate)
+        nonzero, k = _inversion_nonzero(read(np.arange(len(counts)), counts), rate)
+        draws[nonzero] = k
+        return draws
     consts = _ptrs_consts(rate)
     owner = np.repeat(np.arange(len(counts)), counts)
-    out = np.empty(len(owner), dtype=np.int64)
     pending = np.arange(len(owner))
     while pending.size:
         per_row = np.bincount(owner[pending], minlength=len(counts))
         rows = np.flatnonzero(per_row)
         words = words_to_uniforms(read(rows, 2 * per_row[rows]))
         accepted, k = _ptrs_attempt(words[0::2], words[1::2], rate, consts)
-        out[pending[accepted]] = k[accepted]
+        draws[pending[accepted]] = k[accepted]
         pending = pending[~accepted]
-    return out
+    return draws
 
 
 def sample_indices_rows(read, counts: np.ndarray, modulus: int) -> np.ndarray:

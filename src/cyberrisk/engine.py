@@ -70,7 +70,7 @@ drew, and it returns the losses of those rows alone. Below rate 30 a span
 of count words becomes those rows in one step: one ``uint64`` comparison
 against the first word that does not invert to 0 picks them, and only
 their words are mapped to uniforms and searched
-(``distributions.poisson_regions_nonzero``). So a task's memory grows
+(``distributions.poisson_regions``). So a task's memory grows
 with its drawn rows, not with the repetitions it scans. A run holds one
 R-length loss array, reused by every level: each task's losses go into
 its tail, and the level's sample is its zeros followed by its sorted
@@ -118,7 +118,6 @@ import numpy as np
 from .distributions import (
     PTRS_THRESHOLD,
     poisson_regions,
-    poisson_regions_nonzero,
     sample_indices_rows,
     sample_poisson_batch,
     sample_poisson_rows,
@@ -131,7 +130,6 @@ from .loss_model import (
     DeviceParameters,
     discount_factor,
     expected_present_loss,
-    premium_schedule,
 )
 from .risk_measures import (
     EmpiricalDistribution,
@@ -142,7 +140,7 @@ from .risk_measures import (
     shortfall_probability,
     value_at_risk,
 )
-from .scenario import RiskLevel, ScenarioConfig, level_mitigation, level_parameters
+from .scenario import RiskLevel, ScenarioConfig, level_parameters
 from .streams import (
     RaggedStreams,
     RandomStream,
@@ -308,7 +306,7 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     for lo, hi in _spans(n, width):
         words = stream.raw_words((hi - lo) * width).reshape(hi - lo, width)
         # unresolved rows (-1) included
-        nonzero, span_counts = poisson_regions_nonzero(words, rate, _COUNT_MAX_ATTEMPTS)
+        nonzero, span_counts = poisson_regions(words, rate, _COUNT_MAX_ATTEMPTS)
         if found + len(nonzero) > len(rows):
             size = min(n, max(2 * len(rows), found + len(nonzero)))
             rows, counts = np.resize(rows[:found], size), np.resize(counts[:found], size)
@@ -415,17 +413,17 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
         counters = _DETAIL_BLOCKS_PER_REP * at + 1 + block
         return philox_blocks(seed, np.broadcast_to(np.uint64(stream_id), counters.shape), counters)
 
-    days = np.full(len(reps), device.loss_day_multiplier)  # a cluster of 1 at lambda_cluster = 0
+    # a cluster of 1 with no extra event: a row that draws 0 keeps it
+    days = np.full(len(reps), device.loss_day_multiplier)
     resolved = np.ones(len(reps), dtype=bool)
     late, late_word_3 = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
     # Block 0: word 0 is the reserved placement draw, not inspected (a lone
     # cluster's device cannot change the loss); attempt 1 reads words 1-2.
     for lo, hi in _spans(len(reps) if lam > 0.0 else 0, 4):
         words = read(reps[lo:hi], 0)
-        extras = poisson_regions(words[:, 1:], lam, 1)
-        days[lo:hi] = device.loss_day_multiplier * (1 + extras)  # 0 where unresolved (-1)
-        resolved[lo:hi] = extras >= 0
-        rejected = np.flatnonzero(extras < 0)
+        drew, extras = poisson_regions(words[:, 1:], lam, 1)
+        days[lo + drew] = device.loss_day_multiplier * (1 + extras)  # 0 where unresolved (-1)
+        rejected = drew[extras < 0]
         late.append(lo + rejected)
         late_word_3.append(words[rejected, 3])
     late, late_word_3 = np.concatenate(late), np.concatenate(late_word_3)
@@ -438,9 +436,10 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
         retry = late[first:last]
         words_3_to_6 = np.column_stack((late_word_3[first:last],
                                         words[np.searchsorted(at, retry), :3]))
-        extras = poisson_regions(words_3_to_6, lam, _DETAIL_MAX_ATTEMPTS - 1)
-        days[retry] = device.loss_day_multiplier * (1 + extras)
-        resolved[retry] = extras >= 0
+        drew, extras = poisson_regions(words_3_to_6, lam, _DETAIL_MAX_ATTEMPTS - 1)
+        days[retry] = device.loss_day_multiplier  # attempt 1 left them at 0
+        days[retry[drew]] = device.loss_day_multiplier * (1 + extras)
+        resolved[retry[drew[extras < 0]]] = False
         if kill:
             days[at] *= words_to_uniforms(words[:, 3]) < math.exp(-device.kill_rate)
     caps = int(np.count_nonzero(days > device.horizon_days))
@@ -484,22 +483,17 @@ def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi:
 
     rows, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
                                        spec.portfolio_size * device.counts.theta)
-    # Multi-cluster repetitions, as indexes into rows, and their cluster
-    # counts; only these counts are kept while the single-cluster ones,
-    # marked in a mask, are resolved.
     single = clusters == 1
-    multi = np.flatnonzero(clusters >= 2)
-    clusters = clusters[multi]
     resolved, capped_days, caps = _single_cluster_days(spec.seed, level, rep_lo + rows[single],
                                                        device)
     losses = np.empty(len(rows))  # every row is written below
     losses[single] = unit * capped_days
-    spilled = np.flatnonzero(single)[~resolved]  # single-cluster rows left unresolved
-    multi = np.concatenate([multi, spilled])
+    # multi-cluster rows, then the single-cluster rows left unresolved, as
+    # indexes into rows
+    multi = np.concatenate([np.flatnonzero(clusters >= 2), np.flatnonzero(single)[~resolved]])
     if multi.size:
-        n_clusters = np.concatenate([clusters, np.ones(len(spilled), dtype=np.int64)])
         total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + rows[multi],
-                                                     n_clusters, device, spec.portfolio_size)
+                                                     clusters[multi], device, spec.portfolio_size)
         losses[multi] = unit * total_days
         caps += multi_caps
 
@@ -660,9 +654,8 @@ def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: flo
     losses[start:].sort()
     dist = EmpiricalDistribution.from_sorted(losses)
 
-    alpha = level_mitigation(spec.scenario, level)
-    schedule = premium_schedule(baseline_expected, spec.loading, alpha)
-    pool_amount = spec.portfolio_size * schedule.adjusted_premium
+    alpha = spec.scenario.mitigation_alphas[level]
+    pool_amount = spec.portfolio_size * ((1.0 + spec.loading) * (alpha * baseline_expected))
     metrics = summarize_level(dist, pool_amount, spec.confidence_levels)
     return LevelReport(
         level=level,

@@ -24,10 +24,8 @@ from .errors import DomainError
 
 __all__ = [
     "DeviceParameters",
-    "PremiumSchedule",
     "AggregateLossParams",
     "discount_factor",
-    "premium_schedule",
     "expected_capped_loss_days",
     "expected_present_loss",
 ]
@@ -67,18 +65,6 @@ class DeviceParameters:
 
 
 @dataclass(frozen=True)
-class PremiumSchedule:
-    """Loading / mitigation premium arithmetic around one expected loss."""
-
-    loading: float
-    mitigation: float
-    expected_loss: float
-    adjusted_expected_loss: float
-    premium: float
-    adjusted_premium: float
-
-
-@dataclass(frozen=True)
 class AggregateLossParams:
     """Common (portfolio-level) loss channel: a Poisson(event_rate) number
     of severity draws per horizon."""
@@ -97,27 +83,6 @@ def discount_factor(discount_rate: float) -> float:
     if not (discount_rate > -1 and math.isfinite(discount_rate)):
         raise DomainError(f"discount rate must exceed -1, got {discount_rate}")
     return 1.0 / (1.0 + discount_rate)
-
-
-def premium_schedule(expected_loss: float, loading: float, mitigation: float) -> PremiumSchedule:
-    """Compose loading and mitigation into the four premium quantities:
-    premium = (1+loading) * E, adjusted E = mitigation * E, adjusted
-    premium = (1+loading) * mitigation * E."""
-    if not (expected_loss >= 0 and math.isfinite(expected_loss)):
-        raise DomainError(f"expected_loss must be nonnegative, got {expected_loss}")
-    if not (loading >= 0 and math.isfinite(loading)):
-        raise DomainError(f"loading must be nonnegative, got {loading}")
-    if not (0.0 < mitigation <= 1.0):
-        raise DomainError(f"mitigation must lie in (0, 1], got {mitigation}")
-    adjusted = mitigation * expected_loss
-    return PremiumSchedule(
-        loading=loading,
-        mitigation=mitigation,
-        expected_loss=expected_loss,
-        adjusted_expected_loss=adjusted,
-        premium=(1.0 + loading) * expected_loss,
-        adjusted_premium=(1.0 + loading) * adjusted,
-    )
 
 
 def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int,

@@ -18,7 +18,7 @@ import json
 
 from .config import spec_to_mapping
 from .engine import DRAW_LAYOUT_VERSION, ENGINE_VERSION, LevelReport, RiskReport
-from .scenario import ScenarioConfig, level_mitigation
+from .scenario import ScenarioConfig
 from .streams import STREAM_FORMAT_VERSION
 
 __all__ = ["render_json", "render_csv", "render_table", "report_rows", "REPORT_VERSION"]
@@ -40,7 +40,7 @@ def _level_payload(item: LevelReport, scenario: ScenarioConfig) -> dict:
         "level": item.level.name.lower(),
         "label": item.level.label,
         "intensity_multiplier": scenario.intensity_multipliers[item.level],
-        "mitigation": level_mitigation(scenario, item.level),
+        "mitigation": scenario.mitigation_alphas[item.level],
         "expected_present_loss": _money(item.expected_present_loss),
         "expected_loss": _money(metrics.expected_loss),
         "premium_pool": _money(item.premium_pool),

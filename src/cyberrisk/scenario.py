@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import enum
-import math
+import sys
 
 from .distributions import CountDistributionParams
 from .errors import DomainError
@@ -27,7 +27,6 @@ __all__ = [
     "baseline_proportion",
     "attacks_per_year",
     "level_parameters",
-    "level_mitigation",
     "MINUTES_PER_YEAR",
 ]
 
@@ -118,10 +117,11 @@ class ScenarioConfig:
 def baseline_proportion(minutes_per_year: int, unrecorded_fraction: float,
                         attack_window_minutes: float, population: int) -> float:
     """Baseline per-device attacked proportion from exposure arithmetic."""
-    if not (0 < minutes_per_year < math.inf and 0 < attack_window_minutes < math.inf
-            and population > 0):
-        raise DomainError("minutes_per_year and attack_window_minutes must be finite and "
-                          "positive, and population positive")
+    # an integer past the float range would overflow where it meets a float
+    if not all(0 < x <= sys.float_info.max
+               for x in (minutes_per_year, attack_window_minutes, population)):
+        raise DomainError("minutes_per_year, attack_window_minutes and population must be "
+                          f"positive and finite, at most {sys.float_info.max!r}")
     if not (0.0 < unrecorded_fraction <= 1.0):
         raise DomainError(f"unrecorded_fraction must lie in (0, 1], got {unrecorded_fraction}")
     exposed_minutes = minutes_per_year * unrecorded_fraction
@@ -148,8 +148,3 @@ def level_parameters(config: ScenarioConfig, level: RiskLevel,
     counts = CountDistributionParams(theta=base.counts.theta * mult,
                                      lambda_cluster=base.counts.lambda_cluster)
     return replace(base, counts=counts)
-
-
-def level_mitigation(config: ScenarioConfig, level: RiskLevel) -> float:
-    """The mitigation factor the level's premium and expected loss carry."""
-    return config.mitigation_alphas[level]

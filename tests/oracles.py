@@ -350,3 +350,13 @@ def scatter_chunk(chunk, n: int):
     losses = np.zeros(n)
     losses[rows] = drawn
     return losses, caps
+
+
+def scatter_regions(regions, n: int) -> np.ndarray:
+    """``poisson_regions``' ``(rows, draws)`` over n region rows as one draw
+    per row: the draws scattered into zeros, -1 where unresolved."""
+    rows, draws = regions
+    assert np.all(np.diff(rows) > 0) and (draws != 0).all()
+    out = np.zeros(n, dtype=np.int64)
+    out[rows] = draws
+    return out

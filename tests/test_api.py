@@ -10,7 +10,7 @@ import pytest
 import cyberrisk
 import cyberrisk.engine as engine
 
-from test_bench_contract import _patch_points
+from test_bench_contract import BENCH, _patch_points
 
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(cyberrisk.__path__))
 
@@ -68,6 +68,30 @@ def test_every_import_is_used():
             unused += [f"{path.name}: {name}" for name in names if name not in read
                        and not (path.stem == "engine" and name in bench_patched)]
     assert unused == []
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    """Every public module-level function or class in the package is read in
+    the package or in bench/ outside its own definition; ``__init__``'s
+    re-exports and ``__all__`` entries do not count. A public name that
+    only tests read is a wrapper to delete."""
+    package = Path(cyberrisk.__file__).parent
+    defined, read = set(), set()
+    for path in sorted(package.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        if path.name == "__init__.py" and path.parent == package:
+            continue
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            if path.parent == package and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(own)
+            for inner in ast.walk(node):
+                names = ([inner.id] if isinstance(inner, ast.Name) else
+                         [inner.attr] if isinstance(inner, ast.Attribute) else
+                         [alias.name for alias in inner.names]
+                         if isinstance(inner, ast.ImportFrom) else [])
+                read.update(name for name in names if name != own)
+    unread = sorted(name for name in defined - read if not name.startswith("_"))
+    assert unread == []
 
 
 def test_engine_draws_only_through_the_batched_samplers():

@@ -6,6 +6,7 @@ import math
 import os
 from pathlib import Path
 import re
+import resource
 import subprocess
 import sys
 
@@ -225,6 +226,28 @@ class TestSimulate:
             assert int(rows[2]) == 8 * int(rows[1]) > 8 * reach
 
 
+    def test_pmf_table_build_out_of_memory_exits_2(self, tmp_path):
+        # the Baseline table has about 1.46e8 rows (1.17 GB); under a 2 GiB
+        # address-space limit it is allocated, and a later array of its
+        # build is not. Unlimited, this input runs for hours.
+        mapping = paper_config()
+        mapping.update(repetitions=10, portfolio_size=1, levels=["guarded"])
+        mapping["device"].update(theta=52.4288, lambda_cluster=2 ** 20)
+        config = tmp_path / "table.json"
+        config.write_text(json.dumps(mapping))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(cyberrisk.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-m", "cyberrisk.cli", "simulate", "--config",
+                               str(config)], capture_output=True, text=True, env=env,
+                              preexec_fn=limit_memory, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert re.fullmatch(r"error: a count pmf table of \d+ rows needs \d+ bytes, "
+                            r"more memory than can be allocated\n", done.stderr), done.stderr
+
     # NaN at Baseline, and theta * multiplier underflowing to 0.0 at Baseline
     # (where nothing is drawn) and at every level
     @pytest.mark.parametrize("theta, multipliers", [
@@ -295,6 +318,15 @@ class TestCalibrate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("flag", ["--population", "--minutes-per-year"])
+    def test_integer_past_the_float_range_exits_2(self, capsys, flag):
+        # 10**400 parses as an int, and overflows where it meets a float
+        code, out, err = run_cli(capsys, "calibrate", flag, str(10 ** 400))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: minutes_per_year, attack_window_minutes and population "
+                              "must be positive and finite")
+        assert err.count("\n") == 1
 
 
 def _events_csv(tmp_path, losses):

@@ -22,7 +22,6 @@ from cyberrisk.distributions import (
     compound_count_pmf_table,
     normal_quantile,
     poisson_cum_table,
-    poisson_inversion,
     poisson_regions,
     sample_indices_rows,
     sample_poisson_batch,
@@ -41,7 +40,12 @@ from cyberrisk.streams import (
     words_to_uniforms,
 )
 
-from oracles import compound_count_pmf_bruteforce, ptrs_attempt_gammaln, total_variation
+from oracles import (
+    compound_count_pmf_bruteforce,
+    ptrs_attempt_gammaln,
+    scatter_regions,
+    total_variation,
+)
 from test_loss_model import one_device_losses
 
 
@@ -248,25 +252,26 @@ class TestPoissonSampler:
 
     def test_ptrs_regions(self):
         words = chunk_words(2024, 4, 0, 300_000, 8)
-        draws = poisson_regions(words[:, 1:], 45.0, 15)
+        draws = scatter_regions(poisson_regions(words[:, 1:], 45.0, 15), len(words))
         assert (draws >= 0).all()
         pmf = stats.poisson.pmf(np.arange(150), 45.0)
         assert total_variation(np.bincount(draws), pmf, len(draws)) < 0.005
         # rows a single attempt leaves unresolved come back as -1
-        once = poisson_regions(words[:, 1:], 45.0, 1)
+        once = scatter_regions(poisson_regions(words[:, 1:], 45.0, 1), len(words))
         assert 0 < (once == -1).sum() < len(once) // 2
         assert (once[once >= 0] == draws[once >= 0]).all()
 
     @pytest.mark.parametrize("rate", [1e-17, 0.4, 5.0, 29.99])
     def test_regions_below_the_threshold_invert_column_first(self, rate):
         words = chunk_words(2024, 5, 0, 10_000, 2)
-        draws = poisson_regions(words[:, 3:], rate, 1)
-        assert np.array_equal(draws, poisson_inversion(words[:, 3], rate))
+        draws = scatter_regions(poisson_regions(words[:, 3:], rate, 1), len(words))
+        assert np.array_equal(draws, sample_poisson_rows(lambda rows, counts: words[:, 3],
+                                                         np.array([len(words)]), rate))
 
     def test_regions_at_rate_0_read_no_word(self):
         words = np.empty((1_000, 0), dtype=np.uint64)
-        draws = poisson_regions(words, 0.0, 16)
-        assert draws.dtype == np.int64 and draws.tolist() == [0] * 1_000
+        rows, draws = poisson_regions(words, 0.0, 16)
+        assert draws.dtype == np.int64 and rows.tolist() == draws.tolist() == []
 
     @pytest.mark.parametrize("rate", [30.0, 182.0, 2.0 ** 20])
     def test_ptrs_attempt_matches_gammaln_inside_and_outside_the_window(self, rate):
@@ -302,7 +307,7 @@ class TestPoissonSampler:
                                 np.array(edges, dtype=np.uint64)])
         u = words_to_uniforms(words)
         expect = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
-        draws = poisson_inversion(words, rate)
+        draws = sample_poisson_rows(lambda rows, counts: words, np.array([len(words)]), rate)
         assert draws.dtype == np.int64
         assert np.array_equal(draws, expect)
         # the last word below the threshold draws 0, the threshold itself does not

@@ -40,7 +40,13 @@ from cyberrisk.risk_measures import EmpiricalDistribution
 from cyberrisk.scenario import RiskLevel, ScenarioConfig
 from cyberrisk.streams import RandomStream, pack_stream_id
 
-from oracles import compound_count_draws, detail_spill_days, reference_chunk, scatter_chunk
+from oracles import (
+    compound_count_draws,
+    detail_spill_days,
+    reference_chunk,
+    scatter_chunk,
+    scatter_regions,
+)
 
 
 def _paper_device(theta=2e-5, lam=182.0, kill=0.0):
@@ -442,8 +448,8 @@ class TestPricing:
         per_device = report.baseline_expected_device_loss
         for item in report.levels:
             alpha = spec.scenario.mitigation_alphas[item.level]
-            expected_pool = spec.portfolio_size * (1 + spec.loading) * alpha * per_device
-            assert item.premium_pool == pytest.approx(expected_pool, rel=1e-12)
+            expected_pool = spec.portfolio_size * ((1 + spec.loading) * (alpha * per_device))
+            assert item.premium_pool == expected_pool
         # all levels share the pool under the global-mitigation preset
         pools = {item.premium_pool for item in report.levels}
         assert len(pools) == 1
@@ -490,7 +496,8 @@ class TestBatchedResolution:
         width = 1 if rate < 30.0 else 4 * engine._COUNT_BLOCKS_PER_REP
         stream_id = pack_stream_id(engine._DOMAIN_COUNT, level.code, 0)
         words = RandomStream(seed, stream_id, counter=rep_lo * width).raw_words(n * width)
-        expect = poisson_regions(words.reshape(n, width), rate, engine._COUNT_MAX_ATTEMPTS)
+        expect = scatter_regions(poisson_regions(words.reshape(n, width), rate,
+                                                 engine._COUNT_MAX_ATTEMPTS), n)
         rows, counts = engine._counts_for_chunk(seed, engine._DOMAIN_COUNT, level, rep_lo, n, rate)
         assert n * width > 4 * engine._BATCH_WORDS  # several spans
         assert (expect >= 0).all()
@@ -693,10 +700,11 @@ class TestCipherWork:
         # block 0 of repetition r's region is counter 2r + 1, block 1 is 2r + 2
         needs_block_1 = np.zeros(len(reps), dtype=bool)
         if lam >= 30.0:
-            rejected_once = poisson_regions(regions[:, 1:], lam, 1) < 0
+            rejected_once = scatter_regions(poisson_regions(regions[:, 1:], lam, 1), len(reps)) < 0
             assert 0 < rejected_once.sum() < len(reps) // 4
             needs_block_1 |= rejected_once
-            assert np.array_equal(resolved, poisson_regions(regions[:, 1:], lam, 3) >= 0)
+            assert np.array_equal(resolved, scatter_regions(poisson_regions(regions[:, 1:], lam, 3),
+                                                            len(reps)) >= 0)
         if kill > 0.0:
             needs_block_1[:] = True
         expect = np.concatenate([2 * reps + 1 if lam > 0.0 else reps[:0], 2 * reps[needs_block_1] + 2])
@@ -715,7 +723,7 @@ class TestCipherWork:
         reps = np.arange(5, 150_000, 3)
         detail = pack_stream_id(engine._DOMAIN_DETAIL, level.code, 0)
         regions = streams.chunk_words(seed, detail, 0, int(reps[-1]) + 1, 2)[reps]
-        late = int((poisson_regions(regions[:, 1:], lam, 1) < 0).sum())
+        late = int((poisson_regions(regions[:, 1:], lam, 1)[1] < 0).sum())
         passes = []
         cipher = streams._philox_pass
 
@@ -791,7 +799,8 @@ class TestBoundedMemory:
         monkeypatch.setattr(engine, "_BATCH_WORDS", 1_000)
         n, level = 100_000, RiskLevel.GUARDED
         words = RandomStream(seed, pack_stream_id(engine._DOMAIN_COUNT, level.code, 0)).raw_words(n)
-        expect = poisson_regions(words.reshape(n, 1), rate, engine._COUNT_MAX_ATTEMPTS)
+        expect = scatter_regions(poisson_regions(words.reshape(n, 1), rate,
+                                                 engine._COUNT_MAX_ATTEMPTS), n)
         rows, counts = engine._counts_for_chunk(seed, engine._DOMAIN_COUNT, level, 0, n, rate)
         assert len(rows) > math.ceil(n * rate)  # more than the arrays first held
         assert np.array_equal(rows, np.flatnonzero(expect))

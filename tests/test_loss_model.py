@@ -1,5 +1,4 @@
-"""Loss arithmetic and premiums, and one-device portfolios as the engine
-draws them."""
+"""Loss arithmetic, and one-device portfolios as the engine draws them."""
 
 import math
 import warnings
@@ -21,7 +20,6 @@ from cyberrisk.loss_model import (
     discount_factor,
     expected_capped_loss_days,
     expected_present_loss,
-    premium_schedule,
 )
 from cyberrisk.scenario import RiskLevel
 
@@ -84,43 +82,6 @@ class TestSimulateDevice:
         attacked = one_device_losses(_device(theta=0.5), 20_000, 15)[0] > 0
         killed, _ = one_device_losses(_device(theta=0.5, kill=0.7), 20_000, 15)
         assert abs((killed[attacked] > 0).mean() - math.exp(-0.7)) < 0.025
-
-
-class TestPremiumSchedule:
-    def test_no_mitigation(self):
-        s = premium_schedule(1000.0, 0.1, 1.0)
-        assert s.premium == pytest.approx(1100.0)
-        assert s.adjusted_premium == pytest.approx(1100.0)
-        assert s.adjusted_expected_loss == 1000.0
-
-    def test_paper_note_values(self):
-        s = premium_schedule(1000.0, 0.1, 0.9)
-        assert s.adjusted_expected_loss == pytest.approx(900.0)
-        assert s.adjusted_premium == pytest.approx(990.0)
-
-    def test_zero_expected_loss(self):
-        s = premium_schedule(0.0, 0.3, 0.5)
-        assert s.premium == 0.0 and s.adjusted_premium == 0.0 and s.adjusted_expected_loss == 0.0
-
-    def test_identities_tight(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            e = float(rng.uniform(0, 1e7))
-            d = float(rng.uniform(0, 2))
-            a = float(rng.uniform(0.01, 1.0))
-            s = premium_schedule(e, d, a)
-            # identities hold to a few ulp
-            assert s.premium == pytest.approx((1 + d) * e, rel=4e-16)
-            assert s.adjusted_expected_loss == pytest.approx(a * e, rel=4e-16)
-            assert s.adjusted_premium == pytest.approx((1 + d) * a * e, rel=8e-16)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            premium_schedule(100.0, 0.1, 0.0)
-        with pytest.raises(DomainError):
-            premium_schedule(100.0, 0.1, 1.5)
-        with pytest.raises(DomainError):
-            premium_schedule(-1.0, 0.1, 0.5)
 
 
 class TestAggregateLoss:

@@ -13,7 +13,6 @@ from cyberrisk.scenario import (
     ScenarioConfig,
     attacks_per_year,
     baseline_proportion,
-    level_mitigation,
     level_parameters,
 )
 
@@ -119,14 +118,14 @@ class TestLevelParameters:
 class TestMitigationPresets:
     def test_default_follows_sentence_reading(self):
         config = ScenarioConfig()
-        assert level_mitigation(config, RiskLevel.GUARDED) == 0.9
+        assert config.mitigation_alphas[RiskLevel.GUARDED] == 0.9
         for level in (RiskLevel.BASELINE, RiskLevel.ELEVATED, RiskLevel.HIGH, RiskLevel.SEVERE):
-            assert level_mitigation(config, level) == 1.0
+            assert config.mitigation_alphas[level] == 1.0
 
     def test_global_preset(self):
         config = ScenarioConfig(mitigation_alphas={level: 0.9 for level in RiskLevel})
         for level in RiskLevel:
-            assert level_mitigation(config, level) == 0.9
+            assert config.mitigation_alphas[level] == 0.9
 
     def test_multiplier_validation(self):
         with pytest.raises(DomainError):
