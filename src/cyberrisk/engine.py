@@ -71,11 +71,12 @@ of count words becomes those rows in one step: one ``uint64`` comparison
 against the first word that does not invert to 0 picks them, and only
 their words are mapped to uniforms and searched
 (``distributions.poisson_regions``). So a task's memory grows
-with its drawn rows, not with the repetitions it scans. A run holds one
-R-length loss array, reused by every level: each task's losses go into
-its tail, and the level's sample is its zeros followed by its sorted
-drawn losses, which is ``np.sort`` of all R losses bit for bit, as no
-loss is negative or -0.0.
+with its drawn rows, not with the repetitions it scans. A run holds no
+R-length array either: a level's sample is R and its drawn losses,
+sorted (``risk_measures.EmpiricalDistribution``). Every other repetition
+loses 0, and no loss is negative or -0.0, so the measures over that pair
+equal those over all R losses sorted, bit for bit. One buffer, reused
+by every level, collects the drawn losses.
 
 Only the cipher blocks a draw reads are enciphered. A task reads its
 single-cluster repetitions' DETAIL regions in two reads, each in spans of
@@ -136,6 +137,7 @@ from .risk_measures import (
     RiskMetrics,
     conditional_tail_expectation,
     expected_shortfall,
+    pairwise_block_sums,
     risk_margin_ratio,
     shortfall_probability,
     value_at_risk,
@@ -339,13 +341,17 @@ def _batches(words: np.ndarray):
 def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Per-row sums of a ragged array, each bit-identical to ``ndarray.sum``
     of its row: rows under 8 entries add in order, as ``ndarray.sum`` and
-    ``bincount`` both do, and longer rows, which ``ndarray.sum`` adds
-    pairwise, are summed by it row by row."""
+    ``bincount`` both do, rows of 8 to 128 entries are summed all at once
+    in numpy's block form, and only longer rows one by one."""
     owner = np.repeat(np.arange(len(lengths)), lengths)
     totals = np.bincount(owner, weights=values, minlength=len(lengths))
-    ends = np.cumsum(lengths)
-    for row in np.flatnonzero(lengths >= 8):
-        totals[row] = values[ends[row] - lengths[row]:ends[row]].sum()
+    longer = np.flatnonzero(lengths >= 8)
+    if longer.size:
+        starts = np.cumsum(lengths) - lengths
+        block = longer[lengths[longer] <= 128]
+        totals[block] = pairwise_block_sums(values, starts[block], lengths[block])
+        for row in longer[lengths[longer] > 128]:
+            totals[row] = values[starts[row]:starts[row] + lengths[row]].sum()
     return totals
 
 
@@ -566,17 +572,32 @@ def resolve_workers(workers: int | None, tasks: int, cpus: int) -> int:
     return min(workers, tasks, cpus)
 
 
-def _level_tasks(spec: SimulationSpec, level: RiskLevel, workers: int) -> int:
-    """How many tasks of equal size one level is cut into on ``workers``
-    workers: enough that each expects at most ``_TASK_DRAWN_ROWS`` drawn
-    rows, at least one per worker, at most one per repetition. A
-    repetition draws something with probability 1 - exp(-r) <= min(1, r)
-    at count rate r."""
+def _expected_drawn(spec: SimulationSpec, level: RiskLevel) -> int:
+    """The most rows one level expects to draw something, at most R: a
+    repetition draws with probability 1 - exp(-r) <= min(1, r) at count
+    rate r."""
     rate = spec.portfolio_size * level_parameters(spec.scenario, level, spec.device).counts.theta
     if spec.aggregate_channel is not None:
         rate += spec.aggregate_channel.event_rate
-    drawn = spec.repetitions * min(1.0, rate)
+    return math.ceil(spec.repetitions * min(1.0, rate))
+
+
+def _level_tasks(spec: SimulationSpec, level: RiskLevel, workers: int) -> int:
+    """How many tasks of equal size one level is cut into on ``workers``
+    workers: enough that each expects at most ``_TASK_DRAWN_ROWS`` drawn
+    rows, at least one per worker, at most one per repetition."""
+    drawn = _expected_drawn(spec, level)
     return min(spec.repetitions, max(workers, math.ceil(drawn / _TASK_DRAWN_ROWS)))
+
+
+def _loss_buffer(reps: int, size: int) -> np.ndarray:
+    """An empty buffer of ``size`` losses; failing that, a ConfigError
+    naming its bytes."""
+    try:
+        return np.empty(size)
+    except MemoryError:
+        raise ConfigError(f"repetitions {reps} need a {8 * size}-byte loss buffer, "
+                          "more memory than can be allocated") from None
 
 
 def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskReport:
@@ -593,25 +614,20 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
 
     reps = spec.repetitions
     workers = resolve_workers(workers, reps * len(spec.levels), os.cpu_count() or 1)
-    # The one loss array every level reuses, taken before any task runs.
-    try:
-        losses = np.zeros(reps)
-    except MemoryError:
-        raise ConfigError(f"repetitions {reps} need a {8 * reps}-byte loss array, "
-                          "more memory than can be allocated") from None
+    # The drawn-loss buffer every level reuses, taken before any task runs.
+    buffer = _loss_buffer(reps, max(_expected_drawn(spec, level) for level in spec.levels))
     task_counts = [_level_tasks(spec, level, workers) for level in spec.levels]
     tasks = ((spec, level, reps * i // n, reps * (i + 1) // n)
              for level, n in zip(spec.levels, task_counts) for i in range(n))
-    # A task's losses are written into the loss array as its result
-    # arrives; tasks run only as their results are consumed, at most
-    # 2 * workers of them ahead.
+    # A task's losses are written into the buffer as its result arrives;
+    # tasks run only as their results are consumed, at most 2 * workers of
+    # them ahead.
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         results = _ahead(pool, _chunk_task, tasks, 2 * workers) if pool else map(_chunk_task, tasks)
-        level_reports, written = [], reps
+        level_reports = []
         for level, n in zip(spec.levels, task_counts):
-            report, written = _level_report(spec, level, baseline_expected, results, n,
-                                            losses, written)
+            report, buffer = _level_report(spec, level, baseline_expected, results, n, buffer)
             level_reports.append(report)
 
     return RiskReport(spec=spec, levels=tuple(level_reports),
@@ -632,27 +648,29 @@ def _ahead(pool, function, tasks, depth: int):
 
 
 def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,
-                  results, tasks: int, losses: np.ndarray, written: int):
+                  results, tasks: int, buffer: np.ndarray):
     """Reduce one level's losses to its report; returns the report and the
-    index where the level's drawn losses start.
+    buffer, which the next level reuses.
 
-    ``losses`` is the run's one R-length array, zero below index
-    ``written``, where the previous level's sample starts; that sample is
-    zeroed first. The level's ``tasks`` tasks are the next ones of the
-    ``results`` iterator; each writes its drawn rows' losses into the tail
-    of ``losses`` as it arrives. Losses are nonnegative and carry no -0.0,
-    so the sorted sample is its zeros followed by its sorted drawn losses:
-    only the tail is sorted, and the head stays zero."""
-    losses[written:] = 0.0
-    start = len(losses)
-    caps = 0
+    The level's ``tasks`` tasks are the next ones of the ``results``
+    iterator; each appends its drawn rows' losses to ``buffer`` as it
+    arrives. A buffer too small for them doubles, or grows to the losses
+    drawn so far if that is more, and never past R losses. The drawn
+    losses are sorted in place, and the level's sample is R and them:
+    every other repetition lost 0."""
+    reps = spec.repetitions
+    drawn_count = caps = 0
     for _ in range(tasks):
         drawn, task_caps = next(results)
-        start -= len(drawn)
-        losses[start:start + len(drawn)] = drawn
+        if drawn_count + len(drawn) > len(buffer):
+            grown = _loss_buffer(reps, min(reps, max(2 * len(buffer), drawn_count + len(drawn))))
+            grown[:drawn_count] = buffer[:drawn_count]
+            buffer = grown
+        buffer[drawn_count:drawn_count + len(drawn)] = drawn
+        drawn_count += len(drawn)
         caps += task_caps
-    losses[start:].sort()
-    dist = EmpiricalDistribution.from_sorted(losses)
+    buffer[:drawn_count].sort()
+    dist = EmpiricalDistribution.from_sorted(reps, buffer[:drawn_count])
 
     alpha = spec.scenario.mitigation_alphas[level]
     pool_amount = spec.portfolio_size * ((1.0 + spec.loading) * (alpha * baseline_expected))
@@ -663,4 +681,4 @@ def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: flo
         premium_pool=pool_amount,
         metrics=metrics,
         cap_events=caps,
-    ), start
+    ), buffer

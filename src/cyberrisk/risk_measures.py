@@ -5,6 +5,23 @@ the smallest order statistic whose empirical CDF k/n weakly exceeds rho.
 No interpolation - every reported figure is an exact sample value, so the
 oracle tests in the suite are equality tests. CTE(rho) averages all sample
 points >= VaR(rho), ties included.
+
+A sample is held as its size and its drawn losses, sorted: every other
+point is a zero, and no measure reads the zeros. Each measure equals,
+bit for bit, the same measure reduced over the full sorted array.
+
+Summation
+---------
+Every sum is numpy's pairwise sum (Higham 2002, ch. 4), as
+``np.add.reduce`` computes it over n contiguous float64 entries: below 8
+entries it adds them in order; up to 128 it adds the full blocks of 8
+into 8 strided accumulators r0..r7, combines them as
+((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the 0-7 remaining entries
+in order; above 128 it adds the sums of its first m = n//2 - (n//2) % 8
+entries and of the rest. Two forms here rebuild that tree:
+``pairwise_block_sums`` sums many rows of 8 to 128 entries at once, and
+``_padded_sum`` sums zeros followed by a sample's drawn losses without
+the zeros. The tests check numpy against this description by name.
 """
 
 from __future__ import annotations
@@ -28,10 +45,43 @@ __all__ = [
 ]
 
 
-class EmpiricalDistribution:
-    """An ascending sample of nonnegative losses."""
+def pairwise_block_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``ndarray.sum`` of each row ``values[start:start + length]`` of 8 to
+    128 entries, all rows at once in the block form stated above."""
+    full = lengths - lengths % 8
+    r = values[starts[:, None] + np.arange(8)]
+    for block in range(8, full.max(initial=0), 8):
+        more = np.flatnonzero(full > block)
+        r[more] += values[starts[more, None] + block + np.arange(8)]
+    totals = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for extra in range((lengths - full).max(initial=0)):
+        more = np.flatnonzero(lengths - full > extra)
+        totals[more] += values[starts[more] + full[more] + extra]
+    return totals + 0.0  # the reduction's initial 0.0: a -0.0 total reads as +0.0
 
-    __slots__ = ("sorted_losses", "count", "_mean")
+
+def _padded_sum(tail: np.ndarray, n: int) -> float:
+    """``np.add.reduce`` of ``n - len(tail)`` zeros followed by ``tail``,
+    bit for bit, without the zeros: a node of the tree with no zeros
+    reduces its slice of ``tail``, a node of zeros alone adds 0.0, and only
+    the node that straddles both is split further."""
+    zeros = n - len(tail)
+    if zeros == 0:
+        return np.add.reduce(tail)
+    if n <= 128:
+        return np.add.reduce(np.concatenate((np.zeros(zeros), tail)))
+    half = n // 2 - (n // 2) % 8
+    if zeros >= half:
+        return _padded_sum(tail, n - half)  # 0.0 + s is s for the nonnegative s here
+    return _padded_sum(tail[:half - zeros], half) + np.add.reduce(tail[half - zeros:])
+
+
+class EmpiricalDistribution:
+    """A sample of ``count`` nonnegative losses, held as ``tail``: its
+    largest ``len(tail)`` points ascending, with no -0.0. Every point
+    below the tail is a zero."""
+
+    __slots__ = ("count", "tail", "_mean")
 
     def __init__(self, losses):
         arr = np.asarray(losses, dtype=np.float64)
@@ -41,26 +91,31 @@ class EmpiricalDistribution:
             raise DomainError("losses must be finite")
         if (arr < 0).any():
             raise DomainError("losses must be nonnegative")
-        sorted_arr = np.sort(arr)
-        sorted_arr += 0.0  # -0.0 reads as +0.0, so no measure carries its sign
-        self._adopt(sorted_arr)
+        # -0.0 is a zero too, so no measure carries its sign
+        self._adopt(arr.size, np.sort(arr[arr > 0.0]))
 
     @classmethod
-    def from_sorted(cls, sorted_arr: np.ndarray) -> "EmpiricalDistribution":
-        """Adopt an already-sorted array without copying (engine fast path)."""
+    def from_sorted(cls, count: int, tail: np.ndarray) -> "EmpiricalDistribution":
+        """Adopt ``count`` losses whose largest are ``tail``, already
+        ascending, without copying it (engine fast path)."""
         self = cls.__new__(cls)
-        self._adopt(sorted_arr)
+        self._adopt(count, tail)
         return self
 
-    def _adopt(self, sorted_arr: np.ndarray):
-        self.sorted_losses = sorted_arr
-        self.count = int(sorted_arr.size)
+    def _adopt(self, count: int, tail: np.ndarray):
+        self.count = int(count)
+        self.tail = tail
         self._mean = None
+
+    @property
+    def sorted_losses(self) -> np.ndarray:
+        """The whole sample ascending, its zeros materialized."""
+        return np.concatenate((np.zeros(self.count - len(self.tail)), self.tail))
 
     def mean(self) -> float:
         """The sample mean, reduced once and then reused."""
         if self._mean is None:
-            self._mean = float(self.sorted_losses.mean())
+            self._mean = float(_padded_sum(self.tail, self.count) / self.count)
         return self._mean
 
 
@@ -101,43 +156,51 @@ def value_at_risk(dist: EmpiricalDistribution, level: float) -> float:
     """Nearest-rank empirical quantile at confidence ``level`` in (0, 1)."""
     if not (0.0 < level < 1.0):
         raise DomainError(f"confidence level must lie in (0, 1), got {level}")
-    return float(dist.sorted_losses[_nearest_rank(dist.count, level) - 1])
+    at = _nearest_rank(dist.count, level) - 1 - (dist.count - len(dist.tail))
+    return float(dist.tail[at]) if at >= 0 else 0.0
+
+
+def _at_or_above(dist: EmpiricalDistribution, value: float) -> np.ndarray:
+    """The sample points >= ``value`` > 0: a slice of the tail, as every
+    point below it is a zero."""
+    return dist.tail[np.searchsorted(dist.tail, value, side="left"):]
 
 
 def conditional_tail_expectation(dist: EmpiricalDistribution, level: float) -> float:
     """Mean of all sample points >= VaR(level), ties at the threshold included.
 
     The true tail mean dominates its threshold; the clamp repairs the
-    one-ulp dips pairwise summation can produce on constant tails. A tail
-    of the whole sample is the same reduction as the sample mean, so it
-    reuses that."""
+    one-ulp dips pairwise summation can produce on constant tails. A
+    threshold of 0 takes in the whole sample, whose mean is reused."""
     threshold = value_at_risk(dist, level)
-    start = np.searchsorted(dist.sorted_losses, threshold, side="left")
-    tail_mean = dist.mean() if start == 0 else float(dist.sorted_losses[start:].mean())
+    tail_mean = dist.mean() if threshold == 0.0 else float(_at_or_above(dist, threshold).mean())
     return max(tail_mean, threshold)
 
 
-def _first_at_or_above(dist: EmpiricalDistribution, premium_pool: float) -> int:
-    """Index of the first sample point >= ``premium_pool``, which must be a
-    finite nonnegative amount."""
+def _check_pool(premium_pool: float):
     if not (premium_pool >= 0 and math.isfinite(premium_pool)):
         raise DomainError(f"premium_pool must be finite and nonnegative, got {premium_pool}")
-    return int(np.searchsorted(dist.sorted_losses, premium_pool, side="left"))
 
 
 def shortfall_probability(dist: EmpiricalDistribution, premium_pool: float) -> float:
     """Fraction of sample points L with premium_pool <= L."""
-    return (dist.count - _first_at_or_above(dist, premium_pool)) / dist.count
+    _check_pool(premium_pool)
+    if premium_pool == 0.0:
+        return 1.0
+    return len(_at_or_above(dist, premium_pool)) / dist.count
 
 
 def expected_shortfall(dist: EmpiricalDistribution, premium_pool: float) -> float:
     """Sample mean of max(L - premium_pool, 0).
 
     Note the orientation: mean excess of losses over the pool, which is the
-    only direction consistent with the reference results this models.
+    only direction consistent with the reference results this models. Over
+    a zero pool every loss is its own excess, so this is the sample mean.
     """
-    tail = dist.sorted_losses[_first_at_or_above(dist, premium_pool):]
-    return float((tail - premium_pool).sum() / dist.count)
+    _check_pool(premium_pool)
+    if premium_pool == 0.0:
+        return dist.mean()
+    return float((_at_or_above(dist, premium_pool) - premium_pool).sum() / dist.count)
 
 
 def risk_margin_ratio(measure_value: float, expected_loss: float) -> float:

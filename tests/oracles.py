@@ -146,6 +146,33 @@ def expected_shortfall_bruteforce(values, pool: float) -> float:
     return sum(max(v - pool, 0.0) for v in values) / len(values)
 
 
+# The risk measures as they were reduced over the whole sorted sample, zeros
+# included, before a sample was held as its size and its drawn losses.
+
+def mean_full_array(sorted_losses: np.ndarray) -> float:
+    return float(sorted_losses.mean())
+
+
+def var_full_array(sorted_losses: np.ndarray, level: float) -> float:
+    return nearest_rank_var_bruteforce(sorted_losses, level)
+
+
+def cte_full_array(sorted_losses: np.ndarray, level: float) -> float:
+    threshold = var_full_array(sorted_losses, level)
+    start = np.searchsorted(sorted_losses, threshold, side="left")
+    return max(float(sorted_losses[start:].mean()), threshold)
+
+
+def shortfall_probability_full_array(sorted_losses: np.ndarray, pool: float) -> float:
+    count = len(sorted_losses)
+    return (count - int(np.searchsorted(sorted_losses, pool, side="left"))) / count
+
+
+def expected_shortfall_full_array(sorted_losses: np.ndarray, pool: float) -> float:
+    tail = sorted_losses[int(np.searchsorted(sorted_losses, pool, side="left")):]
+    return float((tail - pool).sum() / len(sorted_losses))
+
+
 def total_variation(counts: np.ndarray, pmf: np.ndarray, n_draws: int) -> float:
     """TV distance between an empirical histogram and an exact pmf, with
     the pmf's truncated tail mass counted in full."""

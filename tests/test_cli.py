@@ -184,13 +184,14 @@ class TestSimulate:
         assert err.startswith("error: ") and "at most 2**20" in err
 
     def test_loss_array_beyond_memory_exits_2(self, capsys, tmp_path):
-        # 2**52 repetitions are legal, but their 32 PiB loss array is not
-        # allocatable on any host; the run fails before any task starts
+        # 2**52 repetitions are legal, but the 12.8 PiB buffer of severe's
+        # ceil(2**52 * 0.4) expected drawn losses is not allocatable on any
+        # host; the run fails before any task starts
         mapping = paper_config()
         mapping["repetitions"] = 2 ** 52
         config = tmp_path / "huge.json"
         config.write_text(json.dumps(mapping))
-        message = (f"error: repetitions {2 ** 52} need a {2 ** 55}-byte loss array, "
+        message = (f"error: repetitions {2 ** 52} need a 14411518807585592-byte loss buffer, "
                    "more memory than can be allocated\n")
         code, out, err = run_cli(capsys, "simulate", "--config", str(config))
         assert (code, out, err) == (2, "", message)
@@ -506,6 +507,62 @@ class TestReport:
         done = _run_module(["report", "--samples", str(path)])
         assert done.returncode == 3
         assert done.stdout == ""
+        assert done.stderr == ("error: numeric fault: nonfinite risk measure: "
+                               "a sum over the losses overflows\n")
+
+    @staticmethod
+    def _mostly_zeros(path):
+        """300 losses, 288 of them zeros (some written -0.0)."""
+        lines = [repr(1e3 * 1.1 ** (i // 25) / 3) if i % 25 == 3 else "-0.0" if i % 7 == 0 else "0"
+                 for i in range(300)]
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("pool, shortfall", [
+        ("0", ["premium pool      0.000000", "Prob(Shortfall)   1.0",
+               "E(Shortfall)      23.760315"]),
+        ("500", ["premium pool      500.000000", "Prob(Shortfall)   0.023333333333333334",
+                 "E(Shortfall)      5.310204"]),
+    ])
+    def test_sample_of_zeros_prints_the_full_array_figures(self, capsys, tmp_path, pool, shortfall):
+        # the output of the full-array measures: rank 288 (.96) is the last
+        # zero, rank 289 (.961) the first drawn loss
+        path = tmp_path / "losses.txt"
+        self._mostly_zeros(path)
+        code, out, _ = run_cli(capsys, "report", "--samples", str(path), "--premium-pool", pool,
+                               "--levels", "0.5,0.9,0.96,0.961,0.99")
+        assert code == 0
+        assert out.splitlines() == [
+            "samples           300",
+            "expected loss     23.760315",
+            *shortfall,
+            "VAR(.50)          0.000000",
+            "VAR(.90)          0.000000",
+            "VAR(.96)          0.000000",
+            "VAR(.961)          333.333333",
+            "VAR(.99)          714.529603",
+            "CTE(.50)          23.760315",
+            "CTE(.90)          23.760315",
+            "CTE(.96)          23.760315",
+            "CTE(.961)          594.007882",
+            "CTE(.99)          829.032972",
+            "Margin VAR(.50)   -1.0",
+            "Margin VAR(.90)   -1.0",
+            "Margin VAR(.96)   -1.0",
+            "Margin VAR(.961)   13.028994530086184",
+            "Margin VAR(.99)   29.072395690243976",
+            "Margin CTE(.50)   0.0",
+            "Margin CTE(.90)   0.0",
+            "Margin CTE(.96)   0.0",
+            "Margin CTE(.961)   24.000000000000004",
+            "Margin CTE(.99)   33.89149709960557",
+        ]
+
+    def test_overflowing_sum_past_zeros_is_a_numeric_fault(self, tmp_path):
+        # the mean's sum runs over 200 zeros that are never read
+        path = tmp_path / "losses.txt"
+        path.write_text("0\n" * 200 + "1e308\n1e308\n")
+        done = _run_module(["report", "--samples", str(path)])
+        assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == ("error: numeric fault: nonfinite risk measure: "
                                "a sum over the losses overflows\n")
 

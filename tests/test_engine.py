@@ -295,6 +295,34 @@ class TestCompactReduction:
                                                    item.premium_pool, spec.confidence_levels)
             assert item.cap_events == caps
 
+    @pytest.mark.parametrize("seed, repetitions, levels, task_rows, sizes", [
+        (1, 50, (RiskLevel.GUARDED, RiskLevel.ELEVATED), 1 << 18, [2, 4]),  # doubles
+        (7, 50, (RiskLevel.GUARDED, RiskLevel.ELEVATED), 1 << 18, [2, 5]),  # takes what one task drew
+        (24, 3, (RiskLevel.SEVERE,), 1, [2, 3]),  # stops at R, one task per repetition
+    ])
+    def test_loss_buffer_grows_past_the_expected_drawn_rows(self, monkeypatch, seed, repetitions,
+                                                            levels, task_rows, sizes):
+        spec = _paper_spec(repetitions=repetitions, levels=levels, seed=seed)
+        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", task_rows)
+        taken, samples = [], []
+        allocate = engine._loss_buffer
+
+        def spy(reps, size):
+            taken.append(size)
+            return allocate(reps, size)
+
+        def keep_sample(dist, premium_pool, levels):
+            samples.append(dist.sorted_losses)
+            return summarize_level(dist, premium_pool, levels)
+
+        monkeypatch.setattr(engine, "_loss_buffer", spy)
+        monkeypatch.setattr(engine, "summarize_level", keep_sample)
+        run_simulation(spec, workers=1)
+        assert taken == sizes
+        for level, sample in zip(levels, samples, strict=True):
+            losses, _ = scatter_chunk(_simulate_chunk(spec, level, 0, repetitions), repetitions)
+            assert sample.tobytes() == np.sort(losses).tobytes()
+
     def test_tasks_return_only_nonzero_losses(self):
         spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=5_000)
         losses, caps = scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, 5_000), 5_000)
@@ -460,13 +488,16 @@ class TestBatchedResolution:
     repetition's own stream."""
 
     def test_row_totals_equal_ndarray_sum(self):
+        # every row length from 0 to 1,100 at once: in order below 8,
+        # numpy's block form from 8 to 128, its pairwise split above
         rng = np.random.default_rng(3)
-        lengths = np.concatenate([np.arange(0, 201), rng.integers(0, 300, 50)])
-        values = rng.lognormal(0.0, 3.0, size=int(lengths.sum())) * 0.7
+        lengths = np.concatenate([rng.permutation(1101), rng.integers(0, 300, 50)])
+        size = int(lengths.sum())
+        values = rng.lognormal(0.0, 3.0, size=size) * 0.7 * rng.choice([-1.0, 1.0], size)
         totals = _row_totals(values, lengths)
         ends = np.cumsum(lengths)
         for total, end, length in zip(totals, ends, lengths):
-            assert total == values[end - length:end].sum()
+            assert total.hex() == values[end - length:end].sum().hex(), length
 
     @pytest.mark.parametrize("lam, kill, multiplier, kappa", [
         (45.0, 0.3, 0.7, 50),
@@ -765,11 +796,13 @@ def _traced_peak_mib(function, *args) -> float:
 
 class TestBoundedMemory:
     """A full task's traced allocations stay within a fixed bound: every
-    batched read is cut at ``_BATCH_WORDS`` words. The bounds were set at
-    twice the peaks first measured with numpy 2.4 (9.2, 3.0 and 15.6 MiB),
-    and for the 2**22-repetition level at its 32 MiB loss array plus 16
-    MiB. The peaks now read 7.8, 5.0 (16% under its bound), 10.7 and 37.0
-    MiB."""
+    batched read is cut at ``_BATCH_WORDS`` words, and a run holds no
+    R-length array. The bounds were set at twice the peaks first measured
+    with numpy 2.4 (9.2 and 3.0 MiB for a task and its count reads), and
+    at twice the peaks of whole runs since a level's sample is R and its
+    drawn losses (6.4 and 3.0 MiB at 2**22 and 2**20 repetitions), and at
+    12 MiB for the dense workload's two levels of 4e6 repetitions. The
+    peaks now read 8.5, 5.0 (16% under its bound), 6.4, 3.0 and 9.6 MiB."""
 
     def test_severe_paper_task(self):
         spec = _paper_spec(repetitions=1 << 18)
@@ -786,13 +819,22 @@ class TestBoundedMemory:
         assert peak < 6.0
 
     def test_guarded_level_of_2_22_repetitions_in_one_task(self):
-        # a 32 MiB loss array and one task over all 2**22 repetitions, whose
-        # arrays hold only its ~83,000 drawn rows; n-length task arrays
-        # would add 32 MiB
+        # one task over all 2**22 repetitions, whose arrays, like the
+        # run's loss buffer, hold only its ~83,000 drawn rows; an R-length
+        # array would add 32 MiB
         spec = _paper_spec(repetitions=1 << 22, levels=(RiskLevel.GUARDED,))
         assert engine._level_tasks(spec, RiskLevel.GUARDED, 1) == 1
         peak = _traced_peak_mib(run_simulation, spec, 1)
-        assert peak < 48.0
+        assert peak < 12.9
+
+    def test_dense_workload_holds_no_repetition_length_array(self):
+        # guarded and elevated at R = 4e6: the buffer holds elevated's
+        # 160,000 expected drawn losses (1.2 MiB); one R-length array
+        # would be 30.5 MiB
+        spec = _bench_workload("dense")
+        assert spec.repetitions == 4_000_000
+        peak = _traced_peak_mib(run_simulation, spec, 1)
+        assert peak <= 12.0
 
     @pytest.mark.parametrize("seed, rate", [(2, 1e-3), (5, 0.02)])
     def test_count_arrays_grow_past_the_expected_rows(self, monkeypatch, seed, rate):
@@ -807,13 +849,13 @@ class TestBoundedMemory:
         assert np.array_equal(counts, expect[rows])
 
     def test_unallocatable_loss_array_is_a_config_error(self):
-        with pytest.raises(ConfigError, match=f"need a {2 ** 55}-byte loss array"):
+        # the buffer holds severe's ceil(2**52 * 0.4) expected drawn losses
+        with pytest.raises(ConfigError, match="need a 14411518807585592-byte loss buffer"):
             run_simulation(_paper_spec(repetitions=2 ** 52), workers=1)
 
     def test_guarded_level_of_2_20_repetitions(self):
-        # one R-length (8 MiB) loss array for the level, plus one task's
-        # working set; the peak was 15.6 MiB also when tasks returned all
-        # their losses
+        # the loss buffer of the level's ~21,000 expected drawn rows, plus
+        # one task's working set; an R-length array would add 8 MiB
         spec = _paper_spec(repetitions=1 << 20, levels=(RiskLevel.GUARDED,))
         peak = _traced_peak_mib(run_simulation, spec, 1)
-        assert peak < 31.2
+        assert peak < 6.1

@@ -8,18 +8,25 @@ import pytest
 from cyberrisk.errors import DomainError, UndefinedMarginError
 from cyberrisk.risk_measures import (
     EmpiricalDistribution,
+    _padded_sum,
     conditional_tail_expectation,
     expected_shortfall,
+    pairwise_block_sums,
     risk_margin_ratio,
     shortfall_probability,
     value_at_risk,
 )
 
 from oracles import (
+    cte_full_array,
     expected_shortfall_bruteforce,
+    expected_shortfall_full_array,
+    mean_full_array,
     nearest_rank_var_bruteforce,
     shortfall_prob_bruteforce,
+    shortfall_probability_full_array,
     tail_mean_bruteforce,
+    var_full_array,
 )
 
 ONE_TO_100 = EmpiricalDistribution(np.arange(1.0, 101.0))
@@ -47,7 +54,7 @@ class TestValueAtRisk:
         # for a few k: there level * count can round to the other side of an
         # integer, and its ceil lands one rank off either way
         for count in range(1, 2001):
-            sample = EmpiricalDistribution.from_sorted(np.arange(1.0, count + 1.0))
+            sample = EmpiricalDistribution.from_sorted(count, np.arange(1.0, count + 1.0))
             levels = {0.90, 0.95, 0.99}
             for k in {1, (count + 1) // 2, count - 1, math.ceil(0.95 * count)}:
                 edge = k / count
@@ -238,7 +245,7 @@ class TestEmpiricalDistribution:
 
     def test_mean_is_reduced_once(self):
         losses = np.array([0.0, 0.1, 0.2, 0.7])
-        dist = EmpiricalDistribution.from_sorted(losses)
+        dist = EmpiricalDistribution.from_sorted(6, losses)
         mean = dist.mean()
         losses[:] = 5.0  # the array is adopted, so a second reduction would see this
         assert dist.mean() == mean
@@ -253,3 +260,80 @@ class TestEmpiricalDistribution:
             start = np.searchsorted(dist.sorted_losses, threshold, side="left")
             expect = max(float(dist.sorted_losses[start:].mean()), threshold)
             assert conditional_tail_expectation(dist, rho) == expect
+
+
+def _stated_tree_sum(values: np.ndarray) -> float:
+    """numpy's pairwise sum as the ``risk_measures`` docstring states it,
+    with the block form at the leaves of 8 to 128 entries."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        return pairwise_block_sums(values, np.array([0]), np.array([n]))[0]
+    half = n // 2 - (n // 2) % 8
+    return _stated_tree_sum(values[:half]) + _stated_tree_sum(values[half:])
+
+
+class TestNumpySummationTree:
+    """Report bytes rest on numpy's pairwise summation tree. A numpy release
+    that changed it fails these tests by name."""
+
+    def test_numpy_sum_is_the_stated_pairwise_tree_for_lengths_0_to_1100(self):
+        rng = np.random.default_rng(8)
+        for n in range(1101):
+            # signed, with magnitudes far apart, so any other order rounds apart
+            values = rng.lognormal(0.0, 4.0, n) * rng.choice([-1.0, 1.0], n)
+            assert float(_stated_tree_sum(values)).hex() == float(values.sum()).hex(), n
+
+    @pytest.mark.parametrize("count, drawn", [
+        (count, drawn)
+        for count in (1, 7, 8, 9, 127, 128, 129, 4099, 10 ** 5, 4 * 10 ** 6)
+        for drawn in sorted({0, 1, 7, 8, 9, 127, 128, 129, count // 50, count - 1, count})
+        if drawn <= count])
+    def test_padded_sum_equals_numpy_reduce_of_zeros_and_tail(self, count, drawn):
+        tail = np.sort(np.random.default_rng(drawn).lognormal(3.0, 2.0, drawn))
+        expect = np.add.reduce(np.concatenate((np.zeros(count - drawn), tail)))
+        assert float(_padded_sum(tail, count)).hex() == float(expect).hex()
+
+
+def _boundary_levels(count: int, zeros: int):
+    """Levels whose nearest rank lands on either side of the zero head's end."""
+    return [rho for rho in (zeros / count, (zeros + 1) / count, math.nextafter(zeros / count, 2.0))
+            if 0.0 < rho < 1.0]
+
+
+class TestMeasuresEqualTheFullArrayOracle:
+    """Every measure over (R, sorted drawn losses) is bit-equal to the same
+    measure reduced over all R losses, zeros included (``tests/oracles.py``)."""
+
+    # (R, drawn losses, drawn zeros among them)
+    CASES = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (7, 3, 1), (8, 8, 0), (129, 5, 2), (200, 200, 17),
+             (1000, 20, 3), (1000, 0, 0), (4099, 82, 0), (4099, 4099, 0), (5000, 4990, 0),
+             (20_000, 400, 9)]
+    LEVELS = (0.05, 0.5, 0.9, 0.95, 0.99, 0.999)
+
+    @pytest.mark.parametrize("count, drawn, drawn_zeros", CASES)
+    def test_measures_are_bit_equal(self, count, drawn, drawn_zeros):
+        rng = np.random.default_rng(count + drawn)
+        tail = np.sort(np.round(rng.lognormal(6.0, 2.0, drawn), 1))  # rounded: ties
+        tail[:drawn_zeros] = 0.0
+        full = np.concatenate((np.zeros(count - drawn), tail))
+        pools = [0.0, -0.0, 1e-300, float(np.median(full)), float(full[-1]), 2.0 * float(full[-1]) + 1.0]
+        levels = [*self.LEVELS, *_boundary_levels(count, count - drawn),
+                  *_boundary_levels(count, count - drawn + drawn_zeros)]
+        shuffled = rng.permutation(full)
+        for dist in (EmpiricalDistribution.from_sorted(count, tail), EmpiricalDistribution(shuffled)):
+            assert dist.mean().hex() == mean_full_array(full).hex()
+            for rho in levels:
+                assert value_at_risk(dist, rho).hex() == var_full_array(full, rho).hex(), rho
+                assert (conditional_tail_expectation(dist, rho).hex()
+                        == cte_full_array(full, rho).hex()), rho
+            for pool in pools:
+                assert (shortfall_probability(dist, pool).hex()
+                        == shortfall_probability_full_array(full, pool).hex()), pool
+                assert (expected_shortfall(dist, pool).hex()
+                        == expected_shortfall_full_array(full, pool).hex()), pool
+            assert np.array_equal(dist.sorted_losses, full)
