@@ -137,7 +137,6 @@ from .risk_measures import (
     RiskMetrics,
     conditional_tail_expectation,
     expected_shortfall,
-    pairwise_block_sums,
     risk_margin_ratio,
     shortfall_probability,
     value_at_risk,
@@ -341,17 +340,13 @@ def _batches(words: np.ndarray):
 def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Per-row sums of a ragged array, each bit-identical to ``ndarray.sum``
     of its row: rows under 8 entries add in order, as ``ndarray.sum`` and
-    ``bincount`` both do, rows of 8 to 128 entries are summed all at once
-    in numpy's block form, and only longer rows one by one."""
+    ``bincount`` both do, and longer rows, which ``ndarray.sum`` adds
+    pairwise, are summed by it row by row."""
     owner = np.repeat(np.arange(len(lengths)), lengths)
     totals = np.bincount(owner, weights=values, minlength=len(lengths))
-    longer = np.flatnonzero(lengths >= 8)
-    if longer.size:
-        starts = np.cumsum(lengths) - lengths
-        block = longer[lengths[longer] <= 128]
-        totals[block] = pairwise_block_sums(values, starts[block], lengths[block])
-        for row in longer[lengths[longer] > 128]:
-            totals[row] = values[starts[row]:starts[row] + lengths[row]].sum()
+    ends = np.cumsum(lengths)
+    for row in np.flatnonzero(lengths >= 8):
+        totals[row] = values[ends[row] - lengths[row]:ends[row]].sum()
     return totals
 
 

@@ -18,10 +18,9 @@ entries it adds them in order; up to 128 it adds the full blocks of 8
 into 8 strided accumulators r0..r7, combines them as
 ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the 0-7 remaining entries
 in order; above 128 it adds the sums of its first m = n//2 - (n//2) % 8
-entries and of the rest. Two forms here rebuild that tree:
-``pairwise_block_sums`` sums many rows of 8 to 128 entries at once, and
-``_padded_sum`` sums zeros followed by a sample's drawn losses without
-the zeros. The tests check numpy against this description by name.
+entries and of the rest. ``_padded_sum`` rebuilds that tree to sum
+zeros followed by a sample's drawn losses without the zeros. The tests
+check numpy against this description by name.
 """
 
 from __future__ import annotations
@@ -43,21 +42,6 @@ __all__ = [
     "expected_shortfall",
     "risk_margin_ratio",
 ]
-
-
-def pairwise_block_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``ndarray.sum`` of each row ``values[start:start + length]`` of 8 to
-    128 entries, all rows at once in the block form stated above."""
-    full = lengths - lengths % 8
-    r = values[starts[:, None] + np.arange(8)]
-    for block in range(8, full.max(initial=0), 8):
-        more = np.flatnonzero(full > block)
-        r[more] += values[starts[more, None] + block + np.arange(8)]
-    totals = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for extra in range((lengths - full).max(initial=0)):
-        more = np.flatnonzero(lengths - full > extra)
-        totals[more] += values[starts[more] + full[more] + extra]
-    return totals + 0.0  # the reduction's initial 0.0: a -0.0 total reads as +0.0
 
 
 def _padded_sum(tail: np.ndarray, n: int) -> float:

@@ -11,7 +11,6 @@ from cyberrisk.risk_measures import (
     _padded_sum,
     conditional_tail_expectation,
     expected_shortfall,
-    pairwise_block_sums,
     risk_margin_ratio,
     shortfall_probability,
     value_at_risk,
@@ -272,7 +271,15 @@ def _stated_tree_sum(values: np.ndarray) -> float:
             total += value
         return total
     if n <= 128:
-        return pairwise_block_sums(values, np.array([0]), np.array([n]))[0]
+        full = n - n % 8
+        r = list(values[:8])
+        for lane in range(8):
+            for value in values[lane + 8:full:8]:
+                r[lane] += value
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[full:]:
+            total += value
+        return total
     half = n // 2 - (n // 2) % 8
     return _stated_tree_sum(values[:half]) + _stated_tree_sum(values[half:])
 
