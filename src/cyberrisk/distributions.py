@@ -236,8 +236,16 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     exactly its first n entries, so it is grouped as a row of n terms alone,
     whatever the block; a padded ``sum(axis=1)`` groups differently. The
     domain is n_max >= 0 and n_max*lambda + theta finite, where each row's
-    n terms are finite. If any array of the build cannot be allocated, it
-    raises DomainError.
+    n terms are finite.
+
+    If any array of the build cannot be allocated, it raises DomainError
+    naming the bytes the build holds at its peak, 16 float64s per row:
+    8 * 16 * (n_max + 1). The peak falls while log(k!) is built: the table,
+    three j-length arrays, ``_lgamma``'s argument and result, and its
+    temporaries of about 9 words per row, among them a Python float per
+    row. Past it the build holds at most 11 per row: the table, the four
+    j-length arrays, log(k!), ``steps`` and the padded log-factorials (two
+    each) and the padding's fill.
     """
     theta, lam = params.theta, params.lambda_cluster
     if n_max < 0 or not math.isfinite(n_max * lam + theta):
@@ -272,7 +280,7 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
             lo = hi
         return out
     except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
-        raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * (n_max + 1)} bytes, "
+        raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 16 * (n_max + 1)} bytes, "
                           "more memory than can be allocated") from None
 
 

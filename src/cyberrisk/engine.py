@@ -98,6 +98,20 @@ compound-count draws (Poisson superposition/thinning); the test suite
 checks this equivalence against kappa independent draws of
 M = K + Poisson(lambda * K), K ~ Poisson(theta), per repetition, taken
 from numpy's own generator (``tests/oracles.py``).
+
+Working memory
+--------------
+A run allocates and frees many blocks of 128 KiB to a few MiB (cipher
+temporaries, count spans, ragged batches). By default glibc serves such a
+block by ``mmap`` and gives its pages back to the OS when it is freed, or
+trims them off the heap top, so every pass, span, level and run would fault
+them in afresh. So on its first run, and on the first task in each worker
+process, never at import, the engine sets glibc's ``M_MMAP_THRESHOLD`` to
+32 MiB (the ceiling of glibc's own dynamic threshold) and its
+``M_TRIM_THRESHOLD`` to twice that, through ``mallopt(3)``
+(``_keep_freed_memory``). Freed pages then stay mapped for reuse. The
+setting is process-wide, and it is a no-op where the C library has no
+``mallopt`` or refuses the values (not glibc). It moves no report byte.
 """
 
 from __future__ import annotations
@@ -105,7 +119,9 @@ from __future__ import annotations
 from collections import deque
 import concurrent.futures
 from contextlib import nullcontext
+import ctypes
 from dataclasses import dataclass, field
+import functools
 import math
 import os
 
@@ -513,9 +529,27 @@ def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi:
     return rows, losses, caps
 
 
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Raise glibc's mmap and trim thresholds, once per process, so that
+    the blocks a run frees stay mapped for reuse (module docstring,
+    "Working memory"). True if both values were taken, False where
+    there is no ``mallopt`` or it refuses one."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) at glibc's 32 MiB ceiling, M_TRIM_THRESHOLD (-1)
+    # at twice that; mallopt returns 0 for a value it refuses
+    return mallopt(-3, 32 << 20) != 0 and mallopt(-1, 64 << 20) != 0
+
+
 def _chunk_task(args):
     """The losses of one task's drawn rows and its cap events: a
     repetition that drew nothing is not sent back."""
+    _keep_freed_memory()
     _, losses, caps = _simulate_chunk(*args)
     return losses, caps
 
@@ -604,6 +638,7 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     pool calibrated to normal conditions; that is what makes the shortfall
     metrics grow across levels.
     """
+    _keep_freed_memory()
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
     baseline_expected = expected_present_loss(baseline_device)
 

@@ -218,13 +218,14 @@ class TestSimulate:
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
         assert (code, out) == (2, "")
         rows = re.fullmatch(r"error: a count pmf table of (over 2\*\*1024|\d+) rows needs "
-                            r"(over 2\*\*1027|\d+) bytes, more memory than can be allocated\n",
+                            r"(over 2\*\*1031|\d+) bytes, more memory than can be allocated\n",
                             err)
         assert rows is not None, err
         if value != 1e-320:
             device = mapping["device"]
             reach = device["horizon_days"] / device.get("loss_day_multiplier", 1.0)
-            assert int(rows[2]) == 8 * int(rows[1]) > 8 * reach
+            # the build's peak, 16 float64s per row
+            assert int(rows[2]) == 8 * 16 * int(rows[1]) > 8 * 16 * reach
 
 
     def test_pmf_table_build_out_of_memory_exits_2(self, tmp_path):

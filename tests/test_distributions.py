@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+import cyberrisk.distributions as distributions
 from cyberrisk.config import paper_config, parse_config
 from cyberrisk.distributions import (
     CountDistributionParams,
@@ -185,6 +187,32 @@ class TestCompoundCountPmf:
         with pytest.raises(DomainError):
             compound_count_pmf_table(1, CountDistributionParams(1e308, 1e308))
         assert compound_count_pmf_table(1, params).tolist() == [math.exp(-0.4), 0.0]
+
+    def test_out_of_memory_names_the_build_peak(self, monkeypatch):
+        # the bytes named cover the arrays the build holds at once, and its
+        # traced peak, taken with 64-term blocks so that the row-length
+        # arrays dominate it
+        n_max, params = 3_000, CountDistributionParams(2e-5, 182.0)
+
+        def refuse(x):
+            raise MemoryError
+
+        with monkeypatch.context() as patch:
+            patch.setattr(distributions, "_lgamma", refuse)
+            with pytest.raises(DomainError, match=r"needs \d+ bytes") as caught:
+                compound_count_pmf_table(n_max, params)
+        named = int(re.search(r"needs (\d+) bytes", str(caught.value)).group(1))
+        # the table and log(k!), the four j-length arrays, steps and the
+        # padded log-factorials
+        held = 8 * (2 * (n_max + 1) + 4 * n_max + 2 * n_max + 2 * n_max)
+        monkeypatch.setattr(distributions, "_TABLE_BLOCK", 64)
+        tracemalloc.start()
+        try:
+            compound_count_pmf_table(n_max, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert named >= max(held, peak)
 
     def test_table_memory_is_bounded(self):
         # the paper Baseline at n_max 5,000: 0.50 MiB row by row, about
