@@ -195,14 +195,27 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     series ``(x - 0.5) log x - x + LS2PI`` plus the 5-term correction below
     1000, the 3-term one up to 1e8 and none beyond. Each log is libm's
     (``math.log``), as cephes takes it; ``np.log`` may round differently.
-    Non-integer x below 13 is not supported."""
+    Non-integer x below 13 is not supported.
+
+    ``x`` is read ``_TABLE_BLOCK`` elements at a time, so that beyond the
+    result only one block's temporaries, its Python floats among them, are
+    held."""
     x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _TABLE_BLOCK):
+        flat_out[lo:lo + _TABLE_BLOCK] = _lgamma_block(flat[lo:lo + _TABLE_BLOCK])
+    return out
+
+
+def _lgamma_block(x: np.ndarray) -> np.ndarray:
+    """``_lgamma`` of a 1-D block."""
     out = np.full(x.shape, np.inf)
     small = (x >= 1.0) & (x < 13.0)
     out[small] = _LOG_FACTORIALS[x[small].astype(np.intp) - 1]
     large = (x >= 13.0) & (x <= _MAXLGM)
     z = x[large]
-    log_z = np.fromiter(map(math.log, z.tolist()), dtype=np.float64, count=z.size)
+    log_z = np.array(list(map(math.log, z.tolist())), dtype=np.float64)
     q = (z - 0.5) * log_z - z + _LS2PI
     with np.errstate(over="ignore"):  # z * z overflows only where z > 1e8
         p = 1.0 / (z * z)
@@ -239,13 +252,15 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     n terms are finite.
 
     If any array of the build cannot be allocated, it raises DomainError
-    naming the bytes the build holds at its peak, 16 float64s per row:
-    8 * 16 * (n_max + 1). The peak falls while log(k!) is built: the table,
-    three j-length arrays, ``_lgamma``'s argument and result, and its
-    temporaries of about 9 words per row, among them a Python float per
-    row. Past it the build holds at most 11 per row: the table, the four
-    j-length arrays, log(k!), ``steps`` and the padded log-factorials (two
-    each) and the padding's fill.
+    naming the bytes the build holds at its peak, 15 float64s per row:
+    8 * 15 * (n_max + 1). While log(k!) is built it holds about 6 per row:
+    the table, three j-length arrays and ``_lgamma``'s argument and result
+    (``_lgamma`` works a block at a time). Then it holds 10 per row: the
+    table, the four j-length arrays, log(k!), and ``steps`` and the padded
+    log-factorials (two each). The peak falls in the blocks past row
+    ``_TABLE_BLOCK``, each a single row of up to n_max terms: a block's
+    terms and their temporaries while the previous block's terms and
+    exponentials are still held, about 14.5 per row in all.
     """
     theta, lam = params.theta, params.lambda_cluster
     if n_max < 0 or not math.isfinite(n_max * lam + theta):
@@ -280,7 +295,7 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
             lo = hi
         return out
     except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
-        raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 16 * (n_max + 1)} bytes, "
+        raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 15 * (n_max + 1)} bytes, "
                           "more memory than can be allocated") from None
 
 
@@ -317,28 +332,36 @@ def _poly(coeffs, x):
 
 def normal_quantile(u) -> np.ndarray:
     """Inverse standard normal CDF (Wichura's AS 241 rational approximation,
-    double-precision PPND16 variant) of an array in (0, 1]."""
+    double-precision PPND16 variant) of an array in (0, 1].
+
+    Each branch is evaluated only on its own elements: the central one on
+    |u - 0.5| <= 0.425, the near tail where sqrt(-log(min(u, 1 - u))) <= 5
+    and the far tail on the rest."""
     u = np.asarray(u, dtype=np.float64)
     q = u - 0.5
+    out = np.empty_like(q)
     central = np.abs(q) <= 0.425
-
-    r = 0.180625 - q * q
     with np.errstate(invalid="ignore", divide="ignore"):
-        out_central = q * _poly(_A, r) / _poly(_B, r)
+        qc = q[central]
+        r = 0.180625 - qc * qc
+        out[central] = qc * _poly(_A, r) / _poly(_B, r)
 
-        rt = np.where(q < 0.0, u, 1.0 - u)
+        tail = ~central
+        lower = q[tail] < 0.0
+        rt = np.where(lower, u[tail], 1.0 - u[tail])
         # u == 1 maps to +inf through log(0); clamp to the largest
         # representable tail argument instead so draws stay finite.
-        rt = np.where(rt <= 0.0, 5e-324, rt)
+        rt[rt <= 0.0] = 5e-324
         lr = np.sqrt(-np.log(rt))
         near = lr <= 5.0
-        r_near = lr - 1.6
-        r_far = lr - 5.0
-        tail = np.where(near,
-                        _poly(_C, r_near) / _poly(_D, r_near),
-                        _poly(_E, r_far) / _poly(_F, r_far))
-        tail = np.where(q < 0.0, -tail, tail)
-    return np.where(central, out_central, tail)
+        r_near = lr[near] - 1.6
+        lr[near] = _poly(_C, r_near) / _poly(_D, r_near)
+        far = ~near
+        r_far = lr[far] - 5.0
+        lr[far] = _poly(_E, r_far) / _poly(_F, r_far)
+        np.negative(lr, out=lr, where=lower)
+        out[tail] = lr
+    return out
 
 
 # ---------------------------------------------------------------------------

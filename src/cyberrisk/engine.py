@@ -38,14 +38,28 @@ Per (seed, level) there are several stream families (ids built by
 Batched resolution
 ------------------
 Layout v1 above is unchanged; it is defined per repetition, so any
-partition of a level's repetitions into tasks gives the same bytes, and
-the partition follows the work. A level of R repetitions at count rate r
-(kappa * theta at the level, plus the channel's event rate) is cut into T
-tasks of equal size, T = max(w, ceil(R * min(1, r) / _TASK_DRAWN_ROWS)) on
-w workers and at most R: min(1, r) bounds the share 1 - exp(-r) of
-repetitions that draw something, so a task expects at most
-``_TASK_DRAWN_ROWS`` (2**18) drawn rows, and a quiet level is one task on
-one worker.
+partition of the repetitions into tasks, and any grouping of a task's
+reads, gives the same bytes: a counter-based stream returns the same
+words however its reads are grouped. A task is a repetition range
+[lo, hi) of every level of the run, and the partition follows the work:
+R repetitions at count rates r_l (kappa * theta at level l, plus the
+channel's event rate) are cut into T tasks of equal size,
+T = max(w, ceil(sum_l R * min(1, r_l) / _TASK_DRAWN_ROWS)) on w workers
+and at most R. min(1, r) bounds the share 1 - exp(-r) of repetitions that
+draw something, so a task expects at most ``_TASK_DRAWN_ROWS`` (2**17)
+drawn rows over all its levels, and a quiet run is one task on one
+worker.
+
+Within a task each level scans its own COUNT words. The single-cluster
+rows of every level are then resolved together, each row reading its
+level's DETAIL stream (its id is looked up from the row's level code), and
+so are the multi-cluster rows and the single-cluster rows left
+unresolved, on their DETAIL_SPILL streams. Each level's CHANNEL counts
+and CHANNEL_SEV severities are drawn on their own. A task returns, for
+each level, its drawn losses, its cap events and its smallest repetition
+with a nonfinite loss. The run raises NumericFault at the first level in
+spec order that has one, at its smallest repetition, as a run of the
+levels one at a time would.
 
 A task resolves its DETAIL_SPILL and CHANNEL_SEV repetitions in batches,
 each repetition on its own stream, a ``streams.RaggedStreams`` row that
@@ -75,17 +89,19 @@ with its drawn rows, not with the repetitions it scans. A run holds no
 R-length array either: a level's sample is R and its drawn losses,
 sorted (``risk_measures.EmpiricalDistribution``). Every other repetition
 loses 0, and no loss is negative or -0.0, so the measures over that pair
-equal those over all R losses sorted, bit for bit. One buffer, reused
-by every level, collects the drawn losses.
+equal those over all R losses sorted, bit for bit. Each level collects
+its drawn losses in a buffer of its own; the buffers are taken as one
+block before any task runs and live until the last task.
 
 Only the cipher blocks a draw reads are enciphered. A task reads its
-single-cluster repetitions' DETAIL regions in two reads, each in spans of
-``_BATCH_WORDS // 4`` rows, one block per row: block 0 of every row when
-lambda_cluster > 0 (the inversion word, or PTRS attempt 1), then, after
-the last block-0 span, block 1 of every row when kill_rate > 0 (the
-survival word) and otherwise only of the rows whose first PTRS attempt
-was rejected (about 10%, Hormann 1993). Those rows keep their word 3 for
-attempts 2 and 3. So every cipher pass holds one block of many rows.
+single-cluster repetitions' DETAIL regions, over all its levels, in two
+reads, each in spans of ``_BATCH_WORDS // 4`` rows, one block per row:
+block 0 of every row when lambda_cluster > 0 (the inversion word, or PTRS
+attempt 1), then, after the last block-0 span, block 1 of every row when
+kill_rate > 0 (the survival word) and otherwise only of the rows whose
+first PTRS attempt was rejected (about 10%, Hormann 1993). Those rows keep
+their word 3 for attempts 2 and 3. So every cipher pass holds one block of
+many rows.
 
 A DETAIL_SPILL stream's first read covers the words a repetition of n
 clusters reads first - n placement words, its first size round (n words,
@@ -198,9 +214,9 @@ _COUNT_BLOCKS_PER_REP = 8                # 32-word PTRS regions
 _COUNT_MAX_ATTEMPTS = 16
 _DETAIL_BLOCKS_PER_REP = 2               # 8-word single-cluster regions
 _DETAIL_MAX_ATTEMPTS = 3
-# Most rows a task (the unit handed to a worker) expects to draw something;
-# sets the number of tasks a level is cut into.
-_TASK_DRAWN_ROWS = 1 << 18
+# Most rows a task (the unit handed to a worker) expects to draw something,
+# over all levels; sets the number of tasks a run is cut into.
+_TASK_DRAWN_ROWS = 1 << 17
 # Most words one batched read holds (plus any row that alone exceeds it);
 # bounds a task's memory for any kappa and R.
 _BATCH_WORDS = 1 << 16
@@ -366,11 +382,31 @@ def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_clusters: np.ndarray,
-                        device: DeviceParameters, kappa: int):
-    """Resolve repetitions on their DETAIL_SPILL streams, batch by batch.
+def _level_ids(domain: int, codes: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """The stream ids ``pack_stream_id(domain, codes[i], index[i])`` of rows
+    at the level codes ``codes`` (``uint8``), index 0 when ``index`` is
+    None, read from one id per level code."""
+    table = np.zeros(1 + max(level.code for level in RiskLevel), dtype=np.uint64)
+    for level in RiskLevel:
+        table[level.code] = pack_stream_id(domain, level.code, 0)
+    ids = table[codes]
+    if index is not None:
+        ids |= pack_stream_id(0, 0, index)
+    return ids
 
-    Returns (capped surviving loss-days per repetition, cap events)."""
+
+def _level_caps(codes: np.ndarray) -> np.ndarray:
+    """Cap events per level code, counted from the codes of the capped rows."""
+    return np.bincount(codes, minlength=1 + max(level.code for level in RiskLevel))
+
+
+def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_clusters: np.ndarray,
+                        device: DeviceParameters, kappa: int):
+    """Resolve repetitions on their DETAIL_SPILL streams, batch by batch;
+    row i is repetition ``reps[i]`` of the level whose code is ``codes[i]``.
+
+    Returns (capped surviving loss-days per repetition, cap events per level
+    code)."""
     lam = device.counts.lambda_cluster
     kill = device.kill_rate > 0.0
     # Each row's prefix holds the words it reads first - placement, the
@@ -381,11 +417,11 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
     per_cluster = 1 + (0 if lam == 0.0 else 1 if lam < PTRS_THRESHOLD else 2) + kill
     prefix = (n_clusters * per_cluster + 2 + 3) // 4 * 4
     totals = np.empty(len(reps))
-    caps = 0
+    caps = _level_caps(codes[:0])
     for lo, hi in _batches(prefix):
         n = n_clusters[lo:hi]
         rows = np.arange(hi - lo)
-        streams = RaggedStreams(seed, pack_stream_id(_DOMAIN_DETAIL_SPILL, level.code, reps[lo:hi]),
+        streams = RaggedStreams(seed, _level_ids(_DOMAIN_DETAIL_SPILL, codes[lo:hi], reps[lo:hi]),
                                 prefix[lo:hi])
         devices = sample_indices_rows(streams.raw_words, n, kappa)
         extras = sample_poisson_rows(streams.raw_words, n, lam)
@@ -405,30 +441,30 @@ def _multi_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray, n_cluster
             survived = u < math.exp(-device.kill_rate)
             days, owner = days[survived], owner[survived]
         effective = device.loss_day_multiplier * days
-        caps += int((effective > device.horizon_days).sum())
+        caps += _level_caps(codes[lo:hi][owner[effective > device.horizon_days]])
         capped = np.minimum(effective, float(device.horizon_days))
         totals[lo:hi] = _row_totals(capped, np.bincount(owner, minlength=hi - lo))
     return totals, caps
 
 
-def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
+def _single_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray,
                          device: DeviceParameters):
     """Vectorized in-region path for a task's repetitions with exactly one
-    cluster: DETAIL block 0, then block 1, each read in spans (see the
-    module docstring). Only the rows that attempt 1 leaves unresolved are
-    held across spans, with their word 3.
+    cluster, row i repetition ``reps[i]`` of the level whose code is
+    ``codes[i]``: DETAIL block 0, then block 1, each read in spans over the
+    rows of every level (see the module docstring). Only the rows that
+    attempt 1 leaves unresolved are held across spans, with their word 3.
 
     Returns (mask of resolved repetitions, capped surviving loss-days per
-    repetition, 0 where unresolved, cap events); unresolved repetitions go
-    on to the DETAIL_SPILL path."""
+    repetition, 0 where unresolved, cap events per level code); unresolved
+    repetitions go on to the DETAIL_SPILL path."""
     lam = device.counts.lambda_cluster
     kill = device.kill_rate > 0.0
-    stream_id = pack_stream_id(_DOMAIN_DETAIL, level.code, 0)
 
-    def read(at, block):
+    def read(rows, block):
         # repetition r's region is words [8r, 8r + 8), blocks 2r + 1 and 2r + 2
-        counters = _DETAIL_BLOCKS_PER_REP * at + 1 + block
-        return philox_blocks(seed, np.broadcast_to(np.uint64(stream_id), counters.shape), counters)
+        return philox_blocks(seed, _level_ids(_DOMAIN_DETAIL, codes[rows]),
+                             _DETAIL_BLOCKS_PER_REP * reps[rows] + 1 + block)
 
     # a cluster of 1 with no extra event: a row that draws 0 keeps it
     days = np.full(len(reps), device.loss_day_multiplier)
@@ -437,7 +473,7 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
     # Block 0: word 0 is the reserved placement draw, not inspected (a lone
     # cluster's device cannot change the loss); attempt 1 reads words 1-2.
     for lo, hi in _spans(len(reps) if lam > 0.0 else 0, 4):
-        words = read(reps[lo:hi], 0)
+        words = read(slice(lo, hi), 0)
         drew, extras = poisson_regions(words[:, 1:], lam, 1)
         days[lo + drew] = device.loss_day_multiplier * (1 + extras)  # 0 where unresolved (-1)
         rejected = drew[extras < 0]
@@ -445,10 +481,10 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
         late_word_3.append(words[rejected, 3])
     late, late_word_3 = np.concatenate(late), np.concatenate(late_word_3)
     # Block 1: attempts 2 and 3 of the late rows read words 3-6; word 7 is
-    # the survival draw.
+    # the survival draw, read for every row when kill_rate > 0.
     for lo, hi in _spans(len(reps) if kill else len(late), 4):
         at = np.arange(lo, hi) if kill else late[lo:hi]
-        words = read(reps[at], 1)
+        words = read(at, 1)
         first, last = np.searchsorted(late, (at[0], at[-1] + 1))  # the late rows in at
         retry = late[first:last]
         words_3_to_6 = np.column_stack((late_word_3[first:last],
@@ -459,7 +495,7 @@ def _single_cluster_days(seed: int, level: RiskLevel, reps: np.ndarray,
         resolved[retry[drew[extras < 0]]] = False
         if kill:
             days[at] *= words_to_uniforms(words[:, 3]) < math.exp(-device.kill_rate)
-    caps = int(np.count_nonzero(days > device.horizon_days))
+    caps = _level_caps(codes[days > device.horizon_days])
     np.minimum(days, float(device.horizon_days), out=days)
     return resolved, days, caps
 
@@ -487,46 +523,80 @@ def _merged(rows: np.ndarray, losses: np.ndarray, more_rows: np.ndarray, more: n
     return np.concatenate([rows[~both], more_rows]), np.concatenate([losses[~both], more])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a nonfinite loss raises NumericFault below
-def _simulate_chunk(spec: SimulationSpec, level: RiskLevel, rep_lo: int, rep_hi: int):
-    """Losses and cap events of repetitions [rep_lo, rep_hi) of one level,
-    over the rows that drew something: (rows, losses, caps), ``rows`` the
-    offsets from ``rep_lo`` of the repetitions that drew a cluster or a
-    channel event, each once. Every other repetition loses 0."""
+@np.errstate(over="ignore", invalid="ignore")  # a nonfinite loss is the run's to raise
+def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int) -> list:
+    """Losses and cap events of repetitions [rep_lo, rep_hi) of every level
+    of ``spec.levels``, over the rows that drew something: one (rows,
+    losses, caps) per level, in spec order, ``rows`` the offsets from
+    ``rep_lo`` of the repetitions that drew a cluster or a channel event,
+    each once. Every other repetition loses 0.
+
+    Each level scans its own COUNT and CHANNEL words and draws its own
+    channel severities; the cluster draws of every level are resolved
+    together, each row on its level's streams. The levels differ only in
+    theta, which no cluster draw reads."""
     n = rep_hi - rep_lo
-    device = level_parameters(spec.scenario, level, spec.device)
-    v = discount_factor(device.discount_rate)
-    unit = v * device.daily_loss
+    device = spec.device
+    unit = discount_factor(device.discount_rate) * device.daily_loss
+    codes = np.array([level.code for level in spec.levels], dtype=np.uint8)
+    # each level's drawn rows in two parts, ascending: those that drew one
+    # cluster, and the others with their cluster counts
+    singles, others, other_clusters = [], [], []
+    for level in spec.levels:
+        rows, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
+                                           spec.portfolio_size
+                                           * level_parameters(spec.scenario, level, device).counts.theta)
+        one = clusters == 1
+        singles.append(rows[one])
+        others.append(rows[~one])
+        other_clusters.append(clusters[~one])
+    del rows, clusters, one
 
-    rows, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
-                                       spec.portfolio_size * device.counts.theta)
-    single = clusters == 1
-    resolved, capped_days, caps = _single_cluster_days(spec.seed, level, rep_lo + rows[single],
-                                                       device)
-    losses = np.empty(len(rows))  # every row is written below
-    losses[single] = unit * capped_days
-    # multi-cluster rows, then the single-cluster rows left unresolved, as
-    # indexes into rows
-    multi = np.concatenate([np.flatnonzero(clusters >= 2), np.flatnonzero(single)[~resolved]])
-    if multi.size:
-        total_days, multi_caps = _multi_cluster_days(spec.seed, level, rep_lo + rows[multi],
-                                                     clusters[multi], device, spec.portfolio_size)
-        losses[multi] = unit * total_days
+    # The single-cluster rows of every level, level by level, resolved
+    # together; their days become their losses in place.
+    single_counts = [len(rows) for rows in singles]
+    single_codes = np.repeat(codes, single_counts)
+    reps = np.concatenate(singles)
+    del singles
+    reps += rep_lo
+    resolved, single_losses, caps = _single_cluster_days(spec.seed, single_codes, reps, device)
+    single_losses *= unit
+    # Then the other rows of every level and the single-cluster rows left
+    # unresolved, together.
+    retry = np.flatnonzero(~resolved)
+    del resolved
+    other_counts = [len(rows) for rows in others]
+    n_other = sum(other_counts)
+    other_losses = np.empty(0)
+    if n_other + len(retry):
+        days, multi_caps = _multi_cluster_days(
+            spec.seed, np.concatenate([np.repeat(codes, other_counts), single_codes[retry]]),
+            np.concatenate([rows + rep_lo for rows in others] + [reps[retry]]),
+            np.concatenate([*other_clusters, np.ones(len(retry), dtype=np.int64)]),
+            device, spec.portfolio_size)
+        days *= unit
+        other_losses = days[:n_other]
+        single_losses[retry] = days[n_other:]
         caps += multi_caps
+    del single_codes, other_clusters
 
+    chunks, lo, other_lo = [], 0, 0
     channel = spec.aggregate_channel
-    if channel is not None and channel.event_rate > 0.0:
-        events_at, events = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
-                                              channel.event_rate)
-        amounts = _channel_losses(spec.seed, level, rep_lo + events_at, events, channel.severity)
-        rows, losses = _merged(rows, losses, events_at, amounts)
-
-    bad = rows[~np.isfinite(losses)]
-    if bad.size:
-        first = rep_lo + int(bad.min())
-        raise NumericFault(f"nonfinite loss at level {level.name}, repetition {first}",
-                           level=level.name, repetition=first)
-    return rows, losses, caps
+    for level, count, other_rows in zip(spec.levels, single_counts, others):
+        # the level's two parts merged, rows ascending
+        at = np.searchsorted(reps[lo:lo + count], rep_lo + other_rows)
+        rows = np.insert(reps[lo:lo + count] - rep_lo, at, other_rows)
+        losses = np.insert(single_losses[lo:lo + count], at,
+                           other_losses[other_lo:other_lo + len(other_rows)])
+        lo, other_lo = lo + count, other_lo + len(other_rows)
+        if channel is not None and channel.event_rate > 0.0:
+            events_at, events = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
+                                                  channel.event_rate)
+            amounts = _channel_losses(spec.seed, level, rep_lo + events_at, events,
+                                      channel.severity)
+            rows, losses = _merged(rows, losses, events_at, amounts)
+        chunks.append((rows, losses, int(caps[level.code])))
+    return chunks
 
 
 @functools.cache
@@ -547,11 +617,17 @@ def _keep_freed_memory() -> bool:
 
 
 def _chunk_task(args):
-    """The losses of one task's drawn rows and its cap events: a
-    repetition that drew nothing is not sent back."""
+    """One task ``(spec, rep_lo, rep_hi)``: for each level, in spec order,
+    the losses of its drawn rows, its cap events and its first repetition
+    with a nonfinite loss (None if there is none). A repetition that drew
+    nothing is not sent back."""
     _keep_freed_memory()
-    _, losses, caps = _simulate_chunk(*args)
-    return losses, caps
+    rep_lo = args[1]
+    out = []
+    for rows, losses, caps in _simulate_chunk(*args):
+        bad = rows[~np.isfinite(losses)]
+        out.append((losses, caps, rep_lo + int(bad.min()) if bad.size else None))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +687,12 @@ def _expected_drawn(spec: SimulationSpec, level: RiskLevel) -> int:
     return math.ceil(spec.repetitions * min(1.0, rate))
 
 
-def _level_tasks(spec: SimulationSpec, level: RiskLevel, workers: int) -> int:
-    """How many tasks of equal size one level is cut into on ``workers``
-    workers: enough that each expects at most ``_TASK_DRAWN_ROWS`` drawn
-    rows, at least one per worker, at most one per repetition."""
-    drawn = _expected_drawn(spec, level)
+def _task_count(spec: SimulationSpec, workers: int) -> int:
+    """How many tasks of equal size a run's repetitions are cut into on
+    ``workers`` workers, each over every level: enough that each expects
+    at most ``_TASK_DRAWN_ROWS`` drawn rows over all levels, at least one
+    per worker, at most one per repetition."""
+    drawn = sum(_expected_drawn(spec, level) for level in spec.levels)
     return min(spec.repetitions, max(workers, math.ceil(drawn / _TASK_DRAWN_ROWS)))
 
 
@@ -643,23 +720,21 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     baseline_expected = expected_present_loss(baseline_device)
 
     reps = spec.repetitions
-    workers = resolve_workers(workers, reps * len(spec.levels), os.cpu_count() or 1)
-    # The drawn-loss buffer every level reuses, taken before any task runs.
-    buffer = _loss_buffer(reps, max(_expected_drawn(spec, level) for level in spec.levels))
-    task_counts = [_level_tasks(spec, level, workers) for level in spec.levels]
-    tasks = ((spec, level, reps * i // n, reps * (i + 1) // n)
-             for level, n in zip(spec.levels, task_counts) for i in range(n))
-    # A task's losses are written into the buffer as its result arrives;
+    workers = resolve_workers(workers, reps, os.cpu_count() or 1)
+    n_tasks = _task_count(spec, workers)
+    tasks = ((spec, reps * i // n_tasks, reps * (i + 1) // n_tasks) for i in range(n_tasks))
+    # Every level's drawn-loss buffer, taken as one block before any task
+    # runs. A task's losses are written into them as its result arrives;
     # tasks run only as their results are consumed, at most 2 * workers of
     # them ahead.
+    sizes = [_expected_drawn(spec, level) for level in spec.levels]
+    buffers = np.split(_loss_buffer(reps, sum(sizes)), np.cumsum(sizes)[:-1])
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         results = _ahead(pool, _chunk_task, tasks, 2 * workers) if pool else map(_chunk_task, tasks)
-        level_reports = []
-        for level, n in zip(spec.levels, task_counts):
-            report, buffer = _level_report(spec, level, baseline_expected, results, n, buffer)
-            level_reports.append(report)
-
+        levels = _gather(reps, results, buffers)
+    level_reports = [_level_report(spec, level, baseline_expected, *gathered)
+                     for level, gathered in zip(spec.levels, levels)]
     return RiskReport(spec=spec, levels=tuple(level_reports),
                       baseline_expected_device_loss=baseline_expected)
 
@@ -677,30 +752,44 @@ def _ahead(pool, function, tasks, depth: int):
         yield futures.popleft().result()
 
 
-def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,
-                  results, tasks: int, buffer: np.ndarray):
-    """Reduce one level's losses to its report; returns the report and the
-    buffer, which the next level reuses.
+def _gather(reps: int, results, buffers: list) -> list:
+    """Each level's drawn losses, cap events and first repetition with a
+    nonfinite loss over every task of ``results``, in the order of
+    ``buffers``, one per level.
 
-    The level's ``tasks`` tasks are the next ones of the ``results``
-    iterator; each appends its drawn rows' losses to ``buffer`` as it
-    arrives. A buffer too small for them doubles, or grows to the losses
-    drawn so far if that is more, and never past R losses. The drawn
-    losses are sorted in place, and the level's sample is R and them:
-    every other repetition lost 0."""
-    reps = spec.repetitions
-    drawn_count = caps = 0
-    for _ in range(tasks):
-        drawn, task_caps = next(results)
-        if drawn_count + len(drawn) > len(buffer):
-            grown = _loss_buffer(reps, min(reps, max(2 * len(buffer), drawn_count + len(drawn))))
-            grown[:drawn_count] = buffer[:drawn_count]
-            buffer = grown
-        buffer[drawn_count:drawn_count + len(drawn)] = drawn
-        drawn_count += len(drawn)
-        caps += task_caps
-    buffer[:drawn_count].sort()
-    dist = EmpiricalDistribution.from_sorted(reps, buffer[:drawn_count])
+    A task's losses of a level are appended to that level's buffer as the
+    task's result arrives. A buffer too small for them doubles, or grows to
+    the losses drawn so far if that is more, and never past R losses."""
+    filled = [0] * len(buffers)
+    caps = [0] * len(buffers)
+    faults = [None] * len(buffers)
+    for task in results:
+        for i, (drawn, task_caps, fault) in enumerate(task):
+            buffer, count = buffers[i], filled[i]
+            if count + len(drawn) > len(buffer):
+                grown = _loss_buffer(reps, min(reps, max(2 * len(buffer), count + len(drawn))))
+                grown[:count] = buffer[:count]
+                buffers[i] = buffer = grown
+            buffer[count:count + len(drawn)] = drawn
+            filled[i] += len(drawn)
+            caps[i] += task_caps
+            if faults[i] is None:  # tasks arrive in repetition order
+                faults[i] = fault
+    return [(buffer[:count], level_caps, fault)
+            for buffer, count, level_caps, fault in zip(buffers, filled, caps, faults)]
+
+
+def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: float,
+                  drawn: np.ndarray, caps: int, fault: int | None) -> LevelReport:
+    """Reduce one level's drawn losses to its report, or raise NumericFault
+    at its first repetition with a nonfinite loss. The drawn losses are
+    sorted in place, and the level's sample is R and them: every other
+    repetition lost 0."""
+    if fault is not None:
+        raise NumericFault(f"nonfinite loss at level {level.name}, repetition {fault}",
+                           level=level.name, repetition=fault)
+    drawn.sort()
+    dist = EmpiricalDistribution.from_sorted(spec.repetitions, drawn)
 
     alpha = spec.scenario.mitigation_alphas[level]
     pool_amount = spec.portfolio_size * ((1.0 + spec.loading) * (alpha * baseline_expected))
@@ -711,4 +800,4 @@ def _level_report(spec: SimulationSpec, level: RiskLevel, baseline_expected: flo
         premium_pool=pool_amount,
         metrics=metrics,
         cap_events=caps,
-    ), buffer
+    )

@@ -105,7 +105,7 @@ def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int
     try:
         reach = int(horizon_days / multiplier)
     except OverflowError:  # the quotient is inf
-        raise DomainError("a count pmf table of over 2**1024 rows needs over 2**1031 bytes, "
+        raise DomainError("a count pmf table of over 2**1024 rows needs over 2**1030 bytes, "
                           "more memory than can be allocated") from None
     n_max = int(mean + 12.0 * math.sqrt(var)) + reach + 48
     pmf = compound_count_pmf_table(n_max, counts)

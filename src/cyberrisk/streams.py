@@ -187,7 +187,9 @@ def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.nd
     x[0] = blocks
     y = np.zeros((2, n), dtype=np.uint64)
     key1 = stream_ids.copy()
-    x_lo, x_hi, low, mid, upper, hi, lo = (np.empty((2, n), dtype=np.uint64) for _ in range(7))
+    # hi is built in x_hi's array and upper in low's, each once its first
+    # value has been read
+    x_lo, x_hi, low, mid, lo = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
     for r in range(_PHILOX_ROUNDS):
         m, m_lo, m_hi = _PHILOX_MULTS[r & 1]
         # hi:lo = m * x from the four 32x32-bit partial products
@@ -197,10 +199,10 @@ def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.nd
         low >>= _HALF
         np.multiply(m_lo, x_hi, out=mid)
         mid += low
-        np.multiply(m_hi, x_lo, out=upper)
+        upper = np.multiply(m_hi, x_lo, out=low)
         np.bitwise_and(mid, _LOW32, out=x_lo)
         upper += x_lo
-        np.multiply(m_hi, x_hi, out=hi)
+        hi = np.multiply(m_hi, x_hi, out=x_hi)
         mid >>= _HALF
         hi += mid
         upper >>= _HALF
@@ -238,6 +240,8 @@ def ragged_words(seed: int, stream_ids: np.ndarray, starts: np.ndarray,
     offsets = np.cumsum(n_blocks) - n_blocks
     blocks = first[block_row] + row_positions(n_blocks) + 1
     cipher = philox_blocks(seed, np.asarray(stream_ids, dtype=np.uint64)[block_row], blocks).ravel()
+    if not (starts % _WORDS_PER_BLOCK).any() and not (counts % _WORDS_PER_BLOCK).any():
+        return cipher  # whole blocks from a block's first word: the words in row order
     row_first = offsets * _WORDS_PER_BLOCK + starts % _WORDS_PER_BLOCK
     return cipher[np.repeat(row_first, counts) + row_positions(counts)]
 
@@ -271,6 +275,9 @@ class RaggedStreams:
         start = self.counter[rows]
         end = start + counts
         buffered = end <= self._buffered[rows]
+        if not buffered.any():
+            self.counter[rows] = end
+            return ragged_words(self.seed, self.stream_ids[rows], start, counts)
         in_prefix = np.repeat(buffered, counts)
         source = np.repeat(self._first[rows] + start, counts) + row_positions(counts)
         words = np.empty(len(source), dtype=np.uint64)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written against scipy / first principles,
 never by calling the implementation under test, so each check is a true
-dual route: closed form vs brute force, sampler vs recursion, etc. The one
-exception is the draw-layout reference, which takes its per-draw
+dual route: closed form vs brute force, sampler vs recursion, etc. The
+exceptions are the draw-layout reference, which takes its per-draw
 arithmetic (the inversion table, one PTRS attempt, the severity quantiles)
-from the package and reads every word itself.
+from the package and reads every word itself, and the whole-array AS 241
+normal quantile, which takes the package's coefficients.
 """
 
 from collections import Counter
@@ -17,6 +18,12 @@ from scipy import stats
 from scipy.special import gammaln
 
 from cyberrisk.distributions import (
+    _A,
+    _B,
+    _C,
+    _D,
+    _E,
+    _F,
     _ptrs_attempt,
     _ptrs_consts,
     _severity_quantile,
@@ -171,6 +178,32 @@ def shortfall_probability_full_array(sorted_losses: np.ndarray, pool: float) -> 
 def expected_shortfall_full_array(sorted_losses: np.ndarray, pool: float) -> float:
     tail = sorted_losses[int(np.searchsorted(sorted_losses, pool, side="left")):]
     return float((tail - pool).sum() / len(sorted_losses))
+
+
+def _horner(coeffs, x):
+    r = np.full_like(x, coeffs[7], dtype=np.float64)
+    for c in coeffs[6::-1]:
+        r = r * x + c
+    return r
+
+
+def normal_quantile_whole_array(u) -> np.ndarray:
+    """AS 241 (PPND16) with all three branches evaluated on every element
+    and the result picked by ``np.where``, as the package computed it
+    before each branch ran on its own elements."""
+    u = np.asarray(u, dtype=np.float64)
+    q = u - 0.5
+    central = np.abs(q) <= 0.425
+    r = 0.180625 - q * q
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out_central = q * _horner(_A, r) / _horner(_B, r)
+        rt = np.where(q < 0.0, u, 1.0 - u)
+        rt = np.where(rt <= 0.0, 5e-324, rt)
+        lr = np.sqrt(-np.log(rt))
+        tail = np.where(lr <= 5.0, _horner(_C, lr - 1.6) / _horner(_D, lr - 1.6),
+                        _horner(_E, lr - 5.0) / _horner(_F, lr - 5.0))
+        tail = np.where(q < 0.0, -tail, tail)
+    return np.where(central, out_central, tail)
 
 
 def total_variation(counts: np.ndarray, pmf: np.ndarray, n_draws: int) -> float:

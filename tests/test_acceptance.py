@@ -84,8 +84,9 @@ def test_criterion_2_aggregate_loss_panjer():
     ok = True
     for rate in (1.0, 2.0, 3.0, 5.0, 45.0):
         channel = AggregateLossParams(event_rate=rate, severity=severity)
-        draws, _ = scatter_chunk(_simulate_chunk(replace(spec, aggregate_channel=channel),
-                                                 RiskLevel.GUARDED, 0, spec.repetitions),
+        draws, _ = scatter_chunk(_simulate_chunk(replace(spec, aggregate_channel=channel,
+                                                         levels=(RiskLevel.GUARDED,)),
+                                                 0, spec.repetitions)[0],
                                  spec.repetitions)
         oracle = panjer_compound_poisson_cdf(rate, severity.values, severity.probabilities, grid)
         empirical = np.searchsorted(np.sort(draws), grid, side="right") / len(draws)

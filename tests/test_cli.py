@@ -184,14 +184,15 @@ class TestSimulate:
         assert err.startswith("error: ") and "at most 2**20" in err
 
     def test_loss_array_beyond_memory_exits_2(self, capsys, tmp_path):
-        # 2**52 repetitions are legal, but the 12.8 PiB buffer of severe's
-        # ceil(2**52 * 0.4) expected drawn losses is not allocatable on any
-        # host; the run fails before any task starts
+        # 2**52 repetitions are legal, but the 21.1 PiB buffer of every
+        # level's ceil(2**52 * rate) expected drawn losses (rates 0.02, 0.04,
+        # 0.2 and 0.4) is not allocatable on any host; the run fails before
+        # any task starts
         mapping = paper_config()
         mapping["repetitions"] = 2 ** 52
         config = tmp_path / "huge.json"
         config.write_text(json.dumps(mapping))
-        message = (f"error: repetitions {2 ** 52} need a 14411518807585592-byte loss buffer, "
+        message = (f"error: repetitions {2 ** 52} need a 23779006032516232-byte loss buffer, "
                    "more memory than can be allocated\n")
         code, out, err = run_cli(capsys, "simulate", "--config", str(config))
         assert (code, out, err) == (2, "", message)
@@ -218,14 +219,14 @@ class TestSimulate:
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
         assert (code, out) == (2, "")
         rows = re.fullmatch(r"error: a count pmf table of (over 2\*\*1024|\d+) rows needs "
-                            r"(over 2\*\*1031|\d+) bytes, more memory than can be allocated\n",
+                            r"(over 2\*\*1030|\d+) bytes, more memory than can be allocated\n",
                             err)
         assert rows is not None, err
         if value != 1e-320:
             device = mapping["device"]
             reach = device["horizon_days"] / device.get("loss_day_multiplier", 1.0)
-            # the build's peak, 16 float64s per row
-            assert int(rows[2]) == 8 * 16 * int(rows[1]) > 8 * 16 * reach
+            # the build's peak, 15 float64s per row
+            assert int(rows[2]) == 8 * 15 * int(rows[1]) > 8 * 15 * reach
 
 
     def test_pmf_table_build_out_of_memory_exits_2(self, tmp_path):

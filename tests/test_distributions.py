@@ -44,6 +44,7 @@ from cyberrisk.streams import (
 
 from oracles import (
     compound_count_pmf_bruteforce,
+    normal_quantile_whole_array,
     ptrs_attempt_gammaln,
     scatter_regions,
     total_variation,
@@ -235,6 +236,25 @@ def test_normal_quantile_matches_scipy():
     ref = stats.norm.ppf(u)
     assert np.max(np.abs(mine - ref)) < 1e-9
     assert normal_quantile(np.array([0.5]))[0] == 0.0
+
+
+def test_normal_quantile_equals_the_whole_array_formula_bit_for_bit():
+    """Each branch runs only on its own elements, with the bits of all
+    three evaluated everywhere: on uniforms from words, and on each edge,
+    a neighbour on either side, and the near/far boundary lr = 5
+    (u = exp(-25)) approached from both sides."""
+    edges = [2.0 ** -53, 5e-324, 1.0, 1.0 - 2.0 ** -53, 1e-12, 0.075, 0.925, 0.5]
+    grid = [np.nextafter(x, direction) for x in edges for direction in (0.0, x, 2.0)]
+    e25 = math.exp(-25.0)
+    steps = np.arange(-60, 61)
+    boundary = np.concatenate([e25 * (1.0 + steps * 2.0 ** -52), 1.0 - e25 * (1.0 + steps * 2.0 ** -40)])
+    lr = np.sqrt(-np.log(np.minimum(boundary, 1.0 - boundary)))
+    assert (lr <= 5.0).any() and (lr > 5.0).any()
+    words = RandomStream(7, 1).raw_words(100_000)
+    for u in (np.array(grid), boundary, words_to_uniforms(words), words_to_uniforms(words[:9])):
+        assert normal_quantile(u).tobytes() == normal_quantile_whole_array(u).tobytes()
+    for x in grid:
+        assert normal_quantile(x).tobytes() == normal_quantile_whole_array(x).tobytes()
 
 
 # ---------------------------------------------------------------------------

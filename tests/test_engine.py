@@ -138,7 +138,7 @@ class TestDeterminism:
         assert reference.spec == spec
         assert run_simulation(spec, workers=2) == reference
         monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 50)
-        assert [engine._level_tasks(spec, level, 1) for level in spec.levels] == [3, 5, 24, 48]
+        assert engine._task_count(spec, 1) == 80  # 3,960 expected drawn rows
         assert run_simulation(spec, workers=1) == reference
         assert run_simulation(spec, workers=2) == reference
 
@@ -166,40 +166,39 @@ def _bench_workload(name: str) -> SimulationSpec:
 
 
 class TestTaskCount:
-    """A level is cut into tasks by the rows it expects to draw, not by the
-    repetitions it scans."""
+    """A run is cut into tasks, each over every level, by the rows its
+    levels expect to draw, not by the repetitions it scans."""
 
-    def test_bench_workloads_are_one_task_per_level_per_worker(self):
-        for name in ("paper", "channel", "dense"):
+    def test_bench_workload_task_counts(self):
+        # paper and channel expect 66,000 and 40,000 drawn rows, dense 240,000
+        for name, tasks in [("paper", [1, 2]), ("channel", [1, 2]), ("dense", [2, 2])]:
             spec = _bench_workload(name)
-            for workers in (1, 2):
-                assert [engine._level_tasks(spec, level, workers) for level in spec.levels] == \
-                    [workers] * len(spec.levels), name
+            assert [engine._task_count(spec, workers) for workers in (1, 2)] == tasks, name
 
-    def test_a_paper_run_takes_one_task_per_level(self, monkeypatch):
+    def test_a_paper_run_takes_one_task(self, monkeypatch):
         spans = []
         task = engine._chunk_task
 
         def spy(args):
-            spans.append(args[2:])
+            spans.append(args[1:])
             return task(args)
 
         monkeypatch.setattr(engine, "_chunk_task", spy)
         run_simulation(parse_config(paper_config()), workers=1)
-        assert spans == [(0, 100_000)] * 4
+        assert spans == [(0, 100_000)]
 
-    def test_a_task_expects_at_most_2_18_drawn_rows(self):
-        # Severe draws at rate 0.4: 400,000 expected drawn rows at R = 1e6
+    def test_a_task_expects_at_most_2_17_drawn_rows(self):
+        # 660,000 expected drawn rows at R = 1e6, Severe's 400,000 among them
         spec = replace(parse_config(paper_config()), repetitions=1_000_000)
-        assert [engine._level_tasks(spec, level, 1) for level in spec.levels] == [1, 1, 1, 2]
-        assert engine._level_tasks(replace(spec, repetitions=7), RiskLevel.SEVERE, 8) == 7
+        assert engine._task_count(spec, 1) == 6
+        assert engine._task_count(replace(spec, repetitions=7), 8) == 7
 
     def test_bytes_equal_across_one_two_and_three_workers(self, monkeypatch):
         spec = replace(parse_config(paper_config()), repetitions=50_000)
         reference = render_json(run_simulation(spec, workers=1))
         monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers also on two CPUs
         for workers in (2, 3):
-            assert engine._level_tasks(spec, RiskLevel.GUARDED, workers) == workers
+            assert engine._task_count(spec, workers) == workers
             assert render_json(run_simulation(spec, workers=workers)) == reference
 
     def test_a_pool_runs_at_most_two_tasks_per_worker_ahead(self, monkeypatch):
@@ -208,8 +207,8 @@ class TestTaskCount:
         monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
         spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=3_000,
                            levels=(RiskLevel.GUARDED, RiskLevel.SEVERE))
-        tasks = [engine._level_tasks(spec, level, 3) for level in spec.levels]
-        assert tasks == [3, 15]
+        tasks = engine._task_count(spec, 3)
+        assert tasks == 18  # 3,600 expected drawn rows
         reference = render_json(run_simulation(spec, workers=1))
         calls = Counter()
 
@@ -246,7 +245,94 @@ class TestTaskCount:
             assert render_json(run_simulation(spec, workers=workers)) == reference
             assert calls["workers"] == workers
             assert calls["most"] == 2 * workers
-            assert calls["submitted"] == calls["consumed"] == sum(tasks)
+            assert calls["submitted"] == calls["consumed"] == tasks
+
+
+_FUSION_CHANNEL = AggregateLossParams(event_rate=1.0, severity=Lognormal(mu=8.0, sigma=1.5))
+
+
+class TestAllLevelTasks:
+    """A task resolves every level of its repetition range at once; each
+    level's losses and cap events equal those of a run of that level
+    alone, bit for bit, and so does the fault a run raises."""
+
+    @pytest.mark.parametrize("channel", [None, _FUSION_CHANNEL], ids=["no_channel", "channel"])
+    @pytest.mark.parametrize("kill", [0.0, 0.3])
+    def test_each_level_of_a_task_equals_its_one_level_task(self, kill, channel):
+        spec = _paper_spec(device=_paper_device(theta=2e-4, kill=kill), repetitions=5_000,
+                           aggregate_channel=channel)
+        for lo, hi in [(0, 5_000), (1_234, 4_321)]:
+            chunks = _simulate_chunk(spec, lo, hi)
+            tasks = engine._chunk_task((spec, lo, hi))
+            assert len(chunks) == len(tasks) == len(spec.levels)
+            for level, (rows, losses, caps), task in zip(spec.levels, chunks, tasks):
+                one = replace(spec, levels=(level,))
+                one_rows, one_losses, one_caps = _simulate_chunk(one, lo, hi)[0]
+                assert rows.tobytes() == one_rows.tobytes()
+                assert losses.tobytes() == one_losses.tobytes()
+                assert caps == one_caps
+                [one_task] = engine._chunk_task((one, lo, hi))
+                assert task[0].tobytes() == one_task[0].tobytes() == losses.tobytes()
+                assert task[1:] == one_task[1:] == (caps, None)
+        # and each level of a short range against the layout, one repetition at a time
+        for level, chunk in zip(spec.levels, _simulate_chunk(spec, 4_000, 4_064)):
+            losses, caps = scatter_chunk(chunk, 64)
+            expect, expect_caps, _ = reference_chunk(spec, level, 4_000, 4_064)
+            assert losses.tobytes() == expect.tobytes()
+            assert caps == expect_caps
+
+    @pytest.mark.parametrize("channel", [None, _FUSION_CHANNEL], ids=["no_channel", "channel"])
+    @pytest.mark.parametrize("kill", [0.0, 0.3])
+    def test_each_level_of_a_run_equals_its_one_level_run(self, monkeypatch, kill, channel):
+        spec = _paper_spec(device=_paper_device(theta=2e-4, kill=kill), repetitions=2_000,
+                           aggregate_channel=channel)
+        samples = []
+
+        def keep_sample(dist, premium_pool, levels):
+            samples.append(dist.sorted_losses.copy())
+            return summarize_level(dist, premium_pool, levels)
+
+        monkeypatch.setattr(engine, "summarize_level", keep_sample)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers also on two CPUs
+        expect = []
+        for level in spec.levels:
+            report = run_simulation(replace(spec, levels=(level,)), workers=1)
+            expect.append((report.levels[0], samples.pop().tobytes()))
+        # 5,200 expected drawn rows (with the channel, 8,000)
+        for task_rows, tasks in [(50, 104 + 56 * bool(channel)), (1_000, 6 + 2 * bool(channel)),
+                                 (engine._TASK_DRAWN_ROWS, 1)]:
+            monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", task_rows)
+            assert engine._task_count(spec, 1) == tasks
+            for workers in (1, 2, 3):
+                samples.clear()
+                report = run_simulation(spec, workers=workers)
+                got = [(item, sample.tobytes()) for item, sample in zip(report.levels, samples)]
+                assert got == expect, (task_rows, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fault_names_the_first_level_in_spec_order(self, monkeypatch, workers):
+        """Guarded's first nonfinite loss is in the last task and Severe's
+        in the first: the run raises Guarded's, as the levels run one at a
+        time in spec order do, and Severe's when Severe comes first."""
+        channel = AggregateLossParams(event_rate=1.0, severity=Lognormal(mu=0.0, sigma=250.0))
+        spec = _paper_spec(repetitions=2_000, seed=4, aggregate_channel=channel,
+                           levels=(RiskLevel.GUARDED, RiskLevel.SEVERE))
+        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tasks = engine._task_count(spec, workers)
+        first = {}
+        for level in spec.levels:
+            with pytest.raises(NumericFault) as alone:
+                run_simulation(replace(spec, levels=(level,)), workers=workers)
+            first[level] = alone.value
+        task_of = {level: first[level].repetition * tasks // spec.repetitions for level in first}
+        assert task_of == {RiskLevel.GUARDED: tasks - 1, RiskLevel.SEVERE: 0}
+        for levels in (spec.levels, spec.levels[::-1]):
+            with pytest.raises(NumericFault) as fused:
+                run_simulation(replace(spec, levels=levels), workers=workers)
+            expect = first[levels[0]]
+            assert str(fused.value) == str(expect)
+            assert (fused.value.level, fused.value.repetition) == (expect.level, expect.repetition)
 
 
 _COMPACT_CASES = {
@@ -279,7 +365,7 @@ class TestCompactReduction:
                               **_COMPACT_CASES[name]})
         if name == "several_tasks":
             monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
-            assert [engine._level_tasks(spec, level, 1) for level in spec.levels] == [5, 23]
+            assert engine._task_count(spec, 1) == 27  # 5,400 expected drawn rows
         samples = []
 
         def keep_sample(dist, premium_pool, levels):
@@ -289,17 +375,19 @@ class TestCompactReduction:
         monkeypatch.setattr(engine, "summarize_level", keep_sample)
         report = run_simulation(spec, workers=workers)
         for item, sample in zip(report.levels, samples, strict=True):
-            losses, caps = scatter_chunk(_simulate_chunk(spec, item.level, 0, spec.repetitions),
-                                         spec.repetitions)
+            losses, caps = scatter_chunk(_simulate_chunk(replace(spec, levels=(item.level,)), 0,
+                                                         spec.repetitions)[0], spec.repetitions)
             expect = np.sort(losses)
             assert sample.tobytes() == expect.tobytes()
             assert item.metrics == summarize_level(EmpiricalDistribution(losses),
                                                    item.premium_pool, spec.confidence_levels)
             assert item.cap_events == caps
 
+    # the first size is the one block of both levels' expected drawn losses
+    # (1 and 2 at R = 50), each later one a level's grown buffer
     @pytest.mark.parametrize("seed, repetitions, levels, task_rows, sizes", [
-        (1, 50, (RiskLevel.GUARDED, RiskLevel.ELEVATED), 1 << 18, [2, 4]),  # doubles
-        (7, 50, (RiskLevel.GUARDED, RiskLevel.ELEVATED), 1 << 18, [2, 5]),  # takes what one task drew
+        (29, 50, (RiskLevel.GUARDED, RiskLevel.ELEVATED), 1 << 18, [3, 2, 4]),  # both double
+        (7, 50, (RiskLevel.GUARDED, RiskLevel.ELEVATED), 1 << 18, [3, 5]),  # takes what one task drew
         (24, 3, (RiskLevel.SEVERE,), 1, [2, 3]),  # stops at R, one task per repetition
     ])
     def test_loss_buffer_grows_past_the_expected_drawn_rows(self, monkeypatch, seed, repetitions,
@@ -322,13 +410,16 @@ class TestCompactReduction:
         run_simulation(spec, workers=1)
         assert taken == sizes
         for level, sample in zip(levels, samples, strict=True):
-            losses, _ = scatter_chunk(_simulate_chunk(spec, level, 0, repetitions), repetitions)
+            losses, _ = scatter_chunk(_simulate_chunk(replace(spec, levels=(level,)), 0,
+                                                      repetitions)[0], repetitions)
             assert sample.tobytes() == np.sort(losses).tobytes()
 
     def test_tasks_return_only_nonzero_losses(self):
         spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=5_000)
-        losses, caps = scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, 5_000), 5_000)
-        nonzero, task_caps = engine._chunk_task((spec, RiskLevel.GUARDED, 0, 5_000))
+        spec = replace(spec, levels=(RiskLevel.GUARDED,))
+        losses, caps = scatter_chunk(_simulate_chunk(spec, 0, 5_000)[0], 5_000)
+        [(nonzero, task_caps, fault)] = engine._chunk_task((spec, 0, 5_000))
+        assert fault is None
         assert 0 < len(nonzero) < 5_000 // 2
         assert nonzero.tobytes() == losses[losses > 0].tobytes()
         assert task_caps == caps
@@ -346,7 +437,7 @@ class TestModelEquivalence:
             repetitions=reps,
             levels=(RiskLevel.GUARDED,),
         )
-        losses, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, reps), reps)
+        losses, _ = scatter_chunk(_simulate_chunk(spec, 0, reps)[0], reps)
         unit = 1000.0 / 1.03
         engine_days = np.round(losses / unit).astype(int)
 
@@ -374,7 +465,7 @@ class TestModelEquivalence:
             repetitions=reps,
             levels=(RiskLevel.GUARDED,),
         )
-        losses, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, reps), reps)
+        losses, _ = scatter_chunk(_simulate_chunk(spec, 0, reps)[0], reps)
         unit = 1000.0 / 1.03
         days = losses / unit
         mu = kappa * theta * (1 + lam)
@@ -409,8 +500,8 @@ class TestMonotoneRisk:
 class TestConvergence:
     def test_standard_error_shrinks_as_sqrt_r(self):
         spec = _paper_spec(repetitions=100_000, levels=(RiskLevel.HIGH,))
-        losses, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.HIGH, 0, 16384), 16384)
-        more, _ = scatter_chunk(_simulate_chunk(spec, RiskLevel.HIGH, 16384, 100_000),
+        losses, _ = scatter_chunk(_simulate_chunk(spec, 0, 16384)[0], 16384)
+        more, _ = scatter_chunk(_simulate_chunk(spec, 16384, 100_000)[0],
                                 100_000 - 16384)
         losses = np.concatenate([losses, more])
         # block means at R=1000 vs R=10000: sd ratio ~ sqrt(10)
@@ -514,11 +605,12 @@ class TestBatchedResolution:
             counts=CountDistributionParams(theta=0.1, lambda_cluster=lam))
         reps = np.array([0, 3, 4, 17, 1000, 2 ** 40])
         n_clusters = np.array([2, 1, 9, 40, 3, 12])
-        totals, caps = _multi_cluster_days(42, RiskLevel.HIGH, reps, n_clusters, device, kappa)
+        codes = np.full(len(reps), RiskLevel.HIGH.code, dtype=np.uint8)
+        totals, caps = _multi_cluster_days(42, codes, reps, n_clusters, device, kappa)
         expect = [detail_spill_days(42, RiskLevel.HIGH, int(rep), int(n), device, kappa)
                   for rep, n in zip(reps, n_clusters)]
         assert list(totals) == [days for days, _ in expect]
-        assert caps == sum(c for _, c in expect)
+        assert caps[RiskLevel.HIGH.code] == caps.sum() == sum(c for _, c in expect)
 
     @pytest.mark.parametrize("rate", [1e-300, 0.02, 0.7, 5.0, 29.99, 30.0, 45.0])
     def test_count_scan_keeps_the_nonzero_rows_of_every_span(self, monkeypatch, rate):
@@ -542,9 +634,10 @@ class TestBatchedResolution:
         channel = AggregateLossParams(event_rate=12.0, severity=Pareto(x_min=1000.0, alpha=2.5))
         spec = _paper_spec(device=_paper_device(theta=1e-3, lam=45.0, kill=0.2),
                            repetitions=3000, aggregate_channel=channel)
-        whole = scatter_chunk(_simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000), 3000)
+        spec = replace(spec, levels=(RiskLevel.SEVERE,))
+        whole = scatter_chunk(_simulate_chunk(spec, 0, 3000)[0], 3000)
         monkeypatch.setattr(engine, "_BATCH_WORDS", 100)
-        split = scatter_chunk(_simulate_chunk(spec, RiskLevel.SEVERE, 0, 3000), 3000)
+        split = scatter_chunk(_simulate_chunk(spec, 0, 3000)[0], 3000)
         assert np.array_equal(whole[0], split[0])
         assert whole[1] == split[1]
 
@@ -591,7 +684,7 @@ class TestBatchedResolution:
         # severe paper preset: about 70,000 single-cluster and 16,000
         # multi-cluster repetitions in the task
         spec = _paper_spec(repetitions=1 << 18, aggregate_channel=channel)
-        _simulate_chunk(spec, RiskLevel.SEVERE, 0, 1 << 18)
+        _simulate_chunk(replace(spec, levels=(RiskLevel.SEVERE,)), 0, 1 << 18)
         assert sum(words for words, _ in reads) > 8 * engine._BATCH_WORDS
         for words, rows in reads:
             assert words <= engine._BATCH_WORDS or rows == 1
@@ -678,7 +771,7 @@ class TestLayoutReference:
                               AggregateLossParams(40.0, _SEVERITIES[3]), 10, 0, 64))
         def check(case):
             spec, level, lo, hi = case
-            losses, caps = scatter_chunk(_simulate_chunk(spec, level, lo, hi), hi - lo)
+            losses, caps = scatter_chunk(_simulate_chunk(spec, lo, hi)[0], hi - lo)
             expect, expect_caps, case_spills = reference_chunk(
                 spec, level, lo, hi, engine._COUNT_MAX_ATTEMPTS, engine._DETAIL_MAX_ATTEMPTS)
             assert losses.tobytes() == expect.tobytes()
@@ -727,7 +820,8 @@ class TestCipherWork:
         detail = pack_stream_id(engine._DOMAIN_DETAIL, level.code, 0)
         regions = streams.chunk_words(seed, detail, 0, int(reps[-1]) + 1, 2)[reps]
         counters = self._enciphered(monkeypatch)
-        resolved, _, _ = engine._single_cluster_days(seed, level, reps, device)
+        codes = np.full(len(reps), level.code, dtype=np.uint8)
+        resolved, _, _ = engine._single_cluster_days(seed, codes, reps, device)
         enciphered = np.sort(np.concatenate(counters)) if counters else np.empty(0, np.uint64)
 
         # block 0 of repetition r's region is counter 2r + 1, block 1 is 2r + 2
@@ -773,10 +867,25 @@ class TestCipherWork:
         assert math.ceil(len(reps) / span) == 4 and 0 < late < span
         for kill, block_1_rows in [(0.0, late), (0.3, len(reps))]:
             passes.clear()
-            engine._single_cluster_days(seed, level, reps, _paper_device(lam=lam, kill=kill))
+            engine._single_cluster_days(seed, np.full(len(reps), level.code, dtype=np.uint8), reps,
+                                        _paper_device(lam=lam, kill=kill))
             assert passes.count(1) == math.ceil(len(reps) / streams._CIPHER_PASS_BLOCKS)
             assert passes.count(0) == math.ceil(block_1_rows / streams._CIPHER_PASS_BLOCKS)
             assert passes == sorted(passes, reverse=True)  # every block-1 pass comes last
+
+    def test_paper_run_makes_at_most_20_cipher_passes(self, monkeypatch):
+        # 27 when each level ran as its own task
+        counters = self._enciphered(monkeypatch)
+        run_simulation(parse_config(paper_config()), workers=1)
+        assert len(counters) <= 20
+        assert sum(len(c) for c in counters) == 73_293
+
+    def test_channel_workload_makes_at_most_12_cipher_passes(self, monkeypatch):
+        # 22 when each level ran as its own task
+        counters = self._enciphered(monkeypatch)
+        run_simulation(_bench_workload("channel"), workers=1)
+        assert len(counters) <= 12
+        assert sum(len(c) for c in counters) == 32_773
 
     def test_dense_workload_makes_at_most_44_cipher_passes(self, monkeypatch):
         # 68 when each 8,192-row span of single-cluster rows made its own
@@ -804,11 +913,11 @@ class TestBoundedMemory:
     at twice the peaks of whole runs since a level's sample is R and its
     drawn losses (6.4 and 3.0 MiB at 2**22 and 2**20 repetitions), and at
     12 MiB for the dense workload's two levels of 4e6 repetitions. The
-    peaks now read 8.5, 5.0 (16% under its bound), 6.4, 3.0 and 9.6 MiB."""
+    peaks now read 6.7, 5.0 (16% under its bound), 4.9, 2.5 and 7.7 MiB."""
 
     def test_severe_paper_task(self):
-        spec = _paper_spec(repetitions=1 << 18)
-        peak = _traced_peak_mib(_simulate_chunk, spec, RiskLevel.SEVERE, 0, 1 << 18)
+        spec = replace(_paper_spec(repetitions=1 << 18), levels=(RiskLevel.SEVERE,))
+        peak = _traced_peak_mib(_simulate_chunk, spec, 0, 1 << 18)
         assert peak < 18.5
 
     def test_count_ptrs_regions_of_a_kappa_2e6_task(self):
@@ -825,7 +934,7 @@ class TestBoundedMemory:
         # run's loss buffer, hold only its ~83,000 drawn rows; an R-length
         # array would add 32 MiB
         spec = _paper_spec(repetitions=1 << 22, levels=(RiskLevel.GUARDED,))
-        assert engine._level_tasks(spec, RiskLevel.GUARDED, 1) == 1
+        assert engine._task_count(spec, 1) == 1
         peak = _traced_peak_mib(run_simulation, spec, 1)
         assert peak < 12.9
 
@@ -851,8 +960,9 @@ class TestBoundedMemory:
         assert np.array_equal(counts, expect[rows])
 
     def test_unallocatable_loss_array_is_a_config_error(self):
-        # the buffer holds severe's ceil(2**52 * 0.4) expected drawn losses
-        with pytest.raises(ConfigError, match="need a 14411518807585592-byte loss buffer"):
+        # the buffer holds every level's ceil(2**52 * rate) expected drawn
+        # losses, at rates 0.02, 0.04, 0.2 and 0.4
+        with pytest.raises(ConfigError, match="need a 23779006032516232-byte loss buffer"):
             run_simulation(_paper_spec(repetitions=2 ** 52), workers=1)
 
     def test_guarded_level_of_2_20_repetitions(self):

@@ -49,8 +49,7 @@ def one_device_losses(device, repetitions, seed, channel=None):
     portfolio: each repetition is one device-year of ``device``."""
     spec = SimulationSpec(device=device, portfolio_size=1, repetitions=repetitions, seed=seed,
                           levels=(RiskLevel.GUARDED,), aggregate_channel=channel)
-    return scatter_chunk(_simulate_chunk(spec, RiskLevel.GUARDED, 0, repetitions),
-                         repetitions)
+    return scatter_chunk(_simulate_chunk(spec, 0, repetitions)[0], repetitions)
 
 
 class TestSimulateDevice:
