@@ -43,6 +43,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .risk_measures import _leaf_sums, _leftmost_leaf, _padded_sum
 from .streams import RandomStream, row_positions, words_to_uniforms
 
 __all__ = [
@@ -66,6 +67,9 @@ __all__ = [
 # Sequential search switches to PTRS rejection at this rate.
 PTRS_THRESHOLD = 30.0
 _TABLE_BLOCK = 8192  # (n, j) terms per compound_count_pmf_table block: 64 KiB
+_BAND_COLUMNS = 64  # the least width of a pmf table block's window of terms
+_UNDERFLOW = -800.0  # np.exp is +0.0 at and below this argument
+_TERM_ERROR = 2.0 ** -40  # a pmf term's rounding margin per unit of its row's scale
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +234,122 @@ def _lgamma_block(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count_terms(n_max: int, theta: float, lam: float):
+    """The log-space terms of ``compound_count_pmf_table``'s rows at
+    lambda > 0,
+
+        t(n, j) = j log(theta) + (n - j) log(j lambda) - (j lambda + theta)
+                  - log(j!) - log((n - j)!),
+
+    each evaluated left to right in the order of the formula (at j = n,
+    adding 0*log(j*lambda) = +-0.0 is exact). Returns ``(terms, margin)``.
+
+    ``terms(lo, hi, c0, c1)`` is the block of rows n in [lo, hi) and
+    columns c in [c0, c1), column c holding j = c + 1; terms past the
+    diagonal (j > n) are -inf. log(j!) and log((n - j)!) both come from
+    one log-factorial array over 0..n_max. Row n reads n - j and
+    log((n - j)!) as window n_max - n of two descending arrays; the second
+    is padded with +inf at n - j < 0. A term's bits do not depend on the
+    block it is computed in.
+
+    ``margin(n)`` bounds, twice over, the error of every computed term of
+    rows 1..n: 2**-40 times the row scale n (|log theta| + max(|log
+    lambda|, |log(n lambda)|) + 1) + n lambda + theta + 2 log(n!) + 1,
+    which bounds the magnitude of every operand and partial sum of row n's
+    terms and grows with n. Each of the few operations behind a term
+    rounds by a few units of 2**-53 of that scale."""
+    j_all = np.arange(1, n_max + 1, dtype=np.float64)
+    log_theta = math.log(theta)
+    j_log_theta = j_all * log_theta
+    j_rate = j_all * lam + theta
+    log_fact = _lgamma(np.arange(1.0, n_max + 2.0))  # log(k!) for k = 0..n_max
+    lg_j1 = log_fact[1:]
+    log_jlam = np.log(j_all * lam)
+    steps = np.arange(n_max - 1, -n_max - 1, -1.0)
+    tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
+    log_facts = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((log_fact[:n_max][::-1], np.full(n_max, np.inf))), n_max)[::-1]
+    log_scale = abs(log_theta) + 1.0, abs(math.log(lam))
+
+    def terms(lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
+        return (j_log_theta[c0:c1] + tails[lo:hi, c0:c1] * log_jlam[c0:c1]
+                - j_rate[c0:c1] - lg_j1[c0:c1] - log_facts[lo:hi, c0:c1])
+
+    def margin(n: int) -> float:
+        logs = log_scale[0] + max(log_scale[1], abs(float(log_jlam[n - 1])))
+        return _TERM_ERROR * (n * logs + float(j_rate[n - 1]) + 2.0 * float(log_fact[n]) + 1.0)
+
+    return terms, margin
+
+
+def _window(terms, margin, lo: int, c0: int, width: int, n_max: int):
+    """The block of rows from ``lo`` that ``compound_count_pmf_table``
+    builds next, over the first window from column ``c0`` on, ``width``
+    columns wide and doubled after each failure, that passes its edge
+    checks for every row. Returns (hi, the window's first column and
+    width, the block's terms, their row maxima)."""
+    while True:
+        hi = min(lo + max(1, _TABLE_BLOCK // width), n_max + 1)
+        c1 = min(c0 + width, hi - 1)
+        block = terms(lo, hi, c0, c1)
+        shifts = block.max(axis=1)
+        slack = 2.0 * margin(hi - 1)
+        # the left edge is every row's start at c0 = 0, and the right edge
+        # the end of the rows n <= c1
+        left = c0 == 0 or _falls_outward(block[:, 1], block[:, 0], shifts, slack)
+        inner = max(0, c1 + 1 - lo)
+        right = inner == len(block) or _falls_outward(block[inner:, -2], block[inner:, -1],
+                                                      shifts[inner:], slack)
+        if left and right:
+            return hi, c0, width, block, shifts
+        if not left:
+            c0 = max(0, c0 - width // 2)
+        width *= 2
+
+
+def _falls_outward(inside: np.ndarray, edge: np.ndarray, shifts: np.ndarray, slack: float) -> bool:
+    """Whether every row's edge term lies more than ``slack`` below its
+    neighbour inside the window and more than ``slack`` - ``_UNDERFLOW``
+    below the row's max."""
+    return bool(((inside - edge > slack) & (shifts - edge > slack - _UNDERFLOW)).all())
+
+
 def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.ndarray:
     """P(M = n) for n = 0..n_max as an array. For n >= 1:
 
         P(M = n) = sum_{j=1..n} theta^j (j*lambda)^(n-j)
                    exp(-(j*lambda + theta)) / (j! (n-j)!)
 
-    computed term-wise in log space with log-sum-exp (0*log(0) = 0).
+    computed term-wise in log space with log-sum-exp (0*log(0) = 0): row n
+    is exp(s) times the ``ndarray.sum`` of its n terms (``_count_terms``)
+    exponentiated after the shift by their max s. The domain is n_max >= 0
+    and n_max*lambda + theta finite, where each row's n terms are finite.
 
-    Rows are built in blocks of at most ``_TABLE_BLOCK`` (n, j) terms, so a
-    block stays in cache and memory is O(n_max). log(j!) and log((n - j)!)
-    both come from one log-factorial array over 0..n_max. Row n reads n - j
-    and log((n - j)!) as window n_max - n of two descending arrays; the
-    second is padded with +inf at n - j < 0, which makes the terms past the
-    diagonal -inf. Each term is evaluated left to right in the order of the
-    formula (at j = n, adding 0*log(j*lambda) = +-0.0 is exact), then
-    shifted by its row's max. Each row is summed by one ``ndarray.sum`` over
-    exactly its first n entries, so it is grouped as a row of n terms alone,
-    whatever the block; a padded ``sum(axis=1)`` groups differently. The
-    domain is n_max >= 0 and n_max*lambda + theta finite, where each row's
-    n terms are finite.
+    Rows are built in blocks of at most ``_TABLE_BLOCK`` (n, j) terms, each
+    block over a window of at least ``_BAND_COLUMNS`` columns j, so memory
+    is O(n_max). Only the window's terms are evaluated and summed; every
+    other term of a row exponentiates to +0.0, and the bytes are those of
+    the full rows:
+
+    * A row's terms are strictly concave in j: at lambda > 0, t''(j) =
+      -2/j - (n-j)/j**2 - psi'(j+1) - psi'(n-j+1) < 0. So if at each window
+      edge that is not the row's end the terms fall outward by more than
+      twice the rounding margin (``_count_terms``), and that edge term lies
+      more than 800 plus twice the margin below the window's max, then
+      every term outside the window lies more than 800 below the row's max,
+      which is the window's max. Then its shifted term is at most -800,
+      where ``np.exp`` is +0.0. A block whose window fails this for any row
+      doubles the window, towards a failing left edge; at the whole rows it
+      passes. The first window starts at column 1, and each next one one
+      column left of the previous block's nonzero band, as wide as the
+      previous window: a row's band widens with n, so a window doubles
+      only about log2(n_max / 64) times in all.
+    * ``np.exp`` is evaluated only where the shifted term is above
+      ``_UNDERFLOW``, and +0.0 is written elsewhere, which is the value it
+      would return there.
+    * A row sum is the pairwise tree over its n entries without the zeros
+      (``risk_measures``): for all rows of a block at once when each row's
+      band lies in the tree's leftmost leaf, and otherwise row by row.
 
     If any array of the build cannot be allocated, it raises DomainError
     naming the bytes the build holds at its peak, 15 float64s per row:
@@ -257,10 +357,9 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     the table, three j-length arrays and ``_lgamma``'s argument and result
     (``_lgamma`` works a block at a time). Then it holds 10 per row: the
     table, the four j-length arrays, log(k!), and ``steps`` and the padded
-    log-factorials (two each). The peak falls in the blocks past row
-    ``_TABLE_BLOCK``, each a single row of up to n_max terms: a block's
-    terms and their temporaries while the previous block's terms and
-    exponentials are still held, about 14.5 per row in all.
+    log-factorials (two each). The peak falls in a block past row
+    ``_TABLE_BLOCK`` whose window has grown to a whole row of up to n_max
+    terms: its terms and their temporaries, about 4.5 per row.
     """
     theta, lam = params.theta, params.lambda_cluster
     if n_max < 0 or not math.isfinite(n_max * lam + theta):
@@ -268,31 +367,31 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     try:
         out = np.empty(n_max + 1)
         out[0] = math.exp(-theta)
-        j_all = np.arange(1, n_max + 1, dtype=np.float64)
-        j_log_theta = j_all * math.log(theta)
-        j_rate = j_all * lam + theta
-        log_fact = _lgamma(np.arange(1.0, n_max + 2.0))  # log(k!) for k = 0..n_max
-        lg_j1 = log_fact[1:]
         if lam == 0.0:  # row n's one finite term is its own shift: its sum is 1.0
-            out[1:] = [math.exp(t) for t in j_log_theta - j_rate - lg_j1]
+            j = np.arange(1.0, n_max + 1.0)
+            out[1:] = [math.exp(t) for t in j * math.log(theta) - (j * lam + theta) - _lgamma(j + 1.0)]
             return out
-        log_jlam = np.log(j_all * lam)
-        steps = np.arange(n_max - 1, -n_max - 1, -1.0)
-        tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
-        log_facts = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((log_fact[:n_max][::-1], np.full(n_max, np.inf))), n_max)[::-1]
-        lo = 1
+        terms, margin = _count_terms(n_max, theta, lam)
+        lo, c0, width = 1, 0, _BAND_COLUMNS
         while lo <= n_max:
-            # the largest row count with rows * (lo + rows - 1) <= _TABLE_BLOCK
-            rows = max(1, (math.isqrt((lo - 1) ** 2 + 4 * _TABLE_BLOCK) - lo + 1) // 2)
-            hi = min(lo + rows, n_max + 1)
-            terms = (j_log_theta[:hi - 1] + tails[lo:hi, :hi - 1] * log_jlam[:hi - 1]
-                     - j_rate[:hi - 1] - lg_j1[:hi - 1] - log_facts[lo:hi, :hi - 1])
-            shifts = terms.max(axis=1)
-            scaled = np.exp(terms - shifts[:, None])
-            for n, shift, row in zip(range(lo, hi), shifts, scaled):
-                out[n] = math.exp(shift) * row[:n].sum()
-            lo = hi
+            hi, c0, width, block, shifts = _window(terms, margin, lo, c0, width, n_max)
+            shifted = block - shifts[:, None]
+            live = shifted > _UNDERFLOW
+            scaled = np.zeros(shifted.shape)
+            np.exp(shifted, out=scaled, where=live)
+            band = np.flatnonzero(live.any(axis=0))  # the block's columns that may be nonzero
+            n = np.arange(lo, hi)
+            sums = np.empty(len(n))
+            in_leaf = np.zeros(len(n), dtype=bool)
+            if c0 + band[0] < 128:  # else no row's band lies in its leftmost leaf, at most 128 entries
+                leaf = _leftmost_leaf(n)
+                in_leaf = c0 + live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1) < leaf
+                stop = min(band[-1] + 1, 128 - c0)
+                sums[in_leaf] = _leaf_sums(scaled[in_leaf, band[0]:stop], c0 + band[0], leaf[in_leaf])
+            for i in np.flatnonzero(~in_leaf):  # the row's part of the window, zeros around it
+                sums[i] = _padded_sum(scaled[i, :n[i] - c0], int(n[i]), c0)
+            out[lo:hi] = [math.exp(shift) * total for shift, total in zip(shifts.tolist(), sums.tolist())]
+            lo, c0 = hi, max(0, c0 + int(band[0]) - 1)
         return out
     except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
         raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 15 * (n_max + 1)} bytes, "

@@ -254,7 +254,8 @@ class RaggedStreams:
     same words a ``RandomStream`` of that row would. When ``prefix`` is
     given, the first ``prefix[i]`` words of every row are read in one
     cipher call as the rows are built; a read past a row's prefix goes to
-    the cipher again, one call for all such rows.
+    the cipher again, one call for all such rows. Without ``prefix`` every
+    read goes to the cipher.
     """
 
     __slots__ = ("seed", "stream_ids", "counter", "_prefix", "_buffered", "_first")
@@ -263,19 +264,18 @@ class RaggedStreams:
         self.seed = seed
         self.stream_ids = np.asarray(stream_ids, dtype=np.uint64)
         self.counter = np.zeros(len(self.stream_ids), dtype=np.int64)
-        if prefix is None:
-            prefix = self.counter
-        self._buffered = np.asarray(prefix, dtype=np.int64)
-        self._first = np.cumsum(self._buffered) - self._buffered
-        self._prefix = ragged_words(seed, self.stream_ids, self.counter, self._buffered)
+        self._buffered = None if prefix is None else np.asarray(prefix, dtype=np.int64)
+        if self._buffered is not None:
+            self._first = np.cumsum(self._buffered) - self._buffered
+            self._prefix = ragged_words(seed, self.stream_ids, self.counter, self._buffered)
 
     def raw_words(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The next ``counts[j]`` words of each row ``rows[j]``,
         concatenated in the order of ``rows``; advances those rows."""
         start = self.counter[rows]
         end = start + counts
-        buffered = end <= self._buffered[rows]
-        if not buffered.any():
+        buffered = None if self._buffered is None else end <= self._buffered[rows]
+        if buffered is None or not buffered.any():
             self.counter[rows] = end
             return ragged_words(self.seed, self.stream_ids[rows], start, counts)
         in_prefix = np.repeat(buffered, counts)

@@ -5,8 +5,9 @@ never by calling the implementation under test, so each check is a true
 dual route: closed form vs brute force, sampler vs recursion, etc. The
 exceptions are the draw-layout reference, which takes its per-draw
 arithmetic (the inversion table, one PTRS attempt, the severity quantiles)
-from the package and reads every word itself, and the whole-array AS 241
-normal quantile, which takes the package's coefficients.
+from the package and reads every word itself, the whole-array AS 241
+normal quantile, which takes the package's coefficients, and the
+full-row count pmf build, which takes the package's log-factorials.
 """
 
 from collections import Counter
@@ -18,17 +19,20 @@ from scipy import stats
 from scipy.special import gammaln
 
 from cyberrisk.distributions import (
+    _TABLE_BLOCK,
     _A,
     _B,
     _C,
     _D,
     _E,
     _F,
+    _lgamma,
     _ptrs_attempt,
     _ptrs_consts,
     _severity_quantile,
     poisson_cum_table,
 )
+from cyberrisk.errors import DomainError
 
 
 def compound_count_pmf_bruteforce(n_max: int, theta: float, lam: float,
@@ -60,6 +64,48 @@ def compound_count_pmf_bruteforce(n_max: int, theta: float, lam: float,
         conv = np.convolve(conv, single)[: n_max + 1]
         k += 1
     return out
+
+
+def compound_count_pmf_table_full_rows(n_max: int, params) -> np.ndarray:
+    """``compound_count_pmf_table`` as it was built before its band build:
+    every term of every row evaluated, exponentiated and summed by one
+    ``ndarray.sum`` per row. The code below is that build, verbatim; the
+    band build must return its bytes."""
+    theta, lam = params.theta, params.lambda_cluster
+    if n_max < 0 or not math.isfinite(n_max * lam + theta):
+        raise DomainError(f"need n_max >= 0 and finite n_max*lambda + theta, got {n_max}*{lam} + {theta}")
+    try:
+        out = np.empty(n_max + 1)
+        out[0] = math.exp(-theta)
+        j_all = np.arange(1, n_max + 1, dtype=np.float64)
+        j_log_theta = j_all * math.log(theta)
+        j_rate = j_all * lam + theta
+        log_fact = _lgamma(np.arange(1.0, n_max + 2.0))  # log(k!) for k = 0..n_max
+        lg_j1 = log_fact[1:]
+        if lam == 0.0:  # row n's one finite term is its own shift: its sum is 1.0
+            out[1:] = [math.exp(t) for t in j_log_theta - j_rate - lg_j1]
+            return out
+        log_jlam = np.log(j_all * lam)
+        steps = np.arange(n_max - 1, -n_max - 1, -1.0)
+        tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
+        log_facts = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((log_fact[:n_max][::-1], np.full(n_max, np.inf))), n_max)[::-1]
+        lo = 1
+        while lo <= n_max:
+            # the largest row count with rows * (lo + rows - 1) <= _TABLE_BLOCK
+            rows = max(1, (math.isqrt((lo - 1) ** 2 + 4 * _TABLE_BLOCK) - lo + 1) // 2)
+            hi = min(lo + rows, n_max + 1)
+            terms = (j_log_theta[:hi - 1] + tails[lo:hi, :hi - 1] * log_jlam[:hi - 1]
+                     - j_rate[:hi - 1] - lg_j1[:hi - 1] - log_facts[lo:hi, :hi - 1])
+            shifts = terms.max(axis=1)
+            scaled = np.exp(terms - shifts[:, None])
+            for n, shift, row in zip(range(lo, hi), shifts, scaled):
+                out[n] = math.exp(shift) * row[:n].sum()
+            lo = hi
+        return out
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
+        raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 15 * (n_max + 1)} bytes, "
+                          "more memory than can be allocated") from None
 
 
 def compound_count_draws(rng: np.random.Generator, theta: float, lam: float,

@@ -1,10 +1,14 @@
 """Distribution pmfs and samplers against independent oracles."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+import functools
 import hashlib
 import math
 import re
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import stats
@@ -44,6 +48,7 @@ from cyberrisk.streams import (
 
 from oracles import (
     compound_count_pmf_bruteforce,
+    compound_count_pmf_table_full_rows,
     normal_quantile_whole_array,
     ptrs_attempt_gammaln,
     scatter_regions,
@@ -225,6 +230,118 @@ class TestCompoundCountPmf:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("lam, horizon, pinned", [
+        (182.0, 3_650, "0x1.c6d5bf61c6baep+1"),
+        (182.0, 8_000, "0x1.c6d5bf62c8800p+1"),
+        (182.0, 20_000, "0x1.c6d5bf60ee70bp+1"),
+        (2.0 ** 12, 18_250, "0x1.3e36adfb0a77cp+6"),
+        (2.0 ** 14, 18_250, "0x1.3e270b93c4e59p+8"),
+        (2.0 ** 16, 18_250, "0x1.625d8a17a9273p+8"),
+    ])
+    def test_long_horizon_premiums_pinned(self, lam, horizon, pinned):
+        # the paper device (b = 1000, r = 0.03, theta = 2e-5) at tables of
+        # 3,708 to 21,816 rows, past the digest grid's 423; pinned from the
+        # full-row build
+        device = DeviceParameters(1000.0, 0.03, CountDistributionParams(2e-5, lam), horizon_days=horizon)
+        assert expected_present_loss(device).hex() == pinned
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(theta=st.one_of(st.sampled_from([1e-12, 2e-5, 50.0, 2.0 ** 20]),
+                           st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e)),
+           lam=st.one_of(st.sampled_from([1e-9, 1e300, 0.5, 182.0]),
+                         st.floats(-10.0, 300.0).map(lambda e: 10.0 ** e)),
+           n_max=st.integers(0, 600))
+    def test_band_build_returns_the_full_row_bytes(self, theta, lam, n_max):
+        params = CountDistributionParams(theta, lam)
+        expect = compound_count_pmf_table_full_rows(n_max, params)
+        assert compound_count_pmf_table(n_max, params).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("theta, lam, n_max", [(1000.0, 1.0, 2_500), (50.0, 0.5, 3_000),
+                                                   (2e-5, 1e-9, 1_500)])
+    def test_wide_and_moving_bands_return_the_full_row_bytes(self, monkeypatch, theta, lam, n_max):
+        # bands of up to about 2,000 columns, and one on the diagonal; with
+        # 256-term blocks the window outgrows the block, one row each
+        params = CountDistributionParams(theta, lam)
+        expect = compound_count_pmf_table_full_rows(n_max, params).tobytes()
+        assert compound_count_pmf_table(n_max, params).tobytes() == expect
+        monkeypatch.setattr(distributions, "_TABLE_BLOCK", 256)
+        assert compound_count_pmf_table(n_max, params).tobytes() == expect
+
+    def test_a_window_right_of_the_band_grows_left(self):
+        # a band's left edge never moves left as n grows, so the build never
+        # starts a window right of one; started there, the left edge check
+        # fails until the window reaches the band
+        n_max = 422
+        terms, margin = distributions._count_terms(n_max, 2e-5, 182.0)
+        hi, c0, width, block, shifts = distributions._window(terms, margin, 300, 200, 64, n_max)
+        assert (c0, width) == (0, 512)
+        assert np.array_equal(shifts, terms(300, hi, 0, hi - 1).max(axis=1))
+
+    def test_exp_is_plus_zero_at_and_below_the_underflow_cut(self):
+        # the band build writes +0.0 for a shifted term at or below -800
+        # instead of exponentiating it: e**-800 is below 2**-1154, far
+        # under half the smallest subnormal, 2**-1075. Every start offset
+        # takes numpy's vector loop through a different tail.
+        assert distributions._UNDERFLOW == -800.0
+        x = np.concatenate((np.linspace(-800.0, -2_000.0, 1_200_001),
+                            -np.logspace(math.log10(2_000.0), 308.0, 10_001), [-np.inf]))
+        for start in range(8):
+            assert not np.exp(x[start:]).view(np.uint64).any()
+        assert np.exp(np.float64(-800.0)).view(np.uint64) == 0
+
+    @pytest.mark.parametrize("theta", [1e-12, 2e-5, 0.4, 50.0, 2.0 ** 20])
+    @pytest.mark.parametrize("lam", [1e-9, 0.5, 29.99, 182.0, 1e3, 2.0 ** 20, 1e300])
+    def test_term_margin_bounds_the_rounding_error(self, theta, lam):
+        # every computed term lies within half its row's margin of the exact
+        # value of the formula at the float arguments, which the band checks
+        # need (see _count_terms): rows straddling the tree's leaf sizes, at
+        # 60 significant digits
+        n_max = 300
+        terms, margin = distributions._count_terms(n_max, theta, lam)
+        for n in (1, 2, 7, 8, 9, 64, 65, 129, 300):
+            exact = _exact_terms(n, theta, lam, range(1, n + 1))
+            error = max(abs(Decimal(float(t)) - e) for t, e in zip(terms(n, n + 1, 0, n)[0], exact))
+            assert error <= Decimal(margin(n)) / 2, (n, error, margin(n))
+
+    def test_term_margin_bounds_the_rounding_error_of_a_long_row(self):
+        # the paper device's last row at horizon 20,000, every 61st term
+        n = 20_058
+        terms, margin = distributions._count_terms(n, 2e-5, 182.0)
+        columns = list(range(0, n, 61))
+        exact = _exact_terms(n, 2e-5, 182.0, [c + 1 for c in columns])
+        row = terms(n, n + 1, 0, n)[0]
+        error = max(abs(Decimal(float(row[c])) - e) for c, e in zip(columns, exact))
+        assert error <= Decimal(margin(n)) / 2
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+              Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798)]
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_log_factorial(k: int) -> Decimal:
+    """log(k!) to the current Decimal precision: a sum of logs below 100,
+    Stirling's series with nine Bernoulli terms above (error below 1e-37)."""
+    if k < 100:
+        return sum((Decimal(i).ln() for i in range(2, k + 1)), Decimal(0))
+    z = Decimal(k + 1)
+    total = (z - Decimal("0.5")) * z.ln() - z + (2 * _PI).ln() / 2
+    for m, b in enumerate(_BERNOULLI, start=1):
+        total += Decimal(b.numerator) / (Decimal(b.denominator) * (2 * m) * (2 * m - 1) * z ** (2 * m - 1))
+    return total
+
+
+def _exact_terms(n: int, theta: float, lam: float, js) -> list:
+    """t(n, j) = j log(theta) + (n - j) log(j lambda) - (j lambda + theta)
+    - log(j!) - log((n - j)!) at the exact values of the float arguments."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        theta, lam = Decimal(theta), Decimal(lam)
+        log_theta = theta.ln()
+        return [j * log_theta + (n - j) * (j * lam).ln() - (j * lam + theta)
+                - _exact_log_factorial(j) - _exact_log_factorial(n - j) for j in js]
 
 
 def test_normal_quantile_matches_scipy():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from numpy.random import Philox
+import cyberrisk.streams as streams
 
 from cyberrisk.streams import (
     RaggedStreams,
@@ -176,6 +177,21 @@ def test_ragged_streams_follow_each_row_stream():
             expect = [singles[r].raw_words(int(c)) for r, c in zip(rows, counts)]
             assert np.array_equal(batch.raw_words(rows, counts), np.concatenate(expect))
         assert [int(c) for c in batch.counter] == [s.counter for s in singles]
+
+
+def test_ragged_streams_without_prefix_read_only_on_request(monkeypatch):
+    # built without a prefix, the rows read nothing until asked, and each
+    # read is one cipher call over the rows asked for
+    calls = []
+    real = streams.ragged_words
+    monkeypatch.setattr(streams, "ragged_words", lambda *args: calls.append(args[3]) or real(*args))
+    ids = np.arange(5, dtype=np.uint64)
+    batch = RaggedStreams(8, ids)
+    assert calls == []
+    words = batch.raw_words(np.array([1, 3]), np.array([0, 6]))
+    assert np.array_equal(words, RandomStream(8, 3).raw_words(6))
+    assert [list(counts) for counts in calls] == [[0, 6]]
+    assert list(batch.counter) == [0, 0, 0, 6, 0]
 
 
 def test_row_positions():
