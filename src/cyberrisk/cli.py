@@ -45,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=["table", "csv", "json"], default="table")
     sim.add_argument("--out", default=None, help="output path (default stdout)")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: one per task of a one-worker run, "
-                          "at most the CPUs); "
+                     help="worker processes (default: machine parallelism); "
                           "never changes output bytes")
 
     cal = sub.add_parser("calibrate", help="baseline attacked-proportion arithmetic")

@@ -43,7 +43,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .risk_measures import _leaf_sums, _leftmost_leaf, _padded_sum
 from .streams import RandomStream, row_positions, words_to_uniforms
 
 __all__ = [
@@ -234,6 +233,14 @@ def _lgamma_block(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count_prelude(n_max: int, theta: float, lam: float):
+    """The arrays over j = 1..n_max that every term of
+    ``compound_count_pmf_table`` reads: j, j log(theta), j lambda + theta,
+    and log(k!) for k = 0..n_max."""
+    j_all = np.arange(1, n_max + 1, dtype=np.float64)
+    return j_all, j_all * math.log(theta), j_all * lam + theta, _lgamma(np.arange(1.0, n_max + 2.0))
+
+
 def _count_terms(n_max: int, theta: float, lam: float):
     """The log-space terms of ``compound_count_pmf_table``'s rows at
     lambda > 0,
@@ -258,18 +265,14 @@ def _count_terms(n_max: int, theta: float, lam: float):
     which bounds the magnitude of every operand and partial sum of row n's
     terms and grows with n. Each of the few operations behind a term
     rounds by a few units of 2**-53 of that scale."""
-    j_all = np.arange(1, n_max + 1, dtype=np.float64)
-    log_theta = math.log(theta)
-    j_log_theta = j_all * log_theta
-    j_rate = j_all * lam + theta
-    log_fact = _lgamma(np.arange(1.0, n_max + 2.0))  # log(k!) for k = 0..n_max
+    j_all, j_log_theta, j_rate, log_fact = _count_prelude(n_max, theta, lam)
     lg_j1 = log_fact[1:]
     log_jlam = np.log(j_all * lam)
     steps = np.arange(n_max - 1, -n_max - 1, -1.0)
     tails = np.lib.stride_tricks.sliding_window_view(steps, n_max)[::-1]
     log_facts = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((log_fact[:n_max][::-1], np.full(n_max, np.inf))), n_max)[::-1]
-    log_scale = abs(log_theta) + 1.0, abs(math.log(lam))
+    log_scale = abs(math.log(theta)) + 1.0, abs(math.log(lam))
 
     def terms(lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
         return (j_log_theta[c0:c1] + tails[lo:hi, c0:c1] * log_jlam[c0:c1]
@@ -327,7 +330,7 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
 
     Rows are built in blocks of at most ``_TABLE_BLOCK`` (n, j) terms, each
     block over a window of at least ``_BAND_COLUMNS`` columns j, so memory
-    is O(n_max). Only the window's terms are evaluated and summed; every
+    is O(n_max). Only the window's terms are evaluated and exponentiated; every
     other term of a row exponentiates to +0.0, and the bytes are those of
     the full rows:
 
@@ -347,19 +350,20 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     * ``np.exp`` is evaluated only where the shifted term is above
       ``_UNDERFLOW``, and +0.0 is written elsewhere, which is the value it
       would return there.
-    * A row sum is the pairwise tree over its n entries without the zeros
-      (``risk_measures``): for all rows of a block at once when each row's
-      band lies in the tree's leftmost leaf, and otherwise row by row.
+    * Each row is summed by one ``ndarray.sum`` over its n entries, the
+      window's and +0.0 elsewhere: the entries, and so the grouping and
+      the bytes, of the full row's sum.
 
     If any array of the build cannot be allocated, it raises DomainError
     naming the bytes the build holds at its peak, 15 float64s per row:
     8 * 15 * (n_max + 1). While log(k!) is built it holds about 6 per row:
     the table, three j-length arrays and ``_lgamma``'s argument and result
-    (``_lgamma`` works a block at a time). Then it holds 10 per row: the
-    table, the four j-length arrays, log(k!), and ``steps`` and the padded
-    log-factorials (two each). The peak falls in a block past row
-    ``_TABLE_BLOCK`` whose window has grown to a whole row of up to n_max
-    terms: its terms and their temporaries, about 4.5 per row.
+    (``_lgamma`` works a block at a time). Then it holds 11 per row: the
+    table, the four j-length arrays, log(k!), ``steps`` and the padded
+    log-factorials (two each), and the row being summed. The peak falls in
+    a block past row ``_TABLE_BLOCK`` whose window has grown to a whole
+    row of up to n_max terms: its terms and their temporaries, about 3.5
+    per row.
     """
     theta, lam = params.theta, params.lambda_cluster
     if n_max < 0 or not math.isfinite(n_max * lam + theta):
@@ -368,30 +372,25 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
         out = np.empty(n_max + 1)
         out[0] = math.exp(-theta)
         if lam == 0.0:  # row n's one finite term is its own shift: its sum is 1.0
-            j = np.arange(1.0, n_max + 1.0)
-            out[1:] = [math.exp(t) for t in j * math.log(theta) - (j * lam + theta) - _lgamma(j + 1.0)]
+            _, j_log_theta, j_rate, log_fact = _count_prelude(n_max, theta, lam)
+            out[1:] = [math.exp(t) for t in j_log_theta - j_rate - log_fact[1:]]
             return out
         terms, margin = _count_terms(n_max, theta, lam)
+        # a row's exponentiated terms: the window's, +0.0 elsewhere, as each
+        # next window covers every column of the last that may be nonzero
+        row = np.zeros(n_max)
         lo, c0, width = 1, 0, _BAND_COLUMNS
         while lo <= n_max:
             hi, c0, width, block, shifts = _window(terms, margin, lo, c0, width, n_max)
-            shifted = block - shifts[:, None]
-            live = shifted > _UNDERFLOW
-            scaled = np.zeros(shifted.shape)
-            np.exp(shifted, out=scaled, where=live)
-            band = np.flatnonzero(live.any(axis=0))  # the block's columns that may be nonzero
-            n = np.arange(lo, hi)
-            sums = np.empty(len(n))
-            in_leaf = np.zeros(len(n), dtype=bool)
-            if c0 + band[0] < 128:  # else no row's band lies in its leftmost leaf, at most 128 entries
-                leaf = _leftmost_leaf(n)
-                in_leaf = c0 + live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1) < leaf
-                stop = min(band[-1] + 1, 128 - c0)
-                sums[in_leaf] = _leaf_sums(scaled[in_leaf, band[0]:stop], c0 + band[0], leaf[in_leaf])
-            for i in np.flatnonzero(~in_leaf):  # the row's part of the window, zeros around it
-                sums[i] = _padded_sum(scaled[i, :n[i] - c0], int(n[i]), c0)
-            out[lo:hi] = [math.exp(shift) * total for shift, total in zip(shifts.tolist(), sums.tolist())]
-            lo, c0 = hi, max(0, c0 + int(band[0]) - 1)
+            block -= shifts[:, None]
+            live = block > _UNDERFLOW
+            scaled = np.zeros(block.shape)
+            np.exp(block, out=scaled, where=live)
+            c1 = c0 + block.shape[1]
+            for n, shift, window in zip(range(lo, hi), shifts.tolist(), scaled):
+                row[c0:c1] = window
+                out[n] = math.exp(shift) * row[:n].sum()
+            lo, c0 = hi, max(0, c0 + int(np.argmax(live.any(axis=0))) - 1)
         return out
     except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
         raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 15 * (n_max + 1)} bytes, "

@@ -48,8 +48,7 @@ T = max(w, ceil(sum_l R * min(1, r_l) / _TASK_DRAWN_ROWS)) on w workers
 and at most R. min(1, r) bounds the share 1 - exp(-r) of repetitions that
 draw something, so a task expects at most ``_TASK_DRAWN_ROWS`` (2**17)
 drawn rows over all its levels, and a quiet run is one task on one
-worker. By default w is that one-worker task count, at most the CPUs, so
-a one-task run starts no process pool.
+worker.
 
 Within a task each level scans its own COUNT words. The single-cluster
 rows of every level are then resolved together, each row reading its
@@ -667,9 +666,12 @@ def summarize_level(samples: EmpiricalDistribution, premium_pool: float,
     )
 
 
-def resolve_workers(workers: int, tasks: int, cpus: int) -> int:
-    """Worker count: ``workers``, at most ``tasks`` and at most ``cpus``.
-    Never changes results, only wall time."""
+def resolve_workers(workers: int | None, tasks: int, cpus: int) -> int:
+    """Worker count: the explicit value, else machine parallelism; then at
+    most ``tasks`` and at most ``cpus``. Never changes results, only wall
+    time."""
+    if workers is None:
+        workers = os.cpu_count() or 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     return min(workers, tasks, cpus)
@@ -718,8 +720,6 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     baseline_expected = expected_present_loss(baseline_device)
 
     reps = spec.repetitions
-    if workers is None:  # one per task of a one-worker run: a one-task run starts no pool
-        workers = _task_count(spec, 1)
     workers = resolve_workers(workers, reps, os.cpu_count() or 1)
     n_tasks = _task_count(spec, workers)
     tasks = ((spec, reps * i // n_tasks, reps * (i + 1) // n_tasks) for i in range(n_tasks))

@@ -18,13 +18,9 @@ entries it adds them in order; up to 128 it adds the full blocks of 8
 into 8 strided accumulators r0..r7, combines them as
 ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the 0-7 remaining entries
 in order; above 128 it adds the sums of its first m = n//2 - (n//2) % 8
-entries and of the rest. ``_padded_sum`` rebuilds that tree to sum n
-entries that are zero outside one run of nonnegative values without the
-zeros: a sample's zeros and then its drawn losses, or a row of the count
-pmf. ``_leaf_sums`` sums many rows at once whose values all lie in the
-tree's leftmost leaf. Both rest on one fact: adding +0.0 to a nonnegative
-partial sum leaves it unchanged, so a zero moves no bit wherever it sits.
-The tests check numpy against this description by name.
+entries and of the rest. ``_padded_sum`` rebuilds that tree to sum
+zeros followed by a sample's drawn losses without the zeros. The tests
+check numpy against this description by name.
 """
 
 from __future__ import annotations
@@ -48,66 +44,20 @@ __all__ = [
 ]
 
 
-def _padded_sum(values: np.ndarray, n: int, start: int) -> float:
-    """``np.add.reduce`` of ``n`` entries that are ``values`` from position
-    ``start`` on and zeros elsewhere, bit for bit, without the zeros: a
-    node of the tree with no zeros reduces its slice of ``values``, a node
-    of zeros alone adds 0.0, and only a node that straddles both is split
-    further. The values are nonnegative."""
-    end = start + len(values)
-    if start == 0 and end == n:
-        return np.add.reduce(values)
+def _padded_sum(tail: np.ndarray, n: int) -> float:
+    """``np.add.reduce`` of ``n - len(tail)`` zeros followed by ``tail``,
+    bit for bit, without the zeros: a node of the tree with no zeros
+    reduces its slice of ``tail``, a node of zeros alone adds 0.0, and only
+    the node that straddles both is split further."""
+    zeros = n - len(tail)
+    if zeros == 0:
+        return np.add.reduce(tail)
     if n <= 128:
-        return np.add.reduce(np.concatenate((np.zeros(start), values, np.zeros(n - end))))
+        return np.add.reduce(np.concatenate((np.zeros(zeros), tail)))
     half = n // 2 - (n // 2) % 8
-    if start >= half:  # 0.0 + s is s
-        return _padded_sum(values, n - half, start - half)
-    if end <= half:  # s + 0.0 is s
-        return _padded_sum(values, half, start)
-    return _padded_sum(values[:half - start], half, start) + _padded_sum(values[half - start:], n - half, 0)
-
-
-def _leftmost_leaf(n: np.ndarray) -> np.ndarray:
-    """The number of entries in the leftmost leaf of the tree over ``n``
-    entries, elementwise: n itself up to 128, and 64 to 128 above."""
-    leaf = np.array(n, dtype=np.int64)
-    while (split := leaf > 128).any():
-        half = leaf[split] // 2
-        leaf[split] = half - half % 8
-    return leaf
-
-
-def _leaf_sums(values: np.ndarray, start: int, leaf: np.ndarray) -> np.ndarray:
-    """Row i's ``np.add.reduce``, bit for bit, for every row at once, where
-    row i holds ``values[i]`` at positions ``start`` on, zeros elsewhere,
-    and nothing but zeros past its leftmost leaf of ``leaf[i]`` entries
-    (``_leftmost_leaf``). The nonnegative values are laid out in blocks of
-    8 from the block holding ``start``; each of the 8 lanes adds its
-    entries in order, the lanes are combined as the tree combines them, and
-    the 0-7 entries past a leaf's last full block of 8 are added in order.
-    The leaf's ancestors add only zeros."""
-    rows, width = values.shape
-    pad = start % 8
-    grid = np.zeros((rows, (pad + width + 7) // 8 * 8))
-    grid[:, pad:pad + width] = values
-    # the entries past the last full block of a leaf of 1-7 (mod 8) entries
-    part = np.flatnonzero(leaf % 8)
-    if len(part):
-        at = (leaf[part] - leaf[part] % 8 - (start - pad))[:, None] + np.arange(7)
-        take = (np.arange(7) < leaf[part, None] % 8) & (at >= 0) & (at < grid.shape[1])
-        row, at = np.broadcast_to(part[:, None], at.shape)[take], at[take]
-        rest = np.zeros(take.shape)
-        rest[take] = grid[row, at]
-        grid[row, at] = 0.0
-    blocks = grid.reshape(rows, grid.shape[1] // 8, 8)
-    r = blocks[:, 0].copy()
-    for block in range(1, blocks.shape[1]):
-        r += blocks[:, block]
-    total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    if len(part):
-        for k in range(7):
-            total[part] += rest[:, k]
-    return total
+    if zeros >= half:
+        return _padded_sum(tail, n - half)  # 0.0 + s is s for the nonnegative s here
+    return _padded_sum(tail[:half - zeros], half) + np.add.reduce(tail[half - zeros:])
 
 
 class EmpiricalDistribution:
@@ -149,8 +99,7 @@ class EmpiricalDistribution:
     def mean(self) -> float:
         """The sample mean, reduced once and then reused."""
         if self._mean is None:
-            self._mean = float(_padded_sum(self.tail, self.count, self.count - len(self.tail))
-                               / self.count)
+            self._mean = float(_padded_sum(self.tail, self.count) / self.count)
         return self._mean
 
 

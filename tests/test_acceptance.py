@@ -207,7 +207,7 @@ def test_criterion_7_generate_then_recover():
 def test_criterion_8_performance():
     spec = parse_config(paper_config())
     started = time.perf_counter()
-    report = run_simulation(spec)  # the default worker count
+    report = run_simulation(spec)  # default workers = machine parallelism
     elapsed = time.perf_counter() - started
     ok = len(report.levels) == 4 and report.spec.repetitions == 100_000
     _verdict(8, "paper-default run (R=100000, kappa=1000, 4 levels) within budget",

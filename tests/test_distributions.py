@@ -295,8 +295,8 @@ class TestCompoundCountPmf:
     def test_term_margin_bounds_the_rounding_error(self, theta, lam):
         # every computed term lies within half its row's margin of the exact
         # value of the formula at the float arguments, which the band checks
-        # need (see _count_terms): rows straddling the tree's leaf sizes, at
-        # 60 significant digits
+        # need (see _count_terms): rows of 1 to 300 terms, at 60 significant
+        # digits
         n_max = 300
         terms, margin = distributions._count_terms(n_max, theta, lam)
         for n in (1, 2, 7, 8, 9, 64, 65, 129, 300):

@@ -248,46 +248,6 @@ class TestTaskCount:
             assert calls["submitted"] == calls["consumed"] == tasks
 
 
-    def test_the_default_worker_count_is_the_one_worker_task_count(self, monkeypatch):
-        """By default a run takes one worker per task of its one-worker
-        partition, at most the CPUs: a one-task run constructs no pool,
-        and the bytes are those of one worker."""
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, function, task):
-                future = concurrent.futures.Future()
-                future.set_result(function(task))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        paper = replace(parse_config(paper_config()), repetitions=20_000)
-        assert engine._task_count(paper, 1) == 1
-        assert render_json(run_simulation(paper)) == render_json(run_simulation(paper, workers=1))
-        assert pools == []
-        # an explicit count is obeyed as before
-        assert render_json(run_simulation(paper, workers=2)) == render_json(run_simulation(paper, workers=1))
-        assert pools == [2]
-        # paper at R = 1e6 and channel at R = 1e5 take 6 and 4 tasks on one
-        # worker, so 2 workers on 2 CPUs
-        assert engine._task_count(replace(paper, repetitions=1_000_000), 1) == 6
-        assert engine._task_count(replace(_bench_workload("channel"), repetitions=100_000), 1) == 4
-        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 2_000)
-        assert engine._task_count(paper, 1) == 7  # 13,200 expected drawn rows
-        assert render_json(run_simulation(paper)) == render_json(run_simulation(paper, workers=1))
-        assert pools == [2, 2]
-
-
 _FUSION_CHANNEL = AggregateLossParams(event_rate=1.0, severity=Lognormal(mu=8.0, sigma=1.5))
 
 

@@ -8,8 +8,6 @@ import pytest
 from cyberrisk.errors import DomainError, UndefinedMarginError
 from cyberrisk.risk_measures import (
     EmpiricalDistribution,
-    _leaf_sums,
-    _leftmost_leaf,
     _padded_sum,
     conditional_tail_expectation,
     expected_shortfall,
@@ -305,39 +303,7 @@ class TestNumpySummationTree:
     def test_padded_sum_equals_numpy_reduce_of_zeros_and_tail(self, count, drawn):
         tail = np.sort(np.random.default_rng(drawn).lognormal(3.0, 2.0, drawn))
         expect = np.add.reduce(np.concatenate((np.zeros(count - drawn), tail)))
-        assert float(_padded_sum(tail, count, count - drawn)).hex() == float(expect).hex()
-
-    @pytest.mark.parametrize("count", [1, 7, 8, 9, 127, 128, 129, 4099, 20_058])
-    def test_padded_sum_equals_numpy_reduce_of_zeros_values_and_zeros(self, count):
-        rng = np.random.default_rng(count)
-        for _ in range(40):
-            start = int(rng.integers(0, count))
-            values = rng.lognormal(0.0, 4.0, int(rng.integers(1, count - start + 1)))
-            row = np.zeros(count)
-            row[start:start + len(values)] = values
-            assert float(_padded_sum(values, count, start)).hex() == float(np.add.reduce(row)).hex()
-
-    def test_leaf_sums_equal_numpy_reduce_row_by_row(self):
-        # rows of 1 to 600 entries whose values lie in their leftmost leaf,
-        # at every start offset modulo 8, with zeros inside the values too
-        rng = np.random.default_rng(5)
-        n = np.arange(1, 601)
-        leaf = _leftmost_leaf(n)
-        for start in range(10):
-            fits = leaf > start
-            shape = (int(fits.sum()), 70)
-            values = rng.lognormal(0.0, 4.0, shape) * (rng.random(shape) < 0.8)
-            # each row's values end at its leaf, as the precondition asks
-            ends = np.minimum(leaf[fits] - start, 70)
-            values[np.arange(70) >= ends[:, None]] = 0.0
-            sums = _leaf_sums(values, start, leaf[fits])
-            for total, count, row_values in zip(sums, n[fits], values):
-                row = np.zeros(count + 70 + start)
-                row[start:start + 70] = row_values
-                assert float(total).hex() == float(np.add.reduce(row[:count])).hex()
-
-    def test_leftmost_leaf_sizes(self):
-        assert list(_leftmost_leaf(np.array([1, 7, 128, 129, 136, 257, 20_000]))) == [1, 7, 128, 64, 64, 128, 72]
+        assert float(_padded_sum(tail, count)).hex() == float(expect).hex()
 
 
 def _boundary_levels(count: int, zeros: int):
