@@ -421,11 +421,20 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.4875361290850
       2.04426310338993978564e-15)
 
 
-def _poly(coeffs, x):
-    r = np.full_like(x, coeffs[7], dtype=np.float64)
-    for c in coeffs[6::-1]:
-        r = r * x + c
-    return r
+def _rational(num_coeffs, den_coeffs, x, factor=None):
+    """(factor * P(x)) / Q(x) for the degree-7 polynomials P and Q, each by
+    Horner's rule in place: p = p * x + c, rounded after each operation."""
+    num = np.full_like(x, num_coeffs[7], dtype=np.float64)
+    den = np.full_like(x, den_coeffs[7], dtype=np.float64)
+    for a, b in zip(num_coeffs[6::-1], den_coeffs[6::-1]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    if factor is not None:
+        num *= factor
+    num /= den
+    return num
 
 
 def normal_quantile(u) -> np.ndarray:
@@ -441,8 +450,7 @@ def normal_quantile(u) -> np.ndarray:
     central = np.abs(q) <= 0.425
     with np.errstate(invalid="ignore", divide="ignore"):
         qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _poly(_A, r) / _poly(_B, r)
+        out[central] = _rational(_A, _B, 0.180625 - qc * qc, qc)
 
         tail = ~central
         lower = q[tail] < 0.0
@@ -452,11 +460,10 @@ def normal_quantile(u) -> np.ndarray:
         rt[rt <= 0.0] = 5e-324
         lr = np.sqrt(-np.log(rt))
         near = lr <= 5.0
-        r_near = lr[near] - 1.6
-        lr[near] = _poly(_C, r_near) / _poly(_D, r_near)
-        far = ~near
-        r_far = lr[far] - 5.0
-        lr[far] = _poly(_E, r_far) / _poly(_F, r_far)
+        lr[near] = _rational(_C, _D, lr[near] - 1.6)
+        if not near.all():
+            far = ~near
+            lr[far] = _rational(_E, _F, lr[far] - 5.0)
         np.negative(lr, out=lr, where=lower)
         out[tail] = lr
     return out

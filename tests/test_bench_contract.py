@@ -11,6 +11,9 @@ import importlib
 from pathlib import Path
 
 import cyberrisk.engine as engine
+from cyberrisk.distributions import CountDistributionParams
+from cyberrisk.loss_model import DeviceParameters, expected_capped_loss_days
+from cyberrisk.scenario import RiskLevel
 from cyberrisk.streams import RandomStream
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -47,3 +50,26 @@ def test_bench_imports_resolve():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+
+
+def test_a_cold_and_a_warm_run_each_reach_expected_present_loss_once(monkeypatch):
+    # bench/run.py --trace 1 times loss_model.expected_present_loss from the
+    # calls that pass through this module attribute; the cache behind it
+    # must not take the call away
+    calls = []
+    price = vars(engine)["expected_present_loss"]
+
+    def spy(device):
+        calls.append(device)
+        return price(device)
+
+    monkeypatch.setattr(engine, "expected_present_loss", spy)
+    device = DeviceParameters(1000.0, 0.03, CountDistributionParams(2e-5, 182.0))
+    spec = engine.SimulationSpec(device=device, portfolio_size=10, repetitions=50,
+                                 levels=(RiskLevel.GUARDED,))
+    expected_capped_loss_days.cache_clear()
+    for run in ("cold", "warm"):
+        engine.run_simulation(spec, workers=1)
+        assert len(calls) == 1, run
+        calls.clear()
+    assert expected_capped_loss_days.cache_info().hits == 1
