@@ -66,8 +66,9 @@ __all__ = [
 # Sequential search switches to PTRS rejection at this rate.
 PTRS_THRESHOLD = 30.0
 _TABLE_BLOCK = 8192  # (n, j) terms per compound_count_pmf_table block: 64 KiB
-_BAND_COLUMNS = 64  # the least width of a pmf table block's window of terms
+_BAND_COLUMNS = 16  # the least width of a pmf table block's window of terms
 _UNDERFLOW = -800.0  # np.exp is +0.0 at and below this argument
+_PAIRWISE_RUN = 128  # the longest run of entries ndarray.sum adds in 8 lanes, unhalved
 _TERM_ERROR = 2.0 ** -40  # a pmf term's rounding margin per unit of its row's scale
 
 
@@ -317,6 +318,60 @@ def _falls_outward(inside: np.ndarray, edge: np.ndarray, shifts: np.ndarray, sla
     return bool(((inside - edge > slack) & (shifts - edge > slack - _UNDERFLOW)).all())
 
 
+def _band_sums(scaled: np.ndarray, c0: int, band: np.ndarray, lo: int):
+    """``row[:n].sum()`` for the rows n = lo, lo + 1, ... of a
+    ``compound_count_pmf_table`` block, bit for bit, where row n holds
+    ``scaled``'s row n - lo from column ``c0`` on and +0.0 elsewhere, and
+    is nonzero only in the columns c0 + ``band``. Returns (sums, rest):
+    the rows listed in ``rest`` (indices into the block) are left for
+    their own ``ndarray.sum``.
+
+    ``ndarray.sum`` adds n float64s by the pairwise tree the
+    ``risk_measures`` docstring states: a run of more than
+    ``_PAIRWISE_RUN`` entries is halved at (len // 2) & -8, and a shorter
+    run adds its first len & -8 entries in 8 strided lanes, combines the
+    lanes, then adds its last len % 8 entries in order. Every run starts
+    at a multiple of 8, so an entry's lane is its column mod 8. Every
+    entry is >= +0.0, and adding +0.0 to such a sum leaves its bits, so a
+    row whose band lies in one unhalved run sums to that run's sum. Each
+    row's halvings are followed to that run; then the lanes of all rows are
+    one ``ndarray.sum`` per row of the band's columns from the multiple of
+    8 below it, at most ``_PAIRWISE_RUN`` of them, with the entries
+    outside the row's lanes zeroed, and the last entries are added in
+    order. A row whose band a halving splits, and every row of a wider
+    band, is left unsummed."""
+    rows = len(scaled)
+    first = (c0 + int(band[0])) & -8
+    stop = c0 + int(band[-1]) + 1
+    width = (stop - first + 7) & -8
+    if width > _PAIRWISE_RUN:
+        return np.zeros(rows), range(rows)
+    n = np.arange(lo, lo + rows)
+    # follow each row's halvings to the run where its band starts; an
+    # unhalved run's "half" is the whole run
+    start, length = np.zeros(rows, dtype=np.int64), n
+    while (halved := length > _PAIRWISE_RUN).any():
+        half = np.where(halved, (length >> 1) & -8, length)
+        split = start + half
+        right = first >= split
+        start = np.where(right, split, start)
+        length = np.where(right, length - half, half)
+    rest = np.flatnonzero(np.minimum(stop, n) > start + length).tolist()
+    slab = np.zeros((rows, width))
+    slab[:, c0 + int(band[0]) - first:stop - first] = scaled[:, band[0]:band[-1] + 1]
+    lanes_end = start + (length & -8)
+    # the lanes' sum, then the run's last len % 8 entries in order: they lie
+    # in the 8 columns from lanes_end (so group >= 0), past the band's when
+    # the lanes hold the whole band, and the row is +0.0 past the run
+    groups = slab.reshape(rows, -1, 8)
+    group = (lanes_end - first) >> 3
+    last = np.empty((rows, 8))
+    last[:, 0] = np.where(np.arange(first, first + width) < lanes_end[:, None], slab, 0.0).sum(axis=1)
+    last[:, 1:] = groups[np.arange(rows), group % groups.shape[1], :7]
+    last[group >= groups.shape[1], 1:] = 0.0
+    return np.cumsum(last, axis=1)[:, -1], rest
+
+
 def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.ndarray:
     """P(M = n) for n = 0..n_max as an array. For n >= 1:
 
@@ -346,13 +401,15 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
       passes. The first window starts at column 1, and each next one one
       column left of the previous block's nonzero band, as wide as the
       previous window: a row's band widens with n, so a window doubles
-      only about log2(n_max / 64) times in all.
+      only about log2(n_max / 16) times in all.
     * ``np.exp`` is evaluated only where the shifted term is above
       ``_UNDERFLOW``, and +0.0 is written elsewhere, which is the value it
       would return there.
-    * Each row is summed by one ``ndarray.sum`` over its n entries, the
-      window's and +0.0 elsewhere: the entries, and so the grouping and
-      the bytes, of the full row's sum.
+    * Each row's sum has the bits of one ``ndarray.sum`` over its n
+      entries, the window's and +0.0 elsewhere: the entries, and so the
+      grouping and the bytes, of the full row's sum. A block's rows are
+      added together in the lanes of that sum (``_band_sums``) where
+      they can be, and by the ``ndarray.sum`` itself otherwise.
 
     If any array of the build cannot be allocated, it raises DomainError
     naming the bytes the build holds at its peak, 15 float64s per row:
@@ -376,9 +433,7 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
             out[1:] = [math.exp(t) for t in j_log_theta - j_rate - log_fact[1:]]
             return out
         terms, margin = _count_terms(n_max, theta, lam)
-        # a row's exponentiated terms: the window's, +0.0 elsewhere, as each
-        # next window covers every column of the last that may be nonzero
-        row = np.zeros(n_max)
+        row = np.zeros(n_max)  # a row's exponentiated terms for its own sum, +0.0 outside the window
         lo, c0, width = 1, 0, _BAND_COLUMNS
         while lo <= n_max:
             hi, c0, width, block, shifts = _window(terms, margin, lo, c0, width, n_max)
@@ -386,11 +441,15 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
             live = block > _UNDERFLOW
             scaled = np.zeros(block.shape)
             np.exp(block, out=scaled, where=live)
+            band = np.flatnonzero(live.any(axis=0))
+            sums, rest = _band_sums(scaled, c0, band, lo)
             c1 = c0 + block.shape[1]
-            for n, shift, window in zip(range(lo, hi), shifts.tolist(), scaled):
-                row[c0:c1] = window
-                out[n] = math.exp(shift) * row[:n].sum()
-            lo, c0 = hi, max(0, c0 + int(np.argmax(live.any(axis=0))) - 1)
+            for i in rest:
+                row[c0:c1] = scaled[i]
+                sums[i] = row[:lo + i].sum()
+            row[c0:c1] = 0.0  # a later block may not cover this window, nor write every row
+            out[lo:hi] = np.array([math.exp(shift) for shift in shifts.tolist()]) * sums
+            lo, c0 = hi, max(0, c0 + int(band[0]) - 1)
         return out
     except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
         raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 15 * (n_max + 1)} bytes, "
@@ -421,20 +480,11 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.4875361290850
       2.04426310338993978564e-15)
 
 
-def _rational(num_coeffs, den_coeffs, x, factor=None):
-    """(factor * P(x)) / Q(x) for the degree-7 polynomials P and Q, each by
-    Horner's rule in place: p = p * x + c, rounded after each operation."""
-    num = np.full_like(x, num_coeffs[7], dtype=np.float64)
-    den = np.full_like(x, den_coeffs[7], dtype=np.float64)
-    for a, b in zip(num_coeffs[6::-1], den_coeffs[6::-1]):
-        num *= x
-        num += a
-        den *= x
-        den += b
-    if factor is not None:
-        num *= factor
-    num /= den
-    return num
+def _poly(coeffs, x):
+    r = np.full_like(x, coeffs[7], dtype=np.float64)
+    for c in coeffs[6::-1]:
+        r = r * x + c
+    return r
 
 
 def normal_quantile(u) -> np.ndarray:
@@ -450,7 +500,8 @@ def normal_quantile(u) -> np.ndarray:
     central = np.abs(q) <= 0.425
     with np.errstate(invalid="ignore", divide="ignore"):
         qc = q[central]
-        out[central] = _rational(_A, _B, 0.180625 - qc * qc, qc)
+        r = 0.180625 - qc * qc
+        out[central] = qc * _poly(_A, r) / _poly(_B, r)
 
         tail = ~central
         lower = q[tail] < 0.0
@@ -460,10 +511,11 @@ def normal_quantile(u) -> np.ndarray:
         rt[rt <= 0.0] = 5e-324
         lr = np.sqrt(-np.log(rt))
         near = lr <= 5.0
-        lr[near] = _rational(_C, _D, lr[near] - 1.6)
-        if not near.all():
-            far = ~near
-            lr[far] = _rational(_E, _F, lr[far] - 5.0)
+        r_near = lr[near] - 1.6
+        lr[near] = _poly(_C, r_near) / _poly(_D, r_near)
+        far = ~near
+        r_far = lr[far] - 5.0
+        lr[far] = _poly(_E, r_far) / _poly(_F, r_far)
         np.negative(lr, out=lr, where=lower)
         out[tail] = lr
     return out

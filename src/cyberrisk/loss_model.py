@@ -15,7 +15,6 @@ callers can count how often the cap bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
@@ -86,7 +85,6 @@ def discount_factor(discount_rate: float) -> float:
     return 1.0 / (1.0 + discount_rate)
 
 
-@functools.lru_cache(maxsize=32)
 def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int,
                               multiplier: float = 1.0) -> float:
     """E[min(multiplier * M, horizon)] evaluated from the exact count pmf.
@@ -94,9 +92,7 @@ def expected_capped_loss_days(counts: CountDistributionParams, horizon_days: int
     The pmf table is truncated at mean + 12 sigma past the horizon; the
     residual mass (< ~1e-12) is assigned the horizon value, which is the
     cap it would monetize at anyway. A table too large to allocate raises
-    DomainError, and is tried again on the next call. Cached per (counts,
-    horizon, multiplier): the table is built once per device class and
-    process, and a hit returns the same float.
+    DomainError.
     """
     if horizon_days < 1:
         raise DomainError("horizon_days must be >= 1")

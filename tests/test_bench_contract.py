@@ -12,7 +12,7 @@ from pathlib import Path
 
 import cyberrisk.engine as engine
 from cyberrisk.distributions import CountDistributionParams
-from cyberrisk.loss_model import DeviceParameters, expected_capped_loss_days
+from cyberrisk.loss_model import DeviceParameters
 from cyberrisk.scenario import RiskLevel
 from cyberrisk.streams import RandomStream
 
@@ -52,10 +52,9 @@ def test_bench_imports_resolve():
                     assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
 
 
-def test_a_cold_and_a_warm_run_each_reach_expected_present_loss_once(monkeypatch):
+def test_each_run_reaches_expected_present_loss_once(monkeypatch):
     # bench/run.py --trace 1 times loss_model.expected_present_loss from the
-    # calls that pass through this module attribute; the cache behind it
-    # must not take the call away
+    # calls that pass through this module attribute, one span per run
     calls = []
     price = vars(engine)["expected_present_loss"]
 
@@ -67,9 +66,7 @@ def test_a_cold_and_a_warm_run_each_reach_expected_present_loss_once(monkeypatch
     device = DeviceParameters(1000.0, 0.03, CountDistributionParams(2e-5, 182.0))
     spec = engine.SimulationSpec(device=device, portfolio_size=10, repetitions=50,
                                  levels=(RiskLevel.GUARDED,))
-    expected_capped_loss_days.cache_clear()
-    for run in ("cold", "warm"):
+    for _ in range(2):
         engine.run_simulation(spec, workers=1)
-        assert len(calls) == 1, run
+        assert len(calls) == 1
         calls.clear()
-    assert expected_capped_loss_days.cache_info().hits == 1

@@ -12,8 +12,7 @@ from cyberrisk.distributions import (
     Fixed,
     compound_count_pmf_table,
 )
-from cyberrisk import loss_model
-from cyberrisk.engine import SimulationSpec, _simulate_chunk, run_simulation
+from cyberrisk.engine import SimulationSpec, _simulate_chunk
 from cyberrisk.errors import DomainError
 from cyberrisk.loss_model import (
     AggregateLossParams,
@@ -184,70 +183,3 @@ class TestLossDayMultiplier:
             warnings.simplefilter("error")
             days = expected_capped_loss_days(counts, 365, 1e308)
         assert days == pytest.approx(365.0 * (1.0 - math.exp(-2.0)), rel=1e-12)
-
-
-class TestExpectedLossCache:
-    """The expected capped loss-days are computed once per (counts, horizon,
-    multiplier) and process."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The count pmf tables built, as the (n_max, counts) of each call,
-        from an empty cache."""
-        calls = []
-        build = loss_model.compound_count_pmf_table
-
-        def spy(n_max, counts):
-            calls.append((n_max, counts))
-            return build(n_max, counts)
-
-        expected_capped_loss_days.cache_clear()
-        monkeypatch.setattr(loss_model, "compound_count_pmf_table", spy)
-        yield calls
-        expected_capped_loss_days.cache_clear()
-
-    def test_a_second_run_of_one_spec_builds_no_table(self, builds):
-        spec = SimulationSpec(device=_device(theta=2e-5, lam=182.0), portfolio_size=10,
-                              repetitions=50, seed=3, levels=(RiskLevel.GUARDED,))
-        first = run_simulation(spec, workers=1)
-        assert len(builds) == 1
-        second = run_simulation(spec, workers=1)
-        assert len(builds) == 1
-        assert second == first
-
-    def test_a_hit_returns_the_same_bits(self, builds):
-        counts = CountDistributionParams(theta=2.0, lambda_cluster=1.5)
-        computed = expected_capped_loss_days.__wrapped__(counts, 6, 1.5).hex()
-        assert expected_capped_loss_days(counts, 6, 1.5).hex() == computed
-        assert expected_capped_loss_days(counts, 6, 1.5).hex() == computed
-        assert len(builds) == 2  # the uncached call and the first cached one
-
-    def test_horizon_or_multiplier_alone_misses(self, builds):
-        from dataclasses import replace
-
-        base = _device(theta=2.0, lam=1.5, horizon=6)
-        expected_present_loss(base)
-        expected_present_loss(replace(base))
-        assert len(builds) == 1
-        expected_present_loss(replace(base, horizon_days=7))
-        assert len(builds) == 2
-        expected_present_loss(replace(base, loss_day_multiplier=1.5))
-        assert len(builds) == 3
-        assert expected_capped_loss_days.cache_info().currsize == 3
-
-    @pytest.mark.parametrize("horizon, multiplier", [(365, 5e-324), (2 ** 53, 1.0)])
-    def test_an_unallocatable_table_raises_on_every_call(self, builds, horizon, multiplier):
-        counts = CountDistributionParams(theta=2e-5, lambda_cluster=182.0)
-        for _ in range(2):
-            with pytest.raises(DomainError, match="more memory than can be allocated"):
-                expected_capped_loss_days(counts, horizon, multiplier)
-        assert expected_capped_loss_days.cache_info().currsize == 0
-
-    def test_the_cache_holds_at_most_32_entries(self, builds):
-        counts = CountDistributionParams(theta=2.0, lambda_cluster=1.5)
-        for horizon in range(1, 41):
-            expected_capped_loss_days(counts, horizon)
-        assert len(builds) == 40
-        assert expected_capped_loss_days.cache_info().currsize == 32
-        expected_capped_loss_days(counts, 1)  # evicted first
-        assert len(builds) == 41
