@@ -7,9 +7,10 @@ DETAIL_SPILL fallback, multi-cluster placement, survival words,
 non-integer loss-day multipliers (whose totals depend on summation
 order), and each channel severity kind, including CHANNEL regions.
 
-The digests are SHA-256 of the table, CSV and JSON bytes. Regenerate them
-only together with a ``DRAW_LAYOUT_VERSION`` or ``STREAM_FORMAT_VERSION``
-bump, recorded in CHANGES.md.
+The digests are SHA-256 of the table, CSV and JSON bytes, and of each
+level's sample bytes with its premium pool's ``float.hex``. Regenerate
+them only together with a ``DRAW_LAYOUT_VERSION`` or
+``STREAM_FORMAT_VERSION`` bump, recorded in CHANGES.md.
 """
 
 import hashlib
@@ -128,6 +129,67 @@ PINS = {
 }
 
 
+# Per case: SHA-256 over each level's sample, in level order (R as an
+# 8-byte little-endian integer, then the sorted drawn losses as
+# little-endian float64), and each level's premium pool as ``float.hex``.
+# The report prints money to 6 decimals, so a last-bit change in a drawn
+# loss or a premium moves these pins and may leave the report's alone.
+SAMPLE_PINS = {
+    "dense_inversion": (
+        "07efe7a0d4ae7ab93ffe108485ad2398f6d041eb28e80f34382b630278f7a0d3",
+        ('0x1.b7bb99bd975b4p+11', '0x1.b7bb99bd975b4p+11', '0x1.b7bb99bd975b4p+11', '0x1.b7bb99bd975b4p+11'),
+    ),
+    "count_ptrs_kappa_2e6": (
+        "d772304784dfbd12c09d47f66388bdd7f3e214a6dabb579f97deda7f9c663d0e",
+        ('0x1.ad6d342325cf2p+22', '0x1.ad6d342325cf2p+22'),
+    ),
+    "lambda_0": (
+        "4fbf324ff011f9dbf0ccfce504998bd49ed5e305be2a8fa45907fc25aca6fd76",
+        ('0x1.80774d0c6d5bep+7', '0x1.80774d0c6d5bep+7', '0x1.80774d0c6d5bep+7', '0x1.80774d0c6d5bep+7'),
+    ),
+    "lambda_5": (
+        "de972a4086d3e246119ada93ac164f3d289bbf50ff6e8c5105d4f6ddf8c8c65f",
+        ('0x1.205979c952049p+10', '0x1.205979c952049p+10', '0x1.205979c952049p+10', '0x1.205979c952049p+10'),
+    ),
+    "lambda_45_detail_spill": (
+        "efc7e93be7e361798c3f15ce006b20848a73c5fadcab22a5940c665647386082",
+        ('0x1.596b2f392a3ccp+15', '0x1.596b2f392a3ccp+15'),
+    ),
+    "kill_0.3": (
+        "36fdb0268df10b9e61293f493d09a710f8a0e0d07d17f17c9db0e47e6be54cb1",
+        ('0x1.97337305d304cp+14', '0x1.97337305d304cp+14', '0x1.97337305d304cp+14', '0x1.97337305d304cp+14'),
+    ),
+    "kappa_1e5_kill_0.1": (
+        "bbf74ae506a977c98b07e9d5c199070d9abd6352d43eff2874632878ac3b6938",
+        ('0x1.36d95746eac13p+18', '0x1.36d95746eac13p+18', '0x1.36d95746eac13p+18', '0x1.36d95746eac13p+18'),
+    ),
+    "theta_0.01_multiplier_0.7": (
+        "c55acd0055e13ad7e4d5f3c37c691078a61990bfbcb1fd4b9ce6f2e69939489e",
+        ('0x1.2c9912905c7b6p+20', '0x1.2c9912905c7b6p+20'),
+    ),
+    "multiplier_1.37_horizon_200": (
+        "5047af22800e7d8f5b9447750a7a06f61064dad2516b3d12642839655a001bb6",
+        ('0x1.2c5111a824352p+15', '0x1.2c5111a824352p+15', '0x1.2c5111a824352p+15', '0x1.2c5111a824352p+15'),
+    ),
+    "channel_pareto_12": (
+        "7627e6d57d83b728d403c8711a40dc1b5bafeb577346c33ce6f9bc722c88dce8",
+        ('0x1.b7bb99bd975b4p+11', '0x1.b7bb99bd975b4p+11'),
+    ),
+    "channel_lognormal_45": (
+        "a7399a5690d8cc182fd7ba87b687533fa57e4cfe5256782614b8432ee872caba",
+        ('0x1.b7bb99bd975b4p+11', '0x1.b7bb99bd975b4p+11'),
+    ),
+    "channel_fixed": (
+        "03d1872726660bbce634089884a3a52e906b082b1362fe9d3f8379c5271bde2d",
+        ('0x1.b7bb99bd975b4p+11', '0x1.b7bb99bd975b4p+11'),
+    ),
+    "channel_discrete": (
+        "0e586f1da4447400d821bf68104ff404057d35141b18c3fd84c227377107b6f6",
+        ('0x1.b7bb99bd975b4p+11', '0x1.b7bb99bd975b4p+11'),
+    ),
+}
+
+
 def case_document(name: str) -> dict:
     document = paper_config()
     for key, value in CASES[name].items():
@@ -144,15 +206,42 @@ def case_digests(name: str) -> tuple:
                  for render in (render_table, render_csv, render_json))
 
 
+def case_samples(name: str) -> tuple:
+    """The sample digest and premium pins of a case (``SAMPLE_PINS``), from
+    the samples the engine hands to ``summarize_level``."""
+    captured = []
+    summarize = engine.summarize_level
+
+    def keep_sample(samples, premium_pool, levels):
+        captured.append((samples.count, samples.tail.astype("<f8").tobytes(), premium_pool))
+        return summarize(samples, premium_pool, levels)
+
+    engine.summarize_level = keep_sample
+    try:
+        run_simulation(parse_config(case_document(name)), workers=1)
+    finally:
+        engine.summarize_level = summarize
+    digest = hashlib.sha256()
+    for count, tail, _ in captured:
+        digest.update(count.to_bytes(8, "little"))
+        digest.update(tail)
+    return digest.hexdigest(), tuple(float(pool).hex() for _, _, pool in captured)
+
+
 def test_pins_belong_to_layout_v1():
     assert DRAW_LAYOUT_VERSION == 1
     assert STREAM_FORMAT_VERSION == 1
-    assert set(PINS) == set(CASES)
+    assert set(PINS) == set(CASES) == set(SAMPLE_PINS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_pins(name):
     assert case_digests(name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_samples_and_premiums_match_pins(name):
+    assert case_samples(name) == SAMPLE_PINS[name]
 
 
 @pytest.mark.parametrize("drawn_rows", [1_000, 1 << 18])
