@@ -481,9 +481,12 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.4875361290850
 
 
 def _poly(coeffs, x):
+    """The degree-7 polynomial ``coeffs`` at ``x`` by Horner's rule, each
+    step in place."""
     r = np.full_like(x, coeffs[7], dtype=np.float64)
     for c in coeffs[6::-1]:
-        r = r * x + c
+        r *= x
+        r += c
     return r
 
 
@@ -491,33 +494,35 @@ def normal_quantile(u) -> np.ndarray:
     """Inverse standard normal CDF (Wichura's AS 241 rational approximation,
     double-precision PPND16 variant) of an array in (0, 1].
 
-    Each branch is evaluated only on its own elements: the central one on
-    |u - 0.5| <= 0.425, the near tail where sqrt(-log(min(u, 1 - u))) <= 5
-    and the far tail on the rest."""
+    Each branch is evaluated only on its own elements, gathered by index:
+    the central one on |u - 0.5| <= 0.425, the near tail where
+    sqrt(-log(min(u, 1 - u))) <= 5 and the far tail on the rest."""
     u = np.asarray(u, dtype=np.float64)
     q = u - 0.5
     out = np.empty_like(q)
-    central = np.abs(q) <= 0.425
+    flat_u, flat_q, flat_out = u.reshape(-1), q.reshape(-1), out.reshape(-1)  # 0-d input too
+    central = np.abs(flat_q) <= 0.425
     with np.errstate(invalid="ignore", divide="ignore"):
-        qc = q[central]
+        at = np.flatnonzero(central)
+        qc = flat_q.take(at)
         r = 0.180625 - qc * qc
-        out[central] = qc * _poly(_A, r) / _poly(_B, r)
+        flat_out[at] = qc * _poly(_A, r) / _poly(_B, r)
 
-        tail = ~central
-        lower = q[tail] < 0.0
-        rt = np.where(lower, u[tail], 1.0 - u[tail])
+        at = np.flatnonzero(~central)
+        lower = flat_q.take(at) < 0.0
+        rt = flat_u.take(at)
+        np.subtract(1.0, rt, out=rt, where=~lower)
         # u == 1 maps to +inf through log(0); clamp to the largest
         # representable tail argument instead so draws stay finite.
         rt[rt <= 0.0] = 5e-324
         lr = np.sqrt(-np.log(rt))
         near = lr <= 5.0
-        r_near = lr[near] - 1.6
-        lr[near] = _poly(_C, r_near) / _poly(_D, r_near)
-        far = ~near
-        r_far = lr[far] - 5.0
-        lr[far] = _poly(_E, r_far) / _poly(_F, r_far)
+        for branch, shift, num, den in ((np.flatnonzero(near), 1.6, _C, _D),
+                                        (np.flatnonzero(~near), 5.0, _E, _F)):
+            r = lr.take(branch) - shift
+            lr[branch] = _poly(num, r) / _poly(den, r)
         np.negative(lr, out=lr, where=lower)
-        out[tail] = lr
+        flat_out[at] = lr
     return out
 
 
@@ -563,26 +568,28 @@ def _ptrs_consts(rate: float) -> tuple:
 def _ptrs_attempt(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
     """One PTRS attempt per element; returns (accepted mask, values).
 
-    log(k!) is read from the window in ``consts``; a draw outside it whose
-    slow test decides evaluates its own."""
+    The fast test and k are computed on every element, the slow test only
+    on the elements that the fast test rejects and that are not invalid.
+    log(k!) is read from the window in ``consts``; a draw outside it
+    evaluates its own."""
     a, b, vr, inv_alpha, log_rate, first, log_fact = consts
     us = 0.5 - np.abs(u - 0.5)
     k = np.floor((2.0 * a / us + b) * (u - 0.5) + rate + 0.43)
-    fastpath = (us >= 0.07) & (v <= vr)
+    accepted = (us >= 0.07) & (v <= vr)
     invalid = (k < 0) | ((us < 0.013) & (v > us))
+    slow = np.flatnonzero(~(accepted | invalid))
+    k_slow, us_slow = k.take(slow), us.take(slow)
     with np.errstate(divide="ignore", invalid="ignore"):
         # at rates up to 2**20 and uniforms from words (us >= 2**-53), |k| <
         # 2**60 casts exactly, and k = inf (us = 0) is invalid; as unsigned,
         # an index below the window wraps above it
-        at = (k - first).astype(np.intp)
+        at = (k_slow - first).astype(np.intp)
         lg_k1 = log_fact.take(at, mode="clip")
-        outside = (at.view(np.uintp) >= len(log_fact)) & ~(fastpath | invalid)
+        outside = at.view(np.uintp) >= len(log_fact)
         if outside.any():
-            lg_k1[outside] = _lgamma(k[outside] + 1.0)
-        lhs = np.log(v * inv_alpha / (a / (us * us) + b))
-        rhs = k * log_rate - rate - lg_k1
-        slowpath = lhs <= rhs
-    accepted = fastpath | (~invalid & slowpath)
+            lg_k1[outside] = _lgamma(k_slow[outside] + 1.0)
+        lhs = np.log(v.take(slow) * inv_alpha / (a / (us_slow * us_slow) + b))
+        accepted[slow] = lhs <= k_slow * log_rate - rate - lg_k1
     return accepted, k.astype(np.int64)
 
 
@@ -622,19 +629,22 @@ def poisson_regions(words: np.ndarray, rate: float, attempts: int):
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
     if rate < PTRS_THRESHOLD:
         return _inversion_nonzero(words[:, 0], rate)
+    if attempts == 0:
+        return np.arange(len(words)), np.full(len(words), -1, dtype=np.int64)
     consts = _ptrs_consts(rate)
-    draws = np.full(len(words), -1, dtype=np.int64)
-    pending = np.arange(len(words))
-    for attempt in range(attempts):
-        column = 2 * attempt
-        # attempt 1 reads every row, so its columns are read in place
-        pair = words[:, column:column + 2] if attempt == 0 else words[pending, column:column + 2]
-        accepted, k = _ptrs_attempt(words_to_uniforms(pair[:, 0]), words_to_uniforms(pair[:, 1]),
+    # attempt 1 reads every row: its columns are read in place, and its
+    # values are the draws of the rows it accepts
+    accepted, draws = _ptrs_attempt(words_to_uniforms(words[:, 0]), words_to_uniforms(words[:, 1]),
                                     rate, consts)
-        draws[pending[accepted]] = k[accepted]
-        pending = pending[~accepted]
+    pending = np.flatnonzero(~accepted)
+    draws[pending] = -1
+    for column in range(2, 2 * attempts, 2):
         if pending.size == 0:
             break
+        accepted, k = _ptrs_attempt(words_to_uniforms(words[pending, column]),
+                                    words_to_uniforms(words[pending, column + 1]), rate, consts)
+        draws[pending[accepted]] = k[accepted]
+        pending = pending[~accepted]
     rows = np.flatnonzero(draws)
     return rows, draws[rows]
 

@@ -382,14 +382,19 @@ def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return totals
 
 
+_LEVEL_CODES = 1 + max(level.code for level in RiskLevel)
+# pack_stream_id(domain, code, 0) at each level code, for the domains whose
+# rows of several levels are read together
+_ID_TABLES = {domain: np.array([pack_stream_id(domain, code, 0) for code in range(_LEVEL_CODES)],
+                               dtype=np.uint64)
+              for domain in (_DOMAIN_DETAIL, _DOMAIN_DETAIL_SPILL)}
+
+
 def _level_ids(domain: int, codes: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """The stream ids ``pack_stream_id(domain, codes[i], index[i])`` of rows
     at the level codes ``codes`` (``uint8``), index 0 when ``index`` is
-    None, read from one id per level code."""
-    table = np.zeros(1 + max(level.code for level in RiskLevel), dtype=np.uint64)
-    for level in RiskLevel:
-        table[level.code] = pack_stream_id(domain, level.code, 0)
-    ids = table[codes]
+    None, read from the domain's id table."""
+    ids = _ID_TABLES[domain][codes]
     if index is not None:
         ids |= pack_stream_id(0, 0, index)
     return ids
@@ -397,7 +402,7 @@ def _level_ids(domain: int, codes: np.ndarray, index: np.ndarray | None = None) 
 
 def _level_caps(codes: np.ndarray) -> np.ndarray:
     """Cap events per level code, counted from the codes of the capped rows."""
-    return np.bincount(codes, minlength=1 + max(level.code for level in RiskLevel))
+    return np.bincount(codes, minlength=_LEVEL_CODES)
 
 
 def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_clusters: np.ndarray,

@@ -12,7 +12,10 @@ of the 256-bit counter ``(i // 4 + 1, 0, 0, 0)``. That is what
 ``numpy.random.Philox(key=[seed, stream_id], counter=c)`` emits, since it
 increments its counter before enciphering: its first four words are block
 ``c + 1``. Single streams are read through numpy's Philox, which only
-``RandomStream`` constructs (``chunk_words`` reads through it); many
+``RandomStream`` constructs (``chunk_words`` reads through it). A
+``RandomStream`` keeps one Philox and continues it from read to read,
+since numpy's four-word buffer resumes exactly where a read of any
+length stopped; it builds a new one only when ``counter`` was moved. Many
 streams at once are read through ``philox_blocks``, the same cipher in
 numpy ``uint64`` arithmetic, vectorized over (key, counter) pairs. Its
 64x64 -> 128-bit multiply-high is assembled from the four products of
@@ -57,13 +60,15 @@ _ONE = np.uint64(1)
 _TWO_NEG53 = 2.0 ** -53
 
 # Philox-4x64-10 constants (Salmon et al. 2011): round multipliers for
-# counter words 0 and 2, and the Weyl key increments.
+# counter words 0 and 2, and the Weyl key increments. The cipher's operands
+# are 0-d arrays, which a ufunc takes as they are; it converts a numpy
+# scalar again on every call.
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W0 = 0x9E3779B97F4A7C15
-_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_W1 = np.array(0xBB67AE8584CAA73B, dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_HALF = np.array(32, dtype=np.uint64)
 # (multiplier, its low and high 32-bit halves) for each row order of the
 # (word 0, word 2) pair; the rows swap places every round.
 _PHILOX_MULTS = tuple((m, m & _LOW32, m >> _HALF) for m in (_PHILOX_M, _PHILOX_M[::-1].copy()))
@@ -97,10 +102,12 @@ class RandomStream:
 
     The ``counter`` attribute is the number of 64-bit words consumed so
     far; two streams with equal (seed, stream_id, counter) produce the
-    same remaining sequence on any platform and worker count.
+    same remaining sequence on any platform and worker count. ``counter``
+    may be moved between reads; ``seed`` and ``stream_id`` are fixed for
+    the stream's life.
     """
 
-    __slots__ = ("seed", "stream_id", "counter")
+    __slots__ = ("seed", "stream_id", "counter", "_bit_gen", "_bit_gen_at")
 
     def __init__(self, seed: int, stream_id: int, counter: int = 0):
         if not 0 <= seed <= _U64_MASK:
@@ -112,6 +119,9 @@ class RandomStream:
         self.seed = seed
         self.stream_id = stream_id
         self.counter = counter
+        # numpy's Philox from the last read, and the counter it stands at
+        self._bit_gen = None
+        self._bit_gen_at = -1
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
@@ -120,15 +130,23 @@ class RandomStream:
         return np.array([self.seed, self.stream_id], dtype=np.uint64)
 
     def raw_words(self, n: int) -> np.ndarray:
-        """Return the next ``n`` raw 64-bit words and advance the counter."""
+        """Return the next ``n`` raw 64-bit words and advance the counter.
+
+        A read that starts where the last one ended continues its
+        generator; one that starts elsewhere (``counter`` was moved)
+        builds a new one there."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        start_block, offset = divmod(self.counter, _WORDS_PER_BLOCK)
-        bit_gen = Philox(key=self._key(), counter=start_block)
-        words = bit_gen.random_raw(offset + n)[offset:]
+        if self._bit_gen_at != self.counter:
+            start_block, offset = divmod(self.counter, _WORDS_PER_BLOCK)
+            self._bit_gen = Philox(key=self._key(), counter=start_block)
+            if offset:
+                self._bit_gen.random_raw(offset)
+        words = self._bit_gen.random_raw(n)
         self.counter += n
+        self._bit_gen_at = self.counter
         return words
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -187,6 +205,9 @@ def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.nd
     x[0] = blocks
     y = np.zeros((2, n), dtype=np.uint64)
     key1 = stream_ids.copy()
+    # key word 0 of each round, one (1,) row per round
+    key0 = np.array([(seed + r * _PHILOX_W0) & _U64_MASK for r in range(_PHILOX_ROUNDS)],
+                    dtype=np.uint64)[:, None]
     # hi is built in x_hi's array and upper in low's, each once its first
     # value has been read
     x_lo, x_hi, low, mid, lo = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
@@ -211,7 +232,7 @@ def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.nd
         # new word 0 = hi(word 2) ^ word 1 ^ key 0, new word 2 = hi(word 0)
         # ^ word 3 ^ key 1, new words 1 and 3 = lo(word 2), lo(word 0)
         np.bitwise_xor(hi, y[::-1], out=x)
-        x[1 - (r & 1)] ^= np.uint64((seed + r * _PHILOX_W0) & _U64_MASK)
+        x[1 - (r & 1)] ^= key0[r]
         x[r & 1] ^= key1
         key1 += _PHILOX_W1
         y, lo = lo, y
@@ -237,13 +258,20 @@ def ragged_words(seed: int, stream_ids: np.ndarray, starts: np.ndarray,
     first = starts // _WORDS_PER_BLOCK
     n_blocks = np.where(counts > 0, (starts + counts - 1) // _WORDS_PER_BLOCK - first + 1, 0)
     block_row = np.repeat(np.arange(len(counts)), n_blocks)
-    offsets = np.cumsum(n_blocks) - n_blocks
+    ends = np.cumsum(n_blocks)
     blocks = first[block_row] + row_positions(n_blocks) + 1
-    cipher = philox_blocks(seed, np.asarray(stream_ids, dtype=np.uint64)[block_row], blocks).ravel()
-    if not (starts % _WORDS_PER_BLOCK).any() and not (counts % _WORDS_PER_BLOCK).any():
-        return cipher  # whole blocks from a block's first word: the words in row order
-    row_first = offsets * _WORDS_PER_BLOCK + starts % _WORDS_PER_BLOCK
-    return cipher[np.repeat(row_first, counts) + row_positions(counts)]
+    cipher = philox_blocks(seed, np.asarray(stream_ids, dtype=np.uint64)[block_row], blocks)
+    if not (starts % _WORDS_PER_BLOCK).any():
+        if not (counts % _WORDS_PER_BLOCK).any():
+            return cipher.ravel()  # whole blocks from a block's first word: the words in row order
+        # every row starts on a block's first word: its last block keeps
+        # its first (count - 1) % 4 + 1 lanes, and every other block all 4
+        keep = np.full(len(cipher), _WORDS_PER_BLOCK)
+        drawn = counts > 0
+        keep[ends[drawn] - 1] = (counts[drawn] - 1) % _WORDS_PER_BLOCK + 1
+        return cipher[np.arange(_WORDS_PER_BLOCK) < keep[:, None]]
+    row_first = (ends - n_blocks) * _WORDS_PER_BLOCK + starts % _WORDS_PER_BLOCK
+    return cipher.ravel()[np.repeat(row_first, counts) + row_positions(counts)]
 
 
 class RaggedStreams:

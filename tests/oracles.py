@@ -6,8 +6,9 @@ dual route: closed form vs brute force, sampler vs recursion, etc. The
 exceptions are the draw-layout reference, which takes its per-draw
 arithmetic (the inversion table, one PTRS attempt, the severity quantiles)
 from the package and reads every word itself, the whole-array AS 241
-normal quantile, which takes the package's coefficients, and the
-full-row count pmf build, which takes the package's log-factorials.
+normal quantile, which takes the package's coefficients, the whole-array
+PTRS attempt, which takes the package's constants, and the full-row count
+pmf build, which takes the package's log-factorials.
 """
 
 from collections import Counter
@@ -132,6 +133,29 @@ def ptrs_attempt_gammaln(u: np.ndarray, v: np.ndarray, rate: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs = np.log(v * inv_alpha / (a / (us * us) + b))
         rhs = k * math.log(rate) - rate - gammaln(k + 1.0)
+        slowpath = lhs <= rhs
+    return fastpath | (~invalid & slowpath), k.astype(np.int64)
+
+
+def ptrs_attempt_whole_array(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
+    """One PTRS attempt per (u, v) pair with the package's constants and
+    log-factorial window, every term of the slow test evaluated on every
+    element, as the package computed it before it ran that test only on
+    the elements the fast test rejects; returns (accepted mask, k as
+    int64)."""
+    a, b, vr, inv_alpha, log_rate, first, log_fact = consts
+    us = 0.5 - np.abs(u - 0.5)
+    k = np.floor((2.0 * a / us + b) * (u - 0.5) + rate + 0.43)
+    fastpath = (us >= 0.07) & (v <= vr)
+    invalid = (k < 0) | ((us < 0.013) & (v > us))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = (k - first).astype(np.intp)
+        lg_k1 = log_fact.take(at, mode="clip")
+        outside = (at.view(np.uintp) >= len(log_fact)) & ~(fastpath | invalid)
+        if outside.any():
+            lg_k1[outside] = _lgamma(k[outside] + 1.0)
+        lhs = np.log(v * inv_alpha / (a / (us * us) + b))
+        rhs = k * log_rate - rate - lg_k1
         slowpath = lhs <= rhs
     return fastpath | (~invalid & slowpath), k.astype(np.int64)
 

@@ -51,6 +51,7 @@ from oracles import (
     compound_count_pmf_table_full_rows,
     normal_quantile_whole_array,
     ptrs_attempt_gammaln,
+    ptrs_attempt_whole_array,
     scatter_regions,
     total_variation,
 )
@@ -496,6 +497,59 @@ class TestPoissonSampler:
             want_accepted, want_k = ptrs_attempt_gammaln(u, v, rate)
             assert np.array_equal(accepted, want_accepted)
             assert np.array_equal(k, want_k)
+
+    @pytest.mark.parametrize("rate", [30.0, 182.0, 5e3, 2.0 ** 20])
+    def test_ptrs_attempt_equals_the_whole_array_test_bit_for_bit(self, rate):
+        """The slow test runs only where the fast test rejects, with the
+        bits of every term evaluated everywhere: on word uniforms, and on
+        the edges us = 0.013 and 0.07 and v = vr (each with a neighbour on
+        either side), k < 0, and k outside the log-factorial window. There
+        each v also lies a quarter below or above the slow test's threshold
+        log(k!), taken from ``gammaln``, so that log(k!) decides it."""
+        consts = _ptrs_consts(rate)
+        a, b, vr, inv_alpha, _, first, log_fact = consts
+        words = words_to_uniforms(RandomStream(int(rate), 3).raw_words(200_000))
+        u_edges = [x for edge in (0.013, 0.07) for x in (edge, 1.0 - edge)]
+        u_grid = np.array([np.nextafter(x, to) for x in u_edges for to in (0.0, x, 1.0)])
+        us_grid = 0.5 - np.abs(u_grid - 0.5)
+        v_grid = np.concatenate([[np.nextafter(vr, to) for to in (0.0, vr, 1.0)], us_grid,
+                                 np.nextafter(us_grid, 0.0), np.nextafter(us_grid, 1.0)])
+        # u near 0 gives k < 0, near 1 k above the window; at 2**20 a u in
+        # (1e-4, 5e-3) gives k in [0, first); v below us leaves them valid
+        low = np.geomspace(1e-12, 5e-3, 3_000)
+        u_far = np.concatenate([low, 1.0 - low])
+        us_far = 0.5 - np.abs(u_far - 0.5)
+        k_far = ptrs_attempt_whole_array(u_far, us_far * 0.5, rate, consts)[1]
+        assert (k_far < 0).any() and (k_far >= first + len(log_fact)).any()
+        assert first == 0 or ((k_far >= 0) & (k_far < first)).any()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            threshold = (k_far * math.log(rate) - rate - gammaln(k_far + 1.0)
+                         + np.log((a / (us_far * us_far) + b) / inv_alpha))
+        near = (k_far >= 0) & (threshold > -700.0) & (threshold < -1.0)
+        outside = (k_far < first) | (k_far >= first + len(log_fact))
+        assert (near & outside & (k_far > rate)).sum() >= 10
+        assert first == 0 or (near & outside & (k_far < rate)).sum() >= 10
+        u_far = np.concatenate([u_far, u_far[near], u_far[near]])
+        v_far = np.concatenate([us_far * 0.5, np.exp(threshold[near] - 0.25),
+                                np.exp(threshold[near] + 0.25)])
+        accepted = ptrs_attempt_whole_array(u_far, v_far, rate, consts)[0]
+        assert accepted[-2 * near.sum():].tolist() == [True] * near.sum() + [False] * near.sum()
+        assert ((us_grid >= 0.07) != (us_grid[0] >= 0.07)).any()
+        assert ((us_grid < 0.013) != (us_grid[0] < 0.013)).any()
+        for u, v in ((words[0::2], words[1::2]),
+                     (np.repeat(u_grid, len(v_grid)), np.tile(v_grid, len(u_grid))),
+                     (u_far, v_far)):
+            accepted, k = _ptrs_attempt(u, v, rate, consts)
+            want_accepted, want_k = ptrs_attempt_whole_array(u, v, rate, consts)
+            assert np.array_equal(accepted, want_accepted)
+            assert np.array_equal(k, want_k)
+
+    def test_ptrs_regions_with_no_attempt_read_nothing(self):
+        # every row is left unresolved (-1), in order, and no word is read
+        words = np.empty((1_000, 0), dtype=np.uint64)
+        rows, draws = poisson_regions(words, 182.0, 0)
+        assert rows.tolist() == list(range(1_000))
+        assert draws.dtype == np.int64 and (draws == -1).all()
 
     @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.02, 0.4, math.log(2.0), 1.0, 5.0, 29.99])
     def test_inversion_equals_plain_search(self, rate):

@@ -896,6 +896,44 @@ class TestCipherWork:
         assert sum(len(c) for c in counters) == 273_985
 
 
+class TestPhiloxBuilds:
+    """A ``RandomStream`` builds numpy's Philox once and continues it while
+    its reads follow one another, so a count scan builds one per stream."""
+
+    @staticmethod
+    def _builds(monkeypatch) -> list:
+        built = []
+        philox = streams.Philox
+
+        def spy(*args, **kwargs):
+            built.append(kwargs.get("counter"))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(streams, "Philox", spy)
+        return built
+
+    def test_count_scan_builds_one_philox(self, monkeypatch):
+        n = 200_000
+        built = self._builds(monkeypatch)
+        rows, counts = engine._counts_for_chunk(42, engine._DOMAIN_COUNT, RiskLevel.SEVERE,
+                                                7, n, 0.4)
+        assert n > 3 * engine._BATCH_WORDS and built == [7 // 4]
+        words = RandomStream(42, pack_stream_id(engine._DOMAIN_COUNT, RiskLevel.SEVERE.code, 0),
+                             counter=7).raw_words(n)
+        expect = scatter_regions(poisson_regions(words[:, None], 0.4, 1), n)
+        assert np.array_equal(scatter_regions((rows, counts), n), expect)
+
+    # paper: 4 levels, one task, one COUNT stream each (8 builds when every
+    # 65,536-word span built its own); channel: 4 COUNT and 4 CHANNEL
+    # streams of one span each; dense: 2 levels over 2 tasks (124 builds
+    # when every span built its own)
+    @pytest.mark.parametrize("name, builds", [("paper", 4), ("channel", 8), ("dense", 4)])
+    def test_bench_workload_builds(self, monkeypatch, name, builds):
+        built = self._builds(monkeypatch)
+        run_simulation(_bench_workload(name), workers=1)
+        assert len(built) == builds
+
+
 def _traced_peak_mib(function, *args) -> float:
     tracemalloc.start()
     try:

@@ -63,6 +63,24 @@ def test_reads_are_size_invariant():
     assert np.array_equal(whole, pieces)
 
 
+def test_interleaved_reads_equal_fresh_stream_reads():
+    """Two streams read in turn, the counter moved forward and back
+    between some reads: every read equals a fresh stream's read from the
+    same counter, whether the stream continues its generator or builds a
+    new one."""
+    pair = [RandomStream(9, 3), RandomStream(9, pack_stream_id(5, 2, 11), counter=6)]
+    steps = [(1, None), (3, None), (5, None), (65_537, None), (1, 70_001), (3, 2),
+             (5, None), (65_537, 4), (1, None), (3, 65_541), (5, 0), (1, None)]
+    for n, move in steps:
+        for stream in pair:
+            if move is not None:
+                stream.counter = move
+            start = stream.counter
+            words = stream.raw_words(n)
+            assert stream.counter == start + n
+            assert np.array_equal(words, RandomStream(9, stream.stream_id, start).raw_words(n))
+
+
 def test_uniforms_open_closed_interval():
     u = derive_stream(1, 1).uniforms(100_000)
     assert (u > 0).all() and (u <= 1).all()
@@ -156,11 +174,14 @@ def test_ragged_words_equal_per_row_reads():
     starts[:4] = [0, 3, 4, 2 ** 40 + 1]       # offsets that straddle blocks
     counts = rng.integers(0, 14, size=n)
     counts[4:8] = 0                           # zero-length rows
-    flat = ragged_words(5, ids, starts, counts)
-    assert len(flat) == counts.sum()
-    pieces = np.split(flat, np.cumsum(counts)[:-1])
-    for sid, start, count, piece in zip(ids, starts, counts, pieces):
-        assert np.array_equal(piece, RandomStream(5, int(sid), int(start)).raw_words(int(count)))
+    assert (counts % 4).any()
+    # then every row from a block's first word, its words picked by lane
+    for row_starts in (starts, 4 * starts):
+        flat = ragged_words(5, ids, row_starts, counts)
+        assert len(flat) == counts.sum()
+        pieces = np.split(flat, np.cumsum(counts)[:-1])
+        for sid, start, count, piece in zip(ids, row_starts, counts, pieces):
+            assert np.array_equal(piece, RandomStream(5, int(sid), int(start)).raw_words(int(count)))
     assert len(ragged_words(5, ids[:0], starts[:0], counts[:0])) == 0
 
 
