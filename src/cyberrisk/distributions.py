@@ -43,6 +43,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .risk_measures import _row_sums
 from .streams import RandomStream, row_positions, words_to_uniforms
 
 __all__ = [
@@ -68,7 +69,6 @@ PTRS_THRESHOLD = 30.0
 _TABLE_BLOCK = 8192  # (n, j) terms per compound_count_pmf_table block: 64 KiB
 _BAND_COLUMNS = 16  # the least width of a pmf table block's window of terms
 _UNDERFLOW = -800.0  # np.exp is +0.0 at and below this argument
-_PAIRWISE_RUN = 128  # the longest run of entries ndarray.sum adds in 8 lanes, unhalved
 _TERM_ERROR = 2.0 ** -40  # a pmf term's rounding margin per unit of its row's scale
 
 
@@ -318,60 +318,6 @@ def _falls_outward(inside: np.ndarray, edge: np.ndarray, shifts: np.ndarray, sla
     return bool(((inside - edge > slack) & (shifts - edge > slack - _UNDERFLOW)).all())
 
 
-def _band_sums(scaled: np.ndarray, c0: int, band: np.ndarray, lo: int):
-    """``row[:n].sum()`` for the rows n = lo, lo + 1, ... of a
-    ``compound_count_pmf_table`` block, bit for bit, where row n holds
-    ``scaled``'s row n - lo from column ``c0`` on and +0.0 elsewhere, and
-    is nonzero only in the columns c0 + ``band``. Returns (sums, rest):
-    the rows listed in ``rest`` (indices into the block) are left for
-    their own ``ndarray.sum``.
-
-    ``ndarray.sum`` adds n float64s by the pairwise tree the
-    ``risk_measures`` docstring states: a run of more than
-    ``_PAIRWISE_RUN`` entries is halved at (len // 2) & -8, and a shorter
-    run adds its first len & -8 entries in 8 strided lanes, combines the
-    lanes, then adds its last len % 8 entries in order. Every run starts
-    at a multiple of 8, so an entry's lane is its column mod 8. Every
-    entry is >= +0.0, and adding +0.0 to such a sum leaves its bits, so a
-    row whose band lies in one unhalved run sums to that run's sum. Each
-    row's halvings are followed to that run; then the lanes of all rows are
-    one ``ndarray.sum`` per row of the band's columns from the multiple of
-    8 below it, at most ``_PAIRWISE_RUN`` of them, with the entries
-    outside the row's lanes zeroed, and the last entries are added in
-    order. A row whose band a halving splits, and every row of a wider
-    band, is left unsummed."""
-    rows = len(scaled)
-    first = (c0 + int(band[0])) & -8
-    stop = c0 + int(band[-1]) + 1
-    width = (stop - first + 7) & -8
-    if width > _PAIRWISE_RUN:
-        return np.zeros(rows), range(rows)
-    n = np.arange(lo, lo + rows)
-    # follow each row's halvings to the run where its band starts; an
-    # unhalved run's "half" is the whole run
-    start, length = np.zeros(rows, dtype=np.int64), n
-    while (halved := length > _PAIRWISE_RUN).any():
-        half = np.where(halved, (length >> 1) & -8, length)
-        split = start + half
-        right = first >= split
-        start = np.where(right, split, start)
-        length = np.where(right, length - half, half)
-    rest = np.flatnonzero(np.minimum(stop, n) > start + length).tolist()
-    slab = np.zeros((rows, width))
-    slab[:, c0 + int(band[0]) - first:stop - first] = scaled[:, band[0]:band[-1] + 1]
-    lanes_end = start + (length & -8)
-    # the lanes' sum, then the run's last len % 8 entries in order: they lie
-    # in the 8 columns from lanes_end (so group >= 0), past the band's when
-    # the lanes hold the whole band, and the row is +0.0 past the run
-    groups = slab.reshape(rows, -1, 8)
-    group = (lanes_end - first) >> 3
-    last = np.empty((rows, 8))
-    last[:, 0] = np.where(np.arange(first, first + width) < lanes_end[:, None], slab, 0.0).sum(axis=1)
-    last[:, 1:] = groups[np.arange(rows), group % groups.shape[1], :7]
-    last[group >= groups.shape[1], 1:] = 0.0
-    return np.cumsum(last, axis=1)[:, -1], rest
-
-
 def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.ndarray:
     """P(M = n) for n = 0..n_max as an array. For n >= 1:
 
@@ -407,9 +353,8 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
       would return there.
     * Each row's sum has the bits of one ``ndarray.sum`` over its n
       entries, the window's and +0.0 elsewhere: the entries, and so the
-      grouping and the bytes, of the full row's sum. A block's rows are
-      added together in the lanes of that sum (``_band_sums``) where
-      they can be, and by the ``ndarray.sum`` itself otherwise.
+      grouping and the bytes, of the full row's sum
+      (``risk_measures._row_sums``).
 
     If any array of the build cannot be allocated, it raises DomainError
     naming the bytes the build holds at its peak, 15 float64s per row:
@@ -417,7 +362,7 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
     the table, three j-length arrays and ``_lgamma``'s argument and result
     (``_lgamma`` works a block at a time). Then it holds 11 per row: the
     table, the four j-length arrays, log(k!), ``steps`` and the padded
-    log-factorials (two each), and the row being summed. The peak falls in
+    log-factorials (two each), and ``_row_sums``' scratch row. The peak falls in
     a block past row ``_TABLE_BLOCK`` whose window has grown to a whole
     row of up to n_max terms: its terms and their temporaries, about 3.5
     per row.
@@ -433,7 +378,7 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
             out[1:] = [math.exp(t) for t in j_log_theta - j_rate - log_fact[1:]]
             return out
         terms, margin = _count_terms(n_max, theta, lam)
-        row = np.zeros(n_max)  # a row's exponentiated terms for its own sum, +0.0 outside the window
+        scratch = np.zeros(n_max)  # _row_sums' row of +0.0
         lo, c0, width = 1, 0, _BAND_COLUMNS
         while lo <= n_max:
             hi, c0, width, block, shifts = _window(terms, margin, lo, c0, width, n_max)
@@ -442,14 +387,10 @@ def compound_count_pmf_table(n_max: int, params: CountDistributionParams) -> np.
             scaled = np.zeros(block.shape)
             np.exp(block, out=scaled, where=live)
             band = np.flatnonzero(live.any(axis=0))
-            sums, rest = _band_sums(scaled, c0, band, lo)
-            c1 = c0 + block.shape[1]
-            for i in rest:
-                row[c0:c1] = scaled[i]
-                sums[i] = row[:lo + i].sum()
-            row[c0:c1] = 0.0  # a later block may not cover this window, nor write every row
+            first = c0 + int(band[0])
+            sums = _row_sums(scaled[:, band[0]:band[-1] + 1], np.arange(lo, hi), first, scratch)
             out[lo:hi] = np.array([math.exp(shift) for shift in shifts.tolist()]) * sums
-            lo, c0 = hi, max(0, c0 + int(band[0]) - 1)
+            lo, c0 = hi, max(0, first - 1)
         return out
     except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
         raise DomainError(f"a count pmf table of {n_max + 1} rows needs {8 * 15 * (n_max + 1)} bytes, "

@@ -167,6 +167,7 @@ from .loss_model import (
 from .risk_measures import (
     EmpiricalDistribution,
     RiskMetrics,
+    _row_totals,
     conditional_tail_expectation,
     expected_shortfall,
     risk_margin_ratio,
@@ -369,19 +370,6 @@ def _batches(words: np.ndarray):
         lo = hi
 
 
-def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per-row sums of a ragged array, each bit-identical to ``ndarray.sum``
-    of its row: rows under 8 entries add in order, as ``ndarray.sum`` and
-    ``bincount`` both do, and longer rows, which ``ndarray.sum`` adds
-    pairwise, are summed by it row by row."""
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    totals = np.bincount(owner, weights=values, minlength=len(lengths))
-    ends = np.cumsum(lengths)
-    for row in np.flatnonzero(lengths >= 8):
-        totals[row] = values[ends[row] - lengths[row]:ends[row]].sum()
-    return totals
-
-
 _LEVEL_CODES = 1 + max(level.code for level in RiskLevel)
 # pack_stream_id(domain, code, 0) at each level code, for the domains whose
 # rows of several levels are read together
@@ -572,17 +560,15 @@ def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int) -> list:
     del resolved
     other_counts = [len(rows) for rows in others]
     n_other = sum(other_counts)
-    other_losses = np.empty(0)
-    if n_other + len(retry):
-        days, multi_caps = _multi_cluster_days(
-            spec.seed, np.concatenate([np.repeat(codes, other_counts), single_codes[retry]]),
-            np.concatenate([rows + rep_lo for rows in others] + [reps[retry]]),
-            np.concatenate([*other_clusters, np.ones(len(retry), dtype=np.int64)]),
-            device, spec.portfolio_size)
-        days *= unit
-        other_losses = days[:n_other]
-        single_losses[retry] = days[n_other:]
-        caps += multi_caps
+    days, multi_caps = _multi_cluster_days(
+        spec.seed, np.concatenate([np.repeat(codes, other_counts), single_codes[retry]]),
+        np.concatenate([rows + rep_lo for rows in others] + [reps[retry]]),
+        np.concatenate([*other_clusters, np.ones(len(retry), dtype=np.int64)]),
+        device, spec.portfolio_size)
+    days *= unit
+    other_losses = days[:n_other]
+    single_losses[retry] = days[n_other:]
+    caps += multi_caps
     del single_codes, other_clusters
 
     chunks, lo, other_lo = [], 0, 0

@@ -18,9 +18,15 @@ entries it adds them in order; up to 128 it adds the full blocks of 8
 into 8 strided accumulators r0..r7, combines them as
 ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the 0-7 remaining entries
 in order; above 128 it adds the sums of its first m = n//2 - (n//2) % 8
-entries and of the rest. ``_padded_sum`` rebuilds that tree to sum
-zeros followed by a sample's drawn losses without the zeros. The tests
-check numpy against this description by name.
+entries and of the rest. ``ndarray.sum(axis=1)`` of a C-contiguous
+block adds each row so. Three functions here are the only code in the
+package that depends on that tree's shape: ``_padded_sum`` rebuilds it
+to sum zeros followed by a sample's drawn losses without the zeros,
+``_row_sums`` sums many rows of nonnegative entries, zero outside a band
+of columns, by one ``ndarray.sum`` over the band's lanes (the count pmf
+table's rows), and ``_row_totals`` sums the rows of a ragged array (the
+engine's per-repetition totals). The tests check numpy against this
+description by name.
 """
 
 from __future__ import annotations
@@ -58,6 +64,73 @@ def _padded_sum(tail: np.ndarray, n: int) -> float:
     if zeros >= half:
         return _padded_sum(tail, n - half)  # 0.0 + s is s for the nonnegative s here
     return _padded_sum(tail[:half - zeros], half) + np.add.reduce(tail[half - zeros:])
+
+
+def _row_sums(block: np.ndarray, n: np.ndarray, first: int, scratch: np.ndarray) -> np.ndarray:
+    """``row[:n[i]].sum()`` for every row i of ``block``, bit for bit,
+    where row i holds ``block[i]`` from column ``first`` on and +0.0
+    elsewhere, and every entry is >= +0.0. ``scratch`` is a row of +0.0
+    at least ``first + block.shape[1]`` entries long; it is returned as
+    it came.
+
+    In the tree stated above every run starts at a multiple of 8, so an
+    entry's lane is its column mod 8. Adding +0.0 to a sum of nonnegative
+    entries leaves its bits, so a row whose block lies in one unhalved run
+    sums to that run's sum. Each row's halvings are followed to that run;
+    then the lanes of all rows are one ``ndarray.sum`` per row of the
+    block's columns from the multiple of 8 below ``first``, at most 128 of
+    them, with the entries outside the row's lanes zeroed, and the run's
+    last len % 8 entries are added in order. A row whose block a halving
+    splits, and every row of a block over 128 columns, is written into
+    ``scratch`` and summed there."""
+    rows, stop = len(block), first + block.shape[1]
+    base = first & -8
+    width = (stop - base + 7) & -8
+    if width > 128:
+        sums, rest = np.empty(rows), range(rows)
+    else:
+        # follow each row's halvings to the run where its block starts; an
+        # unhalved run's "half" is the whole run
+        start, length = np.zeros(rows, dtype=np.int64), n
+        while (halved := length > 128).any():
+            half = np.where(halved, (length >> 1) & -8, length)
+            split = start + half
+            right = base >= split
+            start = np.where(right, split, start)
+            length = np.where(right, length - half, half)
+        rest = np.flatnonzero(np.minimum(stop, n) > start + length).tolist()
+        slab = np.zeros((rows, width))
+        slab[:, first - base:stop - base] = block
+        lanes_end = start + (length & -8)
+        # the lanes' sum, then the run's last len % 8 entries in order: they
+        # lie in the 8 columns from lanes_end (so group >= 0), past the
+        # block's when the lanes hold the whole block, and the row is +0.0
+        # past the run
+        groups = slab.reshape(rows, -1, 8)
+        group = (lanes_end - base) >> 3
+        last = np.empty((rows, 8))
+        last[:, 0] = np.where(np.arange(base, base + width) < lanes_end[:, None], slab, 0.0).sum(axis=1)
+        last[:, 1:] = groups[np.arange(rows), group % groups.shape[1], :7]
+        last[group >= groups.shape[1], 1:] = 0.0
+        sums = np.cumsum(last, axis=1)[:, -1]
+    for i in rest:
+        scratch[first:stop] = block[i]
+        sums[i] = scratch[:n[i]].sum()
+    scratch[first:stop] = 0.0
+    return sums
+
+
+def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-row sums of a ragged array, each bit-identical to ``ndarray.sum``
+    of its row: rows under 8 entries add in order, as ``ndarray.sum`` and
+    ``bincount`` both do, and longer rows, which ``ndarray.sum`` adds
+    pairwise, are summed by it row by row."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    totals = np.bincount(owner, weights=values, minlength=len(lengths))
+    ends = np.cumsum(lengths)
+    for row in np.flatnonzero(lengths >= 8):
+        totals[row] = values[ends[row] - lengths[row]:ends[row]].sum()
+    return totals
 
 
 class EmpiricalDistribution:

@@ -258,20 +258,13 @@ def ragged_words(seed: int, stream_ids: np.ndarray, starts: np.ndarray,
     first = starts // _WORDS_PER_BLOCK
     n_blocks = np.where(counts > 0, (starts + counts - 1) // _WORDS_PER_BLOCK - first + 1, 0)
     block_row = np.repeat(np.arange(len(counts)), n_blocks)
-    ends = np.cumsum(n_blocks)
+    offsets = np.cumsum(n_blocks) - n_blocks
     blocks = first[block_row] + row_positions(n_blocks) + 1
-    cipher = philox_blocks(seed, np.asarray(stream_ids, dtype=np.uint64)[block_row], blocks)
-    if not (starts % _WORDS_PER_BLOCK).any():
-        if not (counts % _WORDS_PER_BLOCK).any():
-            return cipher.ravel()  # whole blocks from a block's first word: the words in row order
-        # every row starts on a block's first word: its last block keeps
-        # its first (count - 1) % 4 + 1 lanes, and every other block all 4
-        keep = np.full(len(cipher), _WORDS_PER_BLOCK)
-        drawn = counts > 0
-        keep[ends[drawn] - 1] = (counts[drawn] - 1) % _WORDS_PER_BLOCK + 1
-        return cipher[np.arange(_WORDS_PER_BLOCK) < keep[:, None]]
-    row_first = (ends - n_blocks) * _WORDS_PER_BLOCK + starts % _WORDS_PER_BLOCK
-    return cipher.ravel()[np.repeat(row_first, counts) + row_positions(counts)]
+    cipher = philox_blocks(seed, np.asarray(stream_ids, dtype=np.uint64)[block_row], blocks).ravel()
+    if not (starts % _WORDS_PER_BLOCK).any() and not (counts % _WORDS_PER_BLOCK).any():
+        return cipher  # whole blocks from a block's first word: the words in row order
+    row_first = offsets * _WORDS_PER_BLOCK + starts % _WORDS_PER_BLOCK
+    return cipher[np.repeat(row_first, counts) + row_positions(counts)]
 
 
 class RaggedStreams:

@@ -12,7 +12,9 @@ pmf build, which takes the package's log-factorials.
 """
 
 from collections import Counter
+from decimal import Decimal, localcontext
 import math
+from operator import mul
 
 import numpy as np
 from numpy.random import Philox
@@ -197,6 +199,48 @@ def panjer_compound_poisson_cdf(rate: float, values, probabilities, x_grid) -> n
     idx = np.minimum((np.floor(np.asarray(x_grid, dtype=float) / step + 1e-9)).astype(int),
                      n_points - 1)
     return cdf_lattice[idx]
+
+
+def count_pmf_decimal(n_max: int, theta: float, lam: float) -> list:
+    """P(M = n) for n = 0..n_max as 60-digit ``Decimal``s, M the count of
+    ``compound_count_pmf_table``: K ~ Poisson(theta) clusters of size
+    S = 1 + Poisson(lam). Panjer's recursion (Panjer 1981), stable for a
+    Poisson frequency: g(0) = e^-theta, g(n) = (theta/n) sum_s s f(s)
+    g(n - s), with f(1) = e^-lam and f(s + 1) = f(s) lam / s. The terms
+    of f below 10^-60 of its largest, whose products fall below the
+    working precision, are left out."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        theta, lam = Decimal(theta), Decimal(lam)
+        f = [Decimal(0), (-lam).exp()]
+        for s in range(1, n_max):
+            f.append(f[s] * lam / s)
+        cut = max(f) * Decimal("1e-60")
+        kept = [s for s in range(1, n_max + 1) if f[s] >= cut]
+        s_lo, s_hi = (kept[0], kept[-1]) if kept else (1, 0)
+        sf = [s * f[s] for s in range(n_max + 1)]
+        g = [(-theta).exp()]
+        for n in range(1, n_max + 1):
+            hi = min(s_hi, n)
+            acc = sum(map(mul, sf[s_lo:hi + 1], reversed(g[n - hi:n - s_lo + 1])), Decimal(0))
+            g.append(theta * acc / n)
+        return g
+
+
+def expected_capped_loss_days_decimal(theta: float, lam: float, h: int, m: float) -> Decimal:
+    """E[min(m M, h)] to about 60 digits, from ``count_pmf_decimal`` over
+    the rows n <= N = floor(h / m), the only rows where m n < h can hold:
+    sum_{1<=n<=N} m n P(n) + h P(M > N). The tail is taken as
+    (1 - e^-theta) - sum_{1<=n<=N} P(n), so that no operand of size 1
+    cancels."""
+    if m == 0.0:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h, m = Decimal(h), Decimal(m)
+        g = count_pmf_decimal(int(h / m), theta, lam)
+        tail = (1 - (-Decimal(theta)).exp()) - sum(g[1:], Decimal(0))
+        return m * sum((n * p for n, p in enumerate(g)), Decimal(0)) + h * tail
 
 
 def nearest_rank_var_bruteforce(sorted_losses, level: float) -> float:

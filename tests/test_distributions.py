@@ -269,43 +269,6 @@ class TestCompoundCountPmf:
         monkeypatch.setattr(distributions, "_TABLE_BLOCK", 256)
         assert compound_count_pmf_table(n_max, params).tobytes() == expect
 
-    def test_band_sums_are_the_ndarray_sums_of_the_rows(self):
-        # blocks of rows n = lo.. with nonzero entries only in a band of
-        # columns below n; each row the lane sums cover must have the bits of
-        # ndarray.sum over its zero-filled row. Every row's first run holds
-        # columns 0..63, and no row is summed past a band of 128 columns.
-        rng = np.random.default_rng(2024)
-        right_run_rows = split_rows = 0
-        for case in range(400):
-            lo = int(rng.choice([1, 100, 129, 257, 1000, 5000]) + rng.integers(0, 300))
-            rows, c0 = int(rng.integers(1, 130)), int(rng.integers(0, lo))
-            if case % 4 == 0:  # a band in columns 0..63
-                c0 = 0
-            b0 = 0 if case % 4 == 0 else int(rng.integers(0, lo - c0))
-            b1 = b0 + int(rng.integers(1, 64 if case % 4 == 0 else 160))
-            scaled = np.zeros((rows, b1))
-            for i in range(rows):
-                stop = max(b0, min(b1, lo + i - c0))
-                scaled[i, b0:stop] = np.exp(rng.uniform(-700.0, 0.0, stop - b0))
-                scaled[i, b0:stop][rng.random(stop - b0) < 0.2] = 0.0
-            band = np.flatnonzero(scaled.any(axis=0))
-            if band.size == 0:
-                continue
-            sums, rest = distributions._band_sums(scaled, c0, band, lo)
-            summed = ~np.isin(np.arange(rows), list(rest))
-            row = np.zeros(c0 + b1 + lo + rows)
-            for i in np.flatnonzero(summed):
-                row[c0:c0 + b1] = scaled[i]
-                assert sums[i].tobytes() == row[:lo + i].sum().tobytes(), (case, i)
-            if case % 4 == 0:
-                assert summed.all()
-            wide = (c0 + band[-1] + 1) - ((c0 + band[0]) & -8) > 128
-            assert not (wide and summed.any())
-            if c0 + band[0] >= 128 and not wide:
-                right_run_rows += int(summed.sum())
-                split_rows += int((~summed).sum())
-        assert right_run_rows > 100 and split_rows > 100
-
     def test_a_window_right_of_the_band_grows_left(self):
         # a band's left edge never moves left as n grows, so the build never
         # starts a window right of one; started there, the left edge check

@@ -30,7 +30,6 @@ from cyberrisk.engine import (
     SimulationSpec,
     _batches,
     _multi_cluster_days,
-    _row_totals,
     _simulate_chunk,
     run_simulation,
     summarize_level,
@@ -579,18 +578,6 @@ class TestPricing:
 class TestBatchedResolution:
     """The batched DETAIL_SPILL and CHANNEL_SEV resolution replays every
     repetition's own stream."""
-
-    def test_row_totals_equal_ndarray_sum(self):
-        # every row length from 0 to 1,100 at once: in order below 8,
-        # numpy's block form from 8 to 128, its pairwise split above
-        rng = np.random.default_rng(3)
-        lengths = np.concatenate([rng.permutation(1101), rng.integers(0, 300, 50)])
-        size = int(lengths.sum())
-        values = rng.lognormal(0.0, 3.0, size=size) * 0.7 * rng.choice([-1.0, 1.0], size)
-        totals = _row_totals(values, lengths)
-        ends = np.cumsum(lengths)
-        for total, end, length in zip(totals, ends, lengths):
-            assert total.hex() == values[end - length:end].sum().hex(), length
 
     @pytest.mark.parametrize("lam, kill, multiplier, kappa", [
         (45.0, 0.3, 0.7, 50),

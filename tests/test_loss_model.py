@@ -1,11 +1,13 @@
 """Loss arithmetic, and one-device portfolios as the engine draws them."""
 
+from decimal import Decimal
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from cyberrisk.config import paper_config, parse_config
 from cyberrisk.distributions import (
     CountDistributionParams,
     DiscreteTable,
@@ -21,9 +23,16 @@ from cyberrisk.loss_model import (
     expected_capped_loss_days,
     expected_present_loss,
 )
-from cyberrisk.scenario import RiskLevel
+from cyberrisk.scenario import RiskLevel, level_parameters
 
-from oracles import panjer_compound_poisson_cdf, scatter_chunk
+from oracles import (
+    compound_count_pmf_bruteforce,
+    count_pmf_decimal,
+    expected_capped_loss_days_decimal,
+    panjer_compound_poisson_cdf,
+    scatter_chunk,
+)
+from test_golden import CASES, case_document
 
 
 def _device(theta=1.0, lam=0.0, b=1000.0, r=0.03, kill=0.0, horizon=365):
@@ -134,6 +143,59 @@ class TestExpectedLoss:
         dev_killed = _device(theta=0.5, lam=2.0, b=100.0, r=0.0, kill=0.7, horizon=10_000)
         assert expected_present_loss(dev_killed) == pytest.approx(
             100.0 * 1.5 * math.exp(-0.7), rel=1e-9)
+
+
+# expected_capped_loss_days' error relative to the 60-digit oracle, at
+# most: the bound was set before the first comparison, from the worst
+# error measured on a 144-device grid (2.5e-5 at theta = 1e-12, lambda =
+# 182, h = 200, m = 1.37). The premium takes the mass past its table as
+# 1 - pmf.sum(), good to about 1e-16 absolute, against an E as small as
+# theta.
+_PREMIUM_BOUND = 3e-5
+
+
+def _premium_error(theta: float, lam: float, horizon: int, multiplier: float) -> float:
+    exact = expected_capped_loss_days_decimal(theta, lam, horizon, multiplier)
+    got = expected_capped_loss_days(CountDistributionParams(theta, lam), horizon, multiplier)
+    return float(abs(Decimal(got) - exact) / exact)
+
+
+class TestPremiumAccuracy:
+    """The Baseline premium against a 60-digit Panjer recursion
+    (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("theta, lam", [(0.5, 2.0), (3.0, 0.5), (1.0, 0.0), (0.2, 30.0)])
+    def test_oracle_matches_the_bruteforce_convolution(self, theta, lam):
+        n_max = 60
+        brute = compound_count_pmf_bruteforce(n_max, theta, lam, tol=1e-17)
+        exact = np.array([float(p) for p in count_pmf_decimal(n_max, theta, lam)])
+        # the brute force leaves out the clusters past a Poisson tail of 1e-17
+        np.testing.assert_allclose(exact, brute, rtol=1e-10, atol=1e-16)
+        for horizon, multiplier in ((10, 1.0), (9, 1.37), (40, 0.7)):
+            n = np.arange(int(horizon / multiplier) + 1)
+            expect = (multiplier * n * brute[n]).sum() + horizon * (1.0 - brute[n].sum())
+            got = expected_capped_loss_days_decimal(theta, lam, horizon, multiplier)
+            assert float(got) == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["paper", *CASES])
+    def test_golden_baseline_devices(self, name):
+        spec = parse_config(paper_config() if name == "paper" else case_document(name))
+        device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
+        assert _premium_error(device.counts.theta, device.counts.lambda_cluster,
+                              device.horizon_days, device.loss_day_multiplier) <= _PREMIUM_BOUND
+
+    @pytest.mark.parametrize("theta, lam, horizon, multiplier", [
+        (1e-12, 182.0, 200, 1.37),  # the grid's worst
+        (1e-12, 182.0, 200, 1.0),
+        (2e-5, 182.0, 2000, 1.0),
+        (2e-5, 182.0, 200, 1.0),
+        (2e-5, 182.0, 365, 0.7),
+        (50.0, 182.0, 200, 1.0),
+        (50.0, 0.5, 365, 1.37),
+        (1.0, 5.0, 365, 1.0),
+    ])
+    def test_grid_devices(self, theta, lam, horizon, multiplier):
+        assert _premium_error(theta, lam, horizon, multiplier) <= _PREMIUM_BOUND
 
 
 class TestLinearity:

@@ -9,6 +9,8 @@ from cyberrisk.errors import DomainError, UndefinedMarginError
 from cyberrisk.risk_measures import (
     EmpiricalDistribution,
     _padded_sum,
+    _row_sums,
+    _row_totals,
     conditional_tail_expectation,
     expected_shortfall,
     risk_margin_ratio,
@@ -284,6 +286,17 @@ def _stated_tree_sum(values: np.ndarray) -> float:
     return _stated_tree_sum(values[:half]) + _stated_tree_sum(values[half:])
 
 
+def _unhalved_run(n: int, column: int):
+    """(start, length) of the run of 128 entries or fewer that the stated
+    tree adds unhalved, among the runs of a sum of ``n`` entries, holding
+    ``column``."""
+    start = 0
+    while n > 128:
+        half = n // 2 - (n // 2) % 8
+        start, n = (start + half, n - half) if column >= start + half else (start, half)
+    return start, n
+
+
 class TestNumpySummationTree:
     """Report bytes rest on numpy's pairwise summation tree. A numpy release
     that changed it fails these tests by name."""
@@ -294,6 +307,72 @@ class TestNumpySummationTree:
             # signed, with magnitudes far apart, so any other order rounds apart
             values = rng.lognormal(0.0, 4.0, n) * rng.choice([-1.0, 1.0], n)
             assert float(_stated_tree_sum(values)).hex() == float(values.sum()).hex(), n
+
+    @pytest.mark.parametrize("rows", [1, 3, 17])
+    def test_numpy_row_sums_of_a_block_are_the_stated_tree_for_widths_0_to_299(self, rows):
+        # _row_sums adds the lanes of many rows by one ndarray.sum(axis=1)
+        rng = np.random.default_rng(rows)
+        for width in range(300):
+            block = rng.lognormal(0.0, 4.0, (rows, width)) * rng.choice([-1.0, 1.0], (rows, width))
+            assert block.flags.c_contiguous
+            sums = block.sum(axis=1)
+            for i in range(rows):
+                assert float(_stated_tree_sum(block[i])).hex() == float(sums[i]).hex(), (width, i)
+
+    def test_row_sums_are_the_ndarray_sums_of_the_rows(self):
+        # blocks of rows n = lo.. with nonzero entries only in a band of
+        # columns below n; every row must have the bits of ndarray.sum over
+        # its zero-filled row, and the scratch row must come back zeroed.
+        # Every row's first run holds columns 0..63, so the lanes sum every
+        # row of those cases; many rows lie in a later run, many have their
+        # band split by a halving, and many bands are over 128 columns wide.
+        rng = np.random.default_rng(2024)
+        right_run_rows = split_rows = wide_rows = 0
+        for case in range(400):
+            lo = int(rng.choice([1, 100, 129, 257, 1000, 5000]) + rng.integers(0, 300))
+            rows, c0 = int(rng.integers(1, 130)), int(rng.integers(0, lo))
+            if case % 4 == 0:  # a band in columns 0..63
+                c0 = 0
+            b0 = 0 if case % 4 == 0 else int(rng.integers(0, lo - c0))
+            b1 = b0 + int(rng.integers(1, 64 if case % 4 == 0 else 160))
+            scaled = np.zeros((rows, b1))
+            for i in range(rows):
+                stop = max(b0, min(b1, lo + i - c0))
+                scaled[i, b0:stop] = np.exp(rng.uniform(-700.0, 0.0, stop - b0))
+                scaled[i, b0:stop][rng.random(stop - b0) < 0.2] = 0.0
+            band = np.flatnonzero(scaled.any(axis=0))
+            if band.size == 0:
+                continue
+            first, stop = c0 + band[0], c0 + band[-1] + 1
+            scratch = np.zeros(c0 + b1 + lo + rows)
+            sums = _row_sums(scaled[:, band[0]:band[-1] + 1], np.arange(lo, lo + rows), first, scratch)
+            assert not scratch.any(), case
+            row = np.zeros_like(scratch)
+            for i in range(rows):
+                row[c0:c0 + b1] = scaled[i]
+                assert sums[i].tobytes() == row[:lo + i].sum().tobytes(), (case, i)
+            start, length = zip(*(_unhalved_run(lo + i, first & -8) for i in range(rows)))
+            in_run = np.minimum(stop, np.arange(lo, lo + rows)) <= np.add(start, length)
+            if case % 4 == 0:
+                assert in_run.all()
+            if stop - (first & -8) > 128:
+                wide_rows += rows
+            elif first >= 128:
+                right_run_rows += int(in_run.sum())
+                split_rows += int((~in_run).sum())
+        assert right_run_rows > 100 and split_rows > 100 and wide_rows > 100
+
+    def test_row_totals_equal_ndarray_sum(self):
+        # every row length from 0 to 1,100 at once: in order below 8,
+        # numpy's block form from 8 to 128, its pairwise split above
+        rng = np.random.default_rng(3)
+        lengths = np.concatenate([rng.permutation(1101), rng.integers(0, 300, 50)])
+        size = int(lengths.sum())
+        values = rng.lognormal(0.0, 3.0, size=size) * 0.7 * rng.choice([-1.0, 1.0], size)
+        totals = _row_totals(values, lengths)
+        ends = np.cumsum(lengths)
+        for total, end, length in zip(totals, ends, lengths):
+            assert total.hex() == values[end - length:end].sum().hex(), length
 
     @pytest.mark.parametrize("count, drawn", [
         (count, drawn)

@@ -175,7 +175,7 @@ def test_ragged_words_equal_per_row_reads():
     counts = rng.integers(0, 14, size=n)
     counts[4:8] = 0                           # zero-length rows
     assert (counts % 4).any()
-    # then every row from a block's first word, its words picked by lane
+    # then every row from a block's first word
     for row_starts in (starts, 4 * starts):
         flat = ragged_words(5, ids, row_starts, counts)
         assert len(flat) == counts.sum()
