@@ -20,7 +20,12 @@ streams at once are read through ``philox_blocks``, the same cipher in
 numpy ``uint64`` arithmetic, vectorized over (key, counter) pairs. Its
 64x64 -> 128-bit multiply-high is assembled from the four products of
 32-bit halves. The counter's upper three words stay 0 because every
-address the engine's layout forms has ``i // 4 + 1 < 2**64``.
+address the engine's layout forms has ``i // 4 + 1 < 2**64``. So rounds 0
+and 1 multiply one word each, with the same result: round 0's word-2
+product is 0, and word 0 leaves round 0 as the seed in every block, so
+round 1's word-0 product is the one Python int ``M0 * seed``. Each pass
+writes its words lane-major, one row per lane; ``philox_blocks`` returns
+them as an ``(n, 4)`` view whose columns are contiguous.
 
 Uniform mapping (format version 1): a raw 64-bit word ``w`` maps to the
 open-closed unit interval as ``u = ((w >> 11) + 1) * 2**-53``, i.e.
@@ -186,59 +191,79 @@ def philox_blocks(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.n
     Row ``i`` of the ``(n, 4)`` result is the cipher of counter
     ``(blocks[i], 0, 0, 0)`` under key ``(seed, stream_ids[i])``: the four
     words ``numpy.random.Philox(key=[seed, stream_ids[i]],
-    counter=blocks[i] - 1)`` emits first.
+    counter=blocks[i] - 1)`` emits first. It is the transposed view of a
+    lane-major ``(4, n)`` array: each column is contiguous, and ``ravel()``
+    copies it into row order. Counter words 1-3 are 0, so word 0 leaves
+    round 0 as the seed: rounds 0 and 1 multiply one word each, not two.
     """
     stream_ids = np.asarray(stream_ids, dtype=np.uint64)
     blocks = np.asarray(blocks, dtype=np.uint64)
-    out = np.empty((len(stream_ids), _WORDS_PER_BLOCK), dtype=np.uint64)
-    for lo in range(0, len(stream_ids), _CIPHER_PASS_BLOCKS):
-        hi = lo + _CIPHER_PASS_BLOCKS
-        out[lo:hi] = _philox_pass(seed, stream_ids[lo:hi], blocks[lo:hi])
-    return out
+    passes = [_philox_pass(seed, stream_ids[lo:lo + _CIPHER_PASS_BLOCKS],
+                           blocks[lo:lo + _CIPHER_PASS_BLOCKS])
+              for lo in range(0, len(stream_ids), _CIPHER_PASS_BLOCKS)]
+    # one pass is returned as it is, more are copied once into one array
+    lanes = passes[0] if len(passes) == 1 else np.concatenate(
+        passes or [np.empty((_WORDS_PER_BLOCK, 0), dtype=np.uint64)], axis=1)
+    return lanes.T
+
+
+def _mulhi(m_lo, m_hi, x, x_lo, x_hi, low, mid) -> np.ndarray:
+    """hi of m * x from the four 32x32-bit partial products: hi is built in
+    x_hi's array and upper in low's, each once its first value is read."""
+    np.bitwise_and(x, _LOW32, out=x_lo)
+    np.right_shift(x, _HALF, out=x_hi)
+    np.multiply(m_lo, x_lo, out=low)
+    low >>= _HALF
+    np.multiply(m_lo, x_hi, out=mid)
+    mid += low
+    upper = np.multiply(m_hi, x_lo, out=low)
+    np.bitwise_and(mid, _LOW32, out=x_lo)
+    upper += x_lo
+    hi = np.multiply(m_hi, x_hi, out=x_hi)
+    mid >>= _HALF
+    hi += mid
+    upper >>= _HALF
+    hi += upper
+    return hi
 
 
 def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     n = len(stream_ids)
-    # x holds counter words (0, 2) and y words (1, 3), both in that row
-    # order after an even number of rounds and swapped after an odd one.
-    x = np.zeros((2, n), dtype=np.uint64)
-    x[0] = blocks
-    y = np.zeros((2, n), dtype=np.uint64)
-    key1 = stream_ids.copy()
+    # the (4, n) result; x holds words (0, 2) and y words (1, 3), both in
+    # that row order after an even number of rounds, swapped after an odd
+    # one; y and lo swap 8 times, so round 9 writes lo into the result
+    out = np.empty((_WORDS_PER_BLOCK, n), dtype=np.uint64)
+    x, y = out[0::2], out[1::2]
+    lo, x_lo, x_hi, low, mid = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
     # key word 0 of each round, one (1,) row per round
     key0 = np.array([(seed + r * _PHILOX_W0) & _U64_MASK for r in range(_PHILOX_ROUNDS)],
                     dtype=np.uint64)[:, None]
-    # hi is built in x_hi's array and upper in low's, each once its first
-    # value has been read
-    x_lo, x_hi, low, mid, lo = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
-    for r in range(_PHILOX_ROUNDS):
+    m, m_lo, m_hi = _PHILOX_MULTS[0]
+    # Round 0: word 2 is 0, so only word 0 is multiplied; word 0 becomes
+    # the seed and word 1 becomes 0. Word 3 is parked in x[1], word 2 in x[0].
+    np.multiply(m[0], blocks, out=x[1])
+    np.bitwise_xor(_mulhi(m_lo[0], m_hi[0], blocks, x_lo[0], x_hi[0], low[0], mid[0]), stream_ids,
+                   out=x[0])
+    # Round 1: word 0 is the seed, so its product is one Python int, whose
+    # low half is the new word 3 and whose high half goes into word 2
+    np.multiply(m[1], x[0], out=y[0])
+    np.bitwise_xor(_mulhi(m_lo[1], m_hi[1], x[0], x_lo[0], x_hi[0], low[0], mid[0]), key0[1],
+                   out=x[0])
+    seed_hi, y[1] = divmod(int(m[0, 0]) * seed, 1 << 64)
+    key1 = stream_ids + _PHILOX_W1
+    x[1] ^= key1
+    x[1] ^= seed_hi
+    for r in range(2, _PHILOX_ROUNDS):
+        key1 += _PHILOX_W1
         m, m_lo, m_hi = _PHILOX_MULTS[r & 1]
-        # hi:lo = m * x from the four 32x32-bit partial products
-        np.bitwise_and(x, _LOW32, out=x_lo)
-        np.right_shift(x, _HALF, out=x_hi)
-        np.multiply(m_lo, x_lo, out=low)
-        low >>= _HALF
-        np.multiply(m_lo, x_hi, out=mid)
-        mid += low
-        upper = np.multiply(m_hi, x_lo, out=low)
-        np.bitwise_and(mid, _LOW32, out=x_lo)
-        upper += x_lo
-        hi = np.multiply(m_hi, x_hi, out=x_hi)
-        mid >>= _HALF
-        hi += mid
-        upper >>= _HALF
-        hi += upper
+        hi = _mulhi(m_lo, m_hi, x, x_lo, x_hi, low, mid)
         np.multiply(m, x, out=lo)
         # new word 0 = hi(word 2) ^ word 1 ^ key 0, new word 2 = hi(word 0)
         # ^ word 3 ^ key 1, new words 1 and 3 = lo(word 2), lo(word 0)
         np.bitwise_xor(hi, y[::-1], out=x)
         x[1 - (r & 1)] ^= key0[r]
         x[r & 1] ^= key1
-        key1 += _PHILOX_W1
         y, lo = lo, y
-    out = np.empty((n, _WORDS_PER_BLOCK), dtype=np.uint64)
-    out[:, 0::2] = x.T
-    out[:, 1::2] = y.T
     return out
 
 

@@ -243,6 +243,34 @@ def expected_capped_loss_days_decimal(theta: float, lam: float, h: int, m: float
         return m * sum((n * p for n, p in enumerate(g)), Decimal(0)) + h * tail
 
 
+def exact_portfolio_pmf(spec, level) -> np.ndarray:
+    """P(S = s) for s = 0..kappa * h: the exact distribution of a level's
+    portfolio loss-days S, the sum over kappa devices of D = 1(survived) *
+    min(m M, h), without a channel. A repetition's loss is v * b * S.
+
+    D's pmf is built from ``compound_count_pmf_bruteforce`` at the level's
+    theta: mass m n for the rows m n < h, the rest of M's mass at h, all of
+    it scaled by P(survive) = e^-kill_rate, and the killed devices at 0.
+    The kappa-fold convolution is one ``rfft`` on 2^ceil(log2(kappa h + 1))
+    points raised to the power kappa, then one ``irfft`` (Embrechts & Frei
+    2009): the sum's support fits the transform, so nothing wraps.
+    """
+    device, kappa = spec.device, spec.portfolio_size
+    m, h = device.loss_day_multiplier, device.horizon_days
+    if spec.aggregate_channel is not None or m != int(m) or m < 1:
+        raise ValueError("only a positive integer loss_day_multiplier and no channel")
+    m = int(m)
+    theta = device.counts.theta * spec.scenario.intensity_multipliers[level]
+    g = compound_count_pmf_bruteforce((h - 1) // m, theta, device.counts.lambda_cluster)
+    survive = math.exp(-device.kill_rate)
+    d = np.zeros(h + 1)
+    d[0:m * len(g):m] = survive * g
+    d[h] = survive * max(0.0, 1.0 - g.sum())
+    d[0] += 1.0 - survive
+    size = 1 << (kappa * h).bit_length()
+    return np.fft.irfft(np.fft.rfft(d, size) ** kappa, size)[:kappa * h + 1]
+
+
 def nearest_rank_var_bruteforce(sorted_losses, level: float) -> float:
     """Smallest sample value whose empirical CDF weakly exceeds the level,
     found by linear scan."""

@@ -790,12 +790,12 @@ class TestCipherWork:
         monkeypatch.setattr(streams, "_philox_pass", spy)
         return counters
 
-    def test_paper_run_enciphers_at_most_75000_blocks(self, monkeypatch):
+    def test_paper_run_enciphers_73293_blocks(self, monkeypatch):
         counters = self._enciphered(monkeypatch)
         run_simulation(parse_config(paper_config()), workers=1)
         # 130,744 when every block of a DETAIL region was read and
         # multi-cluster prefixes held n * 4 + 8 words
-        assert sum(len(c) for c in counters) <= 75_000
+        assert sum(len(c) for c in counters) == 73_293
 
     @pytest.mark.parametrize("lam, kill", [(182.0, 0.0), (182.0, 0.3), (5.0, 0.0), (5.0, 0.3),
                                            (0.0, 0.0), (0.0, 0.3)])
@@ -860,26 +860,26 @@ class TestCipherWork:
             assert passes.count(0) == math.ceil(block_1_rows / streams._CIPHER_PASS_BLOCKS)
             assert passes == sorted(passes, reverse=True)  # every block-1 pass comes last
 
-    def test_paper_run_makes_at_most_20_cipher_passes(self, monkeypatch):
+    def test_paper_run_makes_17_cipher_passes(self, monkeypatch):
         # 27 when each level ran as its own task
         counters = self._enciphered(monkeypatch)
         run_simulation(parse_config(paper_config()), workers=1)
-        assert len(counters) <= 20
+        assert len(counters) == 17
         assert sum(len(c) for c in counters) == 73_293
 
-    def test_channel_workload_makes_at_most_12_cipher_passes(self, monkeypatch):
+    def test_channel_workload_makes_10_cipher_passes(self, monkeypatch):
         # 22 when each level ran as its own task
         counters = self._enciphered(monkeypatch)
         run_simulation(_bench_workload("channel"), workers=1)
-        assert len(counters) <= 12
+        assert len(counters) == 10
         assert sum(len(c) for c in counters) == 32_773
 
-    def test_dense_workload_makes_at_most_44_cipher_passes(self, monkeypatch):
+    def test_dense_workload_makes_43_cipher_passes(self, monkeypatch):
         # 68 when each 8,192-row span of single-cluster rows made its own
         # block-0 and block-1 passes
         counters = self._enciphered(monkeypatch)
         run_simulation(_bench_workload("dense"), workers=1)
-        assert len(counters) <= 44
+        assert len(counters) == 43
         assert sum(len(c) for c in counters) == 273_985
 
 

@@ -166,6 +166,42 @@ def test_philox_blocks_spanning_several_passes():
         assert np.array_equal(got[i], bit_gen.random_raw(4))
 
 
+# Philox-4x64 Weyl key increments (Salmon et al. 2011)
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def test_philox_blocks_where_keys_and_counters_wrap():
+    """Round r's key is (seed + r W0, id + r W1) mod 2**64: seeds and ids
+    that wrap past 2**64 in some round, and the counters 0 and 2**64 - 1,
+    which numpy's Philox emits after counters 2**256 - 1 and 2**64 - 2."""
+    ids = np.array([0, 2 ** 64 - 1, 2 ** 64 - _W1, 2 ** 63 + 5], dtype=np.uint64)
+    blocks = np.array([0, 1, 2 ** 64 - 1, 2 ** 64 - 2], dtype=np.uint64)
+    for seed in (0, 2 ** 64 - 1, 2 ** 64 - _W0, (2 ** 64 - 3 * _W0) % 2 ** 64):
+        got = philox_blocks(seed, np.repeat(ids, len(blocks)), np.tile(blocks, len(ids)))
+        for row, (sid, block) in enumerate((sid, block) for sid in ids for block in blocks):
+            bit_gen = Philox(key=np.array([seed, sid], dtype=np.uint64),
+                             counter=(int(block) - 1) % 2 ** 256)
+            assert np.array_equal(got[row], bit_gen.random_raw(4)), (seed, sid, block)
+
+
+@pytest.mark.parametrize("n", [0, 1, streams._CIPHER_PASS_BLOCKS, streams._CIPHER_PASS_BLOCKS + 1,
+                               2 * streams._CIPHER_PASS_BLOCKS + 1])
+def test_philox_blocks_pass_sizes(n):
+    """Every row of a call of n rows, over zero to three passes, equals
+    numpy's Philox, and every column of the result is contiguous: the
+    engine reads them as arrays of their own."""
+    ids = np.array([2 ** 64 - 1, 7, 2 ** 64 - _W1], dtype=np.uint64)
+    rows = np.arange(n)
+    # row i is block i // 3 + 1 of stream ids[i % 3], so each stream's rows
+    # are its first blocks in order
+    got = philox_blocks(2 ** 64 - _W0, ids[rows % 3], rows // 3 + 1)
+    assert got.shape == (n, 4) and got.dtype == np.uint64
+    assert all(got[:, lane].flags.c_contiguous for lane in range(4))
+    for k, sid in enumerate(ids):
+        bit_gen = Philox(key=np.array([2 ** 64 - _W0, sid], dtype=np.uint64))
+        assert np.array_equal(got[k::3].ravel(), bit_gen.random_raw(4 * len(rows[k::3])))
+
+
 def test_ragged_words_equal_per_row_reads():
     rng = np.random.default_rng(11)
     n = 60
