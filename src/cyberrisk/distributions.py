@@ -7,7 +7,8 @@ on any platform and worker count.
 
 Word consumption per draw (format version 1):
 
-* Poisson, rate < 30 - one word (inversion by sequential search).
+* Poisson, rate < 30 - one word (inversion: the first k with
+  ``cum[k] >= u``, clamped to the table, found through a guide table).
 * Poisson, rate >= 30 - two words per rejection attempt (Hormann's PTRS
   transformed-rejection method), attempts until acceptance.
 * Severity: Lognormal / Pareto / DiscreteTable - one word (inverse CDF,
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .risk_measures import _row_sums
-from .streams import RandomStream, row_positions, words_to_uniforms
+from .streams import RandomStream, ragged_ranges, words_to_uniforms
 
 __all__ = [
     "CountDistributionParams",
@@ -473,7 +474,8 @@ def normal_quantile(u) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def poisson_cum_table(rate: float) -> np.ndarray:
-    """Cumulative pmf table used by sequential-search inversion (rate < 30).
+    """Cumulative pmf table of inversion (rate < 30), whose draw is the
+    first k with ``cum[k] >= u``, clamped to the table (``_guide_table``).
 
     Extends to rate + 12*sqrt(rate) + 48 terms, past the point where the
     table saturates in double precision; draws beyond the last entry
@@ -487,6 +489,22 @@ def poisson_cum_table(rate: float) -> np.ndarray:
     cum = np.cumsum(pmf)
     cum.setflags(write=False)  # shared by every caller through the cache
     return cum
+
+
+@functools.lru_cache(maxsize=32)
+def _guide_table(rate: float) -> tuple:
+    """(size, start, stop), the guide table of ``poisson_cum_table(rate)``
+    (Chen & Asau 1974; Devroye 1986, ch. III): ``size`` is the least power
+    of two above its length L, ``start[g] = min(#{cum < g / size}, L - 1)``
+    for g = 0..size, and ``stop`` is cum with its last entry 2.0, where
+    every search stops. Cached per rate, read-only."""
+    cum = poisson_cum_table(rate)
+    size = 1 << len(cum).bit_length()
+    start = np.minimum(np.searchsorted(cum, np.arange(size + 1) / size, side="left"), len(cum) - 1)
+    stop = np.append(cum[:-1], 2.0)
+    for table in (start, stop):
+        table.setflags(write=False)  # shared by every caller through the cache
+    return size, start, stop
 
 
 @functools.lru_cache(maxsize=32)
@@ -535,23 +553,32 @@ def _ptrs_attempt(u: np.ndarray, v: np.ndarray, rate: float, consts: tuple):
 
 
 def _inversion_nonzero(words: np.ndarray, rate: float):
-    """Poisson(rate) draws by sequential-search inversion, one raw word
-    each, as (rows, counts): the indexes of the words that draw a nonzero
-    count, ascending, and those counts.
+    """Poisson(rate) draws by inversion, one raw word each, as (rows,
+    counts): the indexes of the words that draw a nonzero count, ascending,
+    and those counts.
 
     A word's uniform ``((w >> 11) + 1) * 2**-53`` is at most ``cum[0]``, and
     draws 0, exactly when ``w < floor(cum[0] * 2**53) * 2**11``, so one
     ``uint64`` comparison picks the nonzero rows, and only those words are
-    mapped to uniforms and searched for the first k with ``cum[k]`` at
-    least the uniform, clamped to the table. When ``cum[0]`` is 1.0 that
-    threshold is 2**64 and every draw is 0."""
+    mapped to uniforms u and searched for the first k with ``cum[k] >= u``,
+    clamped to the table. When ``cum[0]`` is 1.0 that threshold is 2**64
+    and every draw is 0. The search starts at ``start[floor(u * size)]``
+    (``_guide_table``), which never passes k since ``u * size`` is exact,
+    and steps forward while ``stop[k] < u``; the 2.0 sentinel is the clamp.
+    Format version 1 fixes k, not how it is found."""
     cum = poisson_cum_table(rate)
     zero_below = int(cum[0] * 2.0 ** 53) << 11
     if zero_below >= 1 << 64:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    size, start, stop = _guide_table(rate)
     rows = np.flatnonzero(words >= np.uint64(zero_below))
-    k = np.searchsorted(cum, words_to_uniforms(words[rows]), side="left")
-    return rows, np.minimum(k, len(cum) - 1).astype(np.int64)
+    u = words_to_uniforms(words[rows])
+    k = start[(u * size).astype(np.intp)]
+    step = np.flatnonzero(stop[k] < u)
+    while step.size:
+        k[step] += 1
+        step = step[stop[k[step]] < u[step]]
+    return rows, k
 
 
 def poisson_regions(words: np.ndarray, rate: float, attempts: int):
@@ -658,7 +685,7 @@ def sample_indices_rows(read, counts: np.ndarray, modulus: int) -> np.ndarray:
             kept = words < limit
             words, owner = words[kept], owner[kept]
         got = np.bincount(owner, minlength=len(counts))
-        out[np.repeat(slot, got) + row_positions(got)] = words % np.uint64(modulus)
+        out[ragged_ranges(slot, got)] = words % np.uint64(modulus)
         slot += got
         need -= got
         rows = np.flatnonzero(need)

@@ -14,7 +14,7 @@ Per (seed, level) there are several stream families (ids built by
 
 * COUNT (domain 1): the portfolio-wide attack cluster count
   ~ Poisson(kappa * theta) per repetition. When the rate is below 30 the
-  draw is a single sequential-search inversion word and repetition r
+  draw is a single inversion word and repetition r
   reads word r (dense layout); otherwise repetition r owns the 32-word
   region [32r, 32r+32) and burns two words per PTRS attempt, spilling to
   a per-repetition COUNT_SPILL stream (domain 4) after 16 attempts.
@@ -23,7 +23,7 @@ Per (seed, level) there are several stream families (ids built by
   one cluster - word 0 is reserved for the cluster's device placement
   (the index is irrelevant to the loss when there is a single cluster, so
   the value is not inspected), words 1..6 hold the cluster-size draw (one
-  sequential-search word, or up to three 2-word PTRS attempts before
+  inversion word, or up to three 2-word PTRS attempts before
   spilling), word 7 the survival draw when kill_rate > 0.
 * DETAIL_SPILL (domain 6): per-repetition stream for repetitions with
   two or more clusters (or an exhausted in-region size draw): placement
@@ -83,7 +83,8 @@ of ceil(n * min(1, r)) rows for n repetitions, which grow when more rows
 drew, and it returns the losses of those rows alone. Below rate 30 a span
 of count words becomes those rows in one step: one ``uint64`` comparison
 against the first word that does not invert to 0 picks them, and only
-their words are mapped to uniforms and searched
+their words are mapped to uniforms, each looked up for the first k with
+``cum[k] >= u``, clamped to the table, through a guide table
 (``distributions.poisson_regions``). So a task's memory grows
 with its drawn rows, not with the repetitions it scans. A run holds no
 R-length array either: a level's sample is R and its drawn losses,

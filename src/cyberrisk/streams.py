@@ -267,11 +267,10 @@ def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.nd
     return out
 
 
-def row_positions(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, .., lengths[0]-1, 0, 1, .., lengths[1]-1, ...: each element's
-    position within its row of a ragged array."""
+def ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``[starts[i], starts[i] + lengths[i])``, concatenated."""
     ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def ragged_words(seed: int, stream_ids: np.ndarray, starts: np.ndarray,
@@ -280,16 +279,17 @@ def ragged_words(seed: int, stream_ids: np.ndarray, starts: np.ndarray,
     ``(seed, stream_ids[i])`` for every row ``i``, concatenated in row order."""
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    first = starts // _WORDS_PER_BLOCK
-    n_blocks = np.where(counts > 0, (starts + counts - 1) // _WORDS_PER_BLOCK - first + 1, 0)
+    first = starts >> 2
+    n_blocks = np.where(counts > 0, ((starts + counts - 1) >> 2) - first + 1, 0)
     block_row = np.repeat(np.arange(len(counts)), n_blocks)
-    offsets = np.cumsum(n_blocks) - n_blocks
-    blocks = first[block_row] + row_positions(n_blocks) + 1
-    cipher = philox_blocks(seed, np.asarray(stream_ids, dtype=np.uint64)[block_row], blocks).ravel()
-    if not (starts % _WORDS_PER_BLOCK).any() and not (counts % _WORDS_PER_BLOCK).any():
-        return cipher  # whole blocks from a block's first word: the words in row order
-    row_first = offsets * _WORDS_PER_BLOCK + starts % _WORDS_PER_BLOCK
-    return cipher[np.repeat(row_first, counts) + row_positions(counts)]
+    blocks = philox_blocks(seed, np.asarray(stream_ids, dtype=np.uint64)[block_row],
+                           ragged_ranges(first + 1, n_blocks))
+    if not (starts & 3).any() and not (counts & 3).any():
+        return blocks.ravel()  # whole blocks from a block's first word: the words in row order
+    # word w of the n blocks in row order is lane w & 3 of block w >> 2,
+    # which the lane-major array ``blocks.T`` holds at (w & 3) * n + (w >> 2)
+    word = ragged_ranges(4 * (np.cumsum(n_blocks) - n_blocks) + (starts & 3), counts)
+    return blocks.T.ravel()[(word & 3) * len(blocks) + (word >> 2)]
 
 
 class RaggedStreams:
@@ -325,7 +325,7 @@ class RaggedStreams:
             self.counter[rows] = end
             return ragged_words(self.seed, self.stream_ids[rows], start, counts)
         in_prefix = np.repeat(buffered, counts)
-        source = np.repeat(self._first[rows] + start, counts) + row_positions(counts)
+        source = ragged_ranges(self._first[rows] + start, counts)
         words = np.empty(len(source), dtype=np.uint64)
         words[in_prefix] = self._prefix[source[in_prefix]]
         if not buffered.all():

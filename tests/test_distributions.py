@@ -47,6 +47,7 @@ from cyberrisk.streams import (
 )
 
 from oracles import (
+    _inversion,
     compound_count_pmf_bruteforce,
     compound_count_pmf_table_full_rows,
     normal_quantile_whole_array,
@@ -514,7 +515,8 @@ class TestPoissonSampler:
         assert rows.tolist() == list(range(1_000))
         assert draws.dtype == np.int64 and (draws == -1).all()
 
-    @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.02, 0.4, math.log(2.0), 1.0, 5.0, 29.99])
+    @pytest.mark.parametrize("rate", [0.0, 1e-17, 1e-12, 0.02, 0.4, math.log(2.0), 1.0, 5.0,
+                                      17.3, 29.99])
     def test_inversion_equals_plain_search(self, rate):
         # at ln 2 cum[0] == 0.5, and above it most words lie past the
         # threshold; at 1e-17 cum[0] rounds to 1.0, so the threshold word
@@ -522,6 +524,14 @@ class TestPoissonSampler:
         cum = poisson_cum_table(rate)
         threshold = int(cum[0] * 2.0 ** 53) << 11
         edges = [w for w in (threshold - 1, threshold, 0, 2 ** 64 - 1) if w < 2 ** 64]
+        # the uniforms are the points m * 2**-53, m = 1 .. 2**53, of word
+        # (m - 1) << 11: take the grid points just below, at or below and
+        # just above every table entry and every g / 1024
+        grid = set()
+        for x in [float(c) for c in cum] + [g / 1024 for g in range(1, 1025)]:
+            m = math.floor(x * 2.0 ** 53)
+            grid.update((math.ceil(x * 2.0 ** 53) - 1, m, m + 1))
+        edges += [(m - 1) << 11 for m in sorted(grid) if 1 <= m <= 2 ** 53]
         words = np.concatenate([RandomStream(5, 77).raw_words(50_000),
                                 np.array(edges, dtype=np.uint64)])
         u = words_to_uniforms(words)
@@ -529,6 +539,7 @@ class TestPoissonSampler:
         draws = sample_poisson_rows(lambda rows, counts: words, np.array([len(words)]), rate)
         assert draws.dtype == np.int64
         assert np.array_equal(draws, expect)
+        assert draws[50_000:].tolist() == [_inversion(w, rate) for w in words[50_000:]]
         # the last word below the threshold draws 0, the threshold itself does not
         assert u[50_000] <= cum[0] and draws[50_000] == 0
         if threshold < 2 ** 64:

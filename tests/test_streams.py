@@ -16,8 +16,8 @@ from cyberrisk.streams import (
     derive_stream,
     pack_stream_id,
     philox_blocks,
+    ragged_ranges,
     ragged_words,
-    row_positions,
     words_to_uniforms,
 )
 
@@ -207,9 +207,10 @@ def test_ragged_words_equal_per_row_reads():
     n = 60
     ids = _random_u64(rng, n)
     starts = rng.integers(0, 40, size=n)
-    starts[:4] = [0, 3, 4, 2 ** 40 + 1]       # offsets that straddle blocks
+    starts[:6] = [0, 3, 4, 2 ** 40 + 1, 3, 2]  # offsets that straddle blocks
     counts = rng.integers(0, 14, size=n)
-    counts[4:8] = 0                           # zero-length rows
+    counts[4:6] = [9, 14]                     # mid-block rows across two block boundaries
+    counts[6:10] = 0                          # zero-length rows
     assert (counts % 4).any()
     # then every row from a block's first word
     for row_starts in (starts, 4 * starts):
@@ -219,6 +220,11 @@ def test_ragged_words_equal_per_row_reads():
         for sid, start, count, piece in zip(ids, row_starts, counts, pieces):
             assert np.array_equal(piece, RandomStream(5, int(sid), int(start)).raw_words(int(count)))
     assert len(ragged_words(5, ids[:0], starts[:0], counts[:0])) == 0
+    # one read of more than 8,192 blocks, so a row crosses a cipher pass
+    starts, counts = np.array([1, 6, 2]), np.array([3, 4 * 8192 + 11, 5])
+    flat = ragged_words(5, ids[:3], starts, counts)
+    for sid, start, count, piece in zip(ids, starts, counts, np.split(flat, np.cumsum(counts)[:-1])):
+        assert np.array_equal(piece, RandomStream(5, int(sid), int(start)).raw_words(int(count)))
 
 
 def test_ragged_streams_follow_each_row_stream():
@@ -251,6 +257,11 @@ def test_ragged_streams_without_prefix_read_only_on_request(monkeypatch):
     assert list(batch.counter) == [0, 0, 0, 6, 0]
 
 
-def test_row_positions():
-    assert list(row_positions(np.array([3, 0, 1, 2]))) == [0, 1, 2, 0, 0, 1]
-    assert len(row_positions(np.array([], dtype=np.int64))) == 0
+def test_ragged_ranges():
+    lengths = np.array([3, 0, 1, 2])
+    assert list(ragged_ranges(np.zeros(4, dtype=np.int64), lengths)) == [0, 1, 2, 0, 0, 1]
+    # nonzero and decreasing starts, and a zero length between them
+    assert list(ragged_ranges(np.array([10, 7, 5, 0]), lengths)) == [10, 11, 12, 5, 0, 1]
+    assert list(ragged_ranges(np.array([9, 4]), np.array([0, 0]))) == []
+    empty = np.array([], dtype=np.int64)
+    assert len(ragged_ranges(empty, empty)) == 0
