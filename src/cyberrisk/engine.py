@@ -371,27 +371,8 @@ def _batches(words: np.ndarray):
         lo = hi
 
 
+# cap events are counted per level code, from the codes of the capped rows
 _LEVEL_CODES = 1 + max(level.code for level in RiskLevel)
-# pack_stream_id(domain, code, 0) at each level code, for the domains whose
-# rows of several levels are read together
-_ID_TABLES = {domain: np.array([pack_stream_id(domain, code, 0) for code in range(_LEVEL_CODES)],
-                               dtype=np.uint64)
-              for domain in (_DOMAIN_DETAIL, _DOMAIN_DETAIL_SPILL)}
-
-
-def _level_ids(domain: int, codes: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
-    """The stream ids ``pack_stream_id(domain, codes[i], index[i])`` of rows
-    at the level codes ``codes`` (``uint8``), index 0 when ``index`` is
-    None, read from the domain's id table."""
-    ids = _ID_TABLES[domain][codes]
-    if index is not None:
-        ids |= pack_stream_id(0, 0, index)
-    return ids
-
-
-def _level_caps(codes: np.ndarray) -> np.ndarray:
-    """Cap events per level code, counted from the codes of the capped rows."""
-    return np.bincount(codes, minlength=_LEVEL_CODES)
 
 
 def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_clusters: np.ndarray,
@@ -411,12 +392,12 @@ def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_cluste
     per_cluster = 1 + (0 if lam == 0.0 else 1 if lam < PTRS_THRESHOLD else 2) + kill
     prefix = (n_clusters * per_cluster + 2 + 3) // 4 * 4
     totals = np.empty(len(reps))
-    caps = _level_caps(codes[:0])
+    caps = np.zeros(_LEVEL_CODES, dtype=np.int64)
     for lo, hi in _batches(prefix):
         n = n_clusters[lo:hi]
         rows = np.arange(hi - lo)
-        streams = RaggedStreams(seed, _level_ids(_DOMAIN_DETAIL_SPILL, codes[lo:hi], reps[lo:hi]),
-                                prefix[lo:hi])
+        ids = pack_stream_id(_DOMAIN_DETAIL_SPILL, codes[lo:hi], reps[lo:hi])
+        streams = RaggedStreams(seed, ids, prefix[lo:hi])
         devices = sample_indices_rows(streams.raw_words, n, kappa)
         extras = sample_poisson_rows(streams.raw_words, n, lam)
         # one entry per (repetition, affected device), devices ascending:
@@ -435,7 +416,8 @@ def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_cluste
             survived = u < math.exp(-device.kill_rate)
             days, owner = days[survived], owner[survived]
         effective = device.loss_day_multiplier * days
-        caps += _level_caps(codes[lo:hi][owner[effective > device.horizon_days]])
+        caps += np.bincount(codes[lo:hi][owner[effective > device.horizon_days]],
+                            minlength=_LEVEL_CODES)
         capped = np.minimum(effective, float(device.horizon_days))
         totals[lo:hi] = _row_totals(capped, np.bincount(owner, minlength=hi - lo))
     return totals, caps
@@ -457,7 +439,7 @@ def _single_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray,
 
     def read(rows, block):
         # repetition r's region is words [8r, 8r + 8), blocks 2r + 1 and 2r + 2
-        return philox_blocks(seed, _level_ids(_DOMAIN_DETAIL, codes[rows]),
+        return philox_blocks(seed, pack_stream_id(_DOMAIN_DETAIL, codes[rows], 0),
                              _DETAIL_BLOCKS_PER_REP * reps[rows] + 1 + block)
 
     # a cluster of 1 with no extra event: a row that draws 0 keeps it
@@ -489,7 +471,7 @@ def _single_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray,
         resolved[retry[drew[extras < 0]]] = False
         if kill:
             days[at] *= words_to_uniforms(words[:, 3]) < math.exp(-device.kill_rate)
-    caps = _level_caps(codes[days > device.horizon_days])
+    caps = np.bincount(codes[days > device.horizon_days], minlength=_LEVEL_CODES)
     np.minimum(days, float(device.horizon_days), out=days)
     return resolved, days, caps
 

@@ -42,6 +42,8 @@ which is how the engine stays deterministic under any worker count.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.random import Philox
 
@@ -81,25 +83,29 @@ _PHILOX_MULTS = tuple((m, m & _LOW32, m >> _HALF) for m in (_PHILOX_M, _PHILOX_M
 _CIPHER_PASS_BLOCKS = 8192
 
 
-def pack_stream_id(domain: int, level_code: int, index):
+def pack_stream_id(domain: int, level_code, index):
     """Pack a (domain, level, index) triple into one 64-bit stream id.
 
     Layout (fixed for format version 1): 4 domain bits, 8 level bits,
     52 index bits. Collision-free by construction for index < 2**52.
-    ``index`` may also be an integer array, giving a ``uint64`` id array.
+    ``level_code`` and ``index`` may also be integer arrays, which give a
+    ``uint64`` id array, broadcast elementwise.
     """
     if not 0 <= domain < 16:
         raise ValueError(f"domain {domain} out of range [0, 16)")
-    if not 0 <= level_code < 256:
-        raise ValueError(f"level_code {level_code} out of range [0, 256)")
-    prefix = (domain << 60) | (level_code << 52)
-    if isinstance(index, np.ndarray):
-        if index.size and not (0 <= index.min() and index.max() < (1 << 52)):
-            raise ValueError("index out of range [0, 2**52)")
-        return np.uint64(prefix) | index.astype(np.uint64)
-    if not 0 <= index < (1 << 52):
-        raise ValueError(f"index {index} out of range [0, 2**52)")
-    return prefix | index
+    return (domain << 60) | (_field(level_code, 8, "level_code") << 52) | _field(index, 52, "index")
+
+
+def _field(value, bits: int, name: str):
+    """``value`` checked to lie in [0, 2**bits): an integer as a Python int,
+    an integer array as ``uint64``, every element checked."""
+    if isinstance(value, np.ndarray):
+        if value.size and not (0 <= value.min() and value.max() < (1 << bits)):
+            raise ValueError(f"{name} out of range [0, 2**{bits})")
+        return value.astype(np.uint64)
+    if not 0 <= value < (1 << bits):
+        raise ValueError(f"{name} {value} out of range [0, 2**{bits})")
+    return operator.index(value)
 
 
 class RandomStream:
@@ -131,9 +137,6 @@ class RandomStream:
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
-    def _key(self) -> np.ndarray:
-        return np.array([self.seed, self.stream_id], dtype=np.uint64)
-
     def raw_words(self, n: int) -> np.ndarray:
         """Return the next ``n`` raw 64-bit words and advance the counter.
 
@@ -146,7 +149,8 @@ class RandomStream:
             return np.empty(0, dtype=np.uint64)
         if self._bit_gen_at != self.counter:
             start_block, offset = divmod(self.counter, _WORDS_PER_BLOCK)
-            self._bit_gen = Philox(key=self._key(), counter=start_block)
+            self._bit_gen = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64),
+                                   counter=start_block)
             if offset:
                 self._bit_gen.random_raw(offset)
         words = self._bit_gen.random_raw(n)
@@ -297,11 +301,11 @@ class RaggedStreams:
 
     Row ``i`` is the stream ``(seed, stream_ids[i])`` from word 0 on, and
     ``counter[i]`` counts the words it has consumed. Each read returns the
-    same words a ``RandomStream`` of that row would. When ``prefix`` is
-    given, the first ``prefix[i]`` words of every row are read in one
-    cipher call as the rows are built; a read past a row's prefix goes to
-    the cipher again, one call for all such rows. Without ``prefix`` every
-    read goes to the cipher.
+    same words a ``RandomStream`` of that row would. The first
+    ``prefix[i]`` words of every row (none when ``prefix`` is not given)
+    are read in one cipher call as the rows are built; a read that does
+    not lie inside a row's prefix goes to the cipher again, one call for
+    all such rows.
     """
 
     __slots__ = ("seed", "stream_ids", "counter", "_prefix", "_buffered", "_first")
@@ -310,8 +314,9 @@ class RaggedStreams:
         self.seed = seed
         self.stream_ids = np.asarray(stream_ids, dtype=np.uint64)
         self.counter = np.zeros(len(self.stream_ids), dtype=np.int64)
-        self._buffered = None if prefix is None else np.asarray(prefix, dtype=np.int64)
-        if self._buffered is not None:
+        self._buffered = (np.zeros_like(self.counter) if prefix is None
+                          else np.asarray(prefix, dtype=np.int64))
+        if self._buffered.any():
             self._first = np.cumsum(self._buffered) - self._buffered
             self._prefix = ragged_words(seed, self.stream_ids, self.counter, self._buffered)
 
@@ -319,18 +324,15 @@ class RaggedStreams:
         """The next ``counts[j]`` words of each row ``rows[j]``,
         concatenated in the order of ``rows``; advances those rows."""
         start = self.counter[rows]
-        end = start + counts
-        buffered = None if self._buffered is None else end <= self._buffered[rows]
-        if buffered is None or not buffered.any():
-            self.counter[rows] = end
+        end = self.counter[rows] = start + counts
+        limit = self._buffered[rows]
+        late = (start >= limit) | (end > limit)
+        if late.all():
             return ragged_words(self.seed, self.stream_ids[rows], start, counts)
-        in_prefix = np.repeat(buffered, counts)
-        source = ragged_ranges(self._first[rows] + start, counts)
-        words = np.empty(len(source), dtype=np.uint64)
-        words[in_prefix] = self._prefix[source[in_prefix]]
-        if not buffered.all():
-            late = ~buffered
+        in_prefix = np.repeat(~late, counts)
+        words = np.empty(len(in_prefix), dtype=np.uint64)
+        words[in_prefix] = self._prefix[ragged_ranges(self._first[rows] + start, counts)[in_prefix]]
+        if late.any():
             words[~in_prefix] = ragged_words(self.seed, self.stream_ids[rows[late]],
                                              start[late], counts[late])
-        self.counter[rows] = end
         return words

@@ -19,7 +19,7 @@ from operator import mul
 import numpy as np
 from numpy.random import Philox
 from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from cyberrisk.distributions import (
     _TABLE_BLOCK,
@@ -243,17 +243,28 @@ def expected_capped_loss_days_decimal(theta: float, lam: float, h: int, m: float
         return m * sum((n * p for n, p in enumerate(g)), Decimal(0)) + h * tail
 
 
-def exact_portfolio_pmf(spec, level) -> np.ndarray:
+def exact_portfolio_pmf(spec, level, tail: float = 1e-20) -> np.ndarray:
     """P(S = s) for s = 0..kappa * h: the exact distribution of a level's
     portfolio loss-days S, the sum over kappa devices of D = 1(survived) *
     min(m M, h), without a channel. A repetition's loss is v * b * S.
 
     D's pmf is built from ``compound_count_pmf_bruteforce`` at the level's
-    theta: mass m n for the rows m n < h, the rest of M's mass at h, all of
-    it scaled by P(survive) = e^-kill_rate, and the killed devices at 0.
-    The kappa-fold convolution is one ``rfft`` on 2^ceil(log2(kappa h + 1))
-    points raised to the power kappa, then one ``irfft`` (Embrechts & Frei
-    2009): the sum's support fits the transform, so nothing wraps.
+    theta, its cluster count truncated at a Poisson tail below ``tail``:
+    mass m n for the rows m n < h, the rest of M's mass at h, all of it
+    scaled by P(survive) = e^-kill_rate, and the killed devices at 0. The
+    rest of M's mass is P(M > 0) - P(0 < m M < h), two terms of size
+    theta, since 1 - (sum of the rows) would err by about 1e-16.
+
+    The kappa-fold convolution is one ``rfft`` raised to the power kappa,
+    then one ``irfft`` (Embrechts & Frei 2009), over the support that holds
+    mass: ``top`` is the least s at which a Chernoff bound,
+    min over t of e^(-t s) E[e^(t D)]^kappa, puts at most ``tail`` on
+    P(S >= s), and the transform has the least power of two above top - 1
+    and h points. Entries from ``top`` on are returned as 0, dropping at
+    most ``tail`` of mass, and the mass past the transform, which wraps
+    onto the entries below ``top``, is at most ``tail`` too. A transform
+    over all kappa * h + 1 points would leave rounding noise of up to
+    about 1e-14 at each of them, most where S has no mass.
     """
     device, kappa = spec.device, spec.portfolio_size
     m, h = device.loss_day_multiplier, device.horizon_days
@@ -261,14 +272,21 @@ def exact_portfolio_pmf(spec, level) -> np.ndarray:
         raise ValueError("only a positive integer loss_day_multiplier and no channel")
     m = int(m)
     theta = device.counts.theta * spec.scenario.intensity_multipliers[level]
-    g = compound_count_pmf_bruteforce((h - 1) // m, theta, device.counts.lambda_cluster)
+    g = compound_count_pmf_bruteforce((h - 1) // m, theta, device.counts.lambda_cluster, tail)
     survive = math.exp(-device.kill_rate)
     d = np.zeros(h + 1)
     d[0:m * len(g):m] = survive * g
-    d[h] = survive * max(0.0, 1.0 - g.sum())
+    d[h] = survive * max(0.0, -math.expm1(-theta) - g[1:].sum())
     d[0] += 1.0 - survive
-    size = 1 << (kappa * h).bit_length()
-    return np.fft.irfft(np.fft.rfft(d, size) ** kappa, size)[:kappa * h + 1]
+    # log E[e^(t D)] on a grid of t, each of which gives a valid bound
+    t = np.geomspace(1e-6, 50.0, 600)
+    held = np.flatnonzero(d > 0.0)
+    log_mgf = logsumexp(np.log(d[held]) + t[:, None] * held, axis=1)
+    top = min(kappa * h + 1, math.ceil(np.min((kappa * log_mgf - math.log(tail)) / t)))
+    size = 1 << max(top - 1, h).bit_length()
+    pmf = np.zeros(kappa * h + 1)
+    pmf[:top] = np.fft.irfft(np.fft.rfft(d, size) ** kappa, size)[:top]
+    return pmf
 
 
 def nearest_rank_var_bruteforce(sorted_losses, level: float) -> float:

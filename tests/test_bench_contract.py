@@ -3,16 +3,22 @@
 bench/run.py traces a run by replacing module attributes through
 ``vars(owner)[name]``, and bench/layers.py imports public functions by
 name. Both read the names from the bench sources, so a rename in the
-package fails here rather than in a benchmark run.
+package fails here rather than in a benchmark run. Likewise a change of
+report bytes fails here against bench/pins.json, which a benchmark run
+would otherwise count as incorrect output.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+import sys
 
 import cyberrisk.engine as engine
+from cyberrisk.config import parse_config
 from cyberrisk.distributions import CountDistributionParams
 from cyberrisk.loss_model import DeviceParameters
+from cyberrisk.report import render_json
 from cyberrisk.scenario import RiskLevel
 from cyberrisk.streams import RandomStream
 
@@ -70,3 +76,27 @@ def test_each_run_reaches_expected_present_loss_once(monkeypatch):
         engine.run_simulation(spec, workers=1)
         assert len(calls) == 1
         calls.clear()
+
+
+def _bench_run_module(monkeypatch):
+    """bench/run.py, imported without writing bytecode under bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_42_reports_match_bench_pins(monkeypatch):
+    # every workload at seed 42, full size and tiny, its config built and its
+    # pin read by bench/run.py's own functions, rendered on one worker as the
+    # pins were
+    run = _bench_run_module(monkeypatch)
+    table = run.load_workloads()
+    assert set(table["workloads"]) == {"paper", "channel", "dense"}
+    for tiny in (False, True):
+        for name in table["workloads"]:
+            spec = parse_config(run.workload_doc(table, name, 42, tiny))
+            digest = run.sha256(render_json(engine.run_simulation(spec, workers=1)))
+            assert digest == run.load_pin(name, 42, tiny), (name, tiny)

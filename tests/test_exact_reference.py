@@ -3,15 +3,24 @@
 Without a channel, a level's portfolio loss is v * b * S, where S is its
 portfolio loss-days on the integer lattice, and S's pmf is exact
 (``oracles.exact_portfolio_pmf``). Every E(P1), Prob(Shortfall),
-E(Shortfall) and VaR(rho) of the seed-42 table at R = 1e5 is checked
+E(Shortfall), VaR(rho) and CTE(rho) of the seed-42 table is checked
 against it, with bounds fixed before the first run:
 
 * |z| <= 4.5 for E(P1), Prob(Shortfall) and E(Shortfall), each a sample
   mean over R repetitions, z its error over the exact standard error;
+* |z| <= 4.5 for each CTE(rho), the mean of the sample points at or above
+  the reported VaR(rho) = v: z is its error from the exact E[L | L >= v]
+  over sqrt(Var(L | L >= v) / (R P(L >= v)));
 * each VaR(rho) lies in the order-statistic band rho +- 3 sqrt(rho (1 -
   rho) / R) (David & Nagaraja 2003): the exact cdf reaches rho - band at
   the reported value and stays at or below rho + band one lattice step
   below it.
+
+The cases are the paper preset at R = 1e5 and variants of it: kill_rate
+0.3, horizon 200 (the cap binds), lambda_cluster 5 (cluster sizes by
+inversion) and 0, kappa = 1e4 (two levels), and theta = 2e-3 at R = 2e4,
+where Severe's count rate kappa * theta * 20 = 40 takes the PTRS count
+regions.
 """
 
 import math
@@ -30,7 +39,7 @@ Z_BOUND = 4.5
 VAR_BAND_SIGMAS = 3.0
 
 
-def _z(estimate: float, values: np.ndarray, pmf: np.ndarray, reps: int) -> float:
+def _z(estimate: float, values: np.ndarray, pmf: np.ndarray, reps: float) -> float:
     """(estimate - E[X]) over the standard error of a mean of ``reps``
     draws of X, X taking ``values[s]`` with probability ``pmf[s]``."""
     mean = pmf @ values
@@ -42,13 +51,13 @@ def _z(estimate: float, values: np.ndarray, pmf: np.ndarray, reps: int) -> float
 
 def test_exact_pmf_is_a_distribution_with_the_premium_mean():
     """The oracle's mass sums to 1, and its mean is kappa times the
-    per-device expected present loss that prices the premium. The
-    transform leaves rounding noise of about 1e-16 at each of the
-    kappa * h + 1 points, which moves the mean by up to about 1e-8
-    relative (7.2e-9 read; 4.0e-8 at lambda 5), hence the 1e-7 tolerance.
-    The noise is absolute, so lambda 0, whose means are about 180 times
-    the paper's smaller, reads up to 1.8e-7 and is left out."""
-    for device in ({}, {"kill_rate": 0.3}, {"horizon_days": 200}, {"lambda_cluster": 5.0}):
+    per-device expected present loss that prices the premium, to 1e-7
+    relative. The oracle's transform spans only the support that holds
+    mass, and it takes the count's tail without cancelling against 1, so
+    the means agree to about 1e-10 relative (4.4e-10 read, at lambda 0),
+    lambda 0's small means included."""
+    for device in ({}, {"kill_rate": 0.3}, {"horizon_days": 200}, {"lambda_cluster": 5.0},
+                   {"lambda_cluster": 0.0}):
         doc = paper_config()
         doc["device"].update(device)
         spec = parse_config(doc)
@@ -61,15 +70,21 @@ def test_exact_pmf_is_a_distribution_with_the_premium_mean():
             assert math.isclose(unit * (pmf @ np.arange(len(pmf))), expected, rel_tol=1e-7)
 
 
-@pytest.mark.parametrize("device", [{}, {"kill_rate": 0.3}, {"horizon_days": 200},
-                                    {"lambda_cluster": 5.0}, {"lambda_cluster": 0.0}],
-                         ids=["paper", "kill_0.3", "horizon_200", "lambda_5", "lambda_0"])
-def test_table_matches_exact_distribution(device):
+@pytest.mark.parametrize("overrides", [{}, {"device": {"kill_rate": 0.3}},
+                                       {"device": {"horizon_days": 200}},
+                                       {"device": {"lambda_cluster": 5.0}},
+                                       {"device": {"lambda_cluster": 0.0}},
+                                       {"portfolio_size": 10_000, "levels": ["guarded", "severe"]},
+                                       {"device": {"theta": 2e-3}, "repetitions": 20_000}],
+                         ids=["paper", "kill_0.3", "horizon_200", "lambda_5", "lambda_0",
+                              "kappa_1e4", "theta_2e-3"])
+def test_table_matches_exact_distribution(overrides, request):
     doc = paper_config()
-    doc["device"].update(device)
+    doc["device"].update(overrides.get("device", {}))
+    doc.update({key: value for key, value in overrides.items() if key != "device"})
     spec = parse_config(doc)
     reps = spec.repetitions
-    assert reps == 100_000 and spec.seed == 42
+    assert reps == doc["repetitions"] and spec.seed == 42
     unit = spec.device.daily_loss / (1.0 + spec.device.discount_rate)
     report = run_simulation(spec, workers=1)
     worst = 0.0
@@ -85,8 +100,6 @@ def test_table_matches_exact_distribution(device):
             "E(Shortfall)": _z(metrics.expected_shortfall,
                                np.maximum(loss - item.premium_pool, 0.0), pmf, reps),
         }
-        worst = max(worst, *map(abs, z.values()))
-        assert all(abs(value) <= Z_BOUND for value in z.values()), (item.level, z)
 
         cdf = np.cumsum(pmf)
         for rho, var in metrics.var.items():
@@ -95,5 +108,10 @@ def test_table_matches_exact_distribution(device):
             band = VAR_BAND_SIGMAS * math.sqrt(rho * (1.0 - rho) / reps)
             below = cdf[days - 1] if days > 0 else 0.0
             assert cdf[days] >= rho - band and below <= rho + band, (item.level, rho, var)
-    print(f"largest |z| at {'/'.join(f'{k}={v}' for k, v in device.items()) or 'paper'}: "
-          f"{worst:.2f}")
+            # the CTE is a mean over the about R P(L >= v) points at or above v
+            at_or_above = pmf[days:].sum()
+            z[f"CTE({rho})"] = _z(metrics.cte[rho], loss[days:], pmf[days:] / at_or_above,
+                                  reps * at_or_above)
+        worst = max(worst, *map(abs, z.values()))
+        assert all(abs(value) <= Z_BOUND for value in z.values()), (item.level, z)
+    print(f"largest |z| at {request.node.callspec.id}: {worst:.2f}")

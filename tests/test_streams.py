@@ -135,6 +135,34 @@ def test_pack_stream_id_arrays_match_scalars():
         pack_stream_id(6, 3, np.array([1 << 52]))
 
 
+def test_pack_stream_id_level_code_arrays_match_scalars():
+    codes = np.arange(256)
+    index = np.array([0, 1, 77, 2 ** 40 + 3, (1 << 52) - 1])
+    every_code = np.repeat(codes, len(index))
+    every_index = np.tile(index, len(codes))
+    for code_dtype in (np.uint8, np.int64):
+        ids = pack_stream_id(9, every_code.astype(code_dtype), every_index)
+        assert ids.dtype == np.uint64
+        assert [int(x) for x in ids] == [pack_stream_id(9, int(c), int(i))
+                                         for c, i in zip(every_code, every_index)]
+    # a scalar on either side is taken for every element
+    assert [int(x) for x in pack_stream_id(2, codes, 5)] == [pack_stream_id(2, int(c), 5)
+                                                             for c in codes]
+    assert [int(x) for x in pack_stream_id(2, np.uint8(7), index)] == [pack_stream_id(2, 7, int(i))
+                                                                       for i in index]
+    assert [int(x) for x in pack_stream_id(2, 7, index)] == [pack_stream_id(2, 7, int(i))
+                                                             for i in index]
+    empty = np.array([], dtype=np.int64)
+    for code, idx in ((empty, empty), (empty, 0), (3, empty)):
+        ids = pack_stream_id(2, code, idx)
+        assert ids.dtype == np.uint64 and ids.shape == (0,)
+    for code, idx in ((np.array([-1]), 0), (np.array([256]), 0), (np.array([0, 255, 256]), index[:3]),
+                      (np.array([3]), np.array([1 << 52])), (0, np.array([-1])), (-1, index),
+                      (256, index)):
+        with pytest.raises(ValueError):
+            pack_stream_id(2, code, idx)
+
+
 def _random_u64(rng, size):
     return rng.integers(0, 2 ** 64, size=size, dtype=np.uint64, endpoint=False)
 
