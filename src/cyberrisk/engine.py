@@ -50,16 +50,16 @@ draw something, so a task expects at most ``_TASK_DRAWN_ROWS`` (2**17)
 drawn rows over all its levels, and a quiet run is one task on one
 worker.
 
-Within a task each level scans its own COUNT words. The single-cluster
-rows of every level are then resolved together, each row reading its
-level's DETAIL stream (its id is looked up from the row's level code), and
-so are the multi-cluster rows and the single-cluster rows left
-unresolved, on their DETAIL_SPILL streams. Each level's CHANNEL counts
-and CHANNEL_SEV severities are drawn on their own. A task returns, for
-each level, its drawn losses, its cap events and its smallest repetition
-with a nonfinite loss. The run raises NumericFault at the first level in
-spec order that has one, at its smallest repetition, as a run of the
-levels one at a time would.
+Within a task each level scans its own COUNT words into one level-ordered
+array of the task's drawn rows. Its single-cluster rows are resolved
+together, each on its level's DETAIL stream, then its multi-cluster rows
+and the single-cluster rows left unresolved, on their DETAIL_SPILL
+streams; each row's loss-days are written back by position, and each level
+takes its slice. Each level's CHANNEL counts and CHANNEL_SEV severities
+are drawn on their own. A task returns, for each level, its drawn losses,
+its cap events and its smallest repetition with a nonfinite loss. The run
+raises NumericFault at the first level in spec order that has one, at its
+smallest repetition, as a run of the levels one at a time would.
 
 A task resolves its DETAIL_SPILL and CHANNEL_SEV repetitions in batches,
 each repetition on its own stream, a ``streams.RaggedStreams`` row that
@@ -69,13 +69,16 @@ size draws proceed round by round, each round reading the next words of
 every repetition that still has unresolved draws, and a one-stream
 sampler is the same code on one row. Per-repetition totals are
 bit-identical to ``ndarray.sum`` over that repetition's devices or
-events. Batches are bounded by words, not repetitions: every batched
-read - COUNT and CHANNEL counts, the in-region DETAIL words of
-single-cluster repetitions, DETAIL_SPILL and CHANNEL_SEV - holds at most
-``_BATCH_WORDS`` (2**16) words, except for a repetition that alone needs
-more. COUNT_SPILL and CHANNEL_SPILL, taken after 16 rejected PTRS
-attempts (about one region in 10**12), are drawn in one batched call per
-task, each spilled repetition on its own stream, without that cut.
+events; with an integral loss-day multiplier and horizon h, a batch whose
+longest row times h is below 2**53 sums its loss-days by one
+``bincount``, exact in any order. Batches are bounded by words, not
+repetitions: every batched read - COUNT and CHANNEL counts, the
+in-region DETAIL words of single-cluster repetitions, DETAIL_SPILL and
+CHANNEL_SEV - holds at most ``_BATCH_WORDS`` (2**16) words, except for a
+repetition that alone needs more. COUNT_SPILL and CHANNEL_SPILL, taken
+after 16 rejected PTRS attempts (about one region in 10**12), are drawn
+in one batched call per task, each spilled repetition on its own stream,
+without that cut.
 
 Past its count words, a task holds arrays only over the rows that drew
 something: its count reads keep the rows with a nonzero count, in arrays
@@ -419,8 +422,23 @@ def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_cluste
         caps += np.bincount(codes[lo:hi][owner[effective > device.horizon_days]],
                             minlength=_LEVEL_CODES)
         capped = np.minimum(effective, float(device.horizon_days))
-        totals[lo:hi] = _row_totals(capped, np.bincount(owner, minlength=hi - lo))
+        totals[lo:hi] = _loss_day_totals(capped, owner, hi - lo, device)
     return totals, caps
+
+
+def _loss_day_totals(capped: np.ndarray, owner: np.ndarray, rows: int,
+                     device: DeviceParameters) -> np.ndarray:
+    """Each of ``rows`` repetitions' sum of its ``capped`` loss-days, entry
+    i in row ``owner[i]`` (ascending), bit-identical to ``ndarray.sum`` of
+    its row. With an integral multiplier and horizon h every entry is an
+    integer of at most h; while the longest row times h is below 2**53,
+    every partial sum is an exact integer, so any order gives the same bits
+    and one ``bincount`` sums them all. Otherwise ``_row_totals``."""
+    lengths = np.bincount(owner, minlength=rows)
+    if (float(device.loss_day_multiplier).is_integer() and float(device.horizon_days).is_integer()
+            and int(lengths.max(initial=0)) * device.horizon_days < 2 ** 53):
+        return np.bincount(owner, weights=capped, minlength=rows)
+    return _row_totals(capped, lengths)
 
 
 def _single_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray,
@@ -507,69 +525,61 @@ def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int) -> list:
     ``rep_lo`` of the repetitions that drew a cluster or a channel event,
     each once. Every other repetition loses 0.
 
-    Each level scans its own COUNT and CHANNEL words and draws its own
-    channel severities; the cluster draws of every level are resolved
-    together, each row on its level's streams. The levels differ only in
-    theta, which no cluster draw reads."""
+    The task holds its drawn rows in one level-ordered array and writes
+    each resolved row's days back by position; each level takes its slice
+    and adds its own channel. The levels differ only in theta, which no
+    cluster draw reads."""
     n = rep_hi - rep_lo
     device = spec.device
-    unit = discount_factor(device.discount_rate) * device.daily_loss
-    codes = np.array([level.code for level in spec.levels], dtype=np.uint8)
-    # each level's drawn rows in two parts, ascending: those that drew one
-    # cluster, and the others with their cluster counts
-    singles, others, other_clusters = [], [], []
-    for level in spec.levels:
-        rows, clusters = _counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
-                                           spec.portfolio_size
-                                           * level_parameters(spec.scenario, level, device).counts.theta)
-        one = clusters == 1
-        singles.append(rows[one])
-        others.append(rows[~one])
-        other_clusters.append(clusters[~one])
-    del rows, clusters, one
+    rows, clusters = zip(*[_counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
+                                             spec.portfolio_size * level_parameters(
+                                                 spec.scenario, level, device).counts.theta)
+                           for level in spec.levels])
+    ends = np.cumsum([0] + [len(level_rows) for level_rows in rows])
+    codes = np.repeat(np.array([level.code for level in spec.levels], dtype=np.uint8),
+                      np.diff(ends))
+    rows = np.concatenate(rows)  # frees each level's rows before clusters are joined
+    clusters = np.concatenate(clusters)
+    rows += rep_lo
+    one = clusters == 1
+    single, other = np.flatnonzero(one), np.flatnonzero(~one)
+    reps, single_codes = rows[single], codes[single]
+    other_reps, other_codes, other_clusters = rows[other], codes[other], clusters[other]
+    del rows, clusters, codes, single, other
 
-    # The single-cluster rows of every level, level by level, resolved
-    # together; their days become their losses in place.
-    single_counts = [len(rows) for rows in singles]
-    single_codes = np.repeat(codes, single_counts)
-    reps = np.concatenate(singles)
-    del singles
-    reps += rep_lo
-    resolved, single_losses, caps = _single_cluster_days(spec.seed, single_codes, reps, device)
-    single_losses *= unit
-    # Then the other rows of every level and the single-cluster rows left
-    # unresolved, together.
+    resolved, single_days, caps = _single_cluster_days(spec.seed, single_codes, reps, device)
     retry = np.flatnonzero(~resolved)
-    del resolved
-    other_counts = [len(rows) for rows in others]
-    n_other = sum(other_counts)
-    days, multi_caps = _multi_cluster_days(
-        spec.seed, np.concatenate([np.repeat(codes, other_counts), single_codes[retry]]),
-        np.concatenate([rows + rep_lo for rows in others] + [reps[retry]]),
-        np.concatenate([*other_clusters, np.ones(len(retry), dtype=np.int64)]),
-        device, spec.portfolio_size)
-    days *= unit
-    other_losses = days[:n_other]
-    single_losses[retry] = days[n_other:]
+    codes = np.concatenate([other_codes, single_codes[retry]])
+    other_reps = np.concatenate([other_reps, reps[retry]])
+    clusters = np.concatenate([other_clusters, np.ones(len(retry), dtype=np.int64)])
+    del resolved, single_codes, other_codes, other_clusters
+    days, multi_caps = _multi_cluster_days(spec.seed, codes, other_reps, clusters, device,
+                                           spec.portfolio_size)
+    del codes, clusters
     caps += multi_caps
-    del single_codes, other_clusters
+    n_other = len(days) - len(retry)
+    single_days[retry] = days[n_other:]
 
-    chunks, lo, other_lo = [], 0, 0
+    # single-cluster rows by mask: an index of them would add 8 bytes a row
+    other = np.flatnonzero(~one)
+    losses = np.empty(len(one))
+    losses[one], losses[other] = single_days, days[:n_other]
+    del single_days, days
+    rows = np.empty(len(one), dtype=np.int64)
+    rows[one], rows[other] = reps, other_reps[:n_other]
+    rows -= rep_lo
+    losses *= discount_factor(device.discount_rate) * device.daily_loss
+    chunks = []
     channel = spec.aggregate_channel
-    for level, count, other_rows in zip(spec.levels, single_counts, others):
-        # the level's two parts merged, rows ascending
-        at = np.searchsorted(reps[lo:lo + count], rep_lo + other_rows)
-        rows = np.insert(reps[lo:lo + count] - rep_lo, at, other_rows)
-        losses = np.insert(single_losses[lo:lo + count], at,
-                           other_losses[other_lo:other_lo + len(other_rows)])
-        lo, other_lo = lo + count, other_lo + len(other_rows)
+    for level, lo, hi in zip(spec.levels, ends, ends[1:]):
+        level_rows, level_losses = rows[lo:hi], losses[lo:hi]
         if channel is not None and channel.event_rate > 0.0:
             events_at, events = _counts_for_chunk(spec.seed, _DOMAIN_CHANNEL, level, rep_lo, n,
                                                   channel.event_rate)
             amounts = _channel_losses(spec.seed, level, rep_lo + events_at, events,
                                       channel.severity)
-            rows, losses = _merged(rows, losses, events_at, amounts)
-        chunks.append((rows, losses, int(caps[level.code])))
+            level_rows, level_losses = _merged(level_rows, level_losses, events_at, amounts)
+        chunks.append((level_rows, level_losses, int(caps[level.code])))
     return chunks
 
 

@@ -22,6 +22,7 @@ from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from cyberrisk.distributions import (
+    DiscreteTable,
     _TABLE_BLOCK,
     _A,
     _B,
@@ -243,10 +244,25 @@ def expected_capped_loss_days_decimal(theta: float, lam: float, h: int, m: float
         return m * sum((n * p for n, p in enumerate(g)), Decimal(0)) + h * tail
 
 
+def compound_poisson_lattice_pmf(rate: float, steps, probabilities, size: int) -> np.ndarray:
+    """P(C = s) for s = 0..size-1, C the sum of a Poisson(rate) number of
+    independent sizes, each ``steps[j]`` (a positive integer) with
+    probability ``probabilities[j]``, by Panjer's recursion (Panjer 1981):
+    g(0) = e^-rate, g(s) = (rate/s) sum_j k_j p_j g(s - k_j)."""
+    weights = [(int(k), rate * k * p) for k, p in zip(steps, probabilities)]
+    assert all(k >= 1 for k, _ in weights), "sizes must be positive lattice steps"
+    g = np.zeros(size)
+    g[0] = math.exp(-rate)
+    for s in range(1, size):
+        g[s] = math.fsum(w * g[s - k] for k, w in weights if k <= s) / s
+    return g
+
+
 def exact_portfolio_pmf(spec, level, tail: float = 1e-20) -> np.ndarray:
-    """P(S = s) for s = 0..kappa * h: the exact distribution of a level's
-    portfolio loss-days S, the sum over kappa devices of D = 1(survived) *
-    min(m M, h), without a channel. A repetition's loss is v * b * S.
+    """P(S = s) for s = 0..top-1: the exact distribution of a level's
+    portfolio loss in units of v * b, where S is the sum over kappa devices
+    of D = 1(survived) * min(m M, h), plus the channel's sum when the spec
+    has one. A repetition's loss is v * b * S.
 
     D's pmf is built from ``compound_count_pmf_bruteforce`` at the level's
     theta, its cluster count truncated at a Poisson tail below ``tail``:
@@ -255,21 +271,27 @@ def exact_portfolio_pmf(spec, level, tail: float = 1e-20) -> np.ndarray:
     rest of M's mass is P(M > 0) - P(0 < m M < h), two terms of size
     theta, since 1 - (sum of the rows) would err by about 1e-16.
 
+    A channel must be ``discrete`` with every value an integer multiple
+    k_j of v * b. Its sum C is then compound Poisson on the same lattice,
+    its pmf from ``compound_poisson_lattice_pmf``, and S adds it to the
+    devices' loss-days by one more factor in the transform.
+
     The kappa-fold convolution is one ``rfft`` raised to the power kappa,
-    then one ``irfft`` (Embrechts & Frei 2009), over the support that holds
-    mass: ``top`` is the least s at which a Chernoff bound,
-    min over t of e^(-t s) E[e^(t D)]^kappa, puts at most ``tail`` on
-    P(S >= s), and the transform has the least power of two above top - 1
-    and h points. Entries from ``top`` on are returned as 0, dropping at
-    most ``tail`` of mass, and the mass past the transform, which wraps
-    onto the entries below ``top``, is at most ``tail`` too. A transform
-    over all kappa * h + 1 points would leave rounding noise of up to
-    about 1e-14 at each of them, most where S has no mass.
+    times the channel's ``rfft``, then one ``irfft`` (Embrechts & Frei
+    2009), over the support that holds mass: ``top`` is the least s at
+    which a Chernoff bound, min over t of e^(-t s) E[e^(t S)], puts at most
+    ``tail`` on P(S >= s), at most kappa * h + 1 without a channel, and the
+    transform has the least power of two above top - 1 and h points. Mass
+    from ``top`` on is dropped, at most ``tail``, and the mass past the
+    transform, which wraps onto the entries below ``top``, is at most
+    ``tail`` too. A transform over all kappa * h + 1 points would leave
+    rounding noise of up to about 1e-14 at each of them, most where S has
+    no mass.
     """
-    device, kappa = spec.device, spec.portfolio_size
+    device, kappa, channel = spec.device, spec.portfolio_size, spec.aggregate_channel
     m, h = device.loss_day_multiplier, device.horizon_days
-    if spec.aggregate_channel is not None or m != int(m) or m < 1:
-        raise ValueError("only a positive integer loss_day_multiplier and no channel")
+    if m != int(m) or m < 1:
+        raise ValueError("only a positive integer loss_day_multiplier")
     m = int(m)
     theta = device.counts.theta * spec.scenario.intensity_multipliers[level]
     g = compound_count_pmf_bruteforce((h - 1) // m, theta, device.counts.lambda_cluster, tail)
@@ -278,15 +300,31 @@ def exact_portfolio_pmf(spec, level, tail: float = 1e-20) -> np.ndarray:
     d[0:m * len(g):m] = survive * g
     d[h] = survive * max(0.0, -math.expm1(-theta) - g[1:].sum())
     d[0] += 1.0 - survive
-    # log E[e^(t D)] on a grid of t, each of which gives a valid bound
+    # log E[e^(t S)] on a grid of t, each of which gives a valid bound
     t = np.geomspace(1e-6, 50.0, 600)
     held = np.flatnonzero(d > 0.0)
-    log_mgf = logsumexp(np.log(d[held]) + t[:, None] * held, axis=1)
-    top = min(kappa * h + 1, math.ceil(np.min((kappa * log_mgf - math.log(tail)) / t)))
+    log_mgf = kappa * logsumexp(np.log(d[held]) + t[:, None] * held, axis=1)
+    top = kappa * h + 1
+    if channel is not None:
+        unit = device.daily_loss / (1.0 + device.discount_rate)
+        if not isinstance(channel.severity, DiscreteTable):
+            raise ValueError("only a discrete channel")
+        values = np.array(channel.severity.values)
+        steps = np.rint(values / unit)
+        if not ((steps >= 1).all() and np.allclose(steps * unit, values, rtol=1e-12, atol=0.0)):
+            raise ValueError("only channel values on positive multiples of v * b")
+        probabilities = channel.severity.probabilities
+        with np.errstate(over="ignore"):  # an infinite bound is a valid one
+            log_mgf += channel.event_rate * np.expm1(
+                logsumexp(np.log(probabilities) + t[:, None] * steps, axis=1))
+        top = math.inf
+    top = int(min(top, math.ceil(np.min((log_mgf - math.log(tail)) / t))))
     size = 1 << max(top - 1, h).bit_length()
-    pmf = np.zeros(kappa * h + 1)
-    pmf[:top] = np.fft.irfft(np.fft.rfft(d, size) ** kappa, size)[:top]
-    return pmf
+    transform = np.fft.rfft(d, size) ** kappa
+    if channel is not None:
+        transform *= np.fft.rfft(compound_poisson_lattice_pmf(
+            channel.event_rate, steps, probabilities, size))
+    return np.fft.irfft(transform, size)[:top]
 
 
 def nearest_rank_var_bruteforce(sorted_losses, level: float) -> float:

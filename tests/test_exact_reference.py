@@ -18,9 +18,15 @@ against it, with bounds fixed before the first run:
 
 The cases are the paper preset at R = 1e5 and variants of it: kill_rate
 0.3, horizon 200 (the cap binds), lambda_cluster 5 (cluster sizes by
-inversion) and 0, kappa = 1e4 (two levels), and theta = 2e-3 at R = 2e4,
+inversion) and 0, kappa = 1e4 (two levels), theta = 2e-3 at R = 2e4,
 where Severe's count rate kappa * theta * 20 = 40 takes the PTRS count
-regions.
+regions, and a discrete channel whose values are 4, 10 and 25 times
+v * b, so that its sum lies on the same lattice; it carries 12% of
+Severe's E(P1) and more at the other levels. That case takes discount
+rate 0, so that v * b = 1000 and every loss on the lattice is exact: at
+v * b = 1000 / 1.03 two losses at one lattice point can differ in their
+last bit, which splits an atom of the sample at a reported VaR, and a
+CTE then averages only part of it.
 """
 
 import math
@@ -33,10 +39,16 @@ from cyberrisk.engine import run_simulation
 from cyberrisk.loss_model import expected_present_loss
 from cyberrisk.scenario import level_parameters
 
-from oracles import exact_portfolio_pmf
+from oracles import compound_poisson_lattice_pmf, exact_portfolio_pmf, panjer_compound_poisson_cdf
 
 Z_BOUND = 4.5
 VAR_BAND_SIGMAS = 3.0
+# the paper preset at discount rate 0, where v * b = 1000, with a discrete
+# channel on that lattice
+CHANNEL_OVERRIDES = {"device": {"discount_rate": 0.0}, "aggregate_channel": {
+    "event_rate": 1.0,
+    "severity": {"kind": "discrete", "values": [4000.0, 10000.0, 25000.0],
+                 "probabilities": [0.5, 0.3, 0.2]}}}
 
 
 def _z(estimate: float, values: np.ndarray, pmf: np.ndarray, reps: float) -> float:
@@ -55,19 +67,34 @@ def test_exact_pmf_is_a_distribution_with_the_premium_mean():
     relative. The oracle's transform spans only the support that holds
     mass, and it takes the count's tail without cancelling against 1, so
     the means agree to about 1e-10 relative (4.4e-10 read, at lambda 0),
-    lambda 0's small means included."""
-    for device in ({}, {"kill_rate": 0.3}, {"horizon_days": 200}, {"lambda_cluster": 5.0},
-                   {"lambda_cluster": 0.0}):
+    lambda 0's small means included. A channel adds its event rate times
+    its mean severity."""
+    for overrides in ({}, {"device": {"kill_rate": 0.3}}, {"device": {"horizon_days": 200}},
+                      {"device": {"lambda_cluster": 5.0}}, {"device": {"lambda_cluster": 0.0}},
+                      CHANNEL_OVERRIDES):
         doc = paper_config()
-        doc["device"].update(device)
+        doc["device"].update(overrides.get("device", {}))
+        doc["aggregate_channel"] = overrides.get("aggregate_channel")
         spec = parse_config(doc)
         unit = spec.device.daily_loss / (1.0 + spec.device.discount_rate)
+        channel = spec.aggregate_channel
         for level in spec.levels:
             pmf = exact_portfolio_pmf(spec, level)
             assert abs(pmf.sum() - 1.0) < 1e-9
             expected = spec.portfolio_size * expected_present_loss(
                 level_parameters(spec.scenario, level, spec.device))
+            if channel is not None:
+                expected += channel.event_rate * channel.severity.mean
             assert math.isclose(unit * (pmf @ np.arange(len(pmf))), expected, rel_tol=1e-7)
+
+
+def test_channel_pmf_matches_the_panjer_cdf_oracle():
+    """The channel's lattice pmf, cumulated, is the Panjer cdf oracle's."""
+    steps, probabilities = [4, 10, 25], [0.5, 0.3, 0.2]
+    pmf = compound_poisson_lattice_pmf(1.0, steps, probabilities, 400)
+    cdf = panjer_compound_poisson_cdf(1.0, steps, probabilities, np.arange(400.0))
+    assert np.allclose(np.cumsum(pmf), cdf, rtol=1e-12, atol=1e-15)
+    assert abs(pmf.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("overrides", [{}, {"device": {"kill_rate": 0.3}},
@@ -75,9 +102,10 @@ def test_exact_pmf_is_a_distribution_with_the_premium_mean():
                                        {"device": {"lambda_cluster": 5.0}},
                                        {"device": {"lambda_cluster": 0.0}},
                                        {"portfolio_size": 10_000, "levels": ["guarded", "severe"]},
-                                       {"device": {"theta": 2e-3}, "repetitions": 20_000}],
+                                       {"device": {"theta": 2e-3}, "repetitions": 20_000},
+                                       CHANNEL_OVERRIDES],
                          ids=["paper", "kill_0.3", "horizon_200", "lambda_5", "lambda_0",
-                              "kappa_1e4", "theta_2e-3"])
+                              "kappa_1e4", "theta_2e-3", "channel_discrete"])
 def test_table_matches_exact_distribution(overrides, request):
     doc = paper_config()
     doc["device"].update(overrides.get("device", {}))
@@ -92,6 +120,9 @@ def test_table_matches_exact_distribution(overrides, request):
         pmf = exact_portfolio_pmf(spec, item.level)
         loss = unit * np.arange(len(pmf))
         alpha = spec.scenario.mitigation_alphas[item.level]
+        if spec.aggregate_channel is not None:  # the channel carries at least 10% of E(P1)
+            channel = spec.aggregate_channel
+            assert channel.event_rate * channel.severity.mean >= 0.1 * (pmf @ loss)
         metrics = item.metrics
         z = {
             "E(P1)": _z(item.expected_present_loss, alpha * loss, pmf, reps),
