@@ -68,17 +68,15 @@ replay every stream's word order exactly: placement rejection and PTRS
 size draws proceed round by round, each round reading the next words of
 every repetition that still has unresolved draws, and a one-stream
 sampler is the same code on one row. Per-repetition totals are
-bit-identical to ``ndarray.sum`` over that repetition's devices or
-events; with an integral loss-day multiplier and horizon h, a batch whose
-longest row times h is below 2**53 sums its loss-days by one
-``bincount``, exact in any order. Batches are bounded by words, not
-repetitions: every batched read - COUNT and CHANNEL counts, the
-in-region DETAIL words of single-cluster repetitions, DETAIL_SPILL and
-CHANNEL_SEV - holds at most ``_BATCH_WORDS`` (2**16) words, except for a
-repetition that alone needs more. COUNT_SPILL and CHANNEL_SPILL, taken
-after 16 rejected PTRS attempts (about one region in 10**12), are drawn
-in one batched call per task, each spilled repetition on its own stream,
-without that cut.
+``risk_measures._row_totals`` of the batch's rows, bit-identical to
+``ndarray.sum`` over that repetition's devices or events. Batches are
+bounded by words, not repetitions: every batched read - COUNT and
+CHANNEL counts, the in-region DETAIL words of single-cluster
+repetitions, DETAIL_SPILL and CHANNEL_SEV - holds at most
+``_BATCH_WORDS`` (2**16) words, except for a repetition that alone needs
+more. COUNT_SPILL and CHANNEL_SPILL, taken after 16 rejected PTRS
+attempts (about one region in 10**12), are drawn in one batched call per
+task, each spilled repetition on its own stream, without that cut.
 
 Past its count words, a task holds arrays only over the rows that drew
 something: its count reads keep the rows with a nonzero count, in arrays
@@ -422,23 +420,8 @@ def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_cluste
         caps += np.bincount(codes[lo:hi][owner[effective > device.horizon_days]],
                             minlength=_LEVEL_CODES)
         capped = np.minimum(effective, float(device.horizon_days))
-        totals[lo:hi] = _loss_day_totals(capped, owner, hi - lo, device)
+        totals[lo:hi] = _row_totals(capped, np.bincount(owner, minlength=hi - lo))
     return totals, caps
-
-
-def _loss_day_totals(capped: np.ndarray, owner: np.ndarray, rows: int,
-                     device: DeviceParameters) -> np.ndarray:
-    """Each of ``rows`` repetitions' sum of its ``capped`` loss-days, entry
-    i in row ``owner[i]`` (ascending), bit-identical to ``ndarray.sum`` of
-    its row. With an integral multiplier and horizon h every entry is an
-    integer of at most h; while the longest row times h is below 2**53,
-    every partial sum is an exact integer, so any order gives the same bits
-    and one ``bincount`` sums them all. Otherwise ``_row_totals``."""
-    lengths = np.bincount(owner, minlength=rows)
-    if (float(device.loss_day_multiplier).is_integer() and float(device.horizon_days).is_integer()
-            and int(lengths.max(initial=0)) * device.horizon_days < 2 ** 53):
-        return np.bincount(owner, weights=capped, minlength=rows)
-    return _row_totals(capped, lengths)
 
 
 def _single_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray,

@@ -89,7 +89,7 @@ def report_rows(report: RiskReport, formatted: bool = False):
     """
     rows = []
     levels = report.levels
-    rhos = sorted(report.spec.confidence_levels)
+    rhos = sorted(set(report.spec.confidence_levels))
 
     def money(value):
         return f"{value:,.1f}" if formatted else _money(value)
@@ -121,8 +121,9 @@ def report_rows(report: RiskReport, formatted: bool = False):
 
 
 def _rho_text(rho: float) -> str:
-    """.90-style confidence labels: .90, .95, .99, .975."""
-    text = f"{rho:.10g}"
+    """.90-style confidence labels: .90, .95, .99, .975; from ``repr``, so
+    distinct levels get distinct labels."""
+    text = repr(float(rho))
     if text.startswith("0."):
         frac = text[2:]
         if len(frac) == 1:

@@ -70,11 +70,10 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_public_name_is_read_outside_the_tests():
-    """Every public module-level function or class in the package is read in
-    the package or in bench/ outside its own definition; ``__init__``'s
-    re-exports and ``__all__`` entries do not count. A public name that
-    only tests read is a wrapper to delete."""
+def _module_level_names_read_nowhere_else():
+    """The module-level functions and classes of the package that neither
+    the package nor bench/ reads outside their own definition;
+    ``__init__``'s re-exports and ``__all__`` entries do not count."""
     package = Path(cyberrisk.__file__).parent
     defined, read = set(), set()
     for path in sorted(package.glob("*.py")) + sorted(BENCH.glob("*.py")):
@@ -90,8 +89,21 @@ def test_every_public_name_is_read_outside_the_tests():
                          [alias.name for alias in inner.names]
                          if isinstance(inner, ast.ImportFrom) else [])
                 read.update(name for name in names if name != own)
-    unread = sorted(name for name in defined - read if not name.startswith("_"))
-    assert unread == []
+    return sorted(defined - read)
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    """A public function or class that only tests read is a wrapper to
+    delete."""
+    assert [name for name in _module_level_names_read_nowhere_else()
+            if not name.startswith("_")] == []
+
+
+def test_every_private_name_is_read_outside_the_tests():
+    """A private function or class that only tests read is a helper to
+    delete or to move into the tests."""
+    assert [name for name in _module_level_names_read_nowhere_else()
+            if name.startswith("_")] == []
 
 
 def test_engine_draws_only_through_the_batched_samplers():

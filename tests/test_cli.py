@@ -95,6 +95,25 @@ class TestSimulate:
         assert "," in body[1]
         assert "# seed=42" in content
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("levels, labels", [
+        ([0.9, 0.9], [".90"]),
+        ([0.9, 0.90000000001], [".90", ".90000000001"]),
+    ])
+    def test_each_distinct_level_prints_once_under_its_own_label(self, capsys, tmp_path,
+                                                                 fmt, levels, labels):
+        mapping = paper_config()
+        mapping.update(repetitions=500, portfolio_size=200, confidence_levels=levels)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(mapping))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--format", fmt)
+        assert code == 0
+        separator = "," if fmt == "csv" else "  "
+        names = [line.split(separator)[0] for line in out.splitlines()]
+        assert [name for name in names if "(." in name] == [
+            f"{metric}({label})" for metric in ("VAR", "CTE", "Margin VAR", "Margin CTE")
+            for label in labels]
+
     def test_out_into_missing_directory_exits_1(self, capsys, small_config, tmp_path):
         out_path = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "simulate", "--config", small_config, "--reps", "10",
@@ -752,6 +771,25 @@ class TestPinnedText:
             "CTE(.90)          95.000000",
             "Margin VAR(.90)   0.7821782178217822",
             "Margin CTE(.90)   0.8811881188118812",
+        )
+
+    def test_report_levels_apart_past_the_10th_digit_get_their_own_labels(self, capsys, counting):
+        code, out, _ = run_cli(capsys, "report", "--samples", counting,
+                               "--levels", "0.9,0.90000000001")
+        assert code == 0
+        assert out == _report_text(
+            *_COUNTING_HEAD,
+            "premium pool      0.000000",
+            "Prob(Shortfall)   1.0",
+            "E(Shortfall)      50.500000",
+            "VAR(.90)          90.000000",
+            "VAR(.90000000001)          91.000000",
+            "CTE(.90)          95.000000",
+            "CTE(.90000000001)          95.500000",
+            "Margin VAR(.90)   0.7821782178217822",
+            "Margin VAR(.90000000001)   0.801980198019802",
+            "Margin CTE(.90)   0.8811881188118812",
+            "Margin CTE(.90000000001)   0.8910891089108911",
         )
 
     def test_calibrate_defaults(self, capsys):

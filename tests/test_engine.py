@@ -599,44 +599,6 @@ class TestBatchedResolution:
         assert list(totals) == [days for days, _ in expect]
         assert caps[RiskLevel.HIGH.code] == caps.sum() == sum(c for _, c in expect)
 
-    # The longest row holds 300 entries: an integral multiplier and horizon
-    # h take bincount while 300 * h < 2**53, and numpy's tree otherwise;
-    # at h = 2**53 / 64 rows sum past 2**54, where bincount's order moves bits.
-    @pytest.mark.parametrize("multiplier, horizon, exact", [
-        (1.0, (2 ** 53 - 1) // 300, True),
-        (3.0, (2 ** 53 - 1) // 300, True),
-        (1.0, 2 ** 53 // 300 + 1, False),
-        (3.0, 2 ** 53 // 300 + 1, False),
-        (1.0, 2 ** 53 // 64, False),
-        (0.7, 365, False),
-    ])
-    def test_loss_day_totals_equal_ndarray_sum(self, monkeypatch, multiplier, horizon, exact):
-        """Integer-valued rows of every length from 0 to 300, whose longest
-        rows sum to about 300 * h, near 2**53: each total is the row's
-        ``ndarray.sum``, bit for bit, on both sides of the bound."""
-        rng = np.random.default_rng(horizon % 1000)
-        lengths = np.concatenate([rng.permutation(301), rng.integers(250, 301, 30)])
-        owner = np.repeat(np.arange(len(lengths)), lengths)
-        reach = int(horizon / multiplier)  # about a tenth of the entries are capped
-        days = rng.integers(reach // 2, reach + reach // 20, len(owner))
-        capped = np.minimum(multiplier * days, float(horizon))
-        assert capped.max() == horizon
-        fallbacks, tree = [], engine._row_totals
-
-        def row_totals(values, row_lengths):
-            fallbacks.append(len(row_lengths))
-            return tree(values, row_lengths)
-
-        monkeypatch.setattr(engine, "_row_totals", row_totals)
-        device = replace(_paper_device(), horizon_days=horizon, loss_day_multiplier=multiplier)
-        totals = engine._loss_day_totals(capped, owner, len(lengths), device)
-        ends = np.cumsum(lengths)
-        for total, end, length in zip(totals, ends, lengths):
-            assert total.hex() == capped[end - length:end].sum().hex(), length
-        assert fallbacks == ([] if exact else [len(lengths)])
-        if horizon == 2 ** 53 // 64:  # the bound is needed
-            assert (np.bincount(owner, weights=capped) != totals).any()
-
     @pytest.mark.parametrize("rate", [1e-300, 0.02, 0.7, 5.0, 29.99, 30.0, 45.0])
     def test_count_scan_keeps_the_nonzero_rows_of_every_span(self, monkeypatch, rate):
         # P(0) rounds to 1 at 1e-300 and is below 1/2 from 0.7 on; from 30

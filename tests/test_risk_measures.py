@@ -374,6 +374,55 @@ class TestNumpySummationTree:
         for total, end, length in zip(totals, ends, lengths):
             assert total.hex() == values[end - length:end].sum().hex(), length
 
+    # The longest row holds 300 entries: integral loss-days capped at h take
+    # bincount while 300 * h < 2**53, and numpy's tree otherwise; at
+    # h = 2**53 / 64 rows sum past 2**54, where bincount's order moves bits.
+    # A multiplier of 0.5 on even day counts has integral products.
+    @pytest.mark.parametrize("multiplier, horizon, exact", [
+        (1.0, (2 ** 53 - 1) // 300, True),
+        (3.0, (2 ** 53 - 1) // 300, True),
+        (1.0, 2 ** 53 // 300 + 1, False),
+        (3.0, 2 ** 53 // 300 + 1, False),
+        (1.0, 2 ** 53 // 64, False),
+        (0.7, 365, False),
+        (0.5, 365, True),
+    ])
+    def test_row_totals_of_loss_days_equal_ndarray_sum(self, multiplier, horizon, exact):
+        """Capped loss-day rows of every length from 0 to 300, whose longest
+        rows sum to about 300 * h, near 2**53: each total is the row's
+        ``ndarray.sum``, bit for bit, on both sides of the bound."""
+        rng = np.random.default_rng(horizon % 1000)
+        lengths = np.concatenate([rng.permutation(301), rng.integers(250, 301, 30)])
+        reach = int(horizon / multiplier)  # about a tenth of the entries are capped
+        days = rng.integers(reach // 2, reach + reach // 20, int(lengths.sum()))
+        if multiplier == 0.5:
+            days += days % 2
+        capped = np.minimum(multiplier * days, float(horizon))
+        assert capped.max() == horizon
+        totals, summed = _row_totals_counting_row_sums(capped, lengths)
+        ends = np.cumsum(lengths)
+        for total, end, length in zip(totals, ends, lengths):
+            assert total.hex() == capped[end - length:end].sum().hex(), length
+        assert summed == ([] if exact else [length for length in lengths if length >= 8])
+        if horizon == 2 ** 53 // 64:  # the bound is needed
+            owner = np.repeat(np.arange(len(lengths)), lengths)
+            assert (np.bincount(owner, weights=capped) != totals).any()
+
+    @pytest.mark.parametrize("special", [-0.0, -3.0, math.inf, math.nan])
+    def test_rows_with_a_sign_bit_or_a_nonfinite_entry_follow_the_tree(self, special):
+        # integral rows that alone take bincount, and rows of 1 to 300
+        # entries that hold the special value
+        rng = np.random.default_rng(5)
+        lengths = np.concatenate([rng.permutation(301), [1, 7, 8, 9, 130, 300]])
+        values = rng.integers(0, 1000, int(lengths.sum())).astype(float)
+        ends = np.cumsum(lengths)
+        for end, length in zip(ends[-6:], lengths[-6:]):
+            values[end - length:end:2] = special
+        totals, summed = _row_totals_counting_row_sums(values, lengths)
+        for total, end, length in zip(totals, ends, lengths):
+            assert total.hex() == values[end - length:end].sum().hex(), length
+        assert summed == [length for length in lengths if length >= 8]
+
     @pytest.mark.parametrize("count, drawn", [
         (count, drawn)
         for count in (1, 7, 8, 9, 127, 128, 129, 4099, 10 ** 5, 4 * 10 ** 6)
@@ -383,6 +432,19 @@ class TestNumpySummationTree:
         tail = np.sort(np.random.default_rng(drawn).lognormal(3.0, 2.0, drawn))
         expect = np.add.reduce(np.concatenate((np.zeros(count - drawn), tail)))
         assert float(_padded_sum(tail, count)).hex() == float(expect).hex()
+
+
+def _row_totals_counting_row_sums(values: np.ndarray, lengths: np.ndarray):
+    """``_row_totals(values, lengths)`` and the lengths of the rows it
+    summed one by one with ``ndarray.sum``, in order."""
+    summed = []
+
+    class Counted(np.ndarray):
+        def sum(self, *args, **kwargs):
+            summed.append(len(self))
+            return super().sum(*args, **kwargs)
+
+    return _row_totals(values.view(Counted), lengths), summed
 
 
 def _boundary_levels(count: int, zeros: int):
