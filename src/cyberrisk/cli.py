@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import replace
-import datetime as dt
 import io
 import json
 import logging
@@ -24,7 +23,6 @@ import time
 from .config import load_config, scenario_to_mapping
 from .engine import run_simulation, summarize_level
 from .errors import ConfigError, CyberRiskError, InputError, InsufficientDataError, read_input
-from .ingestion import estimate_intensity, fit_lognormal, fit_pareto_tail, parse_records
 from .report import _rho_text, render_csv, render_json, render_table
 from .risk_measures import EmpiricalDistribution
 from .scenario import MINUTES_PER_YEAR, ScenarioConfig, attacks_per_year, baseline_proportion
@@ -119,6 +117,11 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    # only fit parses datasets, so the other subcommands never load these
+    import datetime as dt
+
+    from .ingestion import estimate_intensity, fit_lognormal, fit_pareto_tail, parse_records
+
     if args.severity == "pareto" and args.x_min is None:
         raise ConfigError("--x-min is required with --severity pareto")
     records, rejects = parse_records(read_input(args.input, "input"), fmt=args.format)

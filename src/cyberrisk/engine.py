@@ -48,7 +48,10 @@ T = max(w, ceil(sum_l R * min(1, r_l) / _TASK_DRAWN_ROWS)) on w workers
 and at most R. min(1, r) bounds the share 1 - exp(-r) of repetitions that
 draw something, so a task expects at most ``_TASK_DRAWN_ROWS`` (2**17)
 drawn rows over all its levels, and a quiet run is one task on one
-worker.
+worker. A run resolved to one worker runs its tasks in its own process
+and never imports ``concurrent.futures``; only a run resolved to more
+than one worker imports it and starts a process pool, even when its work
+would fit in a single task: such a run is cut into a task per worker.
 
 Within a task each level scans its own COUNT words into one level-ordered
 array of the task's drawn rows. Its single-cluster rows are resolved
@@ -93,7 +96,9 @@ sorted (``risk_measures.EmpiricalDistribution``). Every other repetition
 loses 0, and no loss is negative or -0.0, so the measures over that pair
 equal those over all R losses sorted, bit for bit. Each level collects
 its drawn losses in a buffer of its own; the buffers are taken as one
-block before any task runs and live until the last task.
+block before any task runs and live until the last task. A task's result
+is let go once it is copied into them, before the next task of a
+one-worker run starts.
 
 Only the cipher blocks a draw reads are enciphered. A task reads its
 single-cluster repetitions' DETAIL regions, over all its levels, in two
@@ -135,8 +140,6 @@ setting is process-wide, and it is a no-op where the C library has no
 from __future__ import annotations
 
 from collections import deque
-import concurrent.futures
-from contextlib import nullcontext
 import ctypes
 from dataclasses import dataclass, field
 import functools
@@ -681,6 +684,11 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     analytic per-device expected present loss, so riskier levels face a
     pool calibrated to normal conditions; that is what makes the shortfall
     metrics grow across levels.
+
+    ``workers`` is resolved by ``resolve_workers``. At one worker the tasks
+    run in this process; only a run resolved to more than one worker
+    imports ``concurrent.futures`` and starts a process pool of that many
+    workers, even when its work would fit in a single task.
     """
     _keep_freed_memory()
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
@@ -696,10 +704,13 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     # them ahead.
     sizes = [_expected_drawn(spec, level) for level in spec.levels]
     buffers = np.split(_loss_buffer(reps, sum(sizes)), np.cumsum(sizes)[:-1])
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        results = _ahead(pool, _chunk_task, tasks, 2 * workers) if pool else map(_chunk_task, tasks)
-        levels = _gather(reps, results, buffers)
+    if workers == 1:
+        levels = _gather(reps, map(_chunk_task, tasks), buffers)
+    else:
+        # only a run of more than one worker loads the process pool
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            levels = _gather(reps, _ahead(pool, _chunk_task, tasks, 2 * workers), buffers)
     level_reports = [_level_report(spec, level, baseline_expected, *gathered)
                      for level, gathered in zip(spec.levels, levels)]
     return RiskReport(spec=spec, levels=tuple(level_reports),
@@ -742,6 +753,9 @@ def _gather(reps: int, results, buffers: list) -> list:
             caps[i] += task_caps
             if faults[i] is None:  # tasks arrive in repetition order
                 faults[i] = fault
+        # a one-worker run computes the next task while the loop runs, so
+        # let this task's losses go first
+        del task, drawn
     return [(buffer[:count], level_caps, fault)
             for buffer, count, level_caps, fault in zip(buffers, filled, caps, faults)]
 

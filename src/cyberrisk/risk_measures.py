@@ -25,10 +25,12 @@ to sum zeros followed by a sample's drawn losses without the zeros,
 ``_row_sums`` sums many rows of nonnegative entries, zero outside a band
 of columns, by one ``ndarray.sum`` over the band's lanes (the count pmf
 table's rows), and ``_row_totals`` sums the rows of a ragged array (the
-engine's per-repetition totals). Where every entry is a nonnegative
-integer (sign bit clear) and the longest row times the largest entry is
-below 2**53, every partial sum is exact, so ``_row_totals`` sums all rows
-in one ``bincount``; it follows the tree only otherwise. The tests check
+engine's per-repetition totals). Where every row holds under 8 entries,
+or every entry is a nonnegative integer (sign bit clear) and the longest
+row times the largest entry is below 2**53, ``_row_totals`` sums all rows
+in one ``bincount``: rows under 8 entries add in order, and otherwise
+every partial sum is exact. It follows the tree only for the rows of 8
+or more entries of any other batch. The tests check
 numpy against this description by name.
 """
 
@@ -125,16 +127,20 @@ def _row_sums(block: np.ndarray, n: np.ndarray, first: int, scratch: np.ndarray)
 
 def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Per-row sums of a ragged array, each bit-identical to ``ndarray.sum``
-    of its row. When every entry is an integer with its sign bit clear and
-    the longest row times the largest entry is below 2**53, every partial
-    sum is an exact integer, so one ``bincount`` sums all rows in any order.
-    Otherwise rows under 8 entries add in order, as ``ndarray.sum`` and
-    ``bincount`` both do, and longer rows, which ``ndarray.sum`` adds
+    of its row. Rows under 8 entries add in order, as ``ndarray.sum`` and
+    ``bincount`` both do, so a batch of only such rows is one ``bincount``
+    whatever its values. When every entry is an integer with its sign bit
+    clear and the longest row times the largest entry is below 2**53,
+    every partial sum is an exact integer, so one ``bincount`` sums all
+    rows in any order. Otherwise longer rows, which ``ndarray.sum`` adds
     pairwise, are summed by it row by row."""
     owner = np.repeat(np.arange(len(lengths)), lengths)
     totals = np.bincount(owner, weights=values, minlength=len(lengths))
+    longest = lengths.max(initial=0)
+    if longest < 8:
+        return totals
     if ((np.trunc(values) == values).all() and not np.signbit(values).any()
-            and lengths.max(initial=0) * values.max(initial=0.0) < 2 ** 53):
+            and longest * values.max(initial=0.0) < 2 ** 53):
         return totals
     ends = np.cumsum(lengths)
     for row in np.flatnonzero(lengths >= 8):

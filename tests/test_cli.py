@@ -899,6 +899,18 @@ def test_importing_the_cli_loads_no_multiprocessing():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+def test_one_worker_simulate_loads_no_ingestion(small_config, tmp_path):
+    """Only ``fit`` parses datasets, so a one-worker ``simulate`` loads
+    neither ``cyberrisk.ingestion`` nor the process pool."""
+    done = _python("-c", "import sys, cyberrisk.cli\n"
+                         f"code = cyberrisk.cli.main(['simulate', '--config', {small_config!r},\n"
+                         "    '--reps', '200', '--workers', '1', '--format', 'json',\n"
+                         f"    '--out', {str(tmp_path / 'r.json')!r}])\n"
+                         "print(code, [m for m in ('cyberrisk.ingestion', 'concurrent.futures')\n"
+                         "             if m in sys.modules])")
+    assert (done.returncode, done.stdout) == (0, "0 []\n"), done.stderr
+
+
 @pytest.mark.parametrize("argv, what", [(("simulate", "--config"), "config"),
                                         (("fit", "--input"), "input"),
                                         (("report", "--samples"), "samples")],

@@ -10,6 +10,7 @@ from pathlib import Path
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -939,7 +940,7 @@ class TestBoundedMemory:
     drawn losses (6.4 and 3.0 MiB at 2**22 and 2**20 repetitions), and at
     12 MiB for the dense workload's two levels of 4e6 repetitions, and
     at twice the channel workload's peak (2.5 MiB). The peaks now read
-    5.7, 5.0 (16% under its bound), 4.5, 2.0, 7.3 and 2.5 MiB."""
+    5.7, 5.0 (16% under its bound), 4.5, 2.0, 6.4 and 2.5 MiB."""
 
     def test_severe_paper_task(self):
         spec = replace(_paper_spec(repetitions=1 << 18), levels=(RiskLevel.SEVERE,))
@@ -972,6 +973,27 @@ class TestBoundedMemory:
         assert spec.repetitions == 4_000_000
         peak = _traced_peak_mib(run_simulation, spec, 1)
         assert peak <= 12.0
+
+    def test_one_worker_run_frees_each_task_before_the_next(self, monkeypatch):
+        """A one-worker run computes a task while gathering the tasks before
+        it, so it lets each task's losses go first: only the loss buffers
+        hold what earlier tasks drew."""
+        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
+        spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=3_000,
+                           levels=(RiskLevel.GUARDED, RiskLevel.SEVERE))
+        reference = render_json(run_simulation(spec, workers=1))
+        task, held, live = engine._chunk_task, [], []
+
+        def watched(args):
+            live.append(sum(ref() is not None for ref in held))
+            out = task(args)
+            held.extend(weakref.ref(drawn if drawn.base is None else drawn.base)
+                        for drawn, _, _ in out)
+            return out
+
+        monkeypatch.setattr(engine, "_chunk_task", watched)
+        assert render_json(run_simulation(spec, workers=1)) == reference
+        assert live == [0] * engine._task_count(spec, 1)
 
     @pytest.mark.parametrize("seed, rate", [(2, 1e-3), (5, 0.02)])
     def test_count_arrays_grow_past_the_expected_rows(self, monkeypatch, seed, rate):
@@ -1044,3 +1066,36 @@ class TestWorkingMemory:
         if not record["mallopt"]:
             pytest.skip("the C library has no mallopt, or it refused the thresholds")
         assert record["faults"][1] <= 100, record["faults"]
+
+
+_POOL_MODULES = ("concurrent.futures", "logging")
+
+
+def _loaded_after(script: str) -> list:
+    """Which of ``_POOL_MODULES`` a fresh interpreter on this package has
+    loaded after running ``script``."""
+    src = str(Path(engine.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script += f"\nimport json, sys\nprint(json.dumps([m for m in {_POOL_MODULES!r} if m in sys.modules]))\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestImportFootprint:
+    """Only a run resolved to more than one worker imports the process
+    pool: a one-worker run, and importing what ``bench/probe.py`` times,
+    leave ``concurrent.futures`` and the ``logging`` it brings unloaded."""
+
+    def test_one_worker_run_and_render_load_no_pool(self):
+        assert _loaded_after(
+            "from cyberrisk.config import paper_config, parse_config\n"
+            "from cyberrisk.engine import run_simulation\n"
+            "from cyberrisk.report import render_json\n"
+            "spec = parse_config({**paper_config(), 'repetitions': 2000, 'portfolio_size': 100})\n"
+            "assert render_json(run_simulation(spec, workers=1))\n") == []
+
+    def test_importing_config_engine_and_report_loads_no_pool(self):
+        assert _loaded_after("import cyberrisk.config, cyberrisk.engine, cyberrisk.report") == []

@@ -423,6 +423,26 @@ class TestNumpySummationTree:
             assert total.hex() == values[end - length:end].sum().hex(), length
         assert summed == [length for length in lengths if length >= 8]
 
+    @pytest.mark.parametrize("special", [None, -0.0, -3.0, math.inf, math.nan])
+    @pytest.mark.parametrize("integral", [True, False], ids=["integral", "fractional"])
+    def test_rows_under_8_entries_take_bincount_whatever_their_values(self, integral, special):
+        """A batch whose rows all hold 0 to 7 entries: each row adds in
+        order, so one ``bincount`` gives every ``ndarray.sum``, bit for bit,
+        and no row is summed on its own."""
+        rng = np.random.default_rng(7)
+        lengths = np.concatenate([np.arange(8), rng.integers(0, 8, 400)])
+        size = int(lengths.sum())
+        values = rng.lognormal(0.0, 3.0, size) * rng.choice([-1.0, 1.0], size)
+        if integral:
+            values = np.round(values)
+        if special is not None:
+            values[rng.random(size) < 0.2] = special
+        totals, summed = _row_totals_counting_row_sums(values, lengths)
+        assert summed == []
+        ends = np.cumsum(lengths)
+        for total, end, length in zip(totals, ends, lengths):
+            assert total.hex() == values[end - length:end].sum().hex(), length
+
     @pytest.mark.parametrize("count, drawn", [
         (count, drawn)
         for count in (1, 7, 8, 9, 127, 128, 129, 4099, 10 ** 5, 4 * 10 ** 6)
