@@ -15,7 +15,6 @@ import argparse
 from dataclasses import replace
 import io
 import json
-import logging
 import math
 import sys
 import time
@@ -26,8 +25,6 @@ from .errors import ConfigError, CyberRiskError, InputError, InsufficientDataErr
 from .report import _rho_text, render_csv, render_json, render_table
 from .risk_measures import EmpiricalDistribution
 from .scenario import MINUTES_PER_YEAR, ScenarioConfig, attacks_per_year, baseline_proportion
-
-logger = logging.getLogger("cyberrisk")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=["table", "csv", "json"], default="table")
     sim.add_argument("--out", default=None, help="output path (default stdout)")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: machine parallelism); "
-                          "never changes output bytes")
+                     help="worker processes (default: machine parallelism), at most "
+                          "one per task; never changes output bytes")
 
     cal = sub.add_parser("calibrate", help="baseline attacked-proportion arithmetic")
     cal.add_argument("--attack-window-min", type=float, default=5.0)
@@ -82,8 +79,8 @@ def _cmd_simulate(args) -> int:
 
     started = time.perf_counter()
     report = run_simulation(spec, workers=args.workers)
-    logger.info("simulated %d levels x %d repetitions in %.2fs",
-                len(report.levels), spec.repetitions, time.perf_counter() - started)
+    sys.stderr.write(f"cyberrisk: simulated {len(report.levels)} levels x {spec.repetitions} "
+                     f"repetitions in {time.perf_counter() - started:.2f}s\n")
 
     if args.format == "json":
         text = render_json(report)
@@ -245,7 +242,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -44,14 +44,13 @@ words however its reads are grouped. A task is a repetition range
 [lo, hi) of every level of the run, and the partition follows the work:
 R repetitions at count rates r_l (kappa * theta at level l, plus the
 channel's event rate) are cut into T tasks of equal size,
-T = max(w, ceil(sum_l R * min(1, r_l) / _TASK_DRAWN_ROWS)) on w workers
-and at most R. min(1, r) bounds the share 1 - exp(-r) of repetitions that
-draw something, so a task expects at most ``_TASK_DRAWN_ROWS`` (2**17)
-drawn rows over all its levels, and a quiet run is one task on one
-worker. A run resolved to one worker runs its tasks in its own process
-and never imports ``concurrent.futures``; only a run resolved to more
-than one worker imports it and starts a process pool, even when its work
-would fit in a single task: such a run is cut into a task per worker.
+T = ceil(sum_l R * min(1, r_l) / _TASK_DRAWN_ROWS), at most R. min(1, r)
+bounds the share 1 - exp(-r) of repetitions that draw something, so a
+task expects at most ``_TASK_DRAWN_ROWS`` (2**17) drawn rows over all its
+levels. The workers follow the tasks, at most one per task, so a run of
+one task (a quiet run, or the paper's table) runs in its own process at
+any worker count and never imports ``concurrent.futures``; only a run
+resolved to more than one worker imports it and starts a process pool.
 
 Within a task each level scans its own COUNT words into one level-ordered
 array of the task's drawn rows. Its single-cluster rows are resolved
@@ -423,7 +422,7 @@ def _multi_cluster_days(seed: int, codes: np.ndarray, reps: np.ndarray, n_cluste
         caps += np.bincount(codes[lo:hi][owner[effective > device.horizon_days]],
                             minlength=_LEVEL_CODES)
         capped = np.minimum(effective, float(device.horizon_days))
-        totals[lo:hi] = _row_totals(capped, np.bincount(owner, minlength=hi - lo))
+        totals[lo:hi] = _row_totals(capped, owner, hi - lo)
     return totals, caps
 
 
@@ -488,7 +487,7 @@ def _channel_losses(seed: int, level: RiskLevel, reps: np.ndarray, counts: np.nd
     for lo, hi in _batches(counts):
         streams = RaggedStreams(seed, pack_stream_id(_DOMAIN_CHANNEL_SEV, level.code, reps[lo:hi]))
         amounts = sample_severity_rows(streams.raw_words, counts[lo:hi], severity)
-        totals[lo:hi] = _row_totals(amounts, counts[lo:hi])
+        totals[lo:hi] = _row_totals(amounts, np.repeat(np.arange(hi - lo), counts[lo:hi]), hi - lo)
     return totals
 
 
@@ -501,6 +500,11 @@ def _merged(rows: np.ndarray, losses: np.ndarray, more_rows: np.ndarray, more: n
     both[both] = more_rows[at[both]] == rows[both]
     more[at[both]] += losses[both]  # the same bits as losses + more: IEEE addition commutes
     return np.concatenate([rows[~both], more_rows]), np.concatenate([losses[~both], more])
+
+
+def _count_rate(spec: SimulationSpec, level: RiskLevel) -> float:
+    """A level's portfolio cluster-count rate, kappa * theta at that level."""
+    return spec.portfolio_size * level_parameters(spec.scenario, level, spec.device).counts.theta
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a nonfinite loss is the run's to raise
@@ -518,8 +522,7 @@ def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int) -> list:
     n = rep_hi - rep_lo
     device = spec.device
     rows, clusters = zip(*[_counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
-                                             spec.portfolio_size * level_parameters(
-                                                 spec.scenario, level, device).counts.theta)
+                                             _count_rate(spec, level))
                            for level in spec.levels])
     ends = np.cumsum([0] + [len(level_rows) for level_rows in rows])
     codes = np.repeat(np.array([level.code for level in spec.levels], dtype=np.uint8),
@@ -651,19 +654,19 @@ def _expected_drawn(spec: SimulationSpec, level: RiskLevel) -> int:
     """The most rows one level expects to draw something, at most R: a
     repetition draws with probability 1 - exp(-r) <= min(1, r) at count
     rate r."""
-    rate = spec.portfolio_size * level_parameters(spec.scenario, level, spec.device).counts.theta
+    rate = _count_rate(spec, level)
     if spec.aggregate_channel is not None:
         rate += spec.aggregate_channel.event_rate
     return math.ceil(spec.repetitions * min(1.0, rate))
 
 
-def _task_count(spec: SimulationSpec, workers: int) -> int:
-    """How many tasks of equal size a run's repetitions are cut into on
-    ``workers`` workers, each over every level: enough that each expects
-    at most ``_TASK_DRAWN_ROWS`` drawn rows over all levels, at least one
-    per worker, at most one per repetition."""
+def _task_count(spec: SimulationSpec) -> int:
+    """How many tasks of equal size a run's repetitions are cut into, each
+    over every level: enough that each expects at most
+    ``_TASK_DRAWN_ROWS`` drawn rows over all levels, at most one per
+    repetition."""
     drawn = sum(_expected_drawn(spec, level) for level in spec.levels)
-    return min(spec.repetitions, max(workers, math.ceil(drawn / _TASK_DRAWN_ROWS)))
+    return min(spec.repetitions, math.ceil(drawn / _TASK_DRAWN_ROWS))
 
 
 def _loss_buffer(reps: int, size: int) -> np.ndarray:
@@ -685,18 +688,18 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     pool calibrated to normal conditions; that is what makes the shortfall
     metrics grow across levels.
 
-    ``workers`` is resolved by ``resolve_workers``. At one worker the tasks
-    run in this process; only a run resolved to more than one worker
-    imports ``concurrent.futures`` and starts a process pool of that many
-    workers, even when its work would fit in a single task.
+    ``_task_count`` cuts the repetitions into tasks; ``resolve_workers`` caps
+    ``workers`` at the tasks and the CPUs. At one worker the tasks run in
+    this process; only a run resolved to more than one worker imports
+    ``concurrent.futures`` and starts a process pool of that many workers.
     """
     _keep_freed_memory()
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
     baseline_expected = expected_present_loss(baseline_device)
 
     reps = spec.repetitions
-    workers = resolve_workers(workers, reps, os.cpu_count() or 1)
-    n_tasks = _task_count(spec, workers)
+    n_tasks = _task_count(spec)
+    workers = resolve_workers(workers, n_tasks, os.cpu_count() or 1)
     tasks = ((spec, reps * i // n_tasks, reps * (i + 1) // n_tasks) for i in range(n_tasks))
     # Every level's drawn-loss buffer, taken as one block before any task
     # runs. A task's losses are written into them as its result arrives;

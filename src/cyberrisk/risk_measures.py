@@ -125,8 +125,9 @@ def _row_sums(block: np.ndarray, n: np.ndarray, first: int, scratch: np.ndarray)
     return sums
 
 
-def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per-row sums of a ragged array, each bit-identical to ``ndarray.sum``
+def _row_totals(values: np.ndarray, owner: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per-row sums of a ragged array whose entry i lies in row ``owner[i]``
+    of ``n_rows``, ``owner`` ascending, each bit-identical to ``ndarray.sum``
     of its row. Rows under 8 entries add in order, as ``ndarray.sum`` and
     ``bincount`` both do, so a batch of only such rows is one ``bincount``
     whatever its values. When every entry is an integer with its sign bit
@@ -134,8 +135,8 @@ def _row_totals(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     every partial sum is an exact integer, so one ``bincount`` sums all
     rows in any order. Otherwise longer rows, which ``ndarray.sum`` adds
     pairwise, are summed by it row by row."""
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    totals = np.bincount(owner, weights=values, minlength=len(lengths))
+    totals = np.bincount(owner, weights=values, minlength=n_rows)
+    lengths = np.bincount(owner, minlength=n_rows)
     longest = lengths.max(initial=0)
     if longest < 8:
         return totals

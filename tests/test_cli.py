@@ -120,7 +120,10 @@ class TestSimulate:
                                  "--out", str(out_path))
         assert code == 1
         assert out == "" and not out_path.exists()
-        assert err.startswith("error: cannot write report to ") and "report.json" in err
+        # the run's wall-time line comes first, as in a fresh `cyberrisk simulate`
+        timing, error = err.splitlines()
+        assert re.fullmatch(r"cyberrisk: simulated 4 levels x 10 repetitions in \d+\.\d\ds", timing)
+        assert error.startswith("error: cannot write report to ") and "report.json" in error
 
     def test_seed_and_reps_overrides(self, capsys, small_config):
         _, out_a, _ = run_cli(capsys, "simulate", "--config", small_config,

@@ -138,7 +138,7 @@ class TestDeterminism:
         assert reference.spec == spec
         assert run_simulation(spec, workers=2) == reference
         monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 50)
-        assert engine._task_count(spec, 1) == 80  # 3,960 expected drawn rows
+        assert engine._task_count(spec) == 80  # 3,960 expected drawn rows
         assert run_simulation(spec, workers=1) == reference
         assert run_simulation(spec, workers=2) == reference
 
@@ -169,11 +169,30 @@ class TestTaskCount:
     """A run is cut into tasks, each over every level, by the rows its
     levels expect to draw, not by the repetitions it scans."""
 
-    def test_bench_workload_task_counts(self):
+    def test_bench_workload_task_counts(self, monkeypatch):
+        """The workers follow the tasks: paper and channel, one task each,
+        run in one process at any worker count, on 2 CPUs or more. The
+        run stops once it has resolved its workers."""
+        resolve, resolved = engine.resolve_workers, []
+
+        class Resolved(Exception):
+            pass
+
+        def spy(*args):
+            resolved.append(resolve(*args))
+            raise Resolved
+
+        monkeypatch.setattr(engine, "resolve_workers", spy)
         # paper and channel expect 66,000 and 40,000 drawn rows, dense 240,000
-        for name, tasks in [("paper", [1, 2]), ("channel", [1, 2]), ("dense", [2, 2])]:
+        for name, tasks, workers in [("paper", 1, 1), ("channel", 1, 1), ("dense", 2, 2)]:
             spec = _bench_workload(name)
-            assert [engine._task_count(spec, workers) for workers in (1, 2)] == tasks, name
+            assert engine._task_count(spec) == tasks, name
+            for cpus in (2, 3):
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+                for asked in (None, 2, 3):
+                    with pytest.raises(Resolved):
+                        run_simulation(spec, workers=asked)
+                    assert resolved.pop() == workers, (name, cpus, asked)
 
     def test_a_paper_run_takes_one_task(self, monkeypatch):
         spans = []
@@ -190,15 +209,17 @@ class TestTaskCount:
     def test_a_task_expects_at_most_2_17_drawn_rows(self):
         # 660,000 expected drawn rows at R = 1e6, Severe's 400,000 among them
         spec = replace(parse_config(paper_config()), repetitions=1_000_000)
-        assert engine._task_count(spec, 1) == 6
-        assert engine._task_count(replace(spec, repetitions=7), 8) == 7
+        assert engine._task_count(spec) == 6
+        assert engine._task_count(replace(spec, repetitions=7)) == 1
 
     def test_bytes_equal_across_one_two_and_three_workers(self, monkeypatch):
         spec = replace(parse_config(paper_config()), repetitions=50_000)
         reference = render_json(run_simulation(spec, workers=1))
         monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers also on two CPUs
+        # 33,000 expected drawn rows: four tasks, so three workers start
+        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 10_000)
+        assert engine._task_count(spec) == 4
         for workers in (2, 3):
-            assert engine._task_count(spec, workers) == workers
             assert render_json(run_simulation(spec, workers=workers)) == reference
 
     def test_a_pool_runs_at_most_two_tasks_per_worker_ahead(self, monkeypatch):
@@ -207,7 +228,7 @@ class TestTaskCount:
         monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
         spec = _paper_spec(device=_paper_device(theta=2e-4), repetitions=3_000,
                            levels=(RiskLevel.GUARDED, RiskLevel.SEVERE))
-        tasks = engine._task_count(spec, 3)
+        tasks = engine._task_count(spec)
         assert tasks == 18  # 3,600 expected drawn rows
         reference = render_json(run_simulation(spec, workers=1))
         calls = Counter()
@@ -302,7 +323,7 @@ class TestAllLevelTasks:
         for task_rows, tasks in [(50, 104 + 56 * bool(channel)), (1_000, 6 + 2 * bool(channel)),
                                  (engine._TASK_DRAWN_ROWS, 1)]:
             monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", task_rows)
-            assert engine._task_count(spec, 1) == tasks
+            assert engine._task_count(spec) == tasks
             for workers in (1, 2, 3):
                 samples.clear()
                 report = run_simulation(spec, workers=workers)
@@ -319,7 +340,7 @@ class TestAllLevelTasks:
                            levels=(RiskLevel.GUARDED, RiskLevel.SEVERE))
         monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        tasks = engine._task_count(spec, workers)
+        tasks = engine._task_count(spec)
         first = {}
         for level in spec.levels:
             with pytest.raises(NumericFault) as alone:
@@ -365,7 +386,7 @@ class TestCompactReduction:
                               **_COMPACT_CASES[name]})
         if name == "several_tasks":
             monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 200)
-            assert engine._task_count(spec, 1) == 27  # 5,400 expected drawn rows
+            assert engine._task_count(spec) == 27  # 5,400 expected drawn rows
         samples = []
 
         def keep_sample(dist, premium_pool, levels):
@@ -961,7 +982,7 @@ class TestBoundedMemory:
         # run's loss buffer, hold only its ~83,000 drawn rows; an R-length
         # array would add 32 MiB
         spec = _paper_spec(repetitions=1 << 22, levels=(RiskLevel.GUARDED,))
-        assert engine._task_count(spec, 1) == 1
+        assert engine._task_count(spec) == 1
         peak = _traced_peak_mib(run_simulation, spec, 1)
         assert peak < 12.9
 
@@ -993,7 +1014,7 @@ class TestBoundedMemory:
 
         monkeypatch.setattr(engine, "_chunk_task", watched)
         assert render_json(run_simulation(spec, workers=1)) == reference
-        assert live == [0] * engine._task_count(spec, 1)
+        assert live == [0] * engine._task_count(spec)
 
     @pytest.mark.parametrize("seed, rate", [(2, 1e-3), (5, 0.02)])
     def test_count_arrays_grow_past_the_expected_rows(self, monkeypatch, seed, rate):
@@ -1086,8 +1107,9 @@ def _loaded_after(script: str) -> list:
 
 class TestImportFootprint:
     """Only a run resolved to more than one worker imports the process
-    pool: a one-worker run, and importing what ``bench/probe.py`` times,
-    leave ``concurrent.futures`` and the ``logging`` it brings unloaded."""
+    pool: a one-worker run, a run of one task at any worker count, and
+    importing what ``bench/probe.py`` times leave ``concurrent.futures``
+    and the ``logging`` it brings unloaded."""
 
     def test_one_worker_run_and_render_load_no_pool(self):
         assert _loaded_after(
@@ -1099,3 +1121,23 @@ class TestImportFootprint:
 
     def test_importing_config_engine_and_report_loads_no_pool(self):
         assert _loaded_after("import cyberrisk.config, cyberrisk.engine, cyberrisk.report") == []
+
+    def test_default_run_of_one_task_loads_no_pool_on_four_cpus(self):
+        assert _loaded_after(
+            "import os\n"
+            "os.cpu_count = lambda: 4\n"
+            "from cyberrisk.config import paper_config, parse_config\n"
+            "from cyberrisk.engine import run_simulation\n"
+            "spec = parse_config({**paper_config(), 'repetitions': 2000})\n"
+            "assert run_simulation(spec, workers=None).levels\n") == []
+
+    def test_default_cli_simulate_of_the_paper_loads_no_pool_or_logging(self, tmp_path):
+        config, out = tmp_path / "paper.json", tmp_path / "report.json"
+        config.write_text(json.dumps(paper_config()))
+        assert _loaded_after(
+            "import os\n"
+            "os.cpu_count = lambda: 4\n"
+            "import cyberrisk.cli\n"
+            f"assert cyberrisk.cli.main(['simulate', '--config', {str(config)!r},\n"
+            f"                          '--format', 'json', '--out', {str(out)!r}]) == 0\n") == []
+        assert json.loads(out.read_text())["levels"]

@@ -255,7 +255,7 @@ def test_task_size_does_not_change_bytes(name, drawn_rows, monkeypatch):
 def test_several_tasks_per_level_do_not_change_bytes(name, monkeypatch):
     monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 50)
     spec = parse_config(case_document(name))
-    assert engine._task_count(spec, 1) >= 2
+    assert engine._task_count(spec) >= 2
     assert case_digests(name) == PINS[name]
 
 

@@ -369,7 +369,7 @@ class TestNumpySummationTree:
         lengths = np.concatenate([rng.permutation(1101), rng.integers(0, 300, 50)])
         size = int(lengths.sum())
         values = rng.lognormal(0.0, 3.0, size=size) * 0.7 * rng.choice([-1.0, 1.0], size)
-        totals = _row_totals(values, lengths)
+        totals = _row_totals(values, _owner(lengths), len(lengths))
         ends = np.cumsum(lengths)
         for total, end, length in zip(totals, ends, lengths):
             assert total.hex() == values[end - length:end].sum().hex(), length
@@ -405,8 +405,7 @@ class TestNumpySummationTree:
             assert total.hex() == capped[end - length:end].sum().hex(), length
         assert summed == ([] if exact else [length for length in lengths if length >= 8])
         if horizon == 2 ** 53 // 64:  # the bound is needed
-            owner = np.repeat(np.arange(len(lengths)), lengths)
-            assert (np.bincount(owner, weights=capped) != totals).any()
+            assert (np.bincount(_owner(lengths), weights=capped) != totals).any()
 
     @pytest.mark.parametrize("special", [-0.0, -3.0, math.inf, math.nan])
     def test_rows_with_a_sign_bit_or_a_nonfinite_entry_follow_the_tree(self, special):
@@ -454,9 +453,15 @@ class TestNumpySummationTree:
         assert float(_padded_sum(tail, count)).hex() == float(expect).hex()
 
 
+def _owner(lengths: np.ndarray) -> np.ndarray:
+    """The row of each entry of a ragged array of rows of ``lengths``."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
 def _row_totals_counting_row_sums(values: np.ndarray, lengths: np.ndarray):
-    """``_row_totals(values, lengths)`` and the lengths of the rows it
-    summed one by one with ``ndarray.sum``, in order."""
+    """``_row_totals`` of rows of ``lengths`` holding ``values``, and the
+    lengths of the rows it summed one by one with ``ndarray.sum``, in
+    order."""
     summed = []
 
     class Counted(np.ndarray):
@@ -464,7 +469,7 @@ def _row_totals_counting_row_sums(values: np.ndarray, lengths: np.ndarray):
             summed.append(len(self))
             return super().sum(*args, **kwargs)
 
-    return _row_totals(values.view(Counted), lengths), summed
+    return _row_totals(values.view(Counted), _owner(lengths), len(lengths)), summed
 
 
 def _boundary_levels(count: int, zeros: int):
