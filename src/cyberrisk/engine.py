@@ -63,6 +63,26 @@ its cap events and its smallest repetition with a nonfinite loss. The run
 raises NumericFault at the first level in spec order that has one, at its
 smallest repetition, as a run of the levels one at a time would.
 
+The count scan may take two threads (``_level_counts``). Each level reads
+its own COUNT stream, and numpy's C Philox releases the GIL while it fills
+a span, so two levels can be scanned side by side. The task's thread scans
+levels 0, 2, 4, ... and one helper thread levels 1, 3, ..., each into its
+own slot, so the results keep spec order; the helper is joined before the
+scan returns or raises, and what it raised is raised then. It starts only
+when all three hold: the task has two levels or more; the run is resolved
+to one worker on a machine of two CPUs or more, so the helper has a CPU
+of its own, while a pool's workers never add threads (a pool of fewer
+workers than CPUs would put 2 * workers threads on as few as workers + 1
+CPUs, a case not measured); and the task's levels read at least
+``_HELPER_WORDS`` (2**19) count words, n times the region width
+(``_count_width``) summed over its levels. On a 2-core VM whose cores
+other tenants share, scanning 4 levels of n words each, two threads lost
+at n = 1e4 and won from 3e4 on while the other core was free (5.9 against
+4.1 ms at 1e5, 54.5 against 28.2 ms at 1e6), and lost 1.5-24% at every n,
+the most at the smallest, while it was busy. So the threshold sits well
+above the break-even: the paper's table (4e5 words in all) scans on one
+thread, and a 4e6-repetition run of two quiet levels on two.
+
 A task resolves its DETAIL_SPILL and CHANNEL_SEV repetitions in batches,
 each repetition on its own stream, a ``streams.RaggedStreams`` row that
 the ``distributions`` row samplers read through its ``raw_words``. They
@@ -131,9 +151,16 @@ them in afresh. So on its first run, and on the first task in each worker
 process, never at import, the engine sets glibc's ``M_MMAP_THRESHOLD`` to
 32 MiB (the ceiling of glibc's own dynamic threshold) and its
 ``M_TRIM_THRESHOLD`` to twice that, through ``mallopt(3)``
-(``_keep_freed_memory``). Freed pages then stay mapped for reuse. The
-setting is process-wide, and it is a no-op where the C library has no
-``mallopt`` or refuses the values (not glibc). It moves no report byte.
+(``_keep_freed_memory``). Freed pages then stay mapped for reuse. Just
+before the first count-scan helper thread of a process starts, and only
+then, the engine also sets ``M_ARENA_MAX`` to 1 (``_share_main_arena``),
+so that the helper allocates from the main arena and reuses the blocks
+freed there (a thread takes its arena at its first malloc): with an arena
+of its own, a fresh process's one-worker run of two levels at 4e6
+repetitions peaked 2.4-3.4 MiB higher in RSS (42.7-43.4 MiB with it). A
+process whose runs never start a helper keeps glibc's arena policy. The
+settings are process-wide, and they are a no-op where the C library has no
+``mallopt`` or refuses the values (not glibc). They move no report byte.
 """
 
 from __future__ import annotations
@@ -144,6 +171,7 @@ from dataclasses import dataclass, field
 import functools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -225,6 +253,11 @@ _TASK_DRAWN_ROWS = 1 << 17
 # Most words one batched read holds (plus any row that alone exceeds it);
 # bounds a task's memory for any kappa and R.
 _BATCH_WORDS = 1 << 16
+# Fewest count words a task's levels read (n times the region width,
+# summed) for which a helper thread scans half of its levels; set well
+# above the break-even, which moves with the load on the other CPU (module
+# docstring, "Batched resolution").
+_HELPER_WORDS = 1 << 19
 
 _DEFAULT_CONFIDENCE = (0.90, 0.95, 0.99)
 _DEFAULT_LEVELS = (RiskLevel.GUARDED, RiskLevel.ELEVATED, RiskLevel.HIGH, RiskLevel.SEVERE)
@@ -322,6 +355,13 @@ def _spans(n: int, words_per_row: int):
         yield lo, min(lo + step, n)
 
 
+def _count_width(rate: float) -> int:
+    """Words of a repetition's count region at Poisson ``rate``: one
+    inversion word below ``PTRS_THRESHOLD``, a 32-word PTRS region from it
+    on."""
+    return 1 if rate < PTRS_THRESHOLD else 4 * _COUNT_BLOCKS_PER_REP
+
+
 def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: int,
                       rate: float):
     """Event counts ~ Poisson(rate) for repetitions [rep_lo, rep_lo + n), as
@@ -339,7 +379,7 @@ def _counts_for_chunk(seed: int, domain: int, level: RiskLevel, rep_lo: int, n: 
     rows = np.empty(size, dtype=np.int64)
     counts = np.empty(size, dtype=np.int64)
     found = 0
-    width = 1 if rate < PTRS_THRESHOLD else 4 * _COUNT_BLOCKS_PER_REP
+    width = _count_width(rate)
     stream = RandomStream(seed, pack_stream_id(domain, level.code, 0), counter=rep_lo * width)
     for lo, hi in _spans(n, width):
         words = stream.raw_words((hi - lo) * width).reshape(hi - lo, width)
@@ -507,8 +547,48 @@ def _count_rate(spec: SimulationSpec, level: RiskLevel) -> float:
     return spec.portfolio_size * level_parameters(spec.scenario, level, spec.device).counts.theta
 
 
+def _level_counts(spec: SimulationSpec, rep_lo: int, n: int, spare_cpu: bool) -> list:
+    """Each level's portfolio cluster counts for repetitions [rep_lo,
+    rep_lo + n), in spec order, as ``_counts_for_chunk`` returns them.
+
+    When ``spare_cpu`` holds, there are two levels or more, and they read
+    at least ``_HELPER_WORDS`` count words, one helper thread scans levels
+    1, 3, ... while this thread scans levels 0, 2, ... (module docstring,
+    "Batched resolution"). The helper scans under the floating-point error
+    state of ``_simulate_chunk``, is joined before this returns or raises,
+    and what it raised is raised here."""
+    rates = [_count_rate(spec, level) for level in spec.levels]
+    scans = [functools.partial(_counts_for_chunk, spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
+                               rate) for level, rate in zip(spec.levels, rates)]
+    if not (spare_cpu and len(scans) >= 2
+            and n * sum(map(_count_width, rates)) >= _HELPER_WORDS):
+        return [scan() for scan in scans]
+    counts, raised = [None] * len(scans), []
+
+    def scan_odd_levels():
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # as _simulate_chunk's
+                for i in range(1, len(scans), 2):
+                    counts[i] = scans[i]()
+        except BaseException as exc:  # re-raised by the caller once joined
+            raised.append(exc)
+
+    _share_main_arena()
+    helper = threading.Thread(target=scan_odd_levels)
+    helper.start()
+    try:
+        for i in range(0, len(scans), 2):
+            counts[i] = scans[i]()
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
+    return counts
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a nonfinite loss is the run's to raise
-def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int) -> list:
+def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int,
+                    spare_cpu: bool = False) -> list:
     """Losses and cap events of repetitions [rep_lo, rep_hi) of every level
     of ``spec.levels``, over the rows that drew something: one (rows,
     losses, caps) per level, in spec order, ``rows`` the offsets from
@@ -518,12 +598,11 @@ def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int) -> list:
     The task holds its drawn rows in one level-ordered array and writes
     each resolved row's days back by position; each level takes its slice
     and adds its own channel. The levels differ only in theta, which no
-    cluster draw reads."""
+    cluster draw reads. With ``spare_cpu`` the count scan may take a helper
+    thread (``_level_counts``)."""
     n = rep_hi - rep_lo
     device = spec.device
-    rows, clusters = zip(*[_counts_for_chunk(spec.seed, _DOMAIN_COUNT, level, rep_lo, n,
-                                             _count_rate(spec, level))
-                           for level in spec.levels])
+    rows, clusters = zip(*_level_counts(spec, rep_lo, n, spare_cpu))
     ends = np.cumsum([0] + [len(level_rows) for level_rows in rows])
     codes = np.repeat(np.array([level.code for level in spec.levels], dtype=np.uint8),
                       np.diff(ends))
@@ -572,11 +651,9 @@ def _simulate_chunk(spec: SimulationSpec, rep_lo: int, rep_hi: int) -> list:
     return chunks
 
 
-@functools.cache
-def _keep_freed_memory() -> bool:
-    """Raise glibc's mmap and trim thresholds, once per process, so that
-    the blocks a run frees stay mapped for reuse (module docstring,
-    "Working memory"). True if both values were taken, False where
+def _mallopt(*settings) -> bool:
+    """Pass each ``(param, value)`` of ``settings`` to glibc's
+    ``mallopt(3)``, in order. True if every value was taken, False where
     there is no ``mallopt`` or it refuses one."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -584,20 +661,39 @@ def _keep_freed_memory() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
+    # mallopt returns 0 for a value it refuses
+    return all(mallopt(param, value) != 0 for param, value in settings)
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Raise glibc's mmap and trim thresholds, once per process, so that
+    the blocks a run frees stay mapped for reuse (module docstring,
+    "Working memory"). True if both values were taken."""
     # M_MMAP_THRESHOLD (-3) at glibc's 32 MiB ceiling, M_TRIM_THRESHOLD (-1)
-    # at twice that; mallopt returns 0 for a value it refuses
-    return mallopt(-3, 32 << 20) != 0 and mallopt(-1, 64 << 20) != 0
+    # at twice that
+    return _mallopt((-3, 32 << 20), (-1, 64 << 20))
 
 
-def _chunk_task(args):
+@functools.cache
+def _share_main_arena() -> bool:
+    """Cap glibc's malloc arenas at one (M_ARENA_MAX, -8), once per
+    process, just before its first count-scan helper thread starts, so
+    that the helper allocates from the main arena (module docstring,
+    "Working memory"). True if the value was taken."""
+    return _mallopt((-8, 1))
+
+
+def _chunk_task(args, spare_cpu: bool = False):
     """One task ``(spec, rep_lo, rep_hi)``: for each level, in spec order,
     the losses of its drawn rows, its cap events and its first repetition
     with a nonfinite loss (None if there is none). A repetition that drew
-    nothing is not sent back."""
+    nothing is not sent back. ``spare_cpu``: the run is one worker with a
+    CPU to spare, so the task's count scan may take a helper thread."""
     _keep_freed_memory()
     rep_lo = args[1]
     out = []
-    for rows, losses, caps in _simulate_chunk(*args):
+    for rows, losses, caps in _simulate_chunk(*args, spare_cpu=spare_cpu):
         bad = rows[~np.isfinite(losses)]
         out.append((losses, caps, rep_lo + int(bad.min()) if bad.size else None))
     return out
@@ -692,6 +788,11 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     ``workers`` at the tasks and the CPUs. At one worker the tasks run in
     this process; only a run resolved to more than one worker imports
     ``concurrent.futures`` and starts a process pool of that many workers.
+    A run resolved to one worker on two CPUs or more leaves a CPU idle, so
+    each of its tasks whose count scan is long (at least ``_HELPER_WORDS``
+    words over two levels or more) scans half of its levels on one helper
+    thread in the calling process, joined before the task returns; a pool's
+    workers start no thread.
     """
     _keep_freed_memory()
     baseline_device = level_parameters(spec.scenario, RiskLevel.BASELINE, spec.device)
@@ -699,7 +800,8 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
 
     reps = spec.repetitions
     n_tasks = _task_count(spec)
-    workers = resolve_workers(workers, n_tasks, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = resolve_workers(workers, n_tasks, cpus)
     tasks = ((spec, reps * i // n_tasks, reps * (i + 1) // n_tasks) for i in range(n_tasks))
     # Every level's drawn-loss buffer, taken as one block before any task
     # runs. A task's losses are written into them as its result arrives;
@@ -708,7 +810,8 @@ def run_simulation(spec: SimulationSpec, workers: int | None = None) -> RiskRepo
     sizes = [_expected_drawn(spec, level) for level in spec.levels]
     buffers = np.split(_loss_buffer(reps, sum(sizes)), np.cumsum(sizes)[:-1])
     if workers == 1:
-        levels = _gather(reps, map(_chunk_task, tasks), buffers)
+        levels = _gather(reps, map(functools.partial(_chunk_task, spare_cpu=cpus > 1), tasks),
+                         buffers)
     else:
         # only a run of more than one worker loads the process pool
         import concurrent.futures

@@ -8,11 +8,13 @@ time, which is the pessimistic case.
 
 import json
 import math
+import os
 import time
 from dataclasses import replace
 
 import numpy as np
 
+import cyberrisk.engine as engine
 from cyberrisk.config import paper_config, parse_config
 from cyberrisk.distributions import (
     CountDistributionParams,
@@ -173,17 +175,25 @@ def test_criterion_5_table_structure_across_seeds():
              ok, time.perf_counter() - started, 180.0)
 
 
-def test_criterion_6_determinism_across_workers():
+def test_criterion_6_determinism_across_workers(monkeypatch):
+    # the paper's 66,000 expected drawn rows cut into 4 tasks, so that one
+    # worker on 1 CPU scans counts on one thread, one worker on 2 CPUs with
+    # no helper threshold on two, and 2 and 8 workers run a pool of 2 and 4
     started = time.perf_counter()
     spec = parse_config(paper_config())
+    monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 20_000)
+    monkeypatch.setattr(engine, "_HELPER_WORDS", 0)
+    ok = engine._task_count(spec) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     reference = render_json(run_simulation(spec, workers=1))
-    ok = bool(reference)
-    for workers in (2, 8):
+    ok &= bool(reference)
+    for cpus, workers in [(2, 1), (2, 2), (8, 8)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         ok &= render_json(run_simulation(spec, workers=workers)) == reference
     ok &= render_json(run_simulation(spec, workers=1)) == reference  # consecutive rerun
     document = json.loads(reference)
     ok &= json.dumps(document, indent=2) + "\n" == reference  # byte-stable round trip
-    _verdict(6, "bitwise-identical JSON across 1/2/8 workers and reruns",
+    _verdict(6, "bitwise-identical JSON across 1/2/8 workers, 4 tasks, and reruns",
              ok, time.perf_counter() - started, 120.0)
 
 

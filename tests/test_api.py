@@ -153,11 +153,13 @@ def test_engine_draws_only_through_the_batched_samplers():
 def test_engine_reads_the_ptrs_threshold_only_to_size_its_reads():
     """The choice between inversion and PTRS is made in ``distributions``.
     ``engine`` reads PTRS_THRESHOLD only where it sizes the words a row
-    reads: the count layout's region width and the DETAIL_SPILL prefix."""
+    reads: the count layout's region width (``_count_width``, which the
+    count scan and its helper-thread estimate both read) and the
+    DETAIL_SPILL prefix."""
     tree = ast.parse(Path(engine.__file__).read_text())
     readers = set()
     for node in tree.body:
         names = {inner.id for inner in ast.walk(node) if isinstance(inner, ast.Name)}
         if "PTRS_THRESHOLD" in names:
             readers.add(getattr(node, "name", f"engine.py:{node.lineno}"))
-    assert readers == {"_counts_for_chunk", "_multi_cluster_days"}
+    assert readers == {"_count_width", "_multi_cluster_days"}

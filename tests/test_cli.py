@@ -16,8 +16,9 @@ import pytest
 import cyberrisk
 from cyberrisk import cli, errors
 from cyberrisk.cli import main
-from cyberrisk.config import CONFIG_VERSION, paper_config
+from cyberrisk.config import CONFIG_VERSION, paper_config, parse_config
 from cyberrisk.distributions import Pareto, sample_severity_batch
+import cyberrisk.engine as engine
 from cyberrisk.streams import derive_stream
 
 
@@ -48,12 +49,20 @@ class TestSimulate:
         assert out1 == out2
         assert out1.strip()
 
-    def test_workers_flag_does_not_change_bytes(self, capsys, small_config):
-        _, out1, _ = run_cli(capsys, "simulate", "--config", small_config,
-                             "--format", "json", "--workers", "1")
-        _, out2, _ = run_cli(capsys, "simulate", "--config", small_config,
-                             "--format", "json", "--workers", "2")
-        assert out1 == out2
+    def test_workers_flag_does_not_change_bytes(self, capsys, monkeypatch, small_config):
+        # 396 expected drawn rows cut into 4 tasks: one worker on 1 CPU scans
+        # counts on one thread, one worker on 2 CPUs with no helper
+        # threshold on two, and 2 workers run a pool
+        monkeypatch.setattr(engine, "_TASK_DRAWN_ROWS", 100)
+        monkeypatch.setattr(engine, "_HELPER_WORDS", 0)
+        assert engine._task_count(parse_config(json.loads(Path(small_config).read_text()))) == 4
+        outs = []
+        for cpus, workers in [(1, "1"), (2, "1"), (2, "2")]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            outs.append(run_cli(capsys, "simulate", "--config", small_config,
+                                "--format", "json", "--workers", workers)[1])
+        assert outs[0].strip()
+        assert outs == [outs[0]] * 3
 
     def test_json_round_trips(self, capsys, small_config):
         _, out, _ = run_cli(capsys, "simulate", "--config", small_config, "--format", "json")

@@ -3,12 +3,14 @@
 from collections import Counter
 import concurrent.futures
 from dataclasses import replace
+import hashlib
 import json
 import math
 import os
 from pathlib import Path
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -159,10 +161,12 @@ class TestDeterminism:
         assert a.levels[0].metrics.expected_loss != b.levels[0].metrics.expected_loss
 
 
-def _bench_workload(name: str) -> SimulationSpec:
-    """The spec of one workload of ``bench/workloads.json``."""
+def _bench_workload(name: str, tiny: bool = False) -> SimulationSpec:
+    """The spec of one workload of ``bench/workloads.json``, or of its tiny
+    form."""
     document = json.loads((Path(__file__).parents[1] / "bench" / "workloads.json").read_text())
-    return parse_config({**document["base"], **document["workloads"][name]["overrides"]})
+    entry = document["workloads"][name]
+    return parse_config({**document["base"], **entry["overrides"], **(entry["tiny"] if tiny else {})})
 
 
 class TestTaskCount:
@@ -198,9 +202,9 @@ class TestTaskCount:
         spans = []
         task = engine._chunk_task
 
-        def spy(args):
+        def spy(args, **options):
             spans.append(args[1:])
-            return task(args)
+            return task(args, **options)
 
         monkeypatch.setattr(engine, "_chunk_task", spy)
         run_simulation(parse_config(paper_config()), workers=1)
@@ -1005,9 +1009,9 @@ class TestBoundedMemory:
         reference = render_json(run_simulation(spec, workers=1))
         task, held, live = engine._chunk_task, [], []
 
-        def watched(args):
+        def watched(args, **options):
             live.append(sum(ref() is not None for ref in held))
-            out = task(args)
+            out = task(args, **options)
             held.extend(weakref.ref(drawn if drawn.base is None else drawn.base)
                         for drawn, _, _ in out)
             return out
@@ -1049,7 +1053,7 @@ class TestBoundedMemory:
 
 
 _FAULTS_SCRIPT = """
-import json, resource
+import json, os, resource
 import cyberrisk.cli
 import cyberrisk.engine as engine
 from cyberrisk.config import paper_config, parse_config
@@ -1060,10 +1064,20 @@ spec = parse_config({**paper_config(), "repetitions": 100_000})
 faults = []
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    report = engine.run_simulation(spec, workers=1)
+    engine.run_simulation(spec, workers=1)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-record.update(mallopt=engine._keep_freed_memory(), faults=faults,
-              same_bytes=render_json(engine.run_simulation(spec, workers=2)) == render_json(report))
+record["arena_set_by_paper"] = engine._share_main_arena.cache_info().currsize
+# a run of 4e6 repetitions of two quiet levels, two tasks: one worker on
+# 1 CPU scans counts on one thread, one worker on 2 CPUs on two, and 2
+# workers on 2 CPUs run a pool
+large = parse_config({**paper_config(), "repetitions": 4_000_000, "levels": ["guarded", "elevated"]})
+texts = []
+for cpus, workers in [(1, 1), (2, 1), (2, 2)]:
+    os.cpu_count = lambda: cpus
+    texts.append(render_json(engine.run_simulation(large, workers=workers)))
+record.update(mallopt=engine._keep_freed_memory(), faults=faults, tasks=engine._task_count(large),
+              same_bytes=texts == [texts[0]] * 3,
+              arena_set_by_helper=engine._share_main_arena.cache_info().currsize)
 print(json.dumps(record))
 """
 
@@ -1083,7 +1097,10 @@ class TestWorkingMemory:
         assert done.returncode == 0, done.stderr
         record = json.loads(done.stdout)
         assert record["set_at_import"] == 0  # importing the package and its CLI sets nothing
-        assert record["same_bytes"]  # on 2 workers as on 1
+        # the arena cap waits for the first helper thread, which paper runs never start
+        assert (record["arena_set_by_paper"], record["arena_set_by_helper"]) == (0, 1)
+        assert record["tasks"] == 2
+        assert record["same_bytes"]  # on one thread, on two, and on 2 workers
         if not record["mallopt"]:
             pytest.skip("the C library has no mallopt, or it refused the thresholds")
         assert record["faults"][1] <= 100, record["faults"]
@@ -1141,3 +1158,120 @@ class TestImportFootprint:
             f"assert cyberrisk.cli.main(['simulate', '--config', {str(config)!r},\n"
             f"                          '--format', 'json', '--out', {str(out)!r}]) == 0\n") == []
         assert json.loads(out.read_text())["levels"]
+
+
+class _InlinePool:
+    """A process pool that runs each task in this process on submission."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, function, task):
+        future = concurrent.futures.Future()
+        future.set_result(function(task))
+        return future
+
+
+def _tiny_pin(name: str) -> str:
+    """``bench/pins.json``'s seed-42 digest of a tiny bench workload."""
+    pins = json.loads((Path(__file__).parents[1] / "bench" / "pins.json").read_text())
+    return pins["tiny"][name]["42"]
+
+
+class TestTwoThreadCountScan:
+    """A task of a one-worker run with a CPU to spare scans the count words
+    of levels 1, 3, ... on one helper thread when the scan is long (module
+    docstring, "Batched resolution"); the bytes do not depend on it, and no
+    thread outlives the run."""
+
+    @pytest.fixture()
+    def helpers(self, monkeypatch):
+        """The helper threads the engine starts, one entry per start."""
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        return started
+
+    @pytest.mark.parametrize("name", ["paper", "dense"])
+    def test_tiny_bench_specs_give_the_pinned_bytes_on_two_threads_and_one(
+            self, monkeypatch, helpers, name):
+        spec = _bench_workload(name, tiny=True)
+        assert engine._task_count(spec) == 1
+        threads = threading.active_count()
+        digests = []
+        monkeypatch.setattr(engine, "_HELPER_WORDS", 0)
+        for cpus, started in [(2, 1), (1, 0)]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            helpers.clear()
+            text = render_json(run_simulation(spec, workers=1))
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+            assert len(helpers) == started, cpus
+            assert threading.active_count() == threads
+        assert digests == [_tiny_pin(name)] * 2
+
+    def test_bytes_hold_under_a_short_switch_interval(self, monkeypatch, helpers):
+        # both threads write their levels' slots of one list; switching
+        # threads every 10 microseconds would expose a lost or misplaced one
+        monkeypatch.setattr(engine, "_HELPER_WORDS", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = _bench_workload("paper", tiny=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            texts = {render_json(run_simulation(spec, workers=1)) for _ in range(5)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(helpers) == 5
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [_tiny_pin("paper")]
+
+    @pytest.mark.parametrize("share", [1, 0], ids=["helper", "caller"])
+    def test_a_scan_error_propagates_unchanged_and_the_helper_is_joined(
+            self, monkeypatch, helpers, share):
+        spec = _bench_workload("dense", tiny=True)
+        raising, scan = spec.levels[share], engine._counts_for_chunk
+        error, raised_on = RuntimeError("scan failed"), []
+
+        def failing_scan(seed, domain, level, *args):
+            if level == raising:
+                raised_on.append(threading.current_thread())
+                raise error
+            return scan(seed, domain, level, *args)
+
+        monkeypatch.setattr(engine, "_counts_for_chunk", failing_scan)
+        monkeypatch.setattr(engine, "_HELPER_WORDS", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            run_simulation(spec, workers=1)
+        assert caught.value is error
+        assert raised_on == [helpers[0] if share else threading.main_thread()]
+        assert threading.active_count() == threads
+
+    def test_only_a_long_scan_of_one_worker_with_an_idle_cpu_takes_the_helper(
+            self, monkeypatch, helpers):
+        """On 2 CPUs at one worker, paper (4e5 count words) and channel
+        (4e4) scan on one thread, and dense (4e6 words in each of its two
+        tasks) on two. A pool's workers start none: dense at the default
+        worker count runs a pool of 2 on 2 CPUs, and on 3, where a helper
+        per worker would put 4 threads on 3 CPUs."""
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        threads = threading.active_count()
+        for name, cpus, workers, started in [("paper", 2, 1, 0), ("channel", 2, 1, 0),
+                                             ("dense", 2, 1, 2), ("dense", 2, None, 0),
+                                             ("dense", 3, None, 0)]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            helpers.clear()
+            run_simulation(_bench_workload(name), workers=workers)
+            assert len(helpers) == started, (name, cpus, workers)
+            assert threading.active_count() == threads
