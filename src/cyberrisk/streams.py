@@ -15,11 +15,23 @@ increments its counter before enciphering: its first four words are block
 ``RandomStream`` constructs (``chunk_words`` reads through it). A
 ``RandomStream`` keeps one Philox and continues it from read to read,
 since numpy's four-word buffer resumes exactly where a read of any
-length stopped; it builds a new one only when ``counter`` was moved. Many
-streams at once are read through ``philox_blocks``, the same cipher in
-numpy ``uint64`` arithmetic, vectorized over (key, counter) pairs. Its
-64x64 -> 128-bit multiply-high is assembled from the four products of
-32-bit halves. The counter's upper three words stay 0 because every
+length stopped; it builds a new one only when ``counter`` was moved.
+
+Many streams at once are read through ``philox_blocks``, the same cipher
+vectorized over (key, counter) pairs, in passes of at most 8,192 blocks.
+A pass runs in a compiled kernel, ``_PHILOX_C``, when one loads: a C loop
+with a native 64x64 -> 128-bit multiply (``unsigned __int128``). On first
+use in a process, never at import, ``_philox_kernel`` compiles it with the
+system ``cc`` into the per-user cache, ``$XDG_CACHE_HOME/cyberrisk`` (else
+``~/.cache/cyberrisk``), named by a hash of the source, the command and
+the platform, and loads it through ``ctypes``; later processes load the
+cached file without compiling. Where that fails (no ``cc``, no
+``__int128``, no POSIX file owners, an unwritable cache, or a cache
+directory or file that another user owns or may write), every pass runs
+``_philox_pass_numpy``, which gives the same words and is the reference the
+kernel is tested against. It does the cipher in numpy ``uint64``
+arithmetic, its multiply-high assembled from the four products of 32-bit
+halves. The counter's upper three words stay 0 because every
 address the engine's layout forms has ``i // 4 + 1 < 2**64``. So rounds 0
 and 1 multiply one word each, with the same result: round 0's word-2
 product is 0, and word 0 leaves round 0 as the seed in every block, so
@@ -42,7 +54,10 @@ which is how the engine stays deterministic under any worker count.
 
 from __future__ import annotations
 
+import functools
 import operator
+import os
+import stat
 
 import numpy as np
 from numpy.random import Philox
@@ -81,6 +96,36 @@ _HALF = np.array(32, dtype=np.uint64)
 _PHILOX_MULTS = tuple((m, m & _LOW32, m >> _HALF) for m in (_PHILOX_M, _PHILOX_M[::-1].copy()))
 # Blocks enciphered per pass: the working arrays of one pass stay in cache.
 _CIPHER_PASS_BLOCKS = 8192
+
+# The compiled pass: block i is the cipher of counter (blocks[i], 0, 0, 0)
+# under key (seed, ids[i]), written lane-major into out's 4 rows of n.
+_PHILOX_C = r"""
+#include <stdint.h>
+
+void philox_pass(uint64_t seed, const uint64_t *ids, const uint64_t *blocks,
+                 uint64_t *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t x0 = blocks[i], x1 = 0, x2 = 0, x3 = 0, k0 = seed, k1 = ids[i];
+        for (int r = 0; r < 10; r++) {
+            unsigned __int128 p0 = (unsigned __int128)UINT64_C(0xD2E7470EE14C6C93) * x0;
+            unsigned __int128 p2 = (unsigned __int128)UINT64_C(0xCA5A826395121157) * x2;
+            x0 = (uint64_t)(p2 >> 64) ^ x1 ^ k0;
+            x2 = (uint64_t)(p0 >> 64) ^ x3 ^ k1;
+            x1 = (uint64_t)p2;
+            x3 = (uint64_t)p0;
+            k0 += UINT64_C(0x9E3779B97F4A7C15);
+            k1 += UINT64_C(0xBB67AE8584CAA73B);
+        }
+        out[i] = x0;
+        out[n + i] = x1;
+        out[2 * n + i] = x2;
+        out[3 * n + i] = x3;
+    }
+}
+"""
+# The compile command; the source is read from stdin
+_COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 
 def pack_stream_id(domain: int, level_code, index):
@@ -200,8 +245,12 @@ def philox_blocks(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.n
     copies it into row order. Counter words 1-3 are 0, so word 0 leaves
     round 0 as the seed: rounds 0 and 1 multiply one word each, not two.
     """
-    stream_ids = np.asarray(stream_ids, dtype=np.uint64)
-    blocks = np.asarray(blocks, dtype=np.uint64)
+    if not 0 <= seed <= _U64_MASK:
+        raise ValueError(f"seed {seed} is not a 64-bit unsigned integer")
+    stream_ids = np.ascontiguousarray(stream_ids, dtype=np.uint64)
+    blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
+    if stream_ids.ndim != 1 or stream_ids.shape != blocks.shape:
+        raise ValueError("stream_ids and blocks must be 1-d arrays of equal length")
     passes = [_philox_pass(seed, stream_ids[lo:lo + _CIPHER_PASS_BLOCKS],
                            blocks[lo:lo + _CIPHER_PASS_BLOCKS])
               for lo in range(0, len(stream_ids), _CIPHER_PASS_BLOCKS)]
@@ -209,6 +258,82 @@ def philox_blocks(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.n
     lanes = passes[0] if len(passes) == 1 else np.concatenate(
         passes or [np.empty((_WORDS_PER_BLOCK, 0), dtype=np.uint64)], axis=1)
     return lanes.T
+
+
+def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The lane-major ``(4, n)`` words of one pass of ``philox_blocks``
+    over contiguous ``uint64`` arrays of equal length n: from the compiled
+    kernel when it loaded, else from ``_philox_pass_numpy``."""
+    kernel = _philox_kernel()
+    if kernel is None:
+        return _philox_pass_numpy(seed, stream_ids, blocks)
+    out = np.empty((_WORDS_PER_BLOCK, len(stream_ids)), dtype=np.uint64)
+    kernel(seed, stream_ids.ctypes.data, blocks.ctypes.data, out.ctypes.data, len(stream_ids))
+    return out
+
+
+@functools.cache
+def _philox_kernel():
+    """``_PHILOX_C``'s ``philox_pass`` as a ``ctypes`` function, or None
+    where it cannot be built or loaded; the answer holds for the process.
+
+    The library is ``philox-<hash>.so`` in the per-user cache directory,
+    the hash taken over the source, the compile command and the platform
+    tag. A cached library is loaded without compiling. A missing one is
+    compiled into a temporary file beside it and renamed into place, so
+    processes that compile at once each install a whole library. The
+    directory is created 0700; a directory or library that is a link,
+    that another user owns, or that its group or others may write is
+    refused. A compile that takes over 60 s is given up."""
+    import ctypes
+    import hashlib
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    if not hasattr(os, "geteuid"):  # no file owners to check the cache by
+        return None
+    key = "\0".join([_PHILOX_C, *_COMPILE, sysconfig.get_platform()])
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no home directory: never a cache under the working directory
+        return None
+    directory = os.path.join(base, "cyberrisk")
+    path = os.path.join(directory, f"philox-{hashlib.sha256(key.encode()).hexdigest()[:32]}.so")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        if not _private(directory, stat.S_ISDIR):
+            return None
+        if not os.path.lexists(path):
+            fd, temp = tempfile.mkstemp(prefix="philox-", suffix=".tmp", dir=directory)
+            os.close(fd)
+            try:
+                subprocess.run([*_COMPILE, "-x", "c", "-", "-o", temp], input=_PHILOX_C.encode(),
+                               capture_output=True, timeout=60, check=True)
+                os.chmod(temp, 0o700)
+                os.replace(temp, path)
+            finally:
+                if os.path.lexists(temp):
+                    os.unlink(temp)
+        if not _private(path, stat.S_ISREG):
+            return None
+        kernel = ctypes.CDLL(path).philox_pass
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    kernel.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_int64]
+    kernel.restype = None
+    return kernel
+
+
+def _private(path: str, is_kind) -> bool:
+    """Whether ``path``, not followed if it is a link, passes ``is_kind``
+    (``stat.S_ISDIR`` or ``stat.S_ISREG``), is owned by this process's
+    user, and is not writable by its group or others."""
+    info = os.lstat(path)
+    return (is_kind(info.st_mode) and info.st_uid == os.geteuid()
+            and not info.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
 
 
 def _mulhi(m_lo, m_hi, x, x_lo, x_hi, low, mid) -> np.ndarray:
@@ -231,7 +356,9 @@ def _mulhi(m_lo, m_hi, x, x_lo, x_hi, low, mid) -> np.ndarray:
     return hi
 
 
-def _philox_pass(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _philox_pass_numpy(seed: int, stream_ids: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``_philox_pass`` in numpy ``uint64`` arithmetic: the reference for
+    the compiled kernel, and the pass where none loads."""
     n = len(stream_ids)
     # the (4, n) result; x holds words (0, 2) and y words (1, 3), both in
     # that row order after an even number of rounds, swapped after an odd

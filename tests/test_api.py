@@ -36,10 +36,13 @@ def test_package_imports_are_exported_by_their_modules():
 
 
 # The only imports inside a function: ones that only some runs need.
-# A run of more than one worker loads the process pool, and only ``fit``
-# parses datasets.
+# A run of more than one worker loads the process pool, only ``fit``
+# parses datasets, and only a process's first cipher pass builds or loads
+# the compiled kernel.
 _DEFERRED_IMPORTS = {"cli.py:_cmd_fit": ["datetime", ".ingestion"],
-                     "engine.py:run_simulation": ["concurrent.futures"]}
+                     "engine.py:run_simulation": ["concurrent.futures"],
+                     "streams.py:_philox_kernel": ["ctypes", "hashlib", "subprocess", "sysconfig",
+                                                   "tempfile"]}
 
 
 def _package_modules_reached(stem: str) -> set:

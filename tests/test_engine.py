@@ -1275,3 +1275,44 @@ class TestTwoThreadCountScan:
             run_simulation(_bench_workload(name), workers=workers)
             assert len(helpers) == started, (name, cpus, workers)
             assert threading.active_count() == threads
+
+
+class TestCipherPassPaths:
+    """The compiled cipher pass and its numpy fallback give the same
+    report bytes and encipher the same blocks. The fallback is taken when
+    the loader gives no kernel, and when the compiler it would run is
+    missing (with an empty cache, so nothing cached stands in for it)."""
+
+    @pytest.fixture(params=["compiled", "no_kernel", "missing_compiler"])
+    def pass_path(self, request, monkeypatch, tmp_path):
+        """Whether the compiled pass runs, and a list that records every
+        call of the numpy pass, under each way of choosing the pass."""
+        streams._philox_kernel.cache_clear()
+        request.addfinalizer(streams._philox_kernel.cache_clear)
+        if request.param == "no_kernel":
+            monkeypatch.setattr(streams, "_philox_kernel", lambda: None)
+        elif request.param == "missing_compiler":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+            monkeypatch.setattr(streams, "_COMPILE", (str(tmp_path / "no-cc"), *streams._COMPILE[1:]))
+            assert streams._philox_kernel() is None
+            assert list((tmp_path / "cyberrisk").iterdir()) == []  # no temporary file left
+        elif streams._philox_kernel() is None:
+            pytest.skip("no working C compiler")
+        calls, reference = [], streams._philox_pass_numpy
+        monkeypatch.setattr(streams, "_philox_pass_numpy",
+                            lambda *args: calls.append(1) or reference(*args))
+        return request.param == "compiled", calls
+
+    @pytest.mark.parametrize("name", ["paper", "channel", "dense"])
+    def test_tiny_bench_specs_give_the_pinned_bytes(self, pass_path, name):
+        compiled, numpy_passes = pass_path
+        text = render_json(run_simulation(_bench_workload(name, tiny=True), workers=1))
+        assert hashlib.sha256(text.encode()).hexdigest() == _tiny_pin(name)
+        assert bool(numpy_passes) is not compiled
+
+    def test_paper_run_makes_the_same_passes(self, monkeypatch, pass_path):
+        compiled, numpy_passes = pass_path
+        counters = TestCipherWork._enciphered(monkeypatch)
+        run_simulation(parse_config(paper_config()), workers=1)
+        assert len(counters) == 17 and sum(len(c) for c in counters) == 73_293
+        assert len(numpy_passes) == (0 if compiled else 17)

@@ -1,8 +1,13 @@
 """Stream determinism and counter semantics."""
 
+import json
+import os
+from pathlib import Path
+import shutil
 import subprocess
 import sys
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -124,6 +129,12 @@ def test_invalid_stream_arguments():
         RandomStream(0, 2 ** 64)
     with pytest.raises(ValueError):
         RandomStream(0, 0, counter=-1)
+    # the compiled pass reads n blocks for n ids, so the lengths must agree,
+    # and it takes the seed as one 64-bit word, so it must be one
+    for seed, ids, blocks in [(0, np.arange(3), np.arange(2)), (0, *(np.arange(4).reshape(2, 2),) * 2),
+                              (-1, np.arange(2), np.arange(2)), (2 ** 64, np.arange(2), np.arange(2))]:
+        with pytest.raises(ValueError):
+            philox_blocks(seed, ids, blocks)
 
 
 def test_pack_stream_id_arrays_match_scalars():
@@ -228,6 +239,141 @@ def test_philox_blocks_pass_sizes(n):
     for k, sid in enumerate(ids):
         bit_gen = Philox(key=np.array([2 ** 64 - _W0, sid], dtype=np.uint64))
         assert np.array_equal(got[k::3].ravel(), bit_gen.random_raw(4 * len(rows[k::3])))
+
+
+_U64_EDGES = st.sampled_from([0, 2 ** 64 - 1])
+_U64_VALUES = _U64_EDGES | st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_U64_VALUES, n=st.sampled_from([1, 3, 8191, 8192]), bulk=st.integers(0, 2 ** 32 - 1),
+       edges=st.lists(st.tuples(st.integers(0, 8191), _U64_EDGES, _U64_EDGES), max_size=6))
+@example(seed=2 ** 64 - 1, n=1, bulk=0, edges=[(0, 2 ** 64 - 1, 2 ** 64 - 1)])
+@example(seed=0, n=3, bulk=0, edges=[(0, 0, 0), (1, 0, 2 ** 64 - 1), (2, 2 ** 64 - 1, 0)])
+def test_compiled_pass_equals_numpy_pass(seed, n, bulk, edges):
+    """The compiled cipher pass gives ``_philox_pass_numpy``'s words bit for
+    bit; ``edges`` puts ids and counters 0 and 2**64 - 1 at chosen rows."""
+    if streams._philox_kernel() is None:
+        pytest.skip("no working C compiler")
+    rng = np.random.default_rng(bulk)
+    ids, blocks = _random_u64(rng, n), _random_u64(rng, n)
+    for row, sid, block in edges:
+        ids[row % n], blocks[row % n] = sid, block
+    got = streams._philox_pass(seed, ids, blocks)
+    assert got.shape == (4, n) and got.dtype == np.uint64
+    assert np.array_equal(got, streams._philox_pass_numpy(seed, ids, blocks))
+
+
+def test_kernel_cache_without_a_home_directory_is_not_made(monkeypatch, tmp_path):
+    """A relative ``XDG_CACHE_HOME`` and no home directory leave no cache
+    to use: the numpy pass runs, and nothing is written where it runs."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+    monkeypatch.setattr(os.path, "expanduser", lambda path: path)  # "~" stays "~"
+    streams._philox_kernel.cache_clear()
+    try:
+        assert streams._philox_kernel() is None
+    finally:
+        streams._philox_kernel.cache_clear()
+    assert list(tmp_path.iterdir()) == []
+
+
+# A fresh interpreter that imports the package, then enciphers 3 blocks
+# through ``philox_blocks`` and reports what it saw as JSON.
+_LOADER_CHILD = """
+import json, os, sys
+replaced = []
+real_replace = os.replace
+os.replace = lambda src, dst: replaced.append([src, dst]) or real_replace(src, dst)
+import cyberrisk, cyberrisk.cli
+import cyberrisk.streams as streams
+import numpy as np
+at_import = {"loaded": streams._philox_kernel.cache_info().currsize,
+             "cache": os.path.exists(os.path.join(os.environ["XDG_CACHE_HOME"], "cyberrisk"))}
+numpy_passes = []
+reference = streams._philox_pass_numpy
+streams._philox_pass_numpy = lambda *args: numpy_passes.append(1) or reference(*args)
+words = streams.philox_blocks(7, np.array([0, 5, 2 ** 64 - 1], dtype=np.uint64),
+                              np.array([1, 2 ** 64 - 1, 3], dtype=np.uint64))
+print(json.dumps({"at_import": at_import, "kernel": streams._philox_kernel() is not None,
+                  "replaced": replaced, "numpy_passes": len(numpy_passes),
+                  "words": [str(w) for w in words.ravel()]}))
+"""
+
+
+class TestKernelCache:
+    """The compiled pass is built on first use, once per cache, into a
+    private per-user directory, and refused from one that is not private.
+    Each case runs in fresh interpreters whose cache directory is a
+    temporary one and whose ``cc`` logs every call before compiling."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path):
+        compiler = shutil.which("cc")
+        if compiler is None:
+            pytest.skip("no working C compiler")
+        (tmp_path / "bin").mkdir()
+        logging_cc = tmp_path / "bin" / "cc"
+        logging_cc.write_text(f'#!/bin/sh\necho "$@" >> {tmp_path / "cc.log"}\nexec {compiler} "$@"\n')
+        logging_cc.chmod(0o755)
+        return tmp_path
+
+    @staticmethod
+    def _child(tmp_path: Path, path: str) -> dict:
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "xdg"), "PATH": path,
+               "PYTHONPATH": str(Path(streams.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", _LOADER_CHILD], capture_output=True, text=True,
+                             env=env, cwd=tmp_path, check=True, timeout=120)
+        report = json.loads(out.stdout)
+        # the kernel path and the numpy path give numpy Philox's words alike
+        expect = [Philox(key=np.array([7, sid], dtype=np.uint64), counter=(block - 1) % 2 ** 256)
+                  .random_raw(4) for sid, block in [(0, 1), (5, 2 ** 64 - 1), (2 ** 64 - 1, 3)]]
+        assert report["words"] == [str(w) for w in np.concatenate(expect)]
+        # importing the package builds and loads nothing
+        assert report["at_import"]["loaded"] == 0
+        return report
+
+    def _compiles(self, tmp_path: Path) -> int:
+        log = tmp_path / "cc.log"
+        return len(log.read_text().splitlines()) if log.exists() else 0
+
+    def _first_build(self, tmp_path: Path) -> Path:
+        """Run the first interpreter; return the library it installed."""
+        report = self._child(tmp_path, f"{tmp_path / 'bin'}{os.pathsep}{os.environ.get('PATH', '')}")
+        directory = tmp_path / "xdg" / "cyberrisk"
+        assert report["at_import"]["cache"] is False  # nor creates the cache
+        assert report["kernel"] and report["numpy_passes"] == 0
+        assert self._compiles(tmp_path) == 1
+        [library] = directory.iterdir()
+        assert library.name.startswith("philox-") and library.suffix == ".so"
+        [[temp, final]] = report["replaced"]
+        assert Path(temp).parent == directory and temp != final and Path(final) == library
+        assert (directory.stat().st_mode & 0o777) == 0o700
+        return library
+
+    def test_first_pass_compiles_once_and_later_interpreters_load_it(self, cache):
+        library = self._first_build(cache)
+        # an emptied PATH finds no compiler: the kernel can come only from the cache
+        report = self._child(cache, "")
+        assert report["kernel"] and report["numpy_passes"] == 0 and report["replaced"] == []
+        assert self._compiles(cache) == 1
+        assert list(library.parent.iterdir()) == [library]
+
+    def test_group_writable_cache_directory_is_refused(self, cache):
+        library = self._first_build(cache)
+        library.parent.chmod(0o770)
+        report = self._child(cache, f"{cache / 'bin'}{os.pathsep}{os.environ.get('PATH', '')}")
+        assert not report["kernel"] and report["numpy_passes"] == 1
+        assert self._compiles(cache) == 1
+
+    def test_library_owned_by_another_user_is_refused(self, cache):
+        if os.geteuid() != 0:
+            pytest.skip("giving a file to another user needs root")
+        library = self._first_build(cache)
+        os.chown(library, os.geteuid() + 1, -1)
+        report = self._child(cache, f"{cache / 'bin'}{os.pathsep}{os.environ.get('PATH', '')}")
+        assert not report["kernel"] and report["numpy_passes"] == 1
+        assert self._compiles(cache) == 1
 
 
 def test_ragged_words_equal_per_row_reads():
